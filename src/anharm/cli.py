@@ -382,7 +382,6 @@ class RunConfig:
         self.grid = args.grid
         self.halfwidth = args.halfwidth
         self.seed = args.seed
-        self.threads = args.threads
         self.tolerance = args.tolerance
         self.epsilon = getattr(args, "epsilon", 1e-8)
         self.dictionary_size = getattr(args, "dictionary_size", None)
@@ -390,6 +389,10 @@ class RunConfig:
         self.timings = args.timings
         if self.tolerance is not None and self.tolerance < 0:
             raise ValueError("tolerance must be nonnegative")
+        if self.m is not None and self.m < 2:
+            raise ValueError(f"m must be >= 2, got {self.m}")
+        if self.halfwidth is not None and self.halfwidth <= 0:
+            raise ValueError(f"halfwidth must be positive, got {self.halfwidth}")
         if self.grid is not None and (
                 self.grid < 2 or self.grid & (self.grid - 1)):
             raise ValueError("grid must be a power of two >= 2")
@@ -493,7 +496,6 @@ def _build_parser():
         p.add_argument("--grid", type=int)
         p.add_argument("--halfwidth", type=float)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--tolerance", type=float)
         p.add_argument("--output")
         p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")

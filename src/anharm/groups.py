@@ -13,6 +13,7 @@ axis holds coordinates.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -131,15 +132,23 @@ def diag_entries(t):
     return np.exp(np.concatenate([t, last], axis=-1))
 
 
+@lru_cache(maxsize=None)
+def _rho_exponents(m):
+    """The integer-valued (m-1)×dim_n matrix C with log(a_i/a_j) = t @ C."""
+    i, j = np.array(upper_indices(m)).T
+    log_a = np.hstack([np.eye(m - 1), -np.ones((m - 1, 1))])  # log a = t @ log_a
+    C = log_a[:, i] - log_a[:, j]
+    C.flags.writeable = False  # the cache hands the same array to every call
+    return C
+
+
 def rho_scale(m, t):
     """Per-coordinate scale a_i/a_j of conjugation by diag(exp-coords t)."""
     t = np.asarray(t, dtype=float)
-    a = diag_entries(t)
-    idx = upper_indices(m)
-    out = np.empty(t.shape[:-1] + (len(idx),))
-    for k, (i, j) in enumerate(idx):
-        out[..., k] = a[..., i] / a[..., j]
-    return out
+    C = _rho_exponents(m)
+    # one flat (points, m-1) @ C product: a stack of tiny ones is slow
+    out = (t.reshape(-1, m - 1) @ C).reshape(t.shape[:-1] + C.shape[1:])
+    return np.exp(out, out=out)
 
 
 def rho_apply(m, t, x):
@@ -151,16 +160,19 @@ def s_mul(m, p, q):
     """Product in S on stacked coordinates (..., dim_n + m-1)."""
     d = m * (m - 1) // 2
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
-    xn, xt = p[..., :d], p[..., d:]
-    yn, yt = q[..., :d], q[..., d:]
-    return np.concatenate([n_mul(m, xn, rho_apply(m, xt, yn)), xt + yt], axis=-1)
+    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
+    out[..., :d] = n_mul(m, p[..., :d], rho_apply(m, p[..., d:], q[..., :d]))
+    np.add(p[..., d:], q[..., d:], out=out[..., d:])
+    return out
 
 
 def s_inv(m, p):
     d = m * (m - 1) // 2
     p = np.asarray(p, dtype=float)
-    xn, xt = p[..., :d], p[..., d:]
-    return np.concatenate([rho_apply(m, -xt, n_inv(m, xn)), -xt], axis=-1)
+    out = np.empty(p.shape)
+    mt = np.negative(p[..., d:], out=out[..., d:])
+    np.multiply(rho_scale(m, mt), n_inv(m, p[..., :d]), out=out[..., :d])
+    return out
 
 
 # ── element types ────────────────────────────────────────────────────────────

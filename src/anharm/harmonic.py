@@ -132,32 +132,38 @@ def plancherel_check(f, axes):
 
 # ── convolution engines ──────────────────────────────────────────────────────
 
-_CHUNK = 1 << 21  # pair evaluations per block
+_CHUNK = 1 << 14  # node·point pairs per block; BENCH_3.json has the sweep
 
 
-def _nodes_and_cell(axes, dim):
-    nodes = grid_mesh(axes).reshape(-1, dim)
+def _node_blocks(axes, npoints):
+    """Yield (nodes, cell volume): the product grid's nodes in C order, in
+    blocks of the largest power of two of nodes within _CHUNK // npoints
+    (at least one).  Axis sizes are powers of two too, so a block is a
+    product of index ranges, one per axis; the full mesh is never built."""
+    shape = [a.points for a in axes]
+    grids = [grid_nodes(a) for a in axes]
     cell = float(np.prod([a.step for a in axes]))
-    return nodes, cell
-
-
-def _chunks(total, npoints):
-    step = max(1, _CHUNK // max(npoints, 1))
-    for lo in range(0, total, step):
-        yield lo, min(lo + step, total)
+    total = int(np.prod(shape))
+    size = 1 << (max(1, _CHUNK // max(npoints, 1)).bit_length() - 1)
+    for lo in range(0, total, size):
+        ranges, stride = [], total
+        for p, g in zip(shape, grids):
+            stride //= p
+            start = lo // stride % p
+            ranges.append(g[start:start + min(p, max(1, size // stride))])
+        mesh = np.meshgrid(*ranges, indexing="ij")
+        yield np.stack(mesh, axis=-1).reshape(-1, len(axes)), cell
 
 
 def convolve_group(g, f, group, m, points, axes):
     """(g∗f)(X) = ∫ f(Y^{-1}X) g(Y) dY by Haar quadrature over the axes."""
-    mul, inv, dim = group_law(group, m)
+    mul, inv, _ = group_law(group, m)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    nodes, cell = _nodes_and_cell(axes, dim)
-    weights = np.asarray(g(nodes), dtype=complex) * cell
-    nodes_inv = inv(nodes)
     out = np.zeros(points.shape[0], dtype=complex)
-    for lo, hi in _chunks(nodes.shape[0], points.shape[0]):
-        vals = f(mul(nodes_inv[lo:hi, None, :], points[None, :, :]))
-        out += np.tensordot(weights[lo:hi], np.asarray(vals, dtype=complex),
+    for y, cell in _node_blocks(axes, points.shape[0]):
+        weights = np.asarray(g(y), dtype=complex) * cell
+        vals = f(mul(inv(y)[:, None, :], points[None, :, :]))
+        out += np.tensordot(weights, np.asarray(vals, dtype=complex),
                             axes=(0, 0))
     return out
 
@@ -165,12 +171,11 @@ def convolve_group(g, f, group, m, points, axes):
 def convolve_abelian(g, f, points, axes):
     """(g∗_c f)(X) = ∫ f(X−Y) g(Y) dY."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    nodes, cell = _nodes_and_cell(axes, points.shape[-1])
-    weights = np.asarray(g(nodes), dtype=complex) * cell
     out = np.zeros(points.shape[0], dtype=complex)
-    for lo, hi in _chunks(nodes.shape[0], points.shape[0]):
-        vals = f(points[None, :, :] - nodes[lo:hi, None, :])
-        out += np.tensordot(weights[lo:hi], np.asarray(vals, dtype=complex),
+    for y, cell in _node_blocks(axes, points.shape[0]):
+        weights = np.asarray(g(y), dtype=complex) * cell
+        vals = f(points[None, :, :] - y[:, None, :])
+        out += np.tensordot(weights, np.asarray(vals, dtype=complex),
                             axes=(0, 0))
     return out
 
@@ -202,16 +207,13 @@ def convolve_extended_c(phi, F_ext, case, m, base_points, shift_points, axes):
     """
     base_points = np.atleast_2d(np.asarray(base_points, dtype=float))
     shift_points = np.atleast_2d(np.asarray(shift_points, dtype=float))
-    dim = base_points.shape[-1]
-    nodes, cell = _nodes_and_cell(axes, dim)
-    weights = np.asarray(phi(nodes), dtype=complex) * cell
     out = np.zeros(base_points.shape[0], dtype=complex)
-    for lo, hi in _chunks(nodes.shape[0], base_points.shape[0]):
-        y = nodes[lo:hi, None, :]
+    for y, cell in _node_blocks(axes, base_points.shape[0]):
+        weights = np.asarray(phi(y), dtype=complex) * cell
         nb, ns = _c_translate(case, m, base_points[None, :, :],
-                              shift_points[None, :, :], y)
+                              shift_points[None, :, :], y[:, None, :])
         vals = np.asarray(F_ext(nb, ns), dtype=complex)
-        out += np.tensordot(weights[lo:hi], vals, axes=(0, 0))
+        out += np.tensordot(weights, vals, axes=(0, 0))
     return out
 
 
@@ -225,24 +227,22 @@ def convolve_extended_c_substituted(phi, F_ext, case, m, base_points,
     base_points = np.atleast_2d(np.asarray(base_points, dtype=float))
     shift_points = np.atleast_2d(np.asarray(shift_points, dtype=float))
     d_n = m * (m - 1) // 2
-    dim_w = d_n if case == "K1" else d_n + m - 1
-    nodes, cell = _nodes_and_cell(axes, dim_w)
     out = np.zeros(base_points.shape[0], dtype=complex)
-    for lo, hi in _chunks(nodes.shape[0], base_points.shape[0]):
-        w = nodes[lo:hi, None, :]
+    for block, cell in _node_blocks(axes, base_points.shape[0]):
+        w = block[:, None, :]
         x = base_points[None, :, :]
         s = shift_points[None, :, :]
         if case == "K1":
             k = d_n - (m - 1)
             w_top, w_shift = w[..., : m - 1], w[..., m - 1:]
-            act = np.broadcast_to(x[..., :k], (hi - lo,) + x.shape[1:-1] + (k,))
+            act = np.broadcast_to(x[..., :k], w.shape[:1] + x.shape[1:-1] + (k,))
             top = np.broadcast_to(w_top, act.shape[:-1] + (m - 1,))
             fv = F_ext(np.concatenate([act, top], axis=-1),
                        np.broadcast_to(w_shift, act.shape[:-1] + (k,)))
             y = np.concatenate([s - w_shift, x[..., k:] - w_top], axis=-1)
         else:
             w_n, w_t = w[..., :d_n], w[..., d_n:]
-            b = np.broadcast_to(x[..., d_n:], (hi - lo,) + x.shape[1:-1] + (m - 1,))
+            b = np.broadcast_to(x[..., d_n:], w.shape[:1] + x.shape[1:-1] + (m - 1,))
             base = np.concatenate(
                 [np.broadcast_to(w_n, b.shape[:-1] + (d_n,)), b], axis=-1)
             fv = F_ext(base, np.broadcast_to(w_t, b.shape[:-1] + (m - 1,)))
@@ -267,32 +267,28 @@ def convolve_extended_group(phi, F_ext, case, m, base_points, shift_points,
     base_points = np.atleast_2d(np.asarray(base_points, dtype=float))
     shift_points = np.atleast_2d(np.asarray(shift_points, dtype=float))
     npts = base_points.shape[0]
-    nodes, cell = _nodes_and_cell(axes, dim)
-    nodes_inv = inv(nodes)
     out = np.zeros(npts, dtype=complex)
-    if substituted:
-        for lo, hi in _chunks(nodes.shape[0], npts):
-            z = nodes[lo:hi, None, :]
-            zi = nodes_inv[lo:hi, None, :]
+    for block, cell in _node_blocks(axes, npts):
+        if substituted:
+            z = block[:, None, :]
             s = np.broadcast_to(shift_points[None, :, :],
-                                (hi - lo, npts, shift_points.shape[-1]))
-            zb = np.broadcast_to(z, (hi - lo, npts, dim))
+                                (z.shape[0], npts, shift_points.shape[-1]))
+            zb = np.broadcast_to(z, (z.shape[0], npts, dim))
             fv = np.asarray(F_ext(zb, s), dtype=complex)
-            pv = np.asarray(phi(mul(base_points[None, :, :], zi)), dtype=complex)
+            pv = np.asarray(phi(mul(base_points[None, :, :],
+                                    inv(block)[:, None, :])), dtype=complex)
             if group == "S":
                 d_n = m * (m - 1) // 2
                 dt = base_points[None, :, d_n:] - z[..., d_n:]
                 pv = pv * np.prod(rho_scale(m, dt), axis=-1)
             out += (fv * pv).sum(axis=0) * cell
-        return out
-    weights = np.asarray(phi(nodes), dtype=complex) * cell
-    for lo, hi in _chunks(nodes.shape[0], npts):
-        y = nodes_inv[lo:hi, None, :]
-        arg = mul(y, base_points[None, :, :])
-        s = np.broadcast_to(shift_points[None, :, :],
-                            arg.shape[:-1] + (shift_points.shape[-1],))
-        vals = np.asarray(F_ext(arg, s), dtype=complex)
-        out += np.tensordot(weights[lo:hi], vals, axes=(0, 0))
+        else:
+            weights = np.asarray(phi(block), dtype=complex) * cell
+            arg = mul(inv(block)[:, None, :], base_points[None, :, :])
+            s = np.broadcast_to(shift_points[None, :, :],
+                                arg.shape[:-1] + (shift_points.shape[-1],))
+            vals = np.asarray(F_ext(arg, s), dtype=complex)
+            out += np.tensordot(weights, vals, axes=(0, 0))
     return out
 
 

@@ -291,17 +291,15 @@ def _twist_exponent(group, m, mesh):
     """(per-point phase coordinate w, index map) for the Γ-pullback.
 
     Returns w such that E_group(point) = E_M(w, on-grid tail coords), where
-    only the first M coordinate is off-grid.
+    only the first M coordinate is off-grid.  (group, m) is (N, 3) or (S, 2).
     """
-    if group == "N" and m == 3:
+    if group == "N":
         # Γ(h)(x, z, y) = h(z − x·y, y, x)
         x, z, y = mesh[..., 0], mesh[..., 1], mesh[..., 2]
         return z - x * y, (1, 2, 0)  # E_M axes (v1, v2, u) ← group axes (z, y, x)
-    if group == "S" and m == 2:
-        # Γ(h)(n, t) = h(e^{-2t} n, t)
-        n, t = mesh[..., 0], mesh[..., 1]
-        return np.exp(-2.0 * t) * n, (0, 1)
-    raise ValueError(f"group solution not supported for {group!r}, m={m}")
+    # Γ(h)(n, t) = h(e^{-2t} n, t)
+    n, t = mesh[..., 0], mesh[..., 1]
+    return np.exp(-2.0 * t) * n, (0, 1)
 
 
 def fundamental_solution_group(u, group, m, axes, epsilon=1e-8):
@@ -314,6 +312,8 @@ def fundamental_solution_group(u, group, m, axes, epsilon=1e-8):
     """
     from .harmonic import fourier_inverse
 
+    if (group, m) not in (("N", 2), ("N", 3), ("S", 2)):  # before any mesh
+        raise ValueError(f"group solution not supported for {group!r}, m={m}")
     axes = tuple(axes)
     uq = q_remap(u, "K1" if group == "N" else "H", m)
     if group == "N" and m == 2:

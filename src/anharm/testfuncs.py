@@ -46,18 +46,29 @@ class TestFunction:
         object.__setattr__(self, "terms", tuple(norm))
 
     def __call__(self, x):
-        """Evaluate at points, shape (..., dim) → complex (...)."""
+        """Evaluate at points, shape (..., dim) → complex (...), one
+        coordinate column at a time with no (..., dim) temporaries."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise ValueError(f"expected last axis {self.dim}, got {x.shape[-1]}")
-        out = np.zeros(x.shape[:-1], dtype=complex)
-        for c, alpha, mu, w in self.terms:
-            d = x - mu
-            val = np.exp(-0.5 * np.sum(w * d * d, axis=-1))
+        shape = x.shape[:-1]
+        out = (np.empty if self.terms else np.zeros)(shape, dtype=complex)
+        d, sq, val = np.empty(shape), np.empty(shape), np.empty(shape)
+        for n, (c, alpha, mu, w) in enumerate(self.terms):
+            hw = -0.5 * w  # a power-of-two scale is exact: -½ Σ w_i d_i²
             for i in range(self.dim):
-                if alpha[i]:
-                    val = val * d[..., i] ** alpha[i]
-            out += c * val
+                np.subtract(x[..., i], mu[i], out=d)
+                acc = np.multiply(d, hw[i], out=sq if i else val)
+                acc *= d
+                if i:
+                    val += sq
+            np.exp(val, out=val)
+            for i in np.flatnonzero(alpha):
+                val *= np.subtract(x[..., i], mu[i], out=d) ** alpha[i]
+            if n:
+                out += c * val
+            else:
+                np.multiply(val, c, out=out)
         return out
 
 

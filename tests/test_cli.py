@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from anharm import cli, operators
 from anharm.cli import OperatorSyntaxError, main, parse_operator
 
 
@@ -96,6 +97,27 @@ def test_negative_tolerance_is_config_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "group-axioms", "--m", "1"], "m must be >= 2"),
+    (["verify", "all", "--m", "0"], "m must be >= 2"),
+    (["verify", "plancherel", "--halfwidth", "0"], "halfwidth must be positive"),
+    (["verify", "group-axioms", "--halfwidth", "-2.5"],
+     "halfwidth must be positive"),
+    (["solve", "fundamental-solution", "--operator", "E1", "--m", "1",
+      "--output", "unused.csv"], "m must be >= 2"),
+])
+def test_bad_m_or_halfwidth_is_config_error(monkeypatch, capsys, argv,
+                                            message):
+    def no_check(cfg):
+        raise AssertionError("a check ran before the configuration was checked")
+
+    for name in cli.CHECK_FUNS:
+        monkeypatch.setitem(cli.CHECK_FUNS, name, no_check)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_report_determinism(tmp_path, capsys):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     assert main(["verify", "group-axioms", "--seed", "5",
@@ -157,3 +179,17 @@ def test_solve_requires_output(capsys):
                  "--m", "3", "--grid", "8"])
     assert code == 2
     capsys.readouterr()
+
+def test_solve_rejects_unsupported_pair_before_any_mesh(tmp_path, capsys,
+                                                         monkeypatch):
+    def no_mesh(axes):
+        raise AssertionError("a mesh was built before (N, 4) was rejected")
+
+    monkeypatch.setattr(operators, "grid_mesh", no_mesh)
+    out = tmp_path / "x.csv"
+    code = main(["solve", "fundamental-solution", "--operator", "E1*E1-1",
+                 "--group", "N", "--m", "4", "--grid", "4", "--output",
+                 str(out)])
+    assert code == 2
+    assert "not supported" in capsys.readouterr().err
+    assert not out.exists()

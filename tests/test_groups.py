@@ -9,7 +9,7 @@ from anharm.groups import (
     unipotent_mul, unipotent_inv, layer_decompose, layer_compose, conjugate,
     solvable_mul, solvable_inv, extended_mul, unipotent_identity,
     diagonal_identity, solvable_identity, extended_identity, n_mul, n_inv,
-    s_mul, s_inv, rho_scale, diag_entries, element_to_json, element_from_json,
+    s_mul, s_inv, rho_scale, rho_apply, diag_entries, element_to_json, element_from_json,
 )
 
 
@@ -226,6 +226,72 @@ def test_rho_scale_matches_entry_ratios():
     a = diag_entries(t)
     want = np.array([a[i] / a[j] for (i, j) in upper_indices(m)])
     assert np.allclose(rho_scale(m, t), want, atol=1e-14)
+
+
+# ── kernel oracles: the S law written as matrices ───────────────────────────
+
+def _diag(m, t):
+    """diag(e^{t_1}, …, e^{t_{m-1}}, e^{-Σt}) from its definition."""
+    t = np.asarray(t, dtype=float)
+    return np.diag(np.exp(np.append(t, -t.sum())))
+
+
+def _s_matrix(m, p):
+    """Stacked S coordinates (n, t) → the matrix n·a."""
+    d = m * (m - 1) // 2
+    return coords_to_matrix(m, p[:d]) @ _diag(m, p[d:])
+
+
+def _s_coords(m, mat):
+    """The matrix n·a → stacked S coordinates (n, t)."""
+    a = np.diag(mat)
+    return np.concatenate([matrix_to_coords(m, mat / a), np.log(a[:-1])])
+
+
+def _max_rel(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_rho_matches_diagonal_conjugation(m):
+    rng = np.random.default_rng(30 + m)
+    d = m * (m - 1) // 2
+    t = rng.uniform(-1, 1, (40, m - 1))
+    x = rng.uniform(-2, 2, (40, d))
+    want_x, want_scale = [], []
+    for ti, xi in zip(t, x):
+        D = _diag(m, ti)
+        Dinv = np.linalg.inv(D)
+        want_x.append(matrix_to_coords(m, D @ coords_to_matrix(m, xi) @ Dinv))
+        # conjugating the all-ones unipotent reads off every a_i/a_j
+        want_scale.append(matrix_to_coords(m, D @ coords_to_matrix(m, np.ones(d)) @ Dinv))
+    assert _max_rel(rho_apply(m, t, x), np.array(want_x)) <= 1e-14
+    assert _max_rel(rho_scale(m, t), np.array(want_scale)) <= 1e-14
+    # one point of shape (m-1,), and a batch broadcast against it
+    assert rho_scale(m, t[0]).shape == (d,)
+    assert np.array_equal(rho_apply(m, t[0], x[:3]),
+                          rho_scale(m, t[0]) * x[:3])
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_s_law_matches_matrix_products(m):
+    rng = np.random.default_rng(40 + m)
+    d = m * (m - 1) // 2
+    p = np.concatenate([rng.uniform(-1, 1, (30, d)),
+                        rng.uniform(-0.5, 0.5, (30, m - 1))], axis=-1)
+    q = np.concatenate([rng.uniform(-1, 1, (30, d)),
+                        rng.uniform(-0.5, 0.5, (30, m - 1))], axis=-1)
+    want_mul = np.array([_s_coords(m, _s_matrix(m, a) @ _s_matrix(m, b))
+                         for a, b in zip(p, q)])
+    want_inv = np.array([_s_coords(m, np.linalg.inv(_s_matrix(m, a)))
+                         for a in p])
+    assert _max_rel(s_mul(m, p, q), want_mul) <= 1e-13
+    assert _max_rel(s_inv(m, p), want_inv) <= 1e-13
+    # broadcasting: one element against a stack, and a single pair
+    assert _max_rel(s_mul(m, p[0], q[:, None, :])[:, 0], np.array(
+        [_s_coords(m, _s_matrix(m, p[0]) @ _s_matrix(m, b)) for b in q])) <= 1e-13
+    assert s_mul(m, p[0], q[0]).shape == (d + m - 1,)
+    assert s_inv(m, p[:0]).shape == (0, d + m - 1)
 
 
 def test_json_round_trip():

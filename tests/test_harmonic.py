@@ -6,6 +6,7 @@ from anharm.testfuncs import (
     Axis, GridFunction, dual_axis, gaussian, grid_mesh, grid_nodes,
     quadrature, sample, shift_function,
 )
+from anharm import harmonic
 from anharm.harmonic import (
     convolve_abelian, convolve_extended_c, convolve_extended_c_substituted,
     convolve_extended_group, convolve_group, fourier_eval, fourier_forward,
@@ -242,6 +243,70 @@ def test_theorem31_sides_match_direct_oracle():
     assert np.max(np.abs(lhs - rhs)) < 1e-3 * scale
     assert np.max(np.abs(plain - rhs)) < 1e-3 * scale
     assert np.max(np.abs(plain - lhs)) < 1e-3 * scale
+
+
+# ── block size ───────────────────────────────────────────────────────────────
+
+def _engine_runs():
+    """One small call of every engine and branch, keyed by name."""
+    rng = np.random.default_rng(13)
+    phi3, f3 = (gaussian(rng.uniform(-0.3, 0.3, 3), [1.0, 1.2, 0.9])
+                for _ in range(2))
+    phi2, f2 = (gaussian(rng.uniform(-0.3, 0.3, 2), [1.0, 3.0])
+                for _ in range(2))
+    pts3, pts2 = rng.uniform(-0.4, 0.4, (5, 3)), rng.uniform(-0.4, 0.4, (5, 2))
+    shift = rng.uniform(-0.4, 0.4, (5, 1))
+    axes3 = [Axis(0.0, 5.0, 8), Axis(0.0, 6.0, 4), Axis(0.0, 5.0, 16)]
+    axes2 = [Axis(0.0, 6.4, 16), Axis(0.0, 3.2, 8)]
+
+    def F(f, case, m):
+        return lambda b, s: tilde_eval_coords(f, case, m, b, s)
+
+    K1, H = F(f3, "K1", 3), F(f2, "H", 2)
+    return {
+        "group_N": lambda: convolve_group(phi3, f3, "N", 3, pts3, axes3),
+        "group_S": lambda: convolve_group(phi2, f2, "S", 2, pts2, axes2),
+        "abelian": lambda: convolve_abelian(phi3, f3, pts3, axes3),
+        "c_K1": lambda: convolve_extended_c(phi3, K1, "K1", 3, pts3, shift,
+                                            axes3),
+        "c_H": lambda: convolve_extended_c(phi2, H, "H", 2, pts2, shift, axes2),
+        "c_substituted_K1": lambda: convolve_extended_c_substituted(
+            phi3, K1, "K1", 3, pts3, shift, axes3),
+        "c_substituted_H": lambda: convolve_extended_c_substituted(
+            phi2, H, "H", 2, pts2, shift, axes2),
+        "group_K1": lambda: convolve_extended_group(phi3, K1, "K1", 3, pts3,
+                                                    shift, axes3),
+        "group_H": lambda: convolve_extended_group(phi2, H, "H", 2, pts2,
+                                                   shift, axes2),
+        "group_substituted_K1": lambda: convolve_extended_group(
+            phi3, K1, "K1", 3, pts3, shift, axes3, substituted=True),
+        "group_substituted_H": lambda: convolve_extended_group(
+            phi2, H, "H", 2, pts2, shift, axes2, substituted=True),
+    }
+
+
+@pytest.mark.parametrize("chunk", [1, 40, 200])
+@pytest.mark.parametrize("engine", sorted(_engine_runs()))
+def test_engines_do_not_depend_on_block_size(monkeypatch, engine, chunk):
+    # 5 points: blocks of 1, 8 and 32 nodes, against one block of all nodes
+    run = _engine_runs()[engine]
+    monkeypatch.setattr(harmonic, "_CHUNK", 1 << 40)
+    whole = run()
+    monkeypatch.setattr(harmonic, "_CHUNK", chunk)
+    split = run()
+    assert np.max(np.abs(whole)) > 0
+    assert np.max(np.abs(split - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 40, 200, 1 << 40])
+def test_node_blocks_tile_the_mesh_in_order(monkeypatch, chunk):
+    axes = [Axis(0.3, 5.0, 8), Axis(0.0, 6.0, 4), Axis(-1.0, 5.0, 16)]
+    monkeypatch.setattr(harmonic, "_CHUNK", chunk)
+    blocks, cells = zip(*harmonic._node_blocks(axes, 5))
+    want = grid_mesh(axes).reshape(-1, 3)
+    assert np.array_equal(np.concatenate(blocks), want)
+    assert max(len(b) for b in blocks) * 5 <= max(chunk, 5)
+    assert set(cells) == {1.25 * 3.0 * 0.625}
 
 
 # ── projected convolution ────────────────────────────────────────────────────

@@ -41,6 +41,50 @@ def test_poly_gaussian_and_derivative_oracle():
         assert derivative(f, ax)(x) == pytest.approx(fd, rel=1e-8, abs=1e-10)
 
 
+def _naive(f, x):
+    """Term-by-term evaluation, one point at a time, in Python floats."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape[:-1], dtype=complex)
+    for idx in np.ndindex(*x.shape[:-1]):
+        pt = [float(v) for v in x[idx]]
+        total = 0j
+        for c, alpha, mu, w in f.terms:
+            d = [p - float(u) for p, u in zip(pt, mu)]
+            q = sum(float(wi) * di * di for wi, di in zip(w, d))
+            mono = math.prod(di ** int(a) for di, a in zip(d, alpha))
+            total += c * mono * math.exp(-0.5 * q)
+        out[idx] = total
+    return out
+
+
+def _multi_term(rng, dim, nterms=3):
+    return TestFunction(dim, tuple(
+        (complex(*rng.normal(size=2)), rng.integers(0, 4, dim),
+         rng.uniform(-0.5, 0.5, dim), rng.uniform(0.4, 2.0, dim))
+        for _ in range(nterms)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_evaluate_matches_naive_terms(dim):
+    rng = np.random.default_rng(50 + dim)
+    f = _multi_term(rng, dim)
+    assert any(np.any(a) for _, a, _, _ in f.terms)
+    for shape in [(60,), (4, 3), ()]:
+        x = rng.uniform(-2.5, 2.5, shape + (dim,))
+        got, want = f(x), _naive(f, x)
+        assert isinstance(got, np.ndarray) and got.shape == shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    empty = f(np.empty((0, dim)))
+    assert empty.shape == (0,) and empty.dtype == complex
+
+
+def test_evaluate_single_point_gives_zero_dim_array():
+    f = _multi_term(np.random.default_rng(3), 3)
+    x = np.array([0.2, -0.4, 0.7])
+    out = f(x)
+    assert out.shape == () and complex(out) == pytest.approx(complex(_naive(f, x)), rel=1e-14)
+
+
 def test_shift_and_scale_are_exact():
     rng = np.random.default_rng(0)
     f = poly_gaussian(1.5, [2, 1], [0.2, -0.3], [1.1, 0.7])
