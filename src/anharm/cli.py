@@ -15,9 +15,11 @@ byte-identical output.
 """
 
 import argparse
+import copy
 import csv
 import io
 import json
+import math
 import sys
 import time
 
@@ -46,6 +48,22 @@ __all__ = ["main", "parse_operator", "OperatorSyntaxError"]
 CHECKS = ["group-axioms", "plancherel", "convolution-identity",
           "projected-convolution", "operator-identity", "ideals",
           "scalar-groups"]
+
+# The configuration flags each check reads.  A named check rejects any other
+# of them; ``verify all`` hands each check only its own.
+CHECK_FLAGS = {
+    "group-axioms": {"group", "m"},
+    "plancherel": {"group", "grid", "halfwidth"},
+    "convolution-identity": {"grid"},
+    "projected-convolution": set(),
+    "operator-identity": set(),
+    "ideals": {"dictionary_size", "probes"},
+    "scalar-groups": set(),
+}
+_FLAGS = ("group", "m", "grid", "halfwidth", "dictionary_size", "probes")
+
+# The largest complex sample array a check may ask for; 2 GiB holds a 32⁵ grid.
+MAX_GRID_BYTES = 2 << 30
 
 
 # ── operator expression parser ───────────────────────────────────────────────
@@ -199,15 +217,30 @@ def check_group_axioms(cfg):
     return lines
 
 
+def grid_bytes(axes):
+    """Bytes of one complex sample array on the product grid of the axes."""
+    return 16 * math.prod(a.points for a in axes)
+
+
+def _plancherel_axes(cfg):
+    """The sampled grids of check_plancherel, by group."""
+    grids = {}
+    if cfg.group in (None, "N"):
+        grids["N"] = [Axis(0.0, cfg.halfwidth or 10.0, cfg.grid or 64)] * 3
+    if cfg.group in (None, "S"):
+        grids["S"] = [Axis(0.0, 6.0, cfg.grid or 16)] * 5
+    return grids
+
+
 def check_plancherel(cfg):
     lines = []
-    grid = cfg.grid or 64
-    half = cfg.halfwidth or 10.0
-    if cfg.group in (None, "N"):
-        axes = [Axis(0.0, half, grid)] * 3
+    grids = _plancherel_axes(cfg)
+    if "N" in grids:
+        axes = grids["N"]
         rep = plancherel_check(gaussian([0.1, -0.2, 0.0], [1.0, 1.2, 0.9]),
                                axes)
-        lines.append(_line("plancherel", {"group": "N", "m": 3, "grid": grid},
+        lines.append(_line("plancherel",
+                           {"group": "N", "m": 3, "grid": axes[0].points},
                            "rel_err", rep.rel_err, cfg.tol(1e-8)))
     rng = np.random.default_rng(cfg.seed)
     data = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
@@ -215,13 +248,13 @@ def check_plancherel(cfg):
     rep = plancherel_check(gf, gf.axes)
     lines.append(_line("plancherel", {"kind": "discrete-parseval"},
                        "rel_err", rep.rel_err, cfg.tol(1e-12)))
-    if cfg.group in (None, "S"):
-        g_s = cfg.grid or 16
-        axes = [Axis(0.0, 6.0, g_s)] * 5
+    if "S" in grids:
+        axes = grids["S"]
         rep = plancherel_check(
             gaussian([0.1, 0.0, -0.1, 0.05, 0.0], [1.0, 1.1, 0.9, 1.2, 1.0]),
             axes)
-        lines.append(_line("plancherel", {"group": "S", "m": 3, "grid": g_s},
+        lines.append(_line("plancherel",
+                           {"group": "S", "m": 3, "grid": axes[0].points},
                            "rel_err", rep.rel_err, cfg.tol(1e-6)))
     return lines
 
@@ -255,8 +288,10 @@ def check_projected_convolution(cfg):
     lines = []
     phi = gaussian(rng.uniform(-0.3, 0.3, 3), [1.0] * 3)
     f = gaussian(rng.uniform(-0.3, 0.3, 3), [1.0] * 3)
-    axes = [Axis(0.0, 4.8, 8)] * 4
-    fi = [tuple(int(v) for v in idx) for idx in rng.integers(2, 6, (10, 3))]
+    # P=16 at the step of P=8: index 2j on the finer dual grid is the
+    # frequency of index j on the coarser one
+    axes = [Axis(0.0, 9.6, 16)] * 4
+    fi = [tuple(2 * int(v) for v in idx) for idx in rng.integers(2, 6, (10, 3))]
     r, s = projected_convolution_check(phi, f, "K1", 3, axes, fi)
     lines.append(_line("projected-convolution", {"case": "K1", "m": 3},
                        "rel_residual", r / max(s, 1e-300), cfg.tol(1e-2)))
@@ -400,6 +435,37 @@ class RunConfig:
     def tol(self, default):
         return default if self.tolerance is None else self.tolerance
 
+    def for_check(self, name, strict):
+        """A copy holding only the flags the check reads; with strict, a
+        flag it does not read is a ValueError."""
+        cfg = copy.copy(self)
+        for flag in _FLAGS:
+            if flag in CHECK_FLAGS[name] or getattr(self, flag) is None:
+                continue
+            if strict:
+                raise ValueError(f"{name} does not read "
+                                 f"--{flag.replace('_', '-')}")
+            setattr(cfg, flag, None)
+        return cfg
+
+
+def _check_configs(args):
+    """Each check's configuration by name, validated before any check runs
+    or any grid is allocated; raises ValueError."""
+    cfg = RunConfig(args)
+    names = CHECKS if args.check == "all" else [args.check]
+    cfgs = {name: cfg.for_check(name, strict=args.check != "all")
+            for name in names}
+    grids = _plancherel_axes(cfgs["plancherel"]) if "plancherel" in cfgs else {}
+    for axes in grids.values():
+        if grid_bytes(axes) > MAX_GRID_BYTES:
+            shape = "×".join(str(a.points) for a in axes)
+            raise ValueError(
+                f"plancherel: a {shape} grid needs "
+                f"{grid_bytes(axes) / 2**30:.0f} GiB, above the "
+                f"{MAX_GRID_BYTES / 2**30:.0f} GiB cap")
+    return cfgs
+
 
 def _emit(lines, args):
     if args.format == "csv":
@@ -428,13 +494,12 @@ def _emit(lines, args):
 
 def _run_verify(args):
     try:
-        cfg = RunConfig(args)
+        cfgs = _check_configs(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    names = CHECKS if args.check == "all" else [args.check]
     lines = []
-    for name in names:
+    for name, cfg in cfgs.items():
         t0 = time.perf_counter()
         produced = CHECK_FUNS[name](cfg)
         elapsed = time.perf_counter() - t0

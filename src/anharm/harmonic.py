@@ -34,7 +34,8 @@ __all__ = [
     "PlancherelReport", "fourier_forward", "fourier_inverse",
     "fourier_eval", "plancherel_check", "convolve_group", "convolve_abelian",
     "convolve_extended_c", "convolve_extended_c_substituted",
-    "convolve_extended_group", "theorem31_residual",
+    "convolve_extended_group", "convolve_group_lattice",
+    "convolve_extended_c_lattice", "theorem31_residual",
     "projected_convolution_check", "group_law",
 ]
 
@@ -292,6 +293,93 @@ def convolve_extended_group(phi, F_ext, case, m, base_points, shift_points,
     return out
 
 
+# ── exact lattice engines ────────────────────────────────────────────────────
+
+def _difference_nodes(out_axis, node_axis):
+    """The P_node + P_out − 1 values of out − node, ascending; the two axes
+    must share their step."""
+    h = node_axis.step
+    if abs(out_axis.step - h) > 1e-12 * h:
+        raise ValueError(f"paired axes have steps {out_axis.step!r} and {h!r}; "
+                         "a lattice engine needs equal steps")
+    lo = (grid_nodes(out_axis)[0] - grid_nodes(node_axis)[0]
+          - (node_axis.points - 1) * h)
+    return lo + h * np.arange(node_axis.points + out_axis.points - 1)
+
+
+def _lattice_convolve(nodes, diffs, p_node, p_out, sum_axis=None):
+    """Linear convolution over the trailing len(p_node) axes, keeping only
+    the wanted outputs: out[j] = Σ_l nodes[l] · diffs[j − l + P_node − 1].
+
+    diffs are samples on _difference_nodes, leading axes broadcast, and
+    sum_axis (of the broadcast product) is summed in frequency space.  Each
+    axis is zero-padded to the next power of two ≥ P_node + P_out − 1, so the
+    circular wraparound lands only on outputs that are thrown away.
+    """
+    ax = tuple(range(-len(p_node), 0))
+    shape = [1 << (pn + po - 2).bit_length() for pn, po in zip(p_node, p_out)]
+    spec = np.fft.fftn(nodes, shape, axes=ax) * np.fft.fftn(diffs, shape, axes=ax)
+    if sum_axis is not None:
+        spec = spec.sum(axis=sum_axis)
+    full = np.fft.ifftn(spec, axes=ax)
+    return full[(Ellipsis,) + tuple(slice(pn - 1, pn - 1 + po)
+                                    for pn, po in zip(p_node, p_out))]
+
+
+def convolve_group_lattice(g, f, out_axes, axes):
+    """(g∗f)(X) on N with m = 3 at every node of out_axes, as GridFunction.
+
+    The same Riemann sum as convolve_group over the nodes of axes, exact up
+    to rounding in O(P⁴ log P).  For X = (x, z, y) and Y = (a, c, b),
+    Y^{-1}X = (x−a, z−c−a(y−b), y−b): for each pair (x, a) the (z, y) sum is
+    a 2-D linear convolution of g(a, ·, ·) with f(x−a, σ−a·s, s) on the
+    difference lattice (σ, s).  f is any callable on N coordinates.  The z
+    and y axes of out_axes must share their steps with those of axes.
+    """
+    out_axes, axes = tuple(out_axes), tuple(axes)
+    sigma = _difference_nodes(out_axes[1], axes[1])
+    s = _difference_nodes(out_axes[2], axes[2])
+    a = grid_nodes(axes[0])[None, :, None, None]
+    pts = np.empty((out_axes[0].points, axes[0].points, sigma.size, s.size, 3))
+    pts[..., 0] = grid_nodes(out_axes[0])[:, None, None, None] - a
+    pts[..., 1] = sigma[:, None] - a * s
+    pts[..., 2] = s
+    diffs = np.asarray(f(pts), dtype=complex)
+    weights = np.asarray(g(grid_mesh(axes)), dtype=complex)
+    out = _lattice_convolve(weights, diffs, [ax.points for ax in axes[1:]],
+                            [ax.points for ax in out_axes[1:]], sum_axis=1)
+    cell = float(np.prod([ax.step for ax in axes]))
+    return GridFunction(out_axes, out * cell)
+
+
+def convolve_extended_c_lattice(phi, F_ext, m, out_axes, axes):
+    """(φ ∗_c F) on K1 at base acting slots 0, at every node of the M
+    lattice out_axes, as GridFunction.
+
+    out_axes are M axes in (top, shift) order, axes φ's node axes on N in
+    (acting, top) order.  With the acting slots 0 the ∗_c translate of
+    (v, u) by Y is F((0, v − y_top), u − y_act), so the sum is one linear
+    convolution of φ's node samples, taken in M order, with F sampled once
+    on the difference lattice: the same Riemann sum as convolve_extended_c,
+    exact up to rounding.  Each M axis must share its step with its node axis.
+    """
+    out_axes, axes = tuple(out_axes), tuple(axes)
+    d_n = m * (m - 1) // 2
+    k = d_n - (m - 1)
+    order = list(range(k, d_n)) + list(range(k))
+    nodes_m = [axes[i] for i in order]
+    diff = [_difference_nodes(o, n) for o, n in zip(out_axes, nodes_m)]
+    mesh = np.stack(np.meshgrid(*diff, indexing="ij"), axis=-1)
+    base = np.zeros(mesh.shape[:-1] + (d_n,))
+    base[..., k:] = mesh[..., : m - 1]
+    diffs = np.asarray(F_ext(base, mesh[..., m - 1:]), dtype=complex)
+    weights = np.asarray(phi(grid_mesh(axes)), dtype=complex).transpose(order)
+    out = _lattice_convolve(weights, diffs, [ax.points for ax in nodes_m],
+                            [ax.points for ax in out_axes])
+    cell = float(np.prod([ax.step for ax in axes]))
+    return GridFunction(out_axes, out * cell)
+
+
 # ── reduction identities ─────────────────────────────────────────────────────
 
 def theorem31_residual(phi, f, case, m, points, axes_phi, axes_f):
@@ -338,10 +426,11 @@ def projected_convolution_check(phi, f, case, m, axes_ext, freq_indices):
     """Projected convolution theorem at dual-grid frequency points.
 
     LHS: the full extended-coordinate transform of φ∗f̃ (group-law
-    quadrature), integrated over the acting-slot frequencies with measure
-    ΠΔλ/(2π).  RHS: the transform of the acting=0 slice of f̃ times the
-    transform of φ, the latter taken with φ's acting coordinate paired with
-    the shift frequency.  freq_indices index the remaining dual axes.
+    quadrature; for K1 with m = 3 the lattice engine), integrated over the
+    acting-slot frequencies with measure ΠΔλ/(2π).  RHS: the transform of
+    the acting=0 slice of f̃ times the transform of φ, the latter taken with
+    φ's acting coordinate paired with the shift frequency.  freq_indices
+    index the remaining dual axes.
     Returns (residual, scale).
     """
     axes_ext = tuple(axes_ext)
@@ -360,9 +449,17 @@ def projected_convolution_check(phi, f, case, m, axes_ext, freq_indices):
         return tilde_eval_coords(f, case, m, base, shift)
 
     # LHS -------------------------------------------------------------------
-    mesh = grid_mesh(axes_ext).reshape(-1, n_ext)
-    conv = convolve_extended_group(phi, F_ext, case, m, mesh[:, :d_base],
-                                   mesh[:, d_base:], axes_ext[:d_base])
+    if case == "K1" and m == 3:
+        # on the lattice: one exact group convolution per shift value u
+        base_axes = axes_ext[:d_base]
+        conv = np.stack(
+            [convolve_group_lattice(phi, lambda b: F_ext(b, np.array([u])),
+                                    base_axes, base_axes).samples
+             for u in grid_nodes(axes_ext[d_base])], axis=-1)
+    else:
+        mesh = grid_mesh(axes_ext).reshape(-1, n_ext)
+        conv = convolve_extended_group(phi, F_ext, case, m, mesh[:, :d_base],
+                                       mesh[:, d_base:], axes_ext[:d_base])
     G = GridFunction(axes_ext, conv.reshape([a.points for a in axes_ext]))
     Ghat = fourier_forward(G)
     proj = Ghat.samples

@@ -5,6 +5,9 @@ finite dictionary: a list of generators on N together with their left
 convolutions against a fixed probe set.  Ideal membership of ψ∗g is proxied
 by the least-squares distance of its grid samples from the span of the
 dictionary, solved through the normal equations on the cached Gram matrix.
+Grid samples of the dictionary's convolutions come from the exact lattice
+engines of ``harmonic``; every point off the lattice (the Γ⁻¹ pullback, the
+intertwining) goes through the direct engines.
 
 The correspondence under Γ is tested two ways:
 
@@ -29,8 +32,8 @@ from .extension import (
     gamma_inv, iota_coords, m_dim, restrict_to_M, tilde_eval_coords,
 )
 from .harmonic import (
-    convolve_abelian, convolve_extended_c, convolve_extended_c_substituted,
-    convolve_group,
+    convolve_abelian, convolve_extended_c, convolve_extended_c_lattice,
+    convolve_extended_c_substituted, convolve_group, convolve_group_lattice,
 )
 from .testfuncs import grid_mesh
 
@@ -54,27 +57,51 @@ def _embed_m_points(m, pts):
     return base, u
 
 
-def _n_conv(psi, g, m, axes):
-    """ψ∗g on N as a callable."""
-    def fun(points):
+@dataclass(frozen=True)
+class _Convolution:
+    """Dictionary member ψ∗g on N (side "N") or (ψ ∗_c g̃)|_M on M (side
+    "M"), with ψ's quadrature nodes on the N axes.
+
+    Called at points it runs the direct engine, which any point needs (the
+    Γ⁻¹ pullback lands off the lattice); on_grid samples it with the exact
+    lattice engine, the same Riemann sums.
+    """
+
+    psi: object
+    g: object
+    m: int
+    axes: tuple
+    side: str
+
+    def __call__(self, points):
         pts = np.asarray(points, dtype=float)
         flat = pts.reshape(-1, pts.shape[-1])
-        out = convolve_group(psi, g, "N", m, flat, axes)
+        if self.side == "N":
+            out = convolve_group(self.psi, self.g, "N", self.m, flat,
+                                 self.axes)
+        else:
+            base, u = _embed_m_points(self.m, flat)
+            out = convolve_extended_c(self.psi, _tilde(self.g, self.m), "K1",
+                                      self.m, base, u, self.axes)
         return out.reshape(pts.shape[:-1])
-    return fun
+
+    def on_grid(self, out_axes):
+        """Samples at every node of out_axes, flattened in C order."""
+        if self.side == "M":
+            gf = convolve_extended_c_lattice(
+                self.psi, _tilde(self.g, self.m), self.m, out_axes, self.axes)
+        elif self.m == 3:
+            gf = convolve_group_lattice(self.psi, self.g, out_axes, self.axes)
+        else:
+            return self(grid_mesh(out_axes)).ravel()
+        return gf.samples.ravel()
 
 
-def _m_conv(psi, g, m, axes):
-    """(ψ ∗_c g̃)|_M as a callable on M coordinates."""
-    F = _tilde(g, m)
-
-    def fun(points):
-        pts = np.asarray(points, dtype=float)
-        flat = pts.reshape(-1, pts.shape[-1])
-        base, u = _embed_m_points(m, flat)
-        out = convolve_extended_c(psi, F, "K1", m, base, u, axes)
-        return out.reshape(pts.shape[:-1])
-    return fun
+def _grid_samples(f, axes):
+    """f at every node of the axes, flattened in C order."""
+    if isinstance(f, _Convolution):
+        return f.on_grid(axes)
+    return np.asarray(f(grid_mesh(axes)), dtype=complex).ravel()
 
 
 @dataclass
@@ -97,9 +124,7 @@ class IdealModel:
         if side not in self._cache:
             axes = self.axes if side == "N" else self.axes_m
             fns = self.dictionary if side == "N" else self.dictionary_m
-            mesh = grid_mesh(axes)
-            self._cache[side] = np.stack(
-                [np.asarray(f(mesh), dtype=complex).ravel() for f in fns])
+            self._cache[side] = np.stack([_grid_samples(f, axes) for f in fns])
         return self._cache[side]
 
     def cell(self, side):
@@ -112,12 +137,16 @@ def ideal_model(generators, probes, m, axes, axes_m=None):
 
     The N-side dictionary holds each generator g and each p∗g (group law);
     the M-side dictionary is rebuilt on M by the same rule from the
-    transported generators, with ∗ replaced by the commutative ∗_c.
+    transported generators, with ∗ replaced by the commutative ∗_c.  The
+    convolutions are sampled by the lattice engines, so each M axis must
+    share its step with the N axis of the same coordinate (the default
+    axes_m is the N axes in M order).
     """
     if not generators:
         raise ValueError("at least one generator is required")
-    if axes_m is None:
-        axes_m = axes
+    k = m * (m - 1) // 2 - (m - 1)
+    if axes_m is None:  # the N axes in M order (top, shift)
+        axes_m = tuple(axes[k:]) + tuple(axes[:k])
     if len(axes) != m * (m - 1) // 2 or len(axes_m) != m_dim("K1", m):
         raise ValueError("axis count does not match the group dimension")
     model = IdealModel(m=m, generators=list(generators), probes=list(probes),
@@ -127,8 +156,8 @@ def ideal_model(generators, probes, m, axes, axes_m=None):
         model.dictionary_m.append(restrict_to_M(g, "K1", m))
     for p in probes:
         for g in generators:
-            model.dictionary.append(_n_conv(p, g, m, axes))
-            model.dictionary_m.append(_m_conv(p, g, m, axes))
+            model.dictionary.append(_Convolution(p, g, m, axes, "N"))
+            model.dictionary_m.append(_Convolution(p, g, m, axes, "M"))
     for side in ("N", "M"):
         V = model.samples(side)
         G = (V.conj() @ V.T) * model.cell(side)
@@ -163,17 +192,12 @@ def closure_residual(model, psi, side):
     if side not in ("N", "M"):
         raise ValueError(f"side must be 'N' or 'M', got {side!r}")
     axes = model.axes if side == "N" else model.axes_m
-    mesh = grid_mesh(axes)
     V = model.samples(side)
     gram = model.gram if side == "N" else model.gram_m
     cell = model.cell(side)
     worst = 0.0
     for g in model.generators:
-        if side == "N":
-            target = _n_conv(psi, g, model.m, model.axes)
-        else:
-            target = _m_conv(psi, g, model.m, model.axes)
-        w = np.asarray(target(mesh), dtype=complex).ravel()
+        w = _Convolution(psi, g, model.m, model.axes, side).on_grid(axes)
         worst = max(worst, _span_residual(V, gram, cell, w))
     return worst
 

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from anharm import cli, operators
+from anharm import cli, harmonic, operators
 from anharm.cli import OperatorSyntaxError, main, parse_operator
+from anharm.testfuncs import Axis
 
 
 # ── parser ───────────────────────────────────────────────────────────────────
@@ -193,3 +194,81 @@ def test_solve_rejects_unsupported_pair_before_any_mesh(tmp_path, capsys,
     assert code == 2
     assert "not supported" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ── flags each check reads ───────────────────────────────────────────────────
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "convolution-identity", "--m", "5"], "--m"),
+    (["verify", "plancherel", "--m", "3"], "--m"),
+    (["verify", "group-axioms", "--grid", "8"], "--grid"),
+    (["verify", "projected-convolution", "--group", "N"], "--group"),
+    (["verify", "operator-identity", "--halfwidth", "2"], "--halfwidth"),
+    (["verify", "ideals", "--grid", "8"], "--grid"),
+    (["verify", "scalar-groups", "--dictionary-size", "4"],
+     "--dictionary-size"),
+    (["verify", "convolution-identity", "--probes", "3"], "--probes"),
+])
+def test_named_check_rejects_a_flag_it_does_not_read(monkeypatch, capsys,
+                                                     argv, flag):
+    def no_check(cfg):
+        raise AssertionError("a check ran with a flag it does not read")
+
+    for name in cli.CHECK_FUNS:
+        monkeypatch.setitem(cli.CHECK_FUNS, name, no_check)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"does not read {flag}" in captured.err and captured.out == ""
+
+
+def test_verify_all_passes_each_flag_only_to_its_readers(monkeypatch, capsys):
+    seen = {}
+
+    def recorder(name):
+        def run(cfg):
+            seen[name] = {f: getattr(cfg, f) for f in cli._FLAGS}
+            return []
+        return run
+
+    for name in cli.CHECK_FUNS:
+        monkeypatch.setitem(cli.CHECK_FUNS, name, recorder(name))
+    argv = ["verify", "all", "--group", "N", "--m", "4", "--grid", "8",
+            "--halfwidth", "5", "--dictionary-size", "4", "--probes", "2"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    given = {"group": "N", "m": 4, "grid": 8, "halfwidth": 5.0,
+             "dictionary_size": 4, "probes": 2}
+    assert set(seen) == set(cli.CHECKS)
+    for name, flags in seen.items():
+        assert flags == {f: (v if f in cli.CHECK_FLAGS[name] else None)
+                         for f, v in given.items()}
+
+
+# ── grid size ────────────────────────────────────────────────────────────────
+
+def test_grid_bytes_estimate():
+    axes = [Axis(0.0, 6.0, 64)] * 5
+    assert cli.grid_bytes(axes) == 16 * 64 ** 5
+    assert cli.grid_bytes(axes) > cli.MAX_GRID_BYTES
+    assert cli.grid_bytes([Axis(0.0, 6.0, 32)] * 5) <= cli.MAX_GRID_BYTES
+
+
+def test_plancherel_refuses_an_oversized_grid_before_sampling(monkeypatch,
+                                                              capsys):
+    def no_sample(f, axes):
+        raise AssertionError("a grid was sampled before its size was checked")
+
+    monkeypatch.setattr(harmonic, "sample", no_sample)
+    assert main(["verify", "plancherel", "--grid", "128"]) == 2
+    captured = capsys.readouterr()
+    assert "512 GiB" in captured.err and captured.out == ""
+
+
+# ── seed stability ───────────────────────────────────────────────────────────
+
+def test_projected_convolution_k1_margin_over_seeds(capsys):
+    for seed in range(12):
+        main(["verify", "projected-convolution", "--seed", str(seed)])
+        lines = [json.loads(s) for s in capsys.readouterr().out.splitlines()]
+        (k1,) = [ln for ln in lines if ln["params"]["case"] == "K1"]
+        assert 3.0 * k1["value"] <= k1["tolerance"], (seed, k1["value"])

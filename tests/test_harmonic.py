@@ -6,12 +6,12 @@ from anharm.testfuncs import (
     Axis, GridFunction, dual_axis, gaussian, grid_mesh, grid_nodes,
     quadrature, sample, shift_function,
 )
-from anharm import harmonic
+from anharm import harmonic, ideals
 from anharm.harmonic import (
-    convolve_abelian, convolve_extended_c, convolve_extended_c_substituted,
-    convolve_extended_group, convolve_group, fourier_eval, fourier_forward,
-    fourier_inverse, plancherel_check, projected_convolution_check,
-    theorem31_residual,
+    convolve_abelian, convolve_extended_c, convolve_extended_c_lattice,
+    convolve_extended_c_substituted, convolve_extended_group, convolve_group,
+    convolve_group_lattice, fourier_eval, fourier_forward, fourier_inverse,
+    plancherel_check, projected_convolution_check, theorem31_residual,
 )
 from anharm.extension import tilde_eval_coords
 
@@ -307,6 +307,101 @@ def test_node_blocks_tile_the_mesh_in_order(monkeypatch, chunk):
     assert np.array_equal(np.concatenate(blocks), want)
     assert max(len(b) for b in blocks) * 5 <= max(chunk, 5)
     assert set(cells) == {1.25 * 3.0 * 0.625}
+
+
+# ── lattice engines against the direct ones ─────────────────────────────────
+
+def _rel_dev(lattice, direct):
+    return np.max(np.abs(lattice - direct)) / np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("out_axes, axes, kind", [
+    # the ideals benchmark's dictionary grid, F̃(·, u) as f
+    ([Axis(0.0, 8.0, 8), Axis(0.0, 9.6, 16), Axis(0.0, 8.0, 8)],
+     [Axis(0.0, 8.0, 8), Axis(0.0, 9.6, 16), Axis(0.0, 8.0, 8)], "tilde"),
+    # 16³ with a nonzero center on every node axis, a TestFunction as f
+    ([Axis(0.0, 8.0, 16), Axis(0.0, 9.6, 16), Axis(0.0, 8.0, 16)],
+     [Axis(0.3, 8.0, 16), Axis(-0.6, 9.6, 16), Axis(1.5, 8.0, 16)], "test"),
+    # fewer outputs than nodes on x and z, more on y; another center on x
+    ([Axis(0.7, 4.0, 8), Axis(0.0, 4.8, 8), Axis(0.0, 8.0, 16)],
+     [Axis(0.0, 8.0, 16), Axis(0.0, 9.6, 16), Axis(0.0, 4.0, 8)], "test"),
+])
+def test_group_lattice_engine_matches_direct(out_axes, axes, kind):
+    rng = np.random.default_rng(21)
+    g = gaussian(rng.uniform(-0.3, 0.3, 3), [4.0, 4.0, 4.0])
+    f = gaussian(rng.uniform(-0.3, 0.3, 3), [1.0, 0.4, 0.9])
+    if kind == "tilde":
+        u = np.array([0.35])
+        f_n = lambda b: tilde_eval_coords(f, "K1", 3, b, u)  # noqa: E731
+    else:
+        f_n = f
+    got = convolve_group_lattice(g, f_n, out_axes, axes)
+    want = convolve_group(g, f_n, "N", 3, grid_mesh(out_axes).reshape(-1, 3),
+                          axes)
+    assert got.axes == tuple(out_axes)
+    assert _rel_dev(got.samples.ravel(), want) <= 1e-12
+
+
+@pytest.mark.parametrize("m, out_axes, axes", [
+    # M order (z, y, x) against N order (x, z, y); P_out ≠ P_node on y
+    (3, [Axis(0.0, 4.8, 8), Axis(0.5, 2.0, 4), Axis(0.0, 8.0, 8)],
+     [Axis(0.0, 8.0, 8), Axis(0.3, 4.8, 8), Axis(0.0, 4.0, 8)]),
+    # M order is N's slots (3, 4, 5, 0, 1, 2); P_out = 2 on three axes
+    (4, [Axis(0.0, 3.0, 4), Axis(0.0, 1.5, 2), Axis(0.0, 1.5, 2),
+         Axis(0.0, 3.0, 4), Axis(0.0, 1.5, 2), Axis(0.2, 3.0, 4)],
+     [Axis(0.0, 3.0, 4)] * 6),
+])
+def test_extended_c_lattice_engine_matches_direct(m, out_axes, axes):
+    d_n = m * (m - 1) // 2
+    k = d_n - (m - 1)
+    rng = np.random.default_rng(22)
+    phi = gaussian(rng.uniform(-0.3, 0.3, d_n), [2.0] * d_n)
+    f = gaussian(rng.uniform(-0.3, 0.3, d_n), [1.0] * d_n)
+
+    def F_ext(base, shift):
+        return tilde_eval_coords(f, "K1", m, base, shift)
+
+    got = convolve_extended_c_lattice(phi, F_ext, m, out_axes, axes)
+    pts = grid_mesh(out_axes).reshape(-1, d_n)
+    base = np.concatenate([np.zeros((len(pts), k)), pts[:, : m - 1]], axis=1)
+    want = convolve_extended_c(phi, F_ext, "K1", m, base, pts[:, m - 1:],
+                               axes)
+    assert _rel_dev(got.samples.ravel(), want) <= 1e-12
+
+
+def test_lattice_engines_reject_mismatched_steps():
+    f = gaussian([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    axes = [Axis(0.0, 8.0, 8), Axis(0.0, 9.6, 16), Axis(0.0, 8.0, 8)]
+    with pytest.raises(ValueError, match="steps"):
+        convolve_group_lattice(f, f, [axes[0], Axis(0.0, 9.6, 8), axes[2]],
+                               axes)
+    with pytest.raises(ValueError, match="steps"):
+        convolve_group_lattice(f, f, axes[:2] + [Axis(0.0, 8.0, 16)], axes)
+
+    def F_ext(base, shift):
+        return tilde_eval_coords(f, "K1", 3, base, shift)
+
+    # M order is (z, y, x): pairing the N axes unpermuted mismatches z and x
+    with pytest.raises(ValueError, match="steps"):
+        convolve_extended_c_lattice(f, F_ext, 3, axes, axes)
+
+
+def test_off_lattice_checks_never_call_a_lattice_engine(monkeypatch):
+    def spy(*args, **kwargs):
+        raise AssertionError("a lattice engine ran off the lattice")
+
+    for module in (harmonic, ideals):
+        monkeypatch.setattr(module, "convolve_group_lattice", spy)
+        monkeypatch.setattr(module, "convolve_extended_c_lattice", spy)
+    rng = np.random.default_rng(23)
+    phi, f, pts = _pair(rng, 3, [1.0] * 3, 1, 0.4)
+    axes = [Axis(0.0, 6.4, 8)] * 3
+    r, s = theorem31_residual(phi, f, "K1", 3, pts[:2], axes, axes)
+    assert np.isfinite(r) and s > 0
+    psi = gaussian([0.1, -0.2, 0.0], [1.3, 0.5, 1.1])
+    r, s = ideals.gamma_intertwine_residual(
+        psi, f, 3, rng.uniform(-1.0, 1.0, (2, 3)), axes, axes)
+    assert np.isfinite(r) and s > 0
 
 
 # ── projected convolution ────────────────────────────────────────────────────
