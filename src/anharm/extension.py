@@ -17,8 +17,8 @@ for invariant operators on the group.
 import numpy as np
 
 from .groups import (
-    ExtendedPoint, SolvableElement, UnipotentElement, n_mul, n_inv,
-    rho_apply, s_mul,
+    ExtendedPoint, SolvableElement, UnipotentElement, empty_columns, n_mul,
+    n_inv, rho_apply,
 )
 
 __all__ = [
@@ -61,11 +61,27 @@ def iota_coords(case, m, shift):
     shift = np.asarray(shift, dtype=float)
     d_n = m * (m - 1) // 2
     if case == "K1":
-        out = np.zeros(shift.shape[:-1] + (d_n,))
+        out = empty_columns(shift.shape[:-1] + (d_n,))
+        out.fill(0.0)
         out[..., : d_n - (m - 1)] = shift
         return out
-    out = np.zeros(shift.shape[:-1] + (d_n + m - 1,))
+    out = empty_columns(shift.shape[:-1] + (d_n + m - 1,))
+    out.fill(0.0)
     out[..., d_n:] = shift
+    return out
+
+
+def _iota_compose(case, m, shift, base):
+    """Coordinates of ι(shift) ∘ base.  For H, ι(u) ∘ (n, t) = (ρ(u)n, u + t):
+    no S product and no zero-padded ι(u) are formed."""
+    if case == "K1":
+        return n_mul(m, iota_coords(case, m, shift), base)
+    d_n = m * (m - 1) // 2
+    out = empty_columns(np.broadcast_shapes(shift.shape[:-1], base.shape[:-1])
+                        + base.shape[-1:])
+    rho_apply(m, shift, base[..., :d_n], out=out[..., :d_n])
+    for i in range(m - 1):
+        np.add(shift[..., i], base[..., d_n + i], out=out[..., d_n + i])
     return out
 
 
@@ -73,10 +89,7 @@ def tilde_eval_coords(f, case, m, base, shift):
     """Batched f̃(base, shift) = f(ι(shift) ∘ base) on coordinate arrays."""
     base = np.asarray(base, dtype=float)
     shift = np.asarray(shift, dtype=float)
-    emb = iota_coords(case, m, shift)
-    if case == "K1":
-        return f(n_mul(m, emb, base))
-    return f(s_mul(m, emb, base))
+    return f(_iota_compose(case, m, shift, base))
 
 
 def tilde_eval(f, p):
@@ -94,11 +107,7 @@ def invariance_residual(f, p, s):
     s = np.asarray(s, dtype=float)
     m = p.spec.m
     base = p.base.entries if p.case == "K1" else p.base.coords()
-    emb = iota_coords(p.case, m, s)
-    if p.case == "K1":
-        twisted = n_mul(m, emb, base)
-    else:
-        twisted = s_mul(m, emb, base)
+    twisted = _iota_compose(p.case, m, s, base)
     a = tilde_eval_coords(f, p.case, m, twisted, p.shift - s)
     b = tilde_eval_coords(f, p.case, m, base, p.shift)
     return float(abs(a - b))

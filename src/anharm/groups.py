@@ -21,7 +21,8 @@ __all__ = [
     "GroupSpec", "UnipotentElement", "DiagonalElement", "SolvableElement",
     "LayerVector", "ExtendedPoint",
     "upper_indices", "layer_slices", "coords_to_matrix", "matrix_to_coords",
-    "n_mul", "n_inv", "s_mul", "s_inv", "rho_scale", "rho_apply",
+    "empty_columns", "n_mul", "n_inv", "s_mul", "s_inv", "rho_scale",
+    "rho_apply",
     "unipotent_mul", "unipotent_inv", "layer_decompose", "layer_compose",
     "conjugate", "solvable_mul", "solvable_inv", "extended_mul",
     "unipotent_identity", "diagonal_identity", "solvable_identity",
@@ -91,38 +92,80 @@ def matrix_to_coords(m, mats):
 
 
 # ── batched coordinate-level laws ────────────────────────────────────────────
+#
+# Every law below fills one preallocated output one coordinate column at a
+# time.  Operands are often [..., :d] slices of wider arrays; a ufunc over
+# such a (..., d) slice runs its inner loop along the short last axis, while
+# a column op runs it along the points.  Outputs are laid out by
+# empty_columns, so each column is contiguous for the next law or test
+# function that reads it.  None of the laws uses np.negative or a complex
+# np.square with out=: on numpy 2.4.6 under AVX-512, np.negative gives wrong
+# values when the input's rows are 64 bytes apart and the output is not
+# contiguous (complex np.square is reported to share the fault), so a
+# negation is np.multiply(x, -1.0), which keeps −0.0.
 
-def n_mul(m, x, y):
-    """Coordinates of the product in N; broadcasts over leading axes."""
-    if m <= 3:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if m == 2:
-            return x + y
-        out = x + y
-        out[..., 1] += x[..., 0] * y[..., 2]
-        return out
-    return matrix_to_coords(m, coords_to_matrix(m, x) @ coords_to_matrix(m, y))
+def empty_columns(shape):
+    """An uninitialised float array of shape (..., dim) whose coordinate
+    columns [..., k] are each contiguous."""
+    shape = tuple(shape)
+    return np.empty(shape[-1:] + shape[:-1]).transpose(*range(1, len(shape)), 0)
+
+
+@lru_cache(maxsize=None)
+def _n_terms(m):
+    """Per N coordinate (i, j), in layer order, the indices of the
+    coordinate pairs ((i, l), (l, j)), i < l < j, whose products the law
+    adds to it."""
+    idx = {ij: k for k, ij in enumerate(upper_indices(m))}
+    return tuple(tuple((idx[i, l], idx[l, j]) for l in range(i + 1, j))
+                 for i, j in upper_indices(m))
+
+
+def _n_mul_into(m, x, y, out):
+    """(xy)_ij = x_ij + y_ij + Σ_{i<l<j} x_il y_lj into out.
+
+    out may be y itself: in layer order column (i, j) reads y only at rows
+    l > i of its own column, which come after it.
+    """
+    tmp = None
+    for k, terms in enumerate(_n_terms(m)):
+        col = out[..., k]
+        np.add(x[..., k], y[..., k], out=col)
+        for a, b in terms:
+            if tmp is None:
+                tmp = np.empty(out.shape[:-1])
+            col += np.multiply(x[..., a], y[..., b], out=tmp)
+    return out
+
+
+def n_mul(m, x, y, out=None):
+    """Coordinates of the product in N; broadcasts over leading axes.  The
+    exact polynomial law, written into out when given."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if out is None:
+        out = empty_columns(np.broadcast_shapes(x.shape, y.shape))
+    return _n_mul_into(m, x, y, out)
+
+
+def _n_inv_into(m, x, out):
+    """(x⁻¹)_ij = −x_ij − Σ_{i<l<j} x_il (x⁻¹)_lj into out, each column's
+    rows from j−1 down to 0, so every (x⁻¹)_lj it reads is already written."""
+    tmp = None
+    terms = _n_terms(m)
+    for k in range(len(terms) - 1, -1, -1):
+        col = np.multiply(x[..., k], -1.0, out=out[..., k])
+        for a, b in terms[k]:
+            if tmp is None:
+                tmp = np.empty(out.shape[:-1])
+            col -= np.multiply(x[..., a], out[..., b], out=tmp)
+    return out
 
 
 def n_inv(m, x):
-    """Inverse in N via the finite Neumann series (exact polynomial)."""
-    if m <= 3:
-        x = np.asarray(x, dtype=float)
-        out = -x
-        if m == 3:
-            out[..., 1] += x[..., 0] * x[..., 2]
-        return out
-    mats = coords_to_matrix(m, x)
-    eye = np.zeros_like(mats)
-    eye[..., np.arange(m), np.arange(m)] = 1.0
-    u = mats - eye
-    inv = eye.copy()
-    term = eye
-    for _ in range(m - 1):
-        term = -term @ u
-        inv = inv + term
-    return matrix_to_coords(m, inv)
+    """Inverse in N: the exact polynomial of the law, column by column."""
+    x = np.asarray(x, dtype=float)
+    return _n_inv_into(m, x, empty_columns(x.shape))
 
 
 def diag_entries(t):
@@ -133,45 +176,84 @@ def diag_entries(t):
 
 
 @lru_cache(maxsize=None)
-def _rho_exponents(m):
-    """The integer-valued (m-1)×dim_n matrix C with log(a_i/a_j) = t @ C."""
-    i, j = np.array(upper_indices(m)).T
+def _rho_terms(m):
+    """Per N coordinate (i, j), the nonzero (l, C_lj) of the integer-valued
+    exponent log(a_i/a_j) = Σ_l t_l C_lj, in increasing l."""
     log_a = np.hstack([np.eye(m - 1), -np.ones((m - 1, 1))])  # log a = t @ log_a
-    C = log_a[:, i] - log_a[:, j]
-    C.flags.writeable = False  # the cache hands the same array to every call
-    return C
+    return tuple(
+        tuple((l, float(c)) for l, c in enumerate(log_a[:, i] - log_a[:, j])
+              if c)
+        for i, j in upper_indices(m))
+
+
+def _rho_into(m, t, x, out):
+    """Column (i, j) of out gets exp(Σ_l t_l C_lj) · x_ij, or the scale
+    alone when x is None.  The exponential is taken only along the leading
+    axes t varies on: a broadcast t repeats one value along each axis of
+    stride 0.  The products are exact, so for m ≤ 3 (two terms at most)
+    each exponent is rounded once, as a matrix product rounds it."""
+    t = t[tuple(slice(None) if st else slice(0, 1) for st in t.strides[:-1])]
+    e = np.empty(t.shape[:-1])
+    tmp = None
+    for k, ((l0, c0), *rest) in enumerate(_rho_terms(m)):
+        np.multiply(t[..., l0], c0, out=e)
+        for l, c in rest:
+            if c == 1.0:
+                e += t[..., l]
+            elif c == -1.0:
+                e -= t[..., l]
+            else:
+                if tmp is None:
+                    tmp = np.empty(e.shape)
+                e += np.multiply(t[..., l], c, out=tmp)
+        if x is None:
+            np.exp(e, out=out[..., k])
+        else:
+            np.multiply(np.exp(e, out=e), x[..., k], out=out[..., k])
+    return out
 
 
 def rho_scale(m, t):
     """Per-coordinate scale a_i/a_j of conjugation by diag(exp-coords t)."""
     t = np.asarray(t, dtype=float)
-    C = _rho_exponents(m)
-    # one flat (points, m-1) @ C product: a stack of tiny ones is slow
-    out = (t.reshape(-1, m - 1) @ C).reshape(t.shape[:-1] + C.shape[1:])
-    return np.exp(out, out=out)
+    return _rho_into(m, t, None,
+                     empty_columns(t.shape[:-1] + (m * (m - 1) // 2,)))
 
 
-def rho_apply(m, t, x):
-    """ρ(a) x: conjugation of N-coordinates by the diagonal with log coords t."""
-    return rho_scale(m, t) * np.asarray(x, dtype=float)
+def rho_apply(m, t, x, out=None):
+    """ρ(a) x: conjugation of N-coordinates by the diagonal with log coords
+    t, written into out when given."""
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if out is None:
+        out = empty_columns(np.broadcast_shapes(t.shape[:-1], x.shape[:-1])
+                            + x.shape[-1:])
+    return _rho_into(m, t, x, out)
 
 
 def s_mul(m, p, q):
-    """Product in S on stacked coordinates (..., dim_n + m-1)."""
+    """Product in S on stacked coordinates (..., dim_n + m-1):
+    (x, s)(y, t) = (x · ρ(s)y, s + t), ρ(s)y written first and the N law
+    then applied in place."""
     d = m * (m - 1) // 2
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
-    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
-    out[..., :d] = n_mul(m, p[..., :d], rho_apply(m, p[..., d:], q[..., :d]))
-    np.add(p[..., d:], q[..., d:], out=out[..., d:])
+    out = empty_columns(np.broadcast_shapes(p.shape, q.shape))
+    yn = _rho_into(m, p[..., d:], q[..., :d], out[..., :d])
+    _n_mul_into(m, p[..., :d], yn, yn)
+    for k in range(d, d + m - 1):
+        np.add(p[..., k], q[..., k], out=out[..., k])
     return out
 
 
 def s_inv(m, p):
+    """(x, s)⁻¹ = (ρ(−s) x⁻¹, −s)."""
     d = m * (m - 1) // 2
     p = np.asarray(p, dtype=float)
-    out = np.empty(p.shape)
-    mt = np.negative(p[..., d:], out=out[..., d:])
-    np.multiply(rho_scale(m, mt), n_inv(m, p[..., :d]), out=out[..., :d])
+    out = empty_columns(p.shape)
+    for k in range(d, d + m - 1):
+        np.multiply(p[..., k], -1.0, out=out[..., k])
+    xinv = _n_inv_into(m, p[..., :d], out[..., :d])
+    _rho_into(m, out[..., d:], xinv, xinv)
     return out
 
 

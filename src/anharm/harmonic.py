@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extension import tilde_eval_coords
-from .groups import n_inv, n_mul, rho_scale, s_inv, s_mul
+from .groups import empty_columns, n_inv, n_mul, rho_scale, s_inv, s_mul
 from .testfuncs import (
     Axis, GridFunction, dual_axis, grid_mesh, grid_nodes, sample,
 )
@@ -140,7 +140,9 @@ def _node_blocks(axes, npoints):
     """Yield (nodes, cell volume): the product grid's nodes in C order, in
     blocks of the largest power of two of nodes within _CHUNK // npoints
     (at least one).  Axis sizes are powers of two too, so a block is a
-    product of index ranges, one per axis; the full mesh is never built."""
+    product of index ranges, one per axis; the full mesh is never built.
+    Each block's coordinate columns are contiguous, as the group laws lay
+    out theirs."""
     shape = [a.points for a in axes]
     grids = [grid_nodes(a) for a in axes]
     cell = float(np.prod([a.step for a in axes]))
@@ -152,8 +154,10 @@ def _node_blocks(axes, npoints):
             stride //= p
             start = lo // stride % p
             ranges.append(g[start:start + min(p, max(1, size // stride))])
-        mesh = np.meshgrid(*ranges, indexing="ij")
-        yield np.stack(mesh, axis=-1).reshape(-1, len(axes)), cell
+        nodes = np.empty((len(axes),) + tuple(r.size for r in ranges))
+        for i, r in enumerate(ranges):
+            nodes[i] = r.reshape((-1,) + (1,) * (len(axes) - 1 - i))
+        yield nodes.reshape(len(axes), -1).T, cell
 
 
 def convolve_group(g, f, group, m, points, axes):
@@ -181,23 +185,38 @@ def convolve_abelian(g, f, points, axes):
     return out
 
 
+def _put(out, a, b=None):
+    """out = a, or a − b, one coordinate column at a time, a and b
+    broadcasting against out."""
+    for i in range(out.shape[-1]):
+        if b is None:
+            np.copyto(out[..., i], a[..., i])
+        else:
+            np.subtract(a[..., i], b[..., i], out=out[..., i])
+
+
 def _c_translate(case, m, base, shift, y):
     """The ∗_c translate: subtract y's slots from (top, shift), fix acting.
 
     For H the n-slot composes by the N law (the T picture is the direct
-    product N × R^{m-1}); the b-slot of the base is untouched.
+    product N × R^{m-1}); the b-slot of the base is untouched.  Both parts
+    are views of one (nodes, points, dim) buffer.
     """
     d_n = m * (m - 1) // 2
+    d_b = base.shape[-1]
+    buf = empty_columns(np.broadcast_shapes(base.shape[:-1], y.shape[:-1])
+                        + (d_b + shift.shape[-1],))
+    nb, ns = buf[..., :d_b], buf[..., d_b:]
     if case == "K1":
         k = d_n - (m - 1)
-        y_act, y_top = y[..., :k], y[..., k:]
-        top = base[..., k:] - y_top
-        act = np.broadcast_to(base[..., :k], top.shape[:-1] + (k,))
-        return np.concatenate([act, top], axis=-1), shift - y_act
-    y_n, y_t = y[..., :d_n], y[..., d_n:]
-    n_new = n_mul(m, n_inv(m, y_n), base[..., :d_n])
-    b = np.broadcast_to(base[..., d_n:], n_new.shape[:-1] + (m - 1,))
-    return np.concatenate([n_new, b], axis=-1), shift - y_t
+        _put(nb[..., :k], base[..., :k])
+        _put(nb[..., k:], base[..., k:], y[..., k:])
+        _put(ns, shift, y[..., :k])
+    else:
+        n_mul(m, n_inv(m, y[..., :d_n]), base[..., :d_n], out=nb[..., :d_n])
+        _put(nb[..., d_n:], base[..., d_n:])
+        _put(ns, shift, y[..., d_n:])
+    return nb, ns
 
 
 def convolve_extended_c(phi, F_ext, case, m, base_points, shift_points, axes):
@@ -228,28 +247,32 @@ def convolve_extended_c_substituted(phi, F_ext, case, m, base_points,
     base_points = np.atleast_2d(np.asarray(base_points, dtype=float))
     shift_points = np.atleast_2d(np.asarray(shift_points, dtype=float))
     d_n = m * (m - 1) // 2
+    d_b, k = base_points.shape[-1], shift_points.shape[-1]
+    x, s = base_points[None, :, :], shift_points[None, :, :]
     out = np.zeros(base_points.shape[0], dtype=complex)
     for block, cell in _node_blocks(axes, base_points.shape[0]):
         w = block[:, None, :]
-        x = base_points[None, :, :]
-        s = shift_points[None, :, :]
+        # F's (base, shift) share one buffer; φ's argument y is the other
+        lead = (block.shape[0], base_points.shape[0])
+        fa, y = empty_columns(lead + (d_b + k,)), empty_columns(lead + (d_b,))
+        fb, fs = fa[..., :d_b], fa[..., d_b:]
         if case == "K1":
-            k = d_n - (m - 1)
-            w_top, w_shift = w[..., : m - 1], w[..., m - 1:]
-            act = np.broadcast_to(x[..., :k], w.shape[:1] + x.shape[1:-1] + (k,))
-            top = np.broadcast_to(w_top, act.shape[:-1] + (m - 1,))
-            fv = F_ext(np.concatenate([act, top], axis=-1),
-                       np.broadcast_to(w_shift, act.shape[:-1] + (k,)))
-            y = np.concatenate([s - w_shift, x[..., k:] - w_top], axis=-1)
+            # w = (top, shift): F at (x_act, w_top; w_shift), φ at
+            # (s − w_shift, x_top − w_top)
+            _put(fb[..., :k], x[..., :k])
+            _put(fb[..., k:], w[..., : m - 1])
+            _put(fs, w[..., m - 1:])
+            _put(y[..., :k], s, w[..., m - 1:])
+            _put(y[..., k:], x[..., k:], w[..., : m - 1])
         else:
-            w_n, w_t = w[..., :d_n], w[..., d_n:]
-            b = np.broadcast_to(x[..., d_n:], w.shape[:1] + x.shape[1:-1] + (m - 1,))
-            base = np.concatenate(
-                [np.broadcast_to(w_n, b.shape[:-1] + (d_n,)), b], axis=-1)
-            fv = F_ext(base, np.broadcast_to(w_t, b.shape[:-1] + (m - 1,)))
-            y_n = n_mul(m, x[..., :d_n], n_inv(m, w_n))
-            y = np.concatenate([y_n, np.broadcast_to(s - w_t, y_n.shape[:-1] + (m - 1,))], axis=-1)
-        vals = np.asarray(fv, dtype=complex) * np.asarray(phi(y), dtype=complex)
+            # w = (n, shift): F at (w_n, x_b; w_t), φ at (x_n·w_n⁻¹, s − w_t)
+            _put(fb[..., :d_n], w[..., :d_n])
+            _put(fb[..., d_n:], x[..., d_n:])
+            _put(fs, w[..., d_n:])
+            n_mul(m, x[..., :d_n], n_inv(m, w[..., :d_n]), out=y[..., :d_n])
+            _put(y[..., d_n:], s, w[..., d_n:])
+        vals = (np.asarray(F_ext(fb, fs), dtype=complex)
+                * np.asarray(phi(y), dtype=complex))
         out += vals.sum(axis=0) * cell
     return out
 

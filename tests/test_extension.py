@@ -4,6 +4,7 @@ import pytest
 from anharm.groups import (
     GroupSpec, UnipotentElement, DiagonalElement, SolvableElement,
     ExtendedPoint, coords_to_matrix, matrix_to_coords, n_mul, rho_apply,
+    s_mul,
 )
 from anharm.testfuncs import gaussian, poly_gaussian, random_gaussian
 from anharm.extension import (
@@ -55,6 +56,27 @@ def test_tilde_k1_matches_matrix_oracle():
         emb = coords_to_matrix(3, iota_coords("K1", 3, u))
         arg = matrix_to_coords(3, emb @ coords_to_matrix(3, g))
         assert tilde_eval(f, p) == pytest.approx(complex(f(arg)), rel=1e-13)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_tilde_h_equals_the_s_product_with_iota(m):
+    # f̃ on H composes ι(u)∘(n, t) = (ρ(u)n, u + t) with no S product; it
+    # must give f(ι(u)·base) as the S law computes it
+    rng = np.random.default_rng(70 + m)
+    d = m * (m - 1) // 2 + m - 1
+    f = rand_fun(rng, d)
+    base = rng.uniform(-1, 1, (40, 3, d))
+    shifts = [rng.uniform(-1, 1, (40, 3, m - 1)),
+              rng.uniform(-1, 1, (40, 1, m - 1)),  # broadcast by the law
+              np.broadcast_to(rng.uniform(-1, 1, (1, 3, m - 1)), (40, 3, m - 1))]
+    for u in shifts:
+        got = tilde_eval_coords(f, "H", m, base, u)
+        want = f(s_mul(m, iota_coords("H", m, u), base))
+        assert got.shape == (40, 3)
+        if m <= 3:
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_invariance_residual_identity_shift():

@@ -294,6 +294,54 @@ def test_s_law_matches_matrix_products(m):
     assert s_inv(m, p[:0]).shape == (0, d + m - 1)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_polynomial_n_law_matches_matrix_oracle(m):
+    rng = np.random.default_rng(50 + m)
+    d = m * (m - 1) // 2
+    x, y = rng.uniform(-2, 2, (2, 60, d))
+    X, Y = coords_to_matrix(m, x), coords_to_matrix(m, y)
+    assert _max_rel(n_mul(m, x, y), matrix_to_coords(m, X @ Y)) <= 1e-13
+    assert _max_rel(n_inv(m, x), matrix_to_coords(m, np.linalg.inv(X))) <= 1e-13
+
+
+def _strided_view(rng, width, dim, k=4096):
+    """A (k, dim) view of a (k, width) array, rows width·8 bytes apart; the
+    array has width + dim columns when dim does not fit in width."""
+    cols = width if dim < width else width + dim
+    return rng.normal(scale=0.5, size=(k, cols))[:, :dim]
+
+
+@pytest.mark.parametrize("width", [8, 12])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_laws_on_strided_views_equal_contiguous_copies(m, width):
+    # numpy 2.4.6 under AVX-512 negates a 64-byte-strided input wrongly into
+    # a non-contiguous output; width 8 gives such strides
+    rng = np.random.default_rng(60 + m)
+    d = m * (m - 1) // 2
+    x, y = (_strided_view(rng, width, d) for _ in range(2))
+    p, q = (_strided_view(rng, width, d + m - 1) for _ in range(2))
+    t = _strided_view(rng, width, m - 1)
+    runs = {
+        "n_mul": (lambda a, b: n_mul(m, a, b), (x, y)),
+        "n_inv": (lambda a: n_inv(m, a), (x,)),
+        "s_mul": (lambda a, b: s_mul(m, a, b), (p, q)),
+        "s_inv": (lambda a: s_inv(m, a), (p,)),
+        "rho_scale": (lambda a: rho_scale(m, a), (t,)),
+        # a broadcast t: the exponentials are taken once per distinct row
+        "rho_scale_broadcast": (lambda a: rho_scale(m, a),
+                                (np.broadcast_to(t[:1], t.shape),)),
+    }
+    for name, (law, args) in runs.items():
+        assert not all(a.flags.c_contiguous for a in args)
+        want = law(*(np.ascontiguousarray(a) for a in args))
+        assert np.array_equal(law(*args), want), name
+    out = _strided_view(rng, width, d)
+    n_mul(m, x, y, out=out)
+    assert np.array_equal(out, n_mul(m, x.copy(), y.copy()))
+    assert np.max(np.abs(n_mul(m, x, n_inv(m, x)))) <= 1e-13
+    assert np.max(np.abs(s_mul(m, p, s_inv(m, p)))) <= 1e-13
+
+
 def test_json_round_trip():
     spec = GroupSpec(4)
     rng = np.random.default_rng(21)
