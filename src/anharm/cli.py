@@ -25,9 +25,9 @@ import time
 
 import numpy as np
 
+from .groups import law
 from .harmonic import (
-    group_law, plancherel_check, projected_convolution_check,
-    theorem31_residual,
+    plancherel_check, projected_convolution_check, theorem31_residual,
 )
 from .ideals import (
     correspondence_check, gamma_intertwine_residual, ideal_model,
@@ -202,11 +202,13 @@ def check_group_axioms(cfg):
     lines = []
     for group in groups:
         for m in ms:
-            mul, inv, dim = group_law(group, m)
-            x, y, z = (rng.uniform(-2.0, 2.0, (10_000, dim)) for _ in range(3))
+            L = law(group, m)
+            mul, inv = L.mul, L.inv
+            x, y, z = (rng.uniform(-2.0, 2.0, (10_000, L.dim))
+                       for _ in range(3))
             lhs = mul(mul(x, y), z)
             assoc = lhs - mul(x, mul(y, z))
-            unit = mul(x, np.zeros(dim)) - x
+            unit = mul(x, np.zeros(L.dim)) - x
             invv = mul(x, inv(x))
             # ρ factors inflate S intermediates; compare against their size
             scale = max(1.0, float(np.max(np.abs(lhs))))
@@ -224,12 +226,9 @@ def grid_bytes(axes):
 
 def _plancherel_axes(cfg):
     """The sampled grids of check_plancherel, by group."""
-    grids = {}
-    if cfg.group in (None, "N"):
-        grids["N"] = [Axis(0.0, cfg.halfwidth or 10.0, cfg.grid or 64)] * 3
-    if cfg.group in (None, "S"):
-        grids["S"] = [Axis(0.0, 6.0, cfg.grid or 16)] * 5
-    return grids
+    grids = {"N": [Axis(0.0, cfg.halfwidth or 10.0, cfg.grid or 64)] * 3,
+             "S": [Axis(0.0, 6.0, cfg.grid or 16)] * 5}
+    return {g: axes for g, axes in grids.items() if cfg.group in (None, g)}
 
 
 def check_plancherel(cfg):
@@ -276,7 +275,9 @@ def check_convolution_identity(cfg):
     lines.append(_line("convolution-identity", {"case": "K1", "m": 3},
                        "rel_residual", r / max(s, 1e-300), cfg.tol(1e-3)))
     phi, f, pts = _gauss_pair(rng, 2, [1.0, 3.0], 1, 0.4)
-    axes = [Axis(0.0, 6.4, 4 * (cfg.grid or 16)), Axis(0.0, 3.2, 2 * (cfg.grid or 16))]
+    # 8·grid × 4·grid: at 4·grid × 2·grid seeds 11, 16 and 19 fail the gate
+    axes = [Axis(0.0, 6.4, 8 * (cfg.grid or 16)),
+            Axis(0.0, 3.2, 4 * (cfg.grid or 16))]
     r, s = theorem31_residual(phi, f, "H", 2, pts, axes, axes)
     lines.append(_line("convolution-identity", {"case": "H", "m": 2},
                        "rel_residual", r / max(s, 1e-300), cfg.tol(1e-3)))
@@ -521,7 +522,7 @@ def _run_solve(args):
         return 2
     group = cfg.group or "N"
     m = cfg.m or 3
-    dim = group_law(group, m)[2]
+    dim = law(group, m).dim
     try:
         u = parse_operator(args.operator, dim)
     except OperatorSyntaxError as exc:

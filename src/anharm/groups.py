@@ -8,68 +8,29 @@ a_m = exp(-Σt).  S = N⋊A carries the law (x,a)(y,b) = (x·ρ(a)y, ab) with
 ρ(a) = conjugation.  The extended groups K1 (base N) and H (base S) pair a
 base element with an abelian shift vector; their product is componentwise.
 
-All operations are pure; batched variants act on numpy arrays whose last
-axis holds coordinates.
+law(name, m) gives each of N, S, K1, H and the abelian picture M as one
+Law object: its dimension, product and inverse, and for K1 and H the
+embedding ι, the slots it fills and the Γ coordinate maps.  All operations
+are pure and act on numpy arrays whose last axis holds coordinates.  Element
+is a single point of N or S, for the JSON round-trip.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "GroupSpec", "UnipotentElement", "DiagonalElement", "SolvableElement",
-    "LayerVector", "ExtendedPoint",
-    "upper_indices", "layer_slices", "coords_to_matrix", "matrix_to_coords",
-    "empty_columns", "n_mul", "n_inv", "s_mul", "s_inv", "rho_scale",
-    "rho_apply",
-    "unipotent_mul", "unipotent_inv", "layer_decompose", "layer_compose",
-    "conjugate", "solvable_mul", "solvable_inv", "extended_mul",
-    "unipotent_identity", "diagonal_identity", "solvable_identity",
-    "extended_identity", "element_to_json", "element_from_json",
+    "Law", "law", "Element", "upper_indices", "coords_to_matrix",
+    "matrix_to_coords", "empty_columns", "n_mul", "n_inv", "s_mul", "s_inv",
+    "rho_scale", "rho_apply", "element_to_json", "element_from_json",
 ]
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    """Matrix size m and the derived dimensions of N and A."""
-
-    m: int
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"matrix size must be >= 2, got {self.m}")
-
-    @property
-    def dim_n(self):
-        return self.m * (self.m - 1) // 2
-
-    @property
-    def dim_a(self):
-        return self.m - 1
-
-    @property
-    def dim_s(self):
-        return self.dim_n + self.dim_a
-
-    @property
-    def k1_shift_dim(self):
-        # abelian copy of the acting layers 1..m-2
-        return self.dim_n - (self.m - 1)
 
 
 def upper_indices(m):
     """Strict upper (i, j) pairs in layer (column-major) order."""
     return [(i, j) for j in range(1, m) for i in range(j)]
-
-
-def layer_slices(m):
-    """Slices of the coordinate vector for layers 1..m-1."""
-    out, start = [], 0
-    for l in range(1, m):
-        out.append(slice(start, start + l))
-        start += l
-    return out
 
 
 def coords_to_matrix(m, coords):
@@ -217,7 +178,7 @@ def rho_scale(m, t):
     """Per-coordinate scale a_i/a_j of conjugation by diag(exp-coords t)."""
     t = np.asarray(t, dtype=float)
     return _rho_into(m, t, None,
-                     empty_columns(t.shape[:-1] + (m * (m - 1) // 2,)))
+                     empty_columns(t.shape[:-1] + (len(_rho_terms(m)),)))
 
 
 def rho_apply(m, t, x, out=None):
@@ -235,7 +196,7 @@ def s_mul(m, p, q):
     """Product in S on stacked coordinates (..., dim_n + m-1):
     (x, s)(y, t) = (x · ρ(s)y, s + t), ρ(s)y written first and the N law
     then applied in place."""
-    d = m * (m - 1) // 2
+    d = len(_n_terms(m))
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     out = empty_columns(np.broadcast_shapes(p.shape, q.shape))
     yn = _rho_into(m, p[..., d:], q[..., :d], out[..., :d])
@@ -247,7 +208,7 @@ def s_mul(m, p, q):
 
 def s_inv(m, p):
     """(x, s)⁻¹ = (ρ(−s) x⁻¹, −s)."""
-    d = m * (m - 1) // 2
+    d = len(_n_terms(m))
     p = np.asarray(p, dtype=float)
     out = empty_columns(p.shape)
     for k in range(d, d + m - 1):
@@ -257,184 +218,190 @@ def s_inv(m, p):
     return out
 
 
-# ── element types ────────────────────────────────────────────────────────────
+
+
+# ── the law table ────────────────────────────────────────────────────────────
+
+@dataclass(frozen=True, eq=False)
+class Law:
+    """One group law in coordinates; law(name, m) builds and caches it.
+
+    mul(x, y) and inv(x) act on coordinate arrays (..., dim) and broadcast
+    over leading axes; on N and M, mul(x, y, out) writes into out.  They
+    look n_mul, s_mul, ... up when called, so a wrapper installed on those
+    module functions sees every call made through a Law.
+
+    K1 (base N) and H (base S) have the coordinates (base, shift) and the
+    componentwise law.  compose(u, b) = ι(u)∘b, where ι puts the shift u
+    into the base's acting slots.  The abelian picture M keeps the base's
+    top slots and then the shift; m_order lists the base slots in that
+    order, and the top slots compose by top_law (ℝ^{m−1} for K1, N for H).
+    On S, modular(x, z) = Π_{i<j} a_i/a_j at t_x − t_z, the Jacobian of the
+    substitution Z = Y⁻¹∘x; it is None on the unimodular N.
+    """
+
+    name: str
+    m: int
+    dim: int
+    mul: Callable
+    inv: Callable
+    modular: Callable = None
+    base: "Law" = None
+    acting: slice = None
+    top: slice = None
+    top_law: "Law" = None
+    compose: Callable = None
+
+    @property
+    def shift_dim(self):
+        return self.dim - self.base.dim
+
+    @property
+    def m_order(self):
+        """The base slots in M order: the top slots, then the acting ones,
+        which M pairs with the shift."""
+        slots = range(self.base.dim)
+        return tuple(slots[self.top]) + tuple(slots[self.acting])
+
+    def extension(self):
+        """The extension of a base group: K1 over N, H over S."""
+        name = {"N": "K1", "S": "H"}.get(self.name)
+        if name is None:
+            raise ValueError(f"{self.name} is not a base group")
+        return law(name, self.m)
+
+    def iota(self, shift):
+        """ι(shift): base coordinates holding the shift in the acting
+        slots and 0 elsewhere."""
+        shift = np.asarray(shift, dtype=float)
+        out = empty_columns(shift.shape[:-1] + (self.base.dim,))
+        out.fill(0.0)
+        out[..., self.acting] = shift
+        return out
+
+    def m_split(self, points, acting=0.0):
+        """M points (top, shift) → (base coordinates with `acting` in the
+        acting slots, shift)."""
+        nt = self.top_law.dim
+        base = np.empty(points.shape[:-1] + (self.base.dim,))
+        base[..., self.acting] = acting
+        base[..., self.top] = points[..., :nt]
+        return base, points[..., nt:]
+
+    def gamma(self, points):
+        """Γ's coordinate map, group → M: g ↦ (top slots of ι(x)⁻¹∘g, x)
+        with x the acting slots of g."""
+        x = points[..., self.acting]
+        b = self.base
+        unwound = b.mul(b.inv(self.iota(x)), points)
+        return np.concatenate([unwound[..., self.top], x], axis=-1)
+
+    def gamma_inv(self, points):
+        """Γ⁻¹'s coordinate map, M → group: (v, u) ↦ ι(u)∘(top v, acting 0)."""
+        base, u = self.m_split(points)
+        return self.compose(u, base)
+
+
+def _m_add(x, y, out=None):
+    """x + y on ℝ^d, one coordinate column at a time."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if out is None:
+        out = empty_columns(np.broadcast_shapes(x.shape, y.shape))
+    for i in range(out.shape[-1]):
+        np.add(x[..., i], y[..., i], out=out[..., i])
+    return out
+
+
+def _m_neg(x):
+    return np.multiply(np.asarray(x, dtype=float), -1.0)
+
+
+def _product(base, k):
+    """mul and inv of base × ℝ^k, componentwise."""
+    d = base.dim
+
+    def mul(x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        return np.concatenate([base.mul(x[..., :d], y[..., :d]),
+                               x[..., d:] + y[..., d:]], axis=-1)
+
+    def inv(x):
+        x = np.asarray(x, dtype=float)
+        return np.concatenate([base.inv(x[..., :d]), _m_neg(x[..., d:])],
+                              axis=-1)
+
+    return mul, inv
+
+
+def _h_compose(m, u, b):
+    """ι(u)∘(n, t) = (ρ(u)n, u + t) on H: no S product and no zero-padded
+    ι(u) are formed."""
+    d = law("N", m).dim
+    out = empty_columns(np.broadcast_shapes(u.shape[:-1], b.shape[:-1])
+                        + b.shape[-1:])
+    rho_apply(m, u, b[..., :d], out=out[..., :d])
+    for i in range(m - 1):
+        np.add(u[..., i], b[..., d + i], out=out[..., d + i])
+    return out
+
+
+@lru_cache(maxsize=None)
+def law(name, m):
+    """The Law of "N", "S", "K1" or "H" at matrix size m ≥ 2, or of "M",
+    the abelian ℝ^m (m None: any dimension)."""
+    if name == "M":
+        if m is not None and m < 1:
+            raise ValueError(f"dimension must be >= 1, got {m}")
+        return Law("M", m, m, _m_add, _m_neg)
+    if m < 2:
+        raise ValueError(f"matrix size must be >= 2, got {m}")
+    d_n = m * (m - 1) // 2
+    if name == "N":
+        return Law("N", m, d_n, lambda x, y, out=None: n_mul(m, x, y, out),
+                   lambda x: n_inv(m, x))
+    if name == "S":
+        return Law("S", m, d_n + m - 1, lambda x, y: s_mul(m, x, y),
+                   lambda x: s_inv(m, x),
+                   modular=lambda x, z: np.prod(
+                       rho_scale(m, x[..., d_n:] - z[..., d_n:]), axis=-1))
+    if name == "K1":  # shift: the acting layers 1..m-2 of N
+        base, k = law("N", m), d_n - (m - 1)
+        return Law("K1", m, d_n + k, *_product(base, k), base=base,
+                   acting=slice(0, k), top=slice(k, d_n),
+                   top_law=law("M", m - 1),
+                   compose=lambda u, b: n_mul(m, law("K1", m).iota(u), b))
+    if name == "H":  # shift: A
+        base = law("S", m)
+        return Law("H", m, base.dim + m - 1, *_product(base, m - 1),
+                   base=base, acting=slice(d_n, base.dim), top=slice(0, d_n),
+                   top_law=law("N", m),
+                   compose=lambda u, b: _h_compose(m, u, b))
+    raise ValueError(f"unknown group {name!r}")
+
+
+# ── elements and their JSON form ─────────────────────────────────────────────
 
 @dataclass(frozen=True)
-class UnipotentElement:
-    spec: GroupSpec
-    entries: np.ndarray  # (dim_n,) in layer order
+class Element:
+    """A point of N, or of S = AN when log_a is given: N coordinates in
+    layer order and the A log-coordinates t (a_m = exp(−Σt))."""
+
+    m: int
+    entries: np.ndarray
+    log_a: np.ndarray = ()
 
     def __post_init__(self):
+        want = law("N", self.m).dim
         e = np.asarray(self.entries, dtype=float)
-        if e.shape != (self.spec.dim_n,):
-            raise ValueError(f"expected {self.spec.dim_n} coordinates, got {e.shape}")
+        t = np.asarray(self.log_a, dtype=float)
+        if e.shape != (want,):
+            raise ValueError(f"expected {want} coordinates, got {e.shape}")
+        if t.shape not in ((0,), (self.m - 1,)):
+            raise ValueError(
+                f"expected {self.m - 1} log coordinates, got {t.shape}")
         object.__setattr__(self, "entries", e)
+        object.__setattr__(self, "log_a", t)
 
-    def matrix(self):
-        return coords_to_matrix(self.spec.m, self.entries)
-
-
-@dataclass(frozen=True)
-class DiagonalElement:
-    spec: GroupSpec
-    log_coords: np.ndarray  # (m-1,)
-
-    def __post_init__(self):
-        t = np.asarray(self.log_coords, dtype=float)
-        if t.shape != (self.spec.dim_a,):
-            raise ValueError(f"expected {self.spec.dim_a} log coordinates, got {t.shape}")
-        object.__setattr__(self, "log_coords", t)
-
-    def entries(self):
-        return diag_entries(self.log_coords)
-
-
-@dataclass(frozen=True)
-class SolvableElement:
-    n_part: UnipotentElement
-    a_part: DiagonalElement
-
-    def __post_init__(self):
-        if self.n_part.spec != self.a_part.spec:
-            raise ValueError("n_part and a_part specs differ")
-
-    @property
-    def spec(self):
-        return self.n_part.spec
-
-    def coords(self):
-        return np.concatenate([self.n_part.entries, self.a_part.log_coords])
-
-
-@dataclass(frozen=True)
-class LayerVector:
-    spec: GroupSpec
-    layers: tuple  # layer i has length i, i = 1..m-1
-
-    def __post_init__(self):
-        layers = tuple(np.asarray(v, dtype=float) for v in self.layers)
-        if len(layers) != self.spec.m - 1 or any(
-            v.shape != (i + 1,) for i, v in enumerate(layers)
-        ):
-            raise ValueError("layer lengths must be 1, 2, ..., m-1")
-        object.__setattr__(self, "layers", layers)
-
-
-@dataclass(frozen=True)
-class ExtendedPoint:
-    """A point of K1 (base in N) or H (base in S) with an abelian shift."""
-
-    case: str  # "K1" or "H"
-    base: object
-    shift: np.ndarray
-
-    def __post_init__(self):
-        if self.case not in ("K1", "H"):
-            raise ValueError(f"unknown case {self.case!r}")
-        s = np.asarray(self.shift, dtype=float)
-        spec = self.base.spec
-        want = spec.k1_shift_dim if self.case == "K1" else spec.dim_a
-        if s.shape != (want,):
-            raise ValueError(f"shift length {s.shape} does not match case {self.case}")
-        if self.case == "K1" and not isinstance(self.base, UnipotentElement):
-            raise ValueError("K1 base must be a UnipotentElement")
-        if self.case == "H" and not isinstance(self.base, SolvableElement):
-            raise ValueError("H base must be a SolvableElement")
-        object.__setattr__(self, "shift", s)
-
-    @property
-    def spec(self):
-        return self.base.spec
-
-
-# ── identities ───────────────────────────────────────────────────────────────
-
-def unipotent_identity(spec):
-    return UnipotentElement(spec, np.zeros(spec.dim_n))
-
-
-def diagonal_identity(spec):
-    return DiagonalElement(spec, np.zeros(spec.dim_a))
-
-
-def solvable_identity(spec):
-    return SolvableElement(unipotent_identity(spec), diagonal_identity(spec))
-
-
-def extended_identity(case, spec):
-    if case == "K1":
-        return ExtendedPoint("K1", unipotent_identity(spec), np.zeros(spec.k1_shift_dim))
-    return ExtendedPoint("H", solvable_identity(spec), np.zeros(spec.dim_a))
-
-
-# ── element-level operations ─────────────────────────────────────────────────
-
-def _check_same_spec(g, h):
-    if g.spec != h.spec:
-        raise ValueError("group specs differ")
-
-
-def unipotent_mul(g, h):
-    _check_same_spec(g, h)
-    return UnipotentElement(g.spec, n_mul(g.spec.m, g.entries, h.entries))
-
-
-def unipotent_inv(g):
-    return UnipotentElement(g.spec, n_inv(g.spec.m, g.entries))
-
-
-def layer_decompose(g):
-    return LayerVector(g.spec, tuple(g.entries[s] for s in layer_slices(g.spec.m)))
-
-
-def layer_compose(v):
-    # ι_{m-1}(layer m-1) · ... · ι_1(layer 1): with column-major coordinates
-    # the product matrix carries each layer verbatim, so this is a copy.
-    return UnipotentElement(v.spec, np.concatenate(v.layers))
-
-
-def conjugate(g, h):
-    """g h g^{-1} for g unipotent or diagonal, h unipotent."""
-    _check_same_spec(g, h)
-    m = g.spec.m
-    if isinstance(g, DiagonalElement):
-        return UnipotentElement(g.spec, rho_apply(m, g.log_coords, h.entries))
-    gm = g.matrix()
-    inv = coords_to_matrix(m, n_inv(m, g.entries))
-    return UnipotentElement(g.spec, matrix_to_coords(m, gm @ h.matrix() @ inv))
-
-
-def solvable_mul(p, q):
-    _check_same_spec(p, q)
-    spec = p.spec
-    out = s_mul(spec.m, p.coords(), q.coords())
-    return SolvableElement(
-        UnipotentElement(spec, out[: spec.dim_n]),
-        DiagonalElement(spec, out[spec.dim_n:]),
-    )
-
-
-def solvable_inv(p):
-    spec = p.spec
-    out = s_inv(spec.m, p.coords())
-    return SolvableElement(
-        UnipotentElement(spec, out[: spec.dim_n]),
-        DiagonalElement(spec, out[spec.dim_n:]),
-    )
-
-
-def extended_mul(p, q):
-    if p.case != q.case:
-        raise ValueError("extended-point cases differ")
-    _check_same_spec(p.base, q.base)
-    if p.case == "K1":
-        base = unipotent_mul(p.base, q.base)
-    else:
-        base = solvable_mul(p.base, q.base)
-    return ExtendedPoint(p.case, base, p.shift + q.shift)
-
-
-# ── JSON round-trips ─────────────────────────────────────────────────────────
 
 def _row_major_order(m):
     return [(i, j) for i in range(m) for j in range(i + 1, m)]
@@ -442,28 +409,17 @@ def _row_major_order(m):
 
 def element_to_json(g):
     """Serialize to {"m", "entries" (row-major strict upper), "log_a"}."""
-    if isinstance(g, SolvableElement):
-        n, log_a = g.n_part, list(map(float, g.a_part.log_coords))
-    elif isinstance(g, UnipotentElement):
-        n, log_a = g, []
-    else:
-        raise ValueError(f"cannot serialize {type(g).__name__}")
-    m = n.spec.m
-    col = {ij: k for k, ij in enumerate(upper_indices(m))}
-    entries = [float(n.entries[col[ij]]) for ij in _row_major_order(m)]
-    return {"m": m, "entries": entries, "log_a": log_a}
+    col = {ij: k for k, ij in enumerate(upper_indices(g.m))}
+    entries = [float(g.entries[col[ij]]) for ij in _row_major_order(g.m)]
+    return {"m": g.m, "entries": entries, "log_a": list(map(float, g.log_a))}
 
 
 def element_from_json(obj):
     m = int(obj["m"])
-    spec = GroupSpec(m)
     row = list(map(float, obj["entries"]))
-    if len(row) != spec.dim_n:
-        raise ValueError(f"expected {spec.dim_n} entries, got {len(row)}")
+    want = law("N", m).dim
+    if len(row) != want:
+        raise ValueError(f"expected {want} entries, got {len(row)}")
     pos = {ij: k for k, ij in enumerate(_row_major_order(m))}
-    entries = np.array([row[pos[ij]] for ij in upper_indices(m)])
-    n = UnipotentElement(spec, entries)
-    log_a = list(map(float, obj.get("log_a", [])))
-    if not log_a:
-        return n
-    return SolvableElement(n, DiagonalElement(spec, np.array(log_a)))
+    return Element(m, [row[pos[ij]] for ij in upper_indices(m)],
+                   list(map(float, obj.get("log_a", []))))

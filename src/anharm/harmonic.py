@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extension import tilde_eval_coords
-from .groups import empty_columns, n_inv, n_mul, rho_scale, s_inv, s_mul
+from .groups import empty_columns, law
 from .testfuncs import (
     Axis, GridFunction, dual_axis, grid_mesh, grid_nodes, sample,
 )
@@ -36,18 +36,8 @@ __all__ = [
     "convolve_extended_c", "convolve_extended_c_substituted",
     "convolve_extended_group", "convolve_group_lattice",
     "convolve_extended_c_lattice", "theorem31_residual",
-    "projected_convolution_check", "group_law",
+    "projected_convolution_check",
 ]
-
-
-def group_law(group, m):
-    """(mul, inv, coordinate dim) for group "N" or "S" of matrix size m."""
-    d_n = m * (m - 1) // 2
-    if group == "N":
-        return (lambda x, y: n_mul(m, x, y)), (lambda x: n_inv(m, x)), d_n
-    if group == "S":
-        return (lambda x, y: s_mul(m, x, y)), (lambda x: s_inv(m, x)), d_n + m - 1
-    raise ValueError(f"unknown group {group!r}")
 
 
 # ── Fourier transforms ───────────────────────────────────────────────────────
@@ -160,29 +150,39 @@ def _node_blocks(axes, npoints):
         yield nodes.reshape(len(axes), -1).T, cell
 
 
+def _quadrature(axes, npoints, integrand, weight=None):
+    """Σ over the nodes y of the axes' product grid, block by block, of
+    weight(y)·cell·integrand(y) (a tensordot over the block's nodes), or
+    without a weight of integrand(y)·cell; integrand(y) holds one row of
+    npoints values per node."""
+    out = np.zeros(npoints, dtype=complex)
+    for y, cell in _node_blocks(axes, npoints):
+        if weight is None:
+            vals = np.asarray(integrand(y), dtype=complex)
+            out += vals.sum(axis=0) * cell
+        else:
+            w = np.asarray(weight(y), dtype=complex) * cell
+            out += np.tensordot(w, np.asarray(integrand(y), dtype=complex),
+                                axes=(0, 0))
+    return out
+
+
 def convolve_group(g, f, group, m, points, axes):
     """(g∗f)(X) = ∫ f(Y^{-1}X) g(Y) dY by Haar quadrature over the axes."""
-    mul, inv, _ = group_law(group, m)
+    L = law(group, m)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros(points.shape[0], dtype=complex)
-    for y, cell in _node_blocks(axes, points.shape[0]):
-        weights = np.asarray(g(y), dtype=complex) * cell
-        vals = f(mul(inv(y)[:, None, :], points[None, :, :]))
-        out += np.tensordot(weights, np.asarray(vals, dtype=complex),
-                            axes=(0, 0))
-    return out
+    return _quadrature(
+        axes, points.shape[0],
+        lambda y: f(L.mul(L.inv(y)[:, None, :], points[None, :, :])),
+        weight=g)
 
 
 def convolve_abelian(g, f, points, axes):
     """(g∗_c f)(X) = ∫ f(X−Y) g(Y) dY."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros(points.shape[0], dtype=complex)
-    for y, cell in _node_blocks(axes, points.shape[0]):
-        weights = np.asarray(g(y), dtype=complex) * cell
-        vals = f(points[None, :, :] - y[:, None, :])
-        out += np.tensordot(weights, np.asarray(vals, dtype=complex),
-                            axes=(0, 0))
-    return out
+    return _quadrature(axes, points.shape[0],
+                       lambda y: f(points[None, :, :] - y[:, None, :]),
+                       weight=g)
 
 
 def _put(out, a, b=None):
@@ -195,27 +195,22 @@ def _put(out, a, b=None):
             np.subtract(a[..., i], b[..., i], out=out[..., i])
 
 
-def _c_translate(case, m, base, shift, y):
-    """The ∗_c translate: subtract y's slots from (top, shift), fix acting.
+def _c_translate(L, base, shift, y):
+    """The ∗_c translate: y's top slots divide the base's on the left by
+    the top law, y's acting slots are subtracted from the shift, and the
+    acting slots stay fixed.
 
-    For H the n-slot composes by the N law (the T picture is the direct
-    product N × R^{m-1}); the b-slot of the base is untouched.  Both parts
-    are views of one (nodes, points, dim) buffer.
+    For H the top law is N's (the T picture is the direct product
+    N × R^{m-1}); the b-slot of the base is untouched.  Both parts are
+    views of one (nodes, points, dim) buffer.
     """
-    d_n = m * (m - 1) // 2
-    d_b = base.shape[-1]
+    d_b, a, t, top = L.base.dim, L.acting, L.top, L.top_law
     buf = empty_columns(np.broadcast_shapes(base.shape[:-1], y.shape[:-1])
-                        + (d_b + shift.shape[-1],))
+                        + (L.dim,))
     nb, ns = buf[..., :d_b], buf[..., d_b:]
-    if case == "K1":
-        k = d_n - (m - 1)
-        _put(nb[..., :k], base[..., :k])
-        _put(nb[..., k:], base[..., k:], y[..., k:])
-        _put(ns, shift, y[..., :k])
-    else:
-        n_mul(m, n_inv(m, y[..., :d_n]), base[..., :d_n], out=nb[..., :d_n])
-        _put(nb[..., d_n:], base[..., d_n:])
-        _put(ns, shift, y[..., d_n:])
+    _put(nb[..., a], base[..., a])
+    top.mul(top.inv(y[..., t]), base[..., t], out=nb[..., t])
+    _put(ns, shift, y[..., a])
     return nb, ns
 
 
@@ -225,16 +220,12 @@ def convolve_extended_c(phi, F_ext, case, m, base_points, shift_points, axes):
     φ lives on the base group (N for K1, S for H); F_ext(base, shift) is an
     extended-group function (typically a tilde extension).
     """
-    base_points = np.atleast_2d(np.asarray(base_points, dtype=float))
-    shift_points = np.atleast_2d(np.asarray(shift_points, dtype=float))
-    out = np.zeros(base_points.shape[0], dtype=complex)
-    for y, cell in _node_blocks(axes, base_points.shape[0]):
-        weights = np.asarray(phi(y), dtype=complex) * cell
-        nb, ns = _c_translate(case, m, base_points[None, :, :],
-                              shift_points[None, :, :], y[:, None, :])
-        vals = np.asarray(F_ext(nb, ns), dtype=complex)
-        out += np.tensordot(weights, vals, axes=(0, 0))
-    return out
+    L = law(case, m)
+    x = np.atleast_2d(np.asarray(base_points, dtype=float))[None, :, :]
+    s = np.atleast_2d(np.asarray(shift_points, dtype=float))[None, :, :]
+    return _quadrature(
+        axes, x.shape[1],
+        lambda y: F_ext(*_c_translate(L, x, s, y[:, None, :])), weight=phi)
 
 
 def convolve_extended_c_substituted(phi, F_ext, case, m, base_points,
@@ -244,37 +235,28 @@ def convolve_extended_c_substituted(phi, F_ext, case, m, base_points,
     The substitution has Jacobian 1; `axes` parameterize W in M-order
     (top, shift) for K1 and (n, shift) for H.
     """
-    base_points = np.atleast_2d(np.asarray(base_points, dtype=float))
-    shift_points = np.atleast_2d(np.asarray(shift_points, dtype=float))
-    d_n = m * (m - 1) // 2
-    d_b, k = base_points.shape[-1], shift_points.shape[-1]
-    x, s = base_points[None, :, :], shift_points[None, :, :]
-    out = np.zeros(base_points.shape[0], dtype=complex)
-    for block, cell in _node_blocks(axes, base_points.shape[0]):
+    L = law(case, m)
+    x = np.atleast_2d(np.asarray(base_points, dtype=float))[None, :, :]
+    s = np.atleast_2d(np.asarray(shift_points, dtype=float))[None, :, :]
+    d_b, a, t, top = L.base.dim, L.acting, L.top, L.top_law
+
+    def integrand(block):
+        # w = (top, shift): F at (x_act, w_top; w_shift), φ at
+        # (x_top ⊘ w_top, s − w_shift); F's (base, shift) share one buffer
         w = block[:, None, :]
-        # F's (base, shift) share one buffer; φ's argument y is the other
-        lead = (block.shape[0], base_points.shape[0])
-        fa, y = empty_columns(lead + (d_b + k,)), empty_columns(lead + (d_b,))
+        wt, ws = w[..., :top.dim], w[..., top.dim:]
+        lead = (block.shape[0], x.shape[1])
+        fa, y = empty_columns(lead + (L.dim,)), empty_columns(lead + (d_b,))
         fb, fs = fa[..., :d_b], fa[..., d_b:]
-        if case == "K1":
-            # w = (top, shift): F at (x_act, w_top; w_shift), φ at
-            # (s − w_shift, x_top − w_top)
-            _put(fb[..., :k], x[..., :k])
-            _put(fb[..., k:], w[..., : m - 1])
-            _put(fs, w[..., m - 1:])
-            _put(y[..., :k], s, w[..., m - 1:])
-            _put(y[..., k:], x[..., k:], w[..., : m - 1])
-        else:
-            # w = (n, shift): F at (w_n, x_b; w_t), φ at (x_n·w_n⁻¹, s − w_t)
-            _put(fb[..., :d_n], w[..., :d_n])
-            _put(fb[..., d_n:], x[..., d_n:])
-            _put(fs, w[..., d_n:])
-            n_mul(m, x[..., :d_n], n_inv(m, w[..., :d_n]), out=y[..., :d_n])
-            _put(y[..., d_n:], s, w[..., d_n:])
-        vals = (np.asarray(F_ext(fb, fs), dtype=complex)
+        _put(fb[..., a], x[..., a])
+        _put(fb[..., t], wt)
+        _put(fs, ws)
+        _put(y[..., a], s, ws)
+        top.mul(x[..., t], top.inv(wt), out=y[..., t])
+        return (np.asarray(F_ext(fb, fs), dtype=complex)
                 * np.asarray(phi(y), dtype=complex))
-        out += vals.sum(axis=0) * cell
-    return out
+
+    return _quadrature(axes, x.shape[1], integrand)
 
 
 def convolve_extended_group(phi, F_ext, case, m, base_points, shift_points,
@@ -284,36 +266,26 @@ def convolve_extended_group(phi, F_ext, case, m, base_points, shift_points,
     With substituted=True the variable change Z = Y^{-1}∘base places the
     nodes on F's mass: ∫ φ(base∘Z^{-1}) F(Z, u) J(Z) dZ.  On N the change
     is measure-preserving (J = 1); on S it picks up the modular factor
-    J(Z) = Π_{i<j} a_i/a_j evaluated at t_base − t_Z.
+    J(Z) = Π_{i<j} a_i/a_j evaluated at t_base − t_Z.  F_ext must broadcast
+    the leading axes of its two arguments, as tilde extensions do.
     """
-    group = "N" if case == "K1" else "S"
-    mul, inv, dim = group_law(group, m)
-    base_points = np.atleast_2d(np.asarray(base_points, dtype=float))
-    shift_points = np.atleast_2d(np.asarray(shift_points, dtype=float))
-    npts = base_points.shape[0]
-    out = np.zeros(npts, dtype=complex)
-    for block, cell in _node_blocks(axes, npts):
-        if substituted:
-            z = block[:, None, :]
-            s = np.broadcast_to(shift_points[None, :, :],
-                                (z.shape[0], npts, shift_points.shape[-1]))
-            zb = np.broadcast_to(z, (z.shape[0], npts, dim))
-            fv = np.asarray(F_ext(zb, s), dtype=complex)
-            pv = np.asarray(phi(mul(base_points[None, :, :],
-                                    inv(block)[:, None, :])), dtype=complex)
-            if group == "S":
-                d_n = m * (m - 1) // 2
-                dt = base_points[None, :, d_n:] - z[..., d_n:]
-                pv = pv * np.prod(rho_scale(m, dt), axis=-1)
-            out += (fv * pv).sum(axis=0) * cell
-        else:
-            weights = np.asarray(phi(block), dtype=complex) * cell
-            arg = mul(inv(block)[:, None, :], base_points[None, :, :])
-            s = np.broadcast_to(shift_points[None, :, :],
-                                arg.shape[:-1] + (shift_points.shape[-1],))
-            vals = np.asarray(F_ext(arg, s), dtype=complex)
-            out += np.tensordot(weights, vals, axes=(0, 0))
-    return out
+    B = law(case, m).base
+    x = np.atleast_2d(np.asarray(base_points, dtype=float))[None, :, :]
+    s = np.atleast_2d(np.asarray(shift_points, dtype=float))[None, :, :]
+    if not substituted:
+        return _quadrature(
+            axes, x.shape[1],
+            lambda y: F_ext(B.mul(B.inv(y)[:, None, :], x), s), weight=phi)
+
+    def integrand(block):
+        z = block[:, None, :]
+        pv = np.asarray(phi(B.mul(x, B.inv(block)[:, None, :])),
+                        dtype=complex)
+        if B.modular is not None:
+            pv = pv * B.modular(x, z)
+        return np.asarray(F_ext(z, s), dtype=complex) * pv
+
+    return _quadrature(axes, x.shape[1], integrand)
 
 
 # ── exact lattice engines ────────────────────────────────────────────────────
@@ -387,15 +359,12 @@ def convolve_extended_c_lattice(phi, F_ext, m, out_axes, axes):
     exact up to rounding.  Each M axis must share its step with its node axis.
     """
     out_axes, axes = tuple(out_axes), tuple(axes)
-    d_n = m * (m - 1) // 2
-    k = d_n - (m - 1)
-    order = list(range(k, d_n)) + list(range(k))
+    L = law("K1", m)
+    order = L.m_order
     nodes_m = [axes[i] for i in order]
     diff = [_difference_nodes(o, n) for o, n in zip(out_axes, nodes_m)]
     mesh = np.stack(np.meshgrid(*diff, indexing="ij"), axis=-1)
-    base = np.zeros(mesh.shape[:-1] + (d_n,))
-    base[..., k:] = mesh[..., : m - 1]
-    diffs = np.asarray(F_ext(base, mesh[..., m - 1:]), dtype=complex)
+    diffs = np.asarray(F_ext(*L.m_split(mesh)), dtype=complex)
     weights = np.asarray(phi(grid_mesh(axes)), dtype=complex).transpose(order)
     out = _lattice_convolve(weights, diffs, [ax.points for ax in nodes_m],
                             [ax.points for ax in out_axes])
@@ -417,13 +386,14 @@ def theorem31_residual(phi, f, case, m, points, axes_phi, axes_f):
     integrand exponentially and is numerically useless.  Returns
     (residual, scale), scale = max |lhs|.
     """
+    unimodular = law(case, m).base.modular is None
     base_points = np.atleast_2d(np.asarray([p[0] for p in points], dtype=float))
     shift_points = np.atleast_2d(np.asarray([p[1] for p in points], dtype=float))
 
     def F_ext(base, shift):
         return tilde_eval_coords(f, case, m, base, shift)
 
-    if case == "K1":
+    if unimodular:
         lhs = convolve_extended_group(phi, F_ext, case, m, base_points,
                                       shift_points, axes_f, substituted=True)
         rhs = convolve_extended_c(phi, F_ext, case, m, base_points,
@@ -435,14 +405,6 @@ def theorem31_residual(phi, f, case, m, points, axes_phi, axes_f):
                                               shift_points, axes_f)
     scale = float(np.max(np.abs(lhs)))
     return float(np.max(np.abs(lhs - rhs))), scale
-
-
-def _acting_slots(case, m):
-    """Positions of the acting slots in the extended coordinate order."""
-    d_n = m * (m - 1) // 2
-    if case == "K1":
-        return list(range(d_n - (m - 1)))
-    return list(range(d_n, d_n + m - 1))
 
 
 def projected_convolution_check(phi, f, case, m, axes_ext, freq_indices):
@@ -457,8 +419,9 @@ def projected_convolution_check(phi, f, case, m, axes_ext, freq_indices):
     Returns (residual, scale).
     """
     axes_ext = tuple(axes_ext)
-    act = _acting_slots(case, m)
-    d_base = m * (m - 1) // 2 + (0 if case == "K1" else m - 1)
+    L = law(case, m)
+    d_base = L.base.dim
+    act = list(range(d_base))[L.acting]
     n_ext = len(axes_ext)
     rest = [i for i in range(n_ext) if i not in act]
     shift_slots = list(range(d_base, n_ext))
@@ -472,8 +435,9 @@ def projected_convolution_check(phi, f, case, m, axes_ext, freq_indices):
         return tilde_eval_coords(f, case, m, base, shift)
 
     # LHS -------------------------------------------------------------------
-    if case == "K1" and m == 3:
-        # on the lattice: one exact group convolution per shift value u
+    if L.base is law("N", 3):
+        # the Heisenberg group has an exact lattice engine: one group
+        # convolution per shift value u
         base_axes = axes_ext[:d_base]
         conv = np.stack(
             [convolve_group_lattice(phi, lambda b: F_ext(b, np.array([u])),

@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extension import (
-    gamma_inv, iota_coords, m_dim, restrict_to_M, tilde_eval_coords,
-)
+from .extension import gamma_inv, restrict_to_M, tilde_eval_coords
+from .groups import law
 from .harmonic import (
     convolve_abelian, convolve_extended_c, convolve_extended_c_lattice,
     convolve_extended_c_substituted, convolve_group, convolve_group_lattice,
@@ -46,15 +45,6 @@ __all__ = [
 
 def _tilde(f, m):
     return lambda base, shift: tilde_eval_coords(f, "K1", m, base, shift)
-
-
-def _embed_m_points(m, pts):
-    """M points (v, u) → (base coords with acting 0, shift u)."""
-    d_n = m * (m - 1) // 2
-    k = d_n - (m - 1)
-    v, u = pts[..., : m - 1], pts[..., m - 1:]
-    base = np.concatenate([np.zeros(v.shape[:-1] + (k,)), v], axis=-1)
-    return base, u
 
 
 @dataclass(frozen=True)
@@ -80,7 +70,7 @@ class _Convolution:
             out = convolve_group(self.psi, self.g, "N", self.m, flat,
                                  self.axes)
         else:
-            base, u = _embed_m_points(self.m, flat)
+            base, u = law("K1", self.m).m_split(flat)
             out = convolve_extended_c(self.psi, _tilde(self.g, self.m), "K1",
                                       self.m, base, u, self.axes)
         return out.reshape(pts.shape[:-1])
@@ -144,10 +134,10 @@ def ideal_model(generators, probes, m, axes, axes_m=None):
     """
     if not generators:
         raise ValueError("at least one generator is required")
-    k = m * (m - 1) // 2 - (m - 1)
+    L = law("K1", m)
     if axes_m is None:  # the N axes in M order (top, shift)
-        axes_m = tuple(axes[k:]) + tuple(axes[:k])
-    if len(axes) != m * (m - 1) // 2 or len(axes_m) != m_dim("K1", m):
+        axes_m = tuple(axes[i] for i in L.m_order)
+    if len(axes) != L.base.dim or len(axes_m) != L.base.dim:
         raise ValueError("axis count does not match the group dimension")
     model = IdealModel(m=m, generators=list(generators), probes=list(probes),
                        axes=tuple(axes), axes_m=tuple(axes_m))
@@ -257,7 +247,7 @@ def gamma_intertwine_residual(psi, phi, m, points, axes_psi, axes_f):
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     F = _tilde(phi, m)
-    shift0 = np.zeros((pts.shape[0], m * (m - 1) // 2 - (m - 1)))
+    shift0 = np.zeros((pts.shape[0], law("K1", m).shift_dim))
     lhs = convolve_extended_c_substituted(psi, F, "K1", m, pts, shift0, axes_f)
     rhs = convolve_group(psi, phi, "N", m, pts, axes_psi)
     scale = float(np.max(np.abs(rhs)))
@@ -272,22 +262,15 @@ def gamma_literal_residual(psi, phi, m, points, axes_n, axes_m):
     This reading is *not* an identity for nonabelian N (the convolution
     leaves the invariant locus); the returned value documents the gap.
     """
-    k = m * (m - 1) // 2 - (m - 1)
+    L = law("K1", m)
     h = restrict_to_M(phi, "K1", m)
+    n_order = np.argsort(L.m_order)  # M slots → ψ's N order
 
     def psi_m(pts):
-        pts = np.asarray(pts, dtype=float)
-        # M order is (top, shift); ψ's N order is (acting, top)
-        return psi(np.concatenate([pts[..., m - 1:], pts[..., : m - 1]],
-                                  axis=-1))
+        return psi(np.asarray(pts, dtype=float)[..., n_order])
 
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    # Γ pullback: read off (v, u) = (top of ι(x)^{-1}∘point, acting x)
-    from .groups import n_inv, n_mul
-    x = pts[..., :k]
-    unwound = n_mul(m, n_inv(m, iota_coords("K1", m, x)), pts)
-    m_pts = np.concatenate([unwound[..., k:], x], axis=-1)
-    lhs = convolve_abelian(psi_m, h, m_pts, axes_m)
+    lhs = convolve_abelian(psi_m, h, L.gamma(pts), axes_m)
     rhs = convolve_group(psi, phi, "N", m, pts, axes_n)
     scale = float(np.max(np.abs(rhs)))
     return float(np.max(np.abs(lhs - rhs))), scale

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extension import tilde_eval_coords
-from .groups import n_mul, rho_apply, s_mul
+from .groups import law
 from .testfuncs import Axis, GridFunction, dual_axis, grid_mesh, grid_nodes
 
 __all__ = [
@@ -72,35 +72,19 @@ def transpose(u):
 # ── generator flows and stencils ─────────────────────────────────────────────
 
 def generator_flow(group, m, i):
-    """x ↦ exp(tE_i)·x in coordinates (exact); returns flow(t, x)."""
-    if group == "M":
-        def flow(t, x):
-            out = np.array(x, dtype=float, copy=True)
-            out[..., i] += t
-            return out
-        return flow
-    d_n = m * (m - 1) // 2
-    if group == "N":
-        if i >= d_n:
-            raise IndexError(f"generator {i} out of range for N, m={m}")
+    """x ↦ exp(tE_i)·x in coordinates (exact); returns flow(t, x).  On "M"
+    (m may be None there) the flow is a translation."""
+    L = law(group, m)
+    if L.dim is not None and i >= L.dim:
+        raise IndexError(f"generator {i} out of range for {group}, m={m}")
 
-        def flow(t, x):
-            x = np.asarray(x, dtype=float)
-            g = np.zeros(d_n)
-            g[i] = t
-            return n_mul(m, g, x)
-        return flow
-    if group == "S":
-        if i >= d_n + m - 1:
-            raise IndexError(f"generator {i} out of range for S, m={m}")
+    def flow(t, x):
+        x = np.asarray(x, dtype=float)
+        g = np.zeros(x.shape[-1])
+        g[i] = t
+        return L.mul(g, x)
 
-        def flow(t, x):
-            x = np.asarray(x, dtype=float)
-            g = np.zeros(d_n + m - 1)
-            g[i] = t
-            return s_mul(m, g, x)
-        return flow
-    raise ValueError(f"unknown group {group!r}")
+    return flow
 
 
 def generator_field(i, group, m=None, h_fd=1e-4):
@@ -195,41 +179,23 @@ def q_remap(u, case, m):
     (top, shift) for K1 this sends acting index i ↦ (m−1)+i and top index
     i ↦ i−k; for H the (n, shift) order keeps every index in place.
     """
-    if case == "H":
-        return u
-    d_n = m * (m - 1) // 2
-    k = d_n - (m - 1)
-
-    def remap(i):
-        return (m - 1) + i if i < k else i - k
-
+    slot = {b: j for j, b in enumerate(law(case, m).m_order)}
     return EnvelopingElement(
-        u.dim, tuple((c, tuple(remap(i) for i in w)) for c, w in u.terms))
+        u.dim, tuple((c, tuple(slot[i] for i in w)) for c, w in u.terms))
+
 
 def _m_coords_fun(f, case, m, base, shift):
     """f̃ as a function of the abelian (top, shift) / (n, shift) slots,
     with the acting slots frozen at the given extended point."""
-    d_n = m * (m - 1) // 2
+    L = law(case, m)
     base = np.asarray(base, dtype=float)
     shift = np.asarray(shift, dtype=float)
-    if case == "K1":
-        k = d_n - (m - 1)
-
-        def h(y):
-            y = np.asarray(y, dtype=float)
-            act = np.broadcast_to(base[:k], y.shape[:-1] + (k,))
-            b = np.concatenate([act, y[..., : m - 1]], axis=-1)
-            return tilde_eval_coords(f, case, m, b, y[..., m - 1:])
-
-        return h, np.concatenate([base[k:], shift])
 
     def h(y):
-        y = np.asarray(y, dtype=float)
-        b_slot = np.broadcast_to(base[d_n:], y.shape[:-1] + (m - 1,))
-        b = np.concatenate([y[..., :d_n], b_slot], axis=-1)
-        return tilde_eval_coords(f, case, m, b, y[..., d_n:])
+        b, u = L.m_split(np.asarray(y, dtype=float), acting=base[L.acting])
+        return tilde_eval_coords(f, case, m, b, u)
 
-    return h, np.concatenate([base[:d_n], shift])
+    return h, np.concatenate([base[L.top], shift])
 
 
 def operator_identity_residual(u, f, case, m, points, h_fd=None):
@@ -239,7 +205,7 @@ def operator_identity_residual(u, f, case, m, points, h_fd=None):
     fixed shift; Q_u differentiates the abelian (top, shift) slots at fixed
     acting coordinates.
     """
-    group = "N" if case == "K1" else "S"
+    group = law(case, m).base.name
     p_vals, q_vals = [], []
     for base, shift in points:
         base = np.asarray(base, dtype=float)
@@ -287,40 +253,37 @@ def fundamental_solution_abelian(u, axes, epsilon=1e-8):
     return FundamentalSolution(E, float(epsilon))
 
 
-def _twist_exponent(group, m, mesh):
-    """(per-point phase coordinate w, index map) for the Γ-pullback.
-
-    Returns w such that E_group(point) = E_M(w, on-grid tail coords), where
-    only the first M coordinate is off-grid.  (group, m) is (N, 3) or (S, 2).
-    """
-    if group == "N":
-        # Γ(h)(x, z, y) = h(z − x·y, y, x)
-        x, z, y = mesh[..., 0], mesh[..., 1], mesh[..., 2]
-        return z - x * y, (1, 2, 0)  # E_M axes (v1, v2, u) ← group axes (z, y, x)
-    # Γ(h)(n, t) = h(e^{-2t} n, t)
-    n, t = mesh[..., 0], mesh[..., 1]
-    return np.exp(-2.0 * t) * n, (0, 1)
+# The Γ pullback's one off-grid M coordinate, in closed form, for the
+# (group, m) whose other M coordinates land on the grid: Γ(h)(x, z, y) =
+# h(z − x·y, y, x) on N, m = 3, and Γ(h)(n, t) = h(e^{−2t}·n, t) on S, m = 2.
+_TWISTS = {
+    ("N", 3): lambda g: g[..., 1] - g[..., 0] * g[..., 2],
+    ("S", 2): lambda g: np.exp(-2.0 * g[..., 1]) * g[..., 0],
+}
 
 
 def fundamental_solution_group(u, group, m, axes, epsilon=1e-8):
     """Γ-pullback of the abelian fundamental solution onto group coordinates.
 
     Supported: abelian N (m=2), Heisenberg N (m=3), S (m=2).  The abelian
-    solution is computed on the permuted axes that make every untwisted
-    coordinate land on-grid; the single twisted coordinate is evaluated by
-    the semidiscrete inverse transform along its frequency axis.
+    solution is computed on the axes permuted into M order, which makes
+    every untwisted coordinate land on-grid; the single twisted coordinate
+    is evaluated by the semidiscrete inverse transform along its frequency
+    axis.
     """
     from .harmonic import fourier_inverse
 
-    if (group, m) not in (("N", 2), ("N", 3), ("S", 2)):  # before any mesh
+    ext = law(group, m).extension()
+    if ext.shift_dim and (group, m) not in _TWISTS:  # before any mesh
         raise ValueError(f"group solution not supported for {group!r}, m={m}")
     axes = tuple(axes)
-    uq = q_remap(u, "K1" if group == "N" else "H", m)
-    if group == "N" and m == 2:
+    uq = q_remap(u, ext.name, m)
+    if not ext.shift_dim:  # abelian N: Γ is the identity
         return fundamental_solution_abelian(uq, axes, epsilon)
 
     mesh = grid_mesh(axes)
-    w, perm = _twist_exponent(group, m, mesh)
+    w = _TWISTS[group, m](mesh)
+    perm = ext.m_order
     m_axes = tuple(axes[p] for p in perm)
     dual, Ehat = _divided_symbol(uq, m_axes, epsilon)
 
@@ -337,15 +300,12 @@ def fundamental_solution_group(u, group, m, axes, epsilon=1e-8):
         shape[ax] = -1
         C = np.fft.ifft(vals * fac.reshape(shape), axis=ax)
 
-    lam1 = grid_nodes(dual[0])
-    # E(point) = Σ_{λ1} C[λ1, tail(point)] e^{iλ1 w(point)} Δλ1/(2π)
-    if group == "N" and m == 3:
-        # tail indices: v2 ← y (axis 2), u ← x (axis 0)
-        phase = np.exp(1j * w[..., None] * lam1)
-        E = np.einsum("lki,ijkl->ijk", C, phase) * dual[0].step / (2 * np.pi)
-    else:  # S, m=2: tail index t (axis 1)
-        phase = np.exp(1j * w[..., None] * lam1)
-        E = np.einsum("lj,ijl->ij", C, phase) * dual[0].step / (2 * np.pi)
+    # E(point) = Σ_{λ1} C[λ1, tail(point)] e^{iλ1 w(point)} Δλ1/(2π), the
+    # tail indices read off the group axes each M axis came from
+    idx = "ijk"[:len(axes)]
+    spec = "l" + "".join(idx[p] for p in perm[1:]) + f",{idx}l->{idx}"
+    phase = np.exp(1j * w[..., None] * grid_nodes(dual[0]))
+    E = np.einsum(spec, C, phase) * dual[0].step / (2 * np.pi)
     return FundamentalSolution(GridFunction(axes, E), float(epsilon))
 
 

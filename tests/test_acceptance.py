@@ -12,8 +12,7 @@ import pytest
 
 from anharm.cli import main
 from anharm.harmonic import (
-    group_law, plancherel_check, projected_convolution_check,
-    theorem31_residual,
+    plancherel_check, projected_convolution_check, theorem31_residual,
 )
 from anharm.ideals import (
     correspondence_check, gamma_intertwine_residual, ideal_model,
@@ -30,7 +29,7 @@ from anharm.scalars import (
 from anharm.testfuncs import (
     Axis, GridFunction, derivative, gaussian, grid_nodes, quadrature,
 )
-from anharm.groups import n_mul, rho_scale, s_mul
+from anharm.groups import law, n_mul, rho_scale, s_mul
 
 
 def E(dim, *words, coefs=None):
@@ -51,7 +50,8 @@ def test_criterion_01_group_axioms():
     rng = np.random.default_rng(0)
     for group in ("N", "S"):
         for m in (2, 3, 4, 5):
-            mul, inv, dim = group_law(group, m)
+            L = law(group, m)
+            mul, inv, dim = L.mul, L.inv, L.dim
             x, y, z = (rng.uniform(-2.0, 2.0, (10_000, dim)) for _ in range(3))
             lhs = mul(mul(x, y), z)
             scale = max(1.0, float(np.max(np.abs(lhs))))

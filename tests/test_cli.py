@@ -266,9 +266,14 @@ def test_plancherel_refuses_an_oversized_grid_before_sampling(monkeypatch,
 
 # ── seed stability ───────────────────────────────────────────────────────────
 
-def test_projected_convolution_k1_margin_over_seeds(capsys):
-    for seed in range(12):
-        main(["verify", "projected-convolution", "--seed", str(seed)])
+@pytest.mark.parametrize("check, case, seeds", [
+    ("projected-convolution", "K1", range(12)),
+    # at its former 64×32 grid this line failed on seeds 11, 16 and 19
+    ("convolution-identity", "H", range(24)),
+], ids=["projected-convolution-K1", "convolution-identity-H"])
+def test_gate_margin_over_seeds(capsys, check, case, seeds):
+    for seed in seeds:
+        main(["verify", check, "--seed", str(seed)])
         lines = [json.loads(s) for s in capsys.readouterr().out.splitlines()]
-        (k1,) = [ln for ln in lines if ln["params"]["case"] == "K1"]
-        assert 3.0 * k1["value"] <= k1["tolerance"], (seed, k1["value"])
+        (line,) = [ln for ln in lines if ln["params"]["case"] == case]
+        assert 3.0 * line["value"] <= line["tolerance"], (seed, line["value"])

@@ -1,0 +1,63 @@
+"""Design lint: the law table is the one place that knows the groups.
+
+Every group dimension and every choice made on a group's name lives in
+``groups.law``; elsewhere the code asks the Law it gets from there.  The lint
+keeps the formula m(m−1)/2 and comparisons of a ``case`` or ``group`` against
+a group name out of the rest of ``src/anharm``.
+"""
+
+import ast
+import pathlib
+import re
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "anharm"
+GROUP_NAMES = {"N", "S", "K1", "H", "M"}
+FORMULA = re.compile(r"\bm\s*\*\s*\(\s*m\s*-\s*1\s*\)\s*//\s*2")
+ALLOWED = {("groups.py", "law")}  # (file, function) where both may appear
+
+
+def _subject(node):
+    """The name a comparison operand reads: case, p.case, cfg.group, ..."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _has_group_name(node):
+    if isinstance(node, ast.Constant):
+        return node.value in GROUP_NAMES
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_has_group_name(e) for e in node.elts)
+    return False
+
+
+def design_violations(path):
+    """'file:line: kind' for each law dispatch or dimension formula found
+    outside the allowed functions."""
+    text = path.read_text()
+    tree = ast.parse(text)
+    allowed = set()
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.FunctionDef)
+                and (path.name, node.name) in ALLOWED):
+            allowed.update(range(node.lineno, node.end_lineno + 1))
+        if isinstance(node, ast.Compare):
+            ops = [node.left, *node.comparators]
+            if (any(_subject(o) in ("case", "group") for o in ops)
+                    and any(_has_group_name(o) for o in ops)):
+                found.append((node.lineno, "comparison with a group name"))
+    found += [(i, "inline m*(m-1)//2")
+              for i, line in enumerate(text.splitlines(), 1)
+              if FORMULA.search(line)]
+    return [f"{path.name}:{line}: {kind}" for line, kind in sorted(found)
+            if line not in allowed]
+
+
+def test_group_knowledge_stays_in_the_law_table():
+    paths = sorted(SRC.glob("*.py"))
+    assert any(p.name == "groups.py" for p in paths)
+    found = [v for p in paths for v in design_violations(p)]
+    assert not found, "\n".join(found)

@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
-from anharm.groups import (
-    GroupSpec, UnipotentElement, DiagonalElement, SolvableElement,
-    ExtendedPoint, coords_to_matrix, matrix_to_coords, n_mul, rho_apply,
-    s_mul,
-)
-from anharm.testfuncs import gaussian, poly_gaussian, random_gaussian
+from anharm.groups import coords_to_matrix, law, matrix_to_coords, s_mul
+from anharm.testfuncs import poly_gaussian, random_gaussian
 from anharm.extension import (
-    iota_coords, tilde_eval, tilde_eval_coords, invariance_residual,
-    restrict_to_M, gamma, gamma_inv, m_dim,
+    tilde_eval_coords, restrict_to_M, gamma, gamma_inv,
 )
 
 
@@ -17,45 +12,42 @@ def rand_fun(rng, dim):
     return random_gaussian(rng, dim)
 
 
-def h_point(spec, n, t, shift):
-    return ExtendedPoint(
-        "H",
-        SolvableElement(UnipotentElement(spec, n), DiagonalElement(spec, t)),
-        shift,
-    )
+def invariance_residual(f, case, m, base, shift, s):
+    """|f̃(ι(s)∘base, shift − s) − f̃(base, shift)| for acting-factor s."""
+    twisted = law(case, m).compose(np.asarray(s, dtype=float), base)
+    a = tilde_eval_coords(f, case, m, twisted, shift - s)
+    b = tilde_eval_coords(f, case, m, base, shift)
+    return float(abs(a - b))
 
 
 def test_tilde_shift_zero_is_section():
     rng = np.random.default_rng(0)
-    spec = GroupSpec(3)
     f = rand_fun(rng, 5)
     for _ in range(25):
         n = rng.uniform(-1, 1, 3)
         t = rng.uniform(-1, 1, 2)
-        p = h_point(spec, n, t, np.zeros(2))
-        assert tilde_eval(f, p) == pytest.approx(
-            complex(f(np.concatenate([n, t]))), rel=1e-14)
+        base = np.concatenate([n, t])
+        got = complex(tilde_eval_coords(f, "H", 3, base, np.zeros(2)))
+        assert got == pytest.approx(complex(f(base)), rel=1e-14)
 
 
 def test_tilde_h_m2_example():
-    spec = GroupSpec(2)
     f = poly_gaussian(1.0, [1, 1], [0.0, 0.0], [0.3, 0.3])
-    p = h_point(spec, [1.0], [0.0], [np.log(2.0)])
+    got = complex(tilde_eval_coords(f, "H", 2, [1.0, 0.0], [np.log(2.0)]))
     want = complex(f(np.array([4.0, np.log(2.0)])))
-    assert tilde_eval(f, p) == pytest.approx(want, rel=1e-13)
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_tilde_k1_matches_matrix_oracle():
     rng = np.random.default_rng(1)
-    spec = GroupSpec(3)
     f = rand_fun(rng, 3)
     for _ in range(25):
         g = rng.uniform(-1, 1, 3)
         u = rng.uniform(-1, 1, 1)
-        p = ExtendedPoint("K1", UnipotentElement(spec, g), u)
-        emb = coords_to_matrix(3, iota_coords("K1", 3, u))
+        emb = coords_to_matrix(3, law("K1", 3).iota(u))
         arg = matrix_to_coords(3, emb @ coords_to_matrix(3, g))
-        assert tilde_eval(f, p) == pytest.approx(complex(f(arg)), rel=1e-13)
+        got = complex(tilde_eval_coords(f, "K1", 3, g, u))
+        assert got == pytest.approx(complex(f(arg)), rel=1e-13)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -71,7 +63,7 @@ def test_tilde_h_equals_the_s_product_with_iota(m):
               np.broadcast_to(rng.uniform(-1, 1, (1, 3, m - 1)), (40, 3, m - 1))]
     for u in shifts:
         got = tilde_eval_coords(f, "H", m, base, u)
-        want = f(s_mul(m, iota_coords("H", m, u), base))
+        want = f(s_mul(m, law("H", m).iota(u), base))
         assert got.shape == (40, 3)
         if m <= 3:
             assert np.array_equal(got, want)
@@ -81,30 +73,24 @@ def test_tilde_h_equals_the_s_product_with_iota(m):
 
 def test_invariance_residual_identity_shift():
     rng = np.random.default_rng(2)
-    spec = GroupSpec(3)
     f = rand_fun(rng, 3)
-    p = ExtendedPoint("K1", UnipotentElement(spec, rng.uniform(-1, 1, 3)),
-                      rng.uniform(-1, 1, 1))
-    assert invariance_residual(f, p, np.zeros(1)) == 0.0
+    base, shift = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 1)
+    assert invariance_residual(f, "K1", 3, base, shift, np.zeros(1)) == 0.0
 
 
 @pytest.mark.parametrize("case,m", [("K1", 3), ("H", 2), ("H", 3)])
 def test_invariance_residual_random(case, m):
     rng = np.random.default_rng(3)
-    spec = GroupSpec(m)
-    d_n, d_a = spec.dim_n, spec.dim_a
+    L = law(case, m)
+    d_n, k = law("N", m).dim, L.shift_dim
     for _ in range(50):
-        if case == "K1":
-            f = rand_fun(rng, d_n)
-            p = ExtendedPoint("K1", UnipotentElement(spec, rng.uniform(-1, 1, d_n)),
-                              rng.uniform(-1, 1, spec.k1_shift_dim))
-            s = rng.uniform(-1, 1, spec.k1_shift_dim)
-        else:
-            f = rand_fun(rng, d_n + d_a)
-            p = h_point(spec, rng.uniform(-1, 1, d_n), rng.uniform(-1, 1, d_a),
-                        rng.uniform(-1, 1, d_a))
-            s = rng.uniform(-1, 1, d_a)
-        assert invariance_residual(f, p, s) < 1e-10
+        # the base draws come in the order n, then t
+        f = rand_fun(rng, L.base.dim)
+        base = np.concatenate([rng.uniform(-1, 1, d_n),
+                               rng.uniform(-1, 1, L.base.dim - d_n)])
+        shift = rng.uniform(-1, 1, k)
+        s = rng.uniform(-1, 1, k)
+        assert invariance_residual(f, case, m, base, shift, s) < 1e-10
 
 
 def test_restrict_h_m2_example():
@@ -116,7 +102,6 @@ def test_restrict_h_m2_example():
 
 def test_restrict_k1_matches_tilde_at_zero_acting():
     rng = np.random.default_rng(4)
-    spec = GroupSpec(3)
     f = rand_fun(rng, 3)
     h = restrict_to_M(f, "K1", 3)
     for _ in range(20):
@@ -131,8 +116,7 @@ def test_restrict_k1_matches_tilde_at_zero_acting():
 def test_gamma_inverts_restriction(case, m):
     """Γ(restrict_to_M(f)) = f on the group, pointwise."""
     rng = np.random.default_rng(5)
-    spec = GroupSpec(m)
-    dim = spec.dim_n if case == "K1" else spec.dim_s
+    dim = law(case, m).base.dim
     f = rand_fun(rng, dim)
     g = gamma(restrict_to_M(f, case, m), case, m)
     pts = rng.uniform(-1.5, 1.5, (200, dim))
@@ -142,7 +126,7 @@ def test_gamma_inverts_restriction(case, m):
 @pytest.mark.parametrize("case,m", [("K1", 3), ("H", 2), ("H", 3)])
 def test_gamma_round_trip(case, m):
     rng = np.random.default_rng(6)
-    dmm = m_dim(case, m)
+    dmm = law(case, m).base.dim
     h = rand_fun(rng, dmm)
     back = gamma_inv(gamma(h, case, m), case, m)
     pts = rng.uniform(-1.5, 1.5, (200, dmm))
@@ -170,7 +154,7 @@ def test_gamma_twist_is_measure_preserving():
     # det of the per-point twist on the top slot: conjugation block has det 1
     for _ in range(10):
         x = rng.uniform(-1, 1, 1)
-        emb = coords_to_matrix(m, iota_coords("K1", m, x))
+        emb = coords_to_matrix(m, law("K1", m).iota(x))
         block = emb[: m - 1, : m - 1]
         assert abs(np.linalg.det(block) - 1.0) < 1e-12
     h1, h2 = rand_fun(rng, 3), rand_fun(rng, 3)

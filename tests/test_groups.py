@@ -1,234 +1,16 @@
 """Group arithmetic: oracles are dense matrix products/inverses."""
 
+import json
+
 import numpy as np
 import pytest
 
 from anharm.groups import (
-    GroupSpec, UnipotentElement, DiagonalElement, SolvableElement, LayerVector,
-    ExtendedPoint, coords_to_matrix, matrix_to_coords, upper_indices,
-    unipotent_mul, unipotent_inv, layer_decompose, layer_compose, conjugate,
-    solvable_mul, solvable_inv, extended_mul, unipotent_identity,
-    diagonal_identity, solvable_identity, extended_identity, n_mul, n_inv,
-    s_mul, s_inv, rho_scale, rho_apply, diag_entries, element_to_json, element_from_json,
+    Element, coords_to_matrix, diag_entries, element_from_json,
+    element_to_json, law, matrix_to_coords, n_inv, n_mul, rho_apply,
+    rho_scale, s_inv, s_mul, upper_indices,
 )
 
-
-def rand_n(spec, rng):
-    return UnipotentElement(spec, rng.uniform(-2, 2, spec.dim_n))
-
-
-def rand_a(spec, rng):
-    return DiagonalElement(spec, rng.uniform(-1, 1, spec.dim_a))
-
-
-def rand_s(spec, rng):
-    return SolvableElement(rand_n(spec, rng), rand_a(spec, rng))
-
-
-def s_matrix(p):
-    """Dense oracle: the actual upper-triangular matrix n·a in SL(m)."""
-    return p.n_part.matrix() @ np.diag(p.a_part.entries())
-
-
-def test_unipotent_mul_heisenberg_example():
-    spec = GroupSpec(3)
-    g = UnipotentElement(spec, [1.0, 0.0, 0.0])   # x=1 (n12)
-    h = UnipotentElement(spec, [0.0, 0.0, 1.0])   # y=1 (n23)
-    out = unipotent_mul(g, h)
-    assert np.allclose(out.entries, [1.0, 1.0, 1.0], atol=1e-15)
-
-
-def test_unipotent_mul_identity():
-    spec = GroupSpec(4)
-    rng = np.random.default_rng(0)
-    g = rand_n(spec, rng)
-    out = unipotent_mul(unipotent_identity(spec), g)
-    assert np.array_equal(out.entries, g.entries)
-
-
-def test_unipotent_mul_matches_dense_product():
-    spec = GroupSpec(4)
-    rng = np.random.default_rng(1)
-    g, h = rand_n(spec, rng), rand_n(spec, rng)
-    want = matrix_to_coords(4, g.matrix() @ h.matrix())
-    assert np.allclose(unipotent_mul(g, h).entries, want, atol=1e-14)
-
-
-def test_unipotent_inv_closed_form_m3():
-    spec = GroupSpec(3)
-    g = UnipotentElement(spec, [1.0, 3.0, 2.0])   # x=1, z=3, y=2
-    out = unipotent_inv(g)
-    assert np.allclose(out.entries, [-1.0, -1.0, -2.0], atol=1e-15)
-
-
-def test_unipotent_inv_round_trip_m5():
-    spec = GroupSpec(5)
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        g = rand_n(spec, rng)
-        prod = unipotent_mul(g, unipotent_inv(g))
-        assert np.max(np.abs(prod.entries)) < 1e-12
-        # oracle: numpy linear inverse
-        assert np.allclose(unipotent_inv(g).matrix(), np.linalg.inv(g.matrix()), atol=1e-12)
-
-
-def test_layer_decompose_example():
-    spec = GroupSpec(3)
-    g = UnipotentElement(spec, [1.5, -2.0, 0.5])  # x, z, y
-    v = layer_decompose(g)
-    assert np.array_equal(v.layers[0], [1.5])
-    assert np.array_equal(v.layers[1], [-2.0, 0.5])
-
-
-def test_layer_compose_is_left_ordered_product():
-    # ι₂(z,y)·ι₁(x) oracle
-    spec = GroupSpec(3)
-    x, z, y = 0.3, -1.2, 0.7
-    i2 = coords_to_matrix(3, [0.0, z, y])
-    i1 = coords_to_matrix(3, [x, 0.0, 0.0])
-    want = matrix_to_coords(3, i2 @ i1)
-    got = layer_compose(LayerVector(spec, (np.array([x]), np.array([z, y]))))
-    assert np.allclose(got.entries, want, atol=1e-15)
-
-
-def test_layer_round_trip_exact():
-    spec = GroupSpec(4)
-    rng = np.random.default_rng(3)
-    g = rand_n(spec, rng)
-    assert np.array_equal(layer_compose(layer_decompose(g)).entries, g.entries)
-
-
-def test_layer_compose_rejects_bad_lengths():
-    spec = GroupSpec(3)
-    with pytest.raises(ValueError):
-        LayerVector(spec, (np.array([1.0, 2.0]), np.array([0.0])))
-
-
-def test_conjugate_diagonal_m2_example():
-    spec = GroupSpec(2)
-    a = DiagonalElement(spec, [np.log(2.0)])
-    h = UnipotentElement(spec, [1.0])
-    assert np.allclose(conjugate(a, h).entries, [4.0], atol=1e-12)
-
-
-def test_conjugate_identity_leaves_fixed():
-    spec = GroupSpec(3)
-    rng = np.random.default_rng(4)
-    h = rand_n(spec, rng)
-    out = conjugate(unipotent_identity(spec), h)
-    assert np.allclose(out.entries, h.entries, atol=1e-14)
-
-
-def test_conjugate_diagonal_matches_dense_oracle():
-    spec = GroupSpec(3)
-    rng = np.random.default_rng(5)
-    a, h = rand_a(spec, rng), rand_n(spec, rng)
-    am = np.diag(a.entries())
-    want = matrix_to_coords(3, am @ h.matrix() @ np.linalg.inv(am))
-    assert np.allclose(conjugate(a, h).entries, want, atol=1e-12)
-
-
-def test_diagonal_det_one():
-    spec = GroupSpec(5)
-    rng = np.random.default_rng(6)
-    a = rand_a(spec, rng)
-    assert abs(np.prod(a.entries()) - 1.0) < 1e-12
-
-
-def test_solvable_mul_m2_example():
-    spec = GroupSpec(2)
-    p = SolvableElement(UnipotentElement(spec, [1.0]), DiagonalElement(spec, [np.log(2.0)]))
-    q = SolvableElement(UnipotentElement(spec, [1.0]), DiagonalElement(spec, [0.0]))
-    out = solvable_mul(p, q)
-    assert np.allclose(out.n_part.entries, [5.0], atol=1e-12)
-    assert np.allclose(out.a_part.log_coords, [np.log(2.0)], atol=1e-15)
-
-
-def test_solvable_mul_matches_matrix_oracle():
-    spec = GroupSpec(3)
-    rng = np.random.default_rng(7)
-    p, q = rand_s(spec, rng), rand_s(spec, rng)
-    out = solvable_mul(p, q)
-    assert np.allclose(s_matrix(out), s_matrix(p) @ s_matrix(q), atol=1e-12)
-
-
-def test_solvable_inv_m2_example():
-    spec = GroupSpec(2)
-    p = SolvableElement(UnipotentElement(spec, [1.0]), DiagonalElement(spec, [np.log(2.0)]))
-    out = solvable_inv(p)
-    assert np.allclose(out.n_part.entries, [-0.25], atol=1e-12)
-    assert np.allclose(np.exp(out.a_part.log_coords), [0.5], atol=1e-12)
-
-
-def test_solvable_inv_round_trip():
-    spec = GroupSpec(3)
-    rng = np.random.default_rng(8)
-    p = rand_s(spec, rng)
-    e = solvable_mul(p, solvable_inv(p))
-    assert np.max(np.abs(e.n_part.entries)) < 1e-12
-    assert np.max(np.abs(e.a_part.log_coords)) < 1e-12
-
-
-def test_extended_mul_h_m2_example():
-    spec = GroupSpec(2)
-    p = ExtendedPoint("H", SolvableElement(
-        UnipotentElement(spec, [1.0]), DiagonalElement(spec, [np.log(2.0)])), [0.5])
-    q = ExtendedPoint("H", solvable_identity(spec), [0.0])
-    q = ExtendedPoint("H", SolvableElement(
-        UnipotentElement(spec, [1.0]), DiagonalElement(spec, [0.0])), [0.0])
-    out = extended_mul(p, q)
-    assert np.allclose(out.base.n_part.entries, [5.0], atol=1e-12)
-    assert np.allclose(out.base.a_part.log_coords, [np.log(2.0)], atol=1e-15)
-    assert np.allclose(out.shift, [0.5], atol=1e-15)
-
-
-def test_extended_mul_identity_and_case_checks():
-    spec = GroupSpec(3)
-    e = extended_mul(extended_identity("K1", spec), extended_identity("K1", spec))
-    assert np.max(np.abs(e.base.entries)) == 0.0 and np.max(np.abs(e.shift)) == 0.0
-    with pytest.raises(ValueError):
-        extended_mul(extended_identity("K1", spec), extended_identity("H", spec))
-
-
-def test_extended_mul_k1_associative():
-    spec = GroupSpec(3)
-    rng = np.random.default_rng(9)
-    pts = [ExtendedPoint("K1", rand_n(spec, rng), rng.uniform(-1, 1, 1)) for _ in range(3)]
-    p, q, r = pts
-    lhs = extended_mul(extended_mul(p, q), r)
-    rhs = extended_mul(p, extended_mul(q, r))
-    assert np.allclose(lhs.base.entries, rhs.base.entries, atol=1e-12)
-    assert np.allclose(lhs.shift, rhs.shift, atol=1e-15)
-
-
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
-def test_batched_laws_associative_and_invertible(m):
-    rng = np.random.default_rng(10 + m)
-    k = 200
-    x, y, z = (rng.uniform(-1, 1, (k, m * (m - 1) // 2)) for _ in range(3))
-    lhs = n_mul(m, n_mul(m, x, y), z)
-    rhs = n_mul(m, x, n_mul(m, y, z))
-    assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(lhs)))
-    assert np.max(np.abs(n_mul(m, x, n_inv(m, x)))) < 1e-12
-
-    d = m * (m - 1) // 2 + m - 1
-    p, q, r = (rng.uniform(-1, 1, (k, d)) for _ in range(3))
-    lhs = s_mul(m, s_mul(m, p, q), r)
-    rhs = s_mul(m, p, s_mul(m, q, r))
-    assert np.max(np.abs(lhs - rhs)) < 1e-11 * max(1.0, np.max(np.abs(lhs)))
-    assert np.max(np.abs(s_mul(m, p, s_inv(m, p)))) < 1e-12
-
-
-def test_rho_scale_matches_entry_ratios():
-    m = 4
-    rng = np.random.default_rng(20)
-    t = rng.uniform(-1, 1, m - 1)
-    a = diag_entries(t)
-    want = np.array([a[i] / a[j] for (i, j) in upper_indices(m)])
-    assert np.allclose(rho_scale(m, t), want, atol=1e-14)
-
-
-# ── kernel oracles: the S law written as matrices ───────────────────────────
 
 def _diag(m, t):
     """diag(e^{t_1}, …, e^{t_{m-1}}, e^{-Σt}) from its definition."""
@@ -247,6 +29,169 @@ def _s_coords(m, mat):
     a = np.diag(mat)
     return np.concatenate([matrix_to_coords(m, mat / a), np.log(a[:-1])])
 
+
+def _rand_s(m, rng):
+    d = m * (m - 1) // 2
+    return np.concatenate([rng.uniform(-2, 2, d), rng.uniform(-1, 1, m - 1)])
+
+
+def test_unipotent_mul_heisenberg_example():
+    # x=1 (n12) times y=1 (n23)
+    assert np.allclose(n_mul(3, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]),
+                       [1.0, 1.0, 1.0], atol=1e-15)
+
+
+def test_unipotent_mul_identity():
+    g = np.random.default_rng(0).uniform(-2, 2, 6)
+    assert np.array_equal(n_mul(4, np.zeros(6), g), g)
+
+
+def test_unipotent_mul_matches_dense_product():
+    rng = np.random.default_rng(1)
+    g, h = rng.uniform(-2, 2, (2, 6))
+    want = matrix_to_coords(4, coords_to_matrix(4, g) @ coords_to_matrix(4, h))
+    assert np.allclose(n_mul(4, g, h), want, atol=1e-14)
+
+
+def test_unipotent_inv_closed_form_m3():
+    # x=1, z=3, y=2
+    assert np.allclose(n_inv(3, [1.0, 3.0, 2.0]), [-1.0, -1.0, -2.0],
+                       atol=1e-15)
+
+
+def test_unipotent_inv_round_trip_m5():
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        g = rng.uniform(-2, 2, 10)
+        assert np.max(np.abs(n_mul(5, g, n_inv(5, g)))) < 1e-12
+        # oracle: numpy linear inverse
+        assert np.allclose(coords_to_matrix(5, n_inv(5, g)),
+                           np.linalg.inv(coords_to_matrix(5, g)), atol=1e-12)
+
+
+def test_layer_decompose_example():
+    # layer order: layer 1 is (n12), layer 2 is (n13, n23)
+    assert upper_indices(3) == [(0, 1), (0, 2), (1, 2)]
+    mat = coords_to_matrix(3, [1.5, -2.0, 0.5])
+    assert (mat[0, 1], mat[0, 2], mat[1, 2]) == (1.5, -2.0, 0.5)
+
+
+def test_layer_compose_is_left_ordered_product():
+    # ι₂(z,y)·ι₁(x) carries each layer verbatim in layer coordinates
+    x, z, y = 0.3, -1.2, 0.7
+    want = matrix_to_coords(3, coords_to_matrix(3, [0.0, z, y])
+                            @ coords_to_matrix(3, [x, 0.0, 0.0]))
+    got = n_mul(3, [0.0, z, y], [x, 0.0, 0.0])
+    assert np.allclose(got, want, atol=1e-15)
+    assert np.array_equal(got, [x, z, y])
+
+
+def test_layer_round_trip_exact():
+    g = np.random.default_rng(3).uniform(-2, 2, 6)
+    assert np.array_equal(matrix_to_coords(4, coords_to_matrix(4, g)), g)
+
+
+def test_conjugate_diagonal_m2_example():
+    # diag(2, 1/2) conjugates n12 = 1 to a1/a2 = 4
+    assert np.allclose(rho_apply(2, [np.log(2.0)], [1.0]), [4.0], atol=1e-12)
+
+
+def test_conjugate_identity_leaves_fixed():
+    h = np.random.default_rng(4).uniform(-2, 2, 3)
+    e = np.zeros(3)
+    assert np.allclose(n_mul(3, n_mul(3, e, h), n_inv(3, e)), h, atol=1e-14)
+    assert np.allclose(rho_apply(3, np.zeros(2), h), h, atol=1e-14)
+
+
+def test_diagonal_det_one():
+    t = np.random.default_rng(6).uniform(-1, 1, 4)
+    assert abs(np.prod(diag_entries(t)) - 1.0) < 1e-12
+
+
+def test_solvable_mul_m2_example():
+    out = s_mul(2, [1.0, np.log(2.0)], [1.0, 0.0])
+    assert np.allclose(out, [5.0, np.log(2.0)], atol=1e-12)
+
+
+def test_solvable_mul_matches_matrix_oracle():
+    rng = np.random.default_rng(7)
+    p, q = _rand_s(3, rng), _rand_s(3, rng)
+    assert np.allclose(_s_matrix(3, s_mul(3, p, q)),
+                       _s_matrix(3, p) @ _s_matrix(3, q), atol=1e-12)
+
+
+def test_solvable_inv_m2_example():
+    out = s_inv(2, [1.0, np.log(2.0)])
+    assert np.allclose(out[:1], [-0.25], atol=1e-12)
+    assert np.allclose(np.exp(out[1:]), [0.5], atol=1e-12)
+
+
+def test_solvable_inv_round_trip():
+    p = _rand_s(3, np.random.default_rng(8))
+    assert np.max(np.abs(s_mul(3, p, s_inv(3, p)))) < 1e-12
+
+
+def test_extended_mul_h_m2_example():
+    # ((1, log 2), 0.5)·((1, 0), 0) on H = S × R
+    out = law("H", 2).mul([1.0, np.log(2.0), 0.5], [1.0, 0.0, 0.0])
+    assert np.allclose(out, [5.0, np.log(2.0), 0.5], atol=1e-12)
+
+
+def test_extended_mul_identity_and_case_checks():
+    K1 = law("K1", 3)
+    e = np.zeros(K1.dim)
+    assert np.array_equal(K1.mul(e, e), e)
+    assert np.array_equal(K1.inv(e), e)
+    with pytest.raises(ValueError):
+        law("K2", 3)
+
+
+def test_extended_mul_k1_associative():
+    K1 = law("K1", 3)
+    p, q, r = np.random.default_rng(9).uniform(-1, 1, (3, K1.dim))
+    lhs = K1.mul(K1.mul(p, q), r)
+    rhs = K1.mul(p, K1.mul(q, r))
+    assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+def test_law_slots_and_dimensions():
+    # K1: acting layers 1..m-2 of N; H: the A part of S; M order puts the
+    # top slots first and the acting slots, paired with the shift, last
+    K1, H = law("K1", 4), law("H", 3)
+    assert (K1.base.dim, K1.shift_dim, K1.m_order) == (6, 3, (3, 4, 5, 0, 1, 2))
+    assert (H.base.dim, H.shift_dim, H.m_order) == (5, 2, (0, 1, 2, 3, 4))
+    assert law("N", 3).extension() is law("K1", 3)
+    assert law("S", 3).extension() is law("H", 3)
+    assert np.array_equal(K1.iota([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0, 0, 0, 0])
+    assert np.array_equal(H.iota([1.0, 2.0]), [0, 0, 0, 1.0, 2.0])
+    assert law("N", 3).modular is None
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_batched_laws_associative_and_invertible(m):
+    rng = np.random.default_rng(10 + m)
+    k = 200
+    # ρ factors inflate S and H products, hence their looser tolerance
+    for name, tol in [("N", 1e-12), ("S", 1e-11), ("K1", 1e-12),
+                      ("H", 1e-11), ("M", 0.0)]:
+        L = law(name, m)
+        x, y, z = (rng.uniform(-1, 1, (k, L.dim)) for _ in range(3))
+        lhs = L.mul(L.mul(x, y), z)
+        rhs = L.mul(x, L.mul(y, z))
+        assert np.max(np.abs(lhs - rhs)) <= tol * max(1.0, np.max(np.abs(lhs)))
+        assert np.max(np.abs(L.mul(x, L.inv(x)))) < 1e-12
+
+
+def test_rho_scale_matches_entry_ratios():
+    m = 4
+    rng = np.random.default_rng(20)
+    t = rng.uniform(-1, 1, m - 1)
+    a = diag_entries(t)
+    want = np.array([a[i] / a[j] for (i, j) in upper_indices(m)])
+    assert np.allclose(rho_scale(m, t), want, atol=1e-14)
+
+
+# ── kernel oracles: the S law written as matrices ───────────────────────────
 
 def _max_rel(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
@@ -343,27 +288,35 @@ def test_laws_on_strided_views_equal_contiguous_copies(m, width):
 
 
 def test_json_round_trip():
-    spec = GroupSpec(4)
     rng = np.random.default_rng(21)
-    g = rand_n(spec, rng)
+    g = Element(4, rng.uniform(-2, 2, 6))
     back = element_from_json(element_to_json(g))
-    assert np.allclose(back.entries, g.entries, atol=0)
-    p = rand_s(spec, rng)
+    assert np.array_equal(back.entries, g.entries)
+    assert back.log_a.shape == (0,)
+    p = Element(4, rng.uniform(-2, 2, 6), rng.uniform(-1, 1, 3))
     back = element_from_json(element_to_json(p))
-    assert np.allclose(back.n_part.entries, p.n_part.entries, atol=0)
-    assert np.allclose(back.a_part.log_coords, p.a_part.log_coords, atol=0)
+    assert np.array_equal(back.entries, p.entries)
+    assert np.array_equal(back.log_a, p.log_a)
+    assert (json.dumps(element_to_json(Element(2, [1.5], [0.25])))
+            == '{"m": 2, "entries": [1.5], "log_a": [0.25]}')
 
 
 def test_json_entries_are_row_major():
-    spec = GroupSpec(4)
     # column-major (layer) order: n12, n13, n23, n14, n24, n34
-    g = UnipotentElement(spec, [12.0, 13.0, 23.0, 14.0, 24.0, 34.0])
+    g = Element(4, [12.0, 13.0, 23.0, 14.0, 24.0, 34.0])
     obj = element_to_json(g)
     assert obj["entries"] == [12.0, 13.0, 14.0, 23.0, 24.0, 34.0]
+    assert obj["log_a"] == []
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        GroupSpec(1)
+        law("N", 1)
     with pytest.raises(ValueError):
-        unipotent_mul(unipotent_identity(GroupSpec(2)), unipotent_identity(GroupSpec(3)))
+        Element(1, [])
+    with pytest.raises(ValueError):  # N coordinates of the wrong length
+        Element(3, [1.0, 2.0])
+    with pytest.raises(ValueError):  # A coordinates of the wrong length
+        Element(3, [0.0, 0.0, 0.0], [1.0])
+    with pytest.raises(ValueError):
+        element_from_json({"m": 3, "entries": [1.0, 2.0]})

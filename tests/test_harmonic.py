@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anharm.groups import n_inv, n_mul, rho_scale, s_mul
+from anharm.groups import law, n_inv, n_mul, rho_scale, s_mul
 from anharm.testfuncs import (
     Axis, GridFunction, dual_axis, gaussian, grid_mesh, grid_nodes,
     quadrature, sample, shift_function,
@@ -407,8 +407,8 @@ def test_filled_engines_equal_concatenated_formulas(monkeypatch, chunk,
     def F_ext(b, s):
         return tilde_eval_coords(f, case, m, b, s)
 
-    got, want = (fn(case, m, base[None], shift[None], y) for fn in
-                 (harmonic._c_translate, _concatenated_c_translate))
+    got = harmonic._c_translate(law(case, m), base[None], shift[None], y)
+    want = _concatenated_c_translate(case, m, base[None], shift[None], y)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     for engine, formula in [(convolve_extended_c, _concatenated_c),
                             (convolve_extended_c_substituted,
