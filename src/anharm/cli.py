@@ -41,7 +41,7 @@ from .scalars import (
     NegReal, iso_Phi, iso_Psi, iso_Psi_inv, iso_psi, neg_identity, neg_inv,
     neg_mul, pair_mul,
 )
-from .testfuncs import Axis, GridFunction, export_csv, gaussian
+from .testfuncs import Axis, GridFunction, export_csv, gaussian, sample_chunk
 
 __all__ = ["main", "parse_operator", "OperatorSyntaxError"]
 
@@ -62,7 +62,8 @@ CHECK_FLAGS = {
 }
 _FLAGS = ("group", "m", "grid", "halfwidth", "dictionary_size", "probes")
 
-# The largest complex sample array a check may ask for; 2 GiB holds a 32⁵ grid.
+# The cap on a command's estimated peak memory (plancherel_peak_bytes,
+# solve_peak_bytes); the 32⁵ plancherel grid is estimated at 1.81 GiB.
 MAX_GRID_BYTES = 2 << 30
 
 
@@ -222,6 +223,45 @@ def check_group_axioms(cfg):
 def grid_bytes(axes):
     """Bytes of one complex sample array on the product grid of the axes."""
     return 16 * math.prod(a.points for a in axes)
+
+
+def plancherel_peak_bytes(axes):
+    """Estimated peak bytes of plancherel_check on the axes' grid, the sum
+    of its two phases' needs (an upper bound):
+
+    - the transform: the samples, one copy transformed in place and one
+      float array of squares (2.5 sample arrays; 3.5 leaves room for the
+      grid-sized phase factors of a 1-D grid);
+    - sampling: per point of the chunk evaluated at once, its mesh row of
+      k floats and TestFunction's three scratch floats.
+
+    tests/test_cli.py checks the estimate against tracemalloc peaks."""
+    chunk = 16 * sample_chunk(axes)
+    return 7 * grid_bytes(axes) // 2 + chunk * (len(axes) + 3) // 2
+
+
+def solve_peak_bytes(axes):
+    """Estimated peak bytes of fundamental_solution_group on the axes' grid:
+    8 sample arrays, where tracemalloc measures 4.5 to 5.7 (the symbol on
+    the dual mesh, then the twist's z, two Horner sums and the frequency
+    array; tests/test_cli.py checks the estimate)."""
+    return 8 * grid_bytes(axes)
+
+
+def _cap_error(command, axes, peak):
+    """The message refusing a grid whose estimated peak exceeds the cap, or
+    None."""
+    if peak <= MAX_GRID_BYTES:
+        return None
+    shape = "×".join(str(a.points) for a in axes)
+    return (f"{command}: a {shape} grid needs {_gib(grid_bytes(axes))} of "
+            f"samples and about {_gib(peak)} at peak, above the "
+            f"{_gib(MAX_GRID_BYTES)} cap")
+
+
+def _gib(nbytes):
+    gib = nbytes / 2**30
+    return f"{gib:.0f} GiB" if gib >= 1 else f"{gib:.2f} GiB"
 
 
 def _plancherel_axes(cfg):
@@ -459,12 +499,9 @@ def _check_configs(args):
             for name in names}
     grids = _plancherel_axes(cfgs["plancherel"]) if "plancherel" in cfgs else {}
     for axes in grids.values():
-        if grid_bytes(axes) > MAX_GRID_BYTES:
-            shape = "×".join(str(a.points) for a in axes)
-            raise ValueError(
-                f"plancherel: a {shape} grid needs "
-                f"{grid_bytes(axes) / 2**30:.0f} GiB, above the "
-                f"{MAX_GRID_BYTES / 2**30:.0f} GiB cap")
+        error = _cap_error("plancherel", axes, plancherel_peak_bytes(axes))
+        if error:
+            raise ValueError(error)
     return cfgs
 
 
@@ -529,6 +566,10 @@ def _run_solve(args):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     axes = [Axis(0.0, cfg.halfwidth or 8.0, cfg.grid or 32)] * dim
+    error = _cap_error("solve", axes, solve_peak_bytes(axes))
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     try:
         sol = fundamental_solution_group(u, group, m, axes,
                                          epsilon=cfg.epsilon)

@@ -27,13 +27,14 @@ import numpy as np
 from .extension import tilde_eval_coords
 from .groups import empty_columns, law
 from .testfuncs import (
-    Axis, GridFunction, dual_axis, grid_mesh, grid_nodes, sample,
+    Axis, GridFunction, dual_axis, grid_mesh, grid_nodes, node_mesh, sample,
 )
 
 __all__ = [
     "PlancherelReport", "fourier_forward", "fourier_inverse",
-    "fourier_eval", "plancherel_check", "convolve_group", "convolve_abelian",
-    "convolve_extended_c", "convolve_extended_c_substituted",
+    "inverse_in_place", "fourier_eval", "plancherel_check", "convolve_group",
+    "convolve_abelian", "convolve_extended_c",
+    "convolve_extended_c_substituted",
     "convolve_extended_group", "convolve_group_lattice",
     "convolve_extended_c_lattice", "theorem31_residual",
     "projected_convolution_check",
@@ -43,48 +44,78 @@ __all__ = [
 # ── Fourier transforms ───────────────────────────────────────────────────────
 
 def _axis_phases(axes, sign):
-    """Per-axis phase e^{sign·i·λ·x0} in fftfreq order."""
+    """Per-axis phase e^{sign·i·λ·x0}, λ in centered order."""
     out = []
     for a in axes:
-        lam = 2.0 * np.pi * np.fft.fftfreq(a.points, a.step)
+        lam = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(a.points, a.step))
         out.append(np.exp(sign * 1j * lam * (a.center - a.half_width)))
     return out
 
 
-def _apply_axis_factors(vals, factors):
-    for ax, fac in enumerate(factors):
+def _scale_axes(vals, factors, dims):
+    """vals *= factor along each of dims in place, the axes in turn."""
+    for ax, fac in zip(dims, factors):
         shape = [1] * vals.ndim
         shape[ax] = -1
-        vals = vals * fac.reshape(shape)
-    return vals
+        vals *= fac.reshape(shape)
+
+
+def _alternate_signs(vals, dims):
+    """Negate the odd indices along each of dims in place, as 0 − x on a
+    float view (exact, and a zero comes out +0 as the shifted transform's
+    x − x gives it).  For even P this (−1)ⁿ modulation is the centering
+    shift: fftn(mod(v)) = fftshift(fftn(v)) and mod(ifftn(v)) =
+    ifftn(ifftshift(v)), bit for bit (tests/test_harmonic.py)."""
+    parts = vals.view(float).reshape(vals.shape + (2,))
+    for ax in dims:
+        odd = parts[(slice(None),) * ax + (slice(1, None, 2),)]
+        np.subtract(0.0, odd, out=odd)
 
 
 def fourier_forward(gf):
-    """(𝓕f)(λ_j) = Σ_k f(x_k) e^{-i λ_j x_k} Πh on the dual grid."""
-    vals = np.fft.fftn(gf.samples)
-    phases = [p * a.step for p, a in zip(_axis_phases(gf.axes, -1), gf.axes)]
-    vals = _apply_axis_factors(vals, phases)
-    return GridFunction(tuple(dual_axis(a) for a in gf.axes),
-                        np.fft.fftshift(vals))
+    """(𝓕f)(λ_j) = Σ_k f(x_k) e^{-i λ_j x_k} Πh on the dual grid.
+
+    One copy of the samples is transformed in place; gf is not changed."""
+    vals = np.array(gf.samples, dtype=complex)
+    dims = range(vals.ndim)
+    _alternate_signs(vals, dims)
+    np.fft.fftn(vals, out=vals)
+    _scale_axes(vals, [p * a.step for p, a in
+                       zip(_axis_phases(gf.axes, -1), gf.axes)], dims)
+    return GridFunction(tuple(dual_axis(a) for a in gf.axes), vals)
+
+
+def inverse_in_place(vals, freq_axes, axes, dims):
+    """The inverse transform of fourier_inverse along the array axes dims
+    only, in place: freq_axes and axes are the dual and spatial Axis of each
+    of dims.  vals must be a C-contiguous complex array the caller owns;
+    returns it."""
+    if vals.dtype != complex or not vals.flags.c_contiguous:
+        raise ValueError("inverse_in_place needs a C-contiguous complex array")
+    dims = tuple(dims)
+    # e^{+iλx0} Δλ/(2π); ifftn divides by ΠP, so multiply it back
+    _scale_axes(vals, [p * da.step * a.points / (2.0 * np.pi) for p, da, a
+                       in zip(_axis_phases(axes, +1), freq_axes, axes)], dims)
+    np.fft.ifftn(vals, axes=dims, out=vals)
+    _alternate_signs(vals, dims)
+    return vals
 
 
 def fourier_inverse(F, axes=None):
     """Σ_j F(λ_j) e^{+i λ_j x_k} ΠΔλ/(2π) on the given spatial axes.
 
     The default axes are the centered duals of F's axes; pass the original
-    axes to undo fourier_forward exactly.
+    axes to undo fourier_forward exactly.  One copy of F's samples is
+    transformed in place; F is not changed.
     """
     if axes is None:
         axes = tuple(dual_axis(a) for a in F.axes)
     axes = tuple(axes)
     if tuple(a.points for a in axes) != tuple(a.points for a in F.axes):
         raise ValueError("axis point counts do not match")
-    vals = np.fft.ifftshift(F.samples)
-    # e^{+iλx0} Δλ/(2π); ifftn divides by ΠP, so multiply it back
-    factors = [p * da.step * a.points / (2.0 * np.pi)
-               for p, da, a in zip(_axis_phases(axes, +1), F.axes, axes)]
-    vals = _apply_axis_factors(vals, factors)
-    return GridFunction(axes, np.fft.ifftn(vals))
+    vals = np.array(F.samples, dtype=complex)
+    return GridFunction(axes, inverse_in_place(vals, F.axes, axes,
+                                               range(vals.ndim)))
 
 
 def fourier_eval(F, points):
@@ -110,13 +141,18 @@ class PlancherelReport:
     rel_err: float
 
 
+def _norm_sq(samples):
+    """Σ|v|² in C order, squaring one float array in place."""
+    sq = np.abs(samples.ravel(order="C"))
+    return float(np.sum(np.square(sq, out=sq)))
+
+
 def plancherel_check(f, axes):
     """Compare ∫|f|² dx with ∫|𝓕f|² Πdλ/(2π)."""
     gf = f if isinstance(f, GridFunction) else sample(f, axes)
-    time_sq = float(np.sum(np.abs(gf.samples.ravel(order="C")) ** 2)) * gf.cell
+    time_sq = _norm_sq(gf.samples) * gf.cell
     F = fourier_forward(gf)
-    freq_sq = float(np.sum(np.abs(F.samples.ravel(order="C")) ** 2))
-    freq_sq *= F.cell / (2.0 * np.pi) ** len(F.axes)
+    freq_sq = _norm_sq(F.samples) * (F.cell / (2.0 * np.pi) ** len(F.axes))
     rel = abs(time_sq - freq_sq) / max(time_sq, 1e-300)
     return PlancherelReport(time_sq, freq_sq, rel)
 
@@ -144,10 +180,7 @@ def _node_blocks(axes, npoints):
             stride //= p
             start = lo // stride % p
             ranges.append(g[start:start + min(p, max(1, size // stride))])
-        nodes = np.empty((len(axes),) + tuple(r.size for r in ranges))
-        for i, r in enumerate(ranges):
-            nodes[i] = r.reshape((-1,) + (1,) * (len(axes) - 1 - i))
-        yield nodes.reshape(len(axes), -1).T, cell
+        yield node_mesh(ranges).reshape(-1, len(axes)), cell
 
 
 def _quadrature(axes, npoints, integrand, weight=None):
@@ -363,8 +396,7 @@ def convolve_extended_c_lattice(phi, F_ext, m, out_axes, axes):
     order = L.m_order
     nodes_m = [axes[i] for i in order]
     diff = [_difference_nodes(o, n) for o, n in zip(out_axes, nodes_m)]
-    mesh = np.stack(np.meshgrid(*diff, indexing="ij"), axis=-1)
-    diffs = np.asarray(F_ext(*L.m_split(mesh)), dtype=complex)
+    diffs = np.asarray(F_ext(*L.m_split(node_mesh(diff))), dtype=complex)
     weights = np.asarray(phi(grid_mesh(axes)), dtype=complex).transpose(order)
     out = _lattice_convolve(weights, diffs, [ax.points for ax in nodes_m],
                             [ax.points for ax in out_axes])

@@ -23,7 +23,7 @@ import numpy as np
 
 from .extension import tilde_eval_coords
 from .groups import law
-from .testfuncs import Axis, GridFunction, dual_axis, grid_mesh, grid_nodes
+from .testfuncs import GridFunction, dual_axis, grid_mesh
 
 __all__ = [
     "EnvelopingElement", "SymbolPolynomial", "ZeroOperatorError",
@@ -147,7 +147,7 @@ class SymbolPolynomial:
             val = np.full(lam.shape[:-1], c, dtype=complex)
             for i, e in enumerate(exps):
                 if e:
-                    val = val * lam[..., i] ** e
+                    val *= lam[..., i] ** e
             out += val
         return out
 
@@ -240,7 +240,12 @@ def _divided_symbol(u, axes, epsilon):
         raise ZeroOperatorError("operator symbol is identically zero")
     dual = tuple(dual_axis(a) for a in axes)
     P = sym(grid_mesh(dual))
-    return dual, np.conj(P) / (np.abs(P) ** 2 + epsilon**2)
+    den = np.abs(P)
+    np.square(den, out=den)
+    den += epsilon**2
+    np.conjugate(P, out=P)
+    P /= den  # conj(P)/(|P|²+ε²), one grid array besides P
+    return dual, P
 
 
 def fundamental_solution_abelian(u, axes, epsilon=1e-8):
@@ -271,7 +276,7 @@ def fundamental_solution_group(u, group, m, axes, epsilon=1e-8):
     is evaluated by the semidiscrete inverse transform along its frequency
     axis.
     """
-    from .harmonic import fourier_inverse
+    from .harmonic import inverse_in_place
 
     ext = law(group, m).extension()
     if ext.shift_dim and (group, m) not in _TWISTS:  # before any mesh
@@ -281,31 +286,35 @@ def fundamental_solution_group(u, group, m, axes, epsilon=1e-8):
     if not ext.shift_dim:  # abelian N: Γ is the identity
         return fundamental_solution_abelian(uq, axes, epsilon)
 
-    mesh = grid_mesh(axes)
-    w = _TWISTS[group, m](mesh)
+    w = _TWISTS[group, m](grid_mesh(axes))
     perm = ext.m_order
     m_axes = tuple(axes[p] for p in perm)
-    dual, Ehat = _divided_symbol(uq, m_axes, epsilon)
+    dual, C = _divided_symbol(uq, m_axes, epsilon)
 
-    # invert the on-grid tail axes (all but the first M axis) by FFT,
+    # invert the on-grid tail axes (all but the first M axis) in place,
     # keeping the first axis in frequency: C[λ_1, tail spatial indices]
-    C = Ehat
-    for ax in range(1, len(m_axes)):
-        a, da = m_axes[ax], dual[ax]
-        vals = np.fft.ifftshift(C, axes=ax)
-        lam = 2.0 * np.pi * np.fft.fftfreq(a.points, a.step)
-        fac = (np.exp(1j * lam * (a.center - a.half_width))
-               * da.step * a.points / (2.0 * np.pi))
-        shape = [1] * C.ndim
-        shape[ax] = -1
-        C = np.fft.ifft(vals * fac.reshape(shape), axis=ax)
+    inverse_in_place(C, dual[1:], m_axes[1:], range(1, len(m_axes)))
 
-    # E(point) = Σ_{λ1} C[λ1, tail(point)] e^{iλ1 w(point)} Δλ1/(2π), the
-    # tail indices read off the group axes each M axis came from
-    idx = "ijk"[:len(axes)]
-    spec = "l" + "".join(idx[p] for p in perm[1:]) + f",{idx}l->{idx}"
-    phase = np.exp(1j * w[..., None] * grid_nodes(dual[0]))
-    E = np.einsum(spec, C, phase) * dual[0].step / (2 * np.pi)
+    # E(x) = Σ_l C[l, tail(x)] e^{iλ_l w(x)} Δλ/(2π) with λ_l = (l − P/2)Δλ,
+    # by Horner in z = e^{iΔλ w} over l ≥ P/2 and in z̄ = z⁻¹ over l < P/2,
+    # so no power exceeds P/2; C[l] is laid on the group axes each M axis
+    # came from, with size 1 on the twisted one
+    C = np.ascontiguousarray(np.expand_dims(C, 1).transpose(
+        [0] + [1 + perm.index(g) for g in range(len(axes))]))
+    half = C.shape[0] // 2
+    z = np.exp(1j * dual[0].step * w)
+    E, lo = np.empty(w.shape, dtype=complex), np.empty(w.shape, dtype=complex)
+    E[...], lo[...] = C[-1], C[0]
+    for c in C[-2:half - 1:-1]:
+        E *= z
+        E += c
+    np.conjugate(z, out=z)
+    for c in C[1:half]:
+        lo *= z
+        lo += c
+    lo *= z
+    E += lo
+    E *= dual[0].step / (2 * np.pi)
     return FundamentalSolution(GridFunction(axes, E), float(epsilon))
 
 

@@ -11,14 +11,18 @@ Axis is a per-coordinate uniform grid: center c, half-width L, P points
 π/h), so GridFunction carries both sides of the Fourier transform.
 """
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
+
+from .groups import empty_columns
 
 __all__ = [
     "TestFunction", "Axis", "GridFunction", "gaussian", "poly_gaussian",
     "random_gaussian", "derivative", "shift_function", "scale_argument",
-    "grid_nodes", "grid_mesh", "sample", "quadrature", "dual_axis",
+    "grid_nodes", "node_mesh", "grid_mesh", "sample_chunk", "sample",
+    "quadrature", "dual_axis",
     "export_csv", "export_binary", "import_binary",
 ]
 
@@ -154,10 +158,20 @@ def dual_axis(axis):
     return Axis(0.0, np.pi / axis.step, axis.points)
 
 
+def node_mesh(nodes):
+    """The product mesh of 1-D node arrays, shape (P1, ..., Pk, k), in the
+    layout of groups.empty_columns: each coordinate column [..., i] is
+    contiguous, so mesh.reshape(-1, k) is a view.  The one mesh builder."""
+    nodes = [np.asarray(g, dtype=float) for g in nodes]
+    out = empty_columns(tuple(g.size for g in nodes) + (len(nodes),))
+    for i, g in enumerate(nodes):
+        out[..., i] = g.reshape((-1,) + (1,) * (len(nodes) - 1 - i))
+    return out
+
+
 def grid_mesh(axes):
-    """Stacked nodes of the product grid, shape (P1, ..., Pk, k)."""
-    grids = np.meshgrid(*[grid_nodes(a) for a in axes], indexing="ij")
-    return np.stack(grids, axis=-1)
+    """Nodes of the product grid, shape (P1, ..., Pk, k), column-contiguous."""
+    return node_mesh([grid_nodes(a) for a in axes])
 
 
 @dataclass(frozen=True)
@@ -178,18 +192,31 @@ class GridFunction:
         return float(np.prod([a.step for a in self.axes]))
 
 
+SAMPLE_CHUNK = 1 << 21
+
+
+def sample_chunk(axes):
+    """Points sample() evaluates in one call: the whole grid, or for a
+    multi-axis grid above SAMPLE_CHUNK points one slice along the first
+    axis."""
+    total = int(np.prod([a.points for a in axes]))
+    if total <= SAMPLE_CHUNK or len(axes) == 1:
+        return total
+    return total // axes[0].points
+
+
 def sample(f, axes):
     axes = tuple(axes)
     shape = tuple(a.points for a in axes)
-    if np.prod(shape) <= 1 << 21 or len(axes) == 1:
+    if sample_chunk(axes) == np.prod(shape):
         return GridFunction(axes, f(grid_mesh(axes)))
-    # large product grids: evaluate slice by slice along the first axis
+    # large product grids: evaluate slice by slice along the first axis,
+    # refilling only the first coordinate column of one slice mesh
     out = np.empty(shape, dtype=complex)
     first = grid_nodes(axes[0])
-    rest = grid_mesh(axes[1:])
+    pts = node_mesh([first[:1]] + [grid_nodes(a) for a in axes[1:]])[0]
     for k, x0 in enumerate(first):
-        pts = np.concatenate(
-            [np.full(rest.shape[:-1] + (1,), x0), rest], axis=-1)
+        pts[..., 0] = x0
         out[k] = f(pts)
     return GridFunction(axes, out)
 
@@ -213,15 +240,19 @@ _MAGIC = b"ANHGRID1"
 
 
 def export_csv(gf, path):
-    """CSV rows: node coordinates, re, im."""
-    mesh = grid_mesh(gf.axes).reshape(-1, len(gf.axes))
-    vals = gf.samples.ravel(order="C")
+    """CSV rows in C order: node coordinates, re, im, each the repr of the
+    float.  Each axis's node strings are formatted once; a row formats
+    only its value."""
+    *lead, last = [[repr(x) for x in grid_nodes(a).tolist()]
+                   for a in gf.axes]
+    rows = gf.samples.reshape(-1, len(last))
     with open(path, "w") as fh:
         cols = [f"x{i}" for i in range(len(gf.axes))] + ["re", "im"]
         fh.write(",".join(cols) + "\n")
-        for row, v in zip(mesh, vals):
-            coords = ",".join(repr(float(c)) for c in row)
-            fh.write(f"{coords},{float(v.real)!r},{float(v.imag)!r}\n")
+        for prefix, row in zip(itertools.product(*lead), rows):
+            head = "".join(c + "," for c in prefix)
+            fh.writelines(f"{head}{x},{re!r},{im!r}\n" for x, re, im in
+                          zip(last, row.real.tolist(), row.imag.tolist()))
 
 
 def export_binary(gf, path):

@@ -1,12 +1,13 @@
 """Tests for the CLI harness and the operator-expression parser."""
 
 import json
+import tracemalloc
 
 import pytest
 
-from anharm import cli, harmonic, operators
+from anharm import cli, harmonic, operators, testfuncs
 from anharm.cli import OperatorSyntaxError, main, parse_operator
-from anharm.testfuncs import Axis
+from anharm.testfuncs import Axis, gaussian
 
 
 # ── parser ───────────────────────────────────────────────────────────────────
@@ -262,6 +263,72 @@ def test_plancherel_refuses_an_oversized_grid_before_sampling(monkeypatch,
     assert main(["verify", "plancherel", "--grid", "128"]) == 2
     captured = capsys.readouterr()
     assert "512 GiB" in captured.err and captured.out == ""
+
+
+def test_plancherel_refuses_a_grid_whose_peak_exceeds_the_cap(monkeypatch,
+                                                              capsys):
+    # 512³ is exactly 2 GiB of samples, which a cap on one sample array let
+    # through; its estimated peak is about 7 GiB
+    def no_sample(f, axes):
+        raise AssertionError("a grid was sampled before its size was checked")
+
+    monkeypatch.setattr(harmonic, "sample", no_sample)
+    assert main(["verify", "plancherel", "--group", "N", "--grid", "512"]) == 2
+    captured = capsys.readouterr()
+    assert "7 GiB at peak" in captured.err and captured.out == ""
+
+
+def test_solve_refuses_an_oversized_grid_before_any_mesh(tmp_path, capsys,
+                                                         monkeypatch):
+    def no_mesh(axes):
+        raise AssertionError("a mesh was built before the grid was refused")
+
+    monkeypatch.setattr(operators, "grid_mesh", no_mesh)
+    out = tmp_path / "x.csv"
+    code = main(["solve", "fundamental-solution", "--operator", "E1*E1-1",
+                 "--group", "N", "--m", "3", "--grid", "512", "--output",
+                 str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "512×512×512" in err and "16 GiB at peak" in err
+    assert not out.exists()
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("group, m, axes", [
+    ("N", 2, [Axis(0.0, 8.0, 1 << 16)]),
+    ("N", 3, [Axis(0.0, 6.0, 32)] * 3),
+    ("S", 2, [Axis(0.0, 10.0, 256), Axis(0.0, 3.0, 64)]),
+])
+def test_solve_peak_estimate_bounds_the_traced_peak(group, m, axes):
+    u = parse_operator("E1*E1-1", len(axes))
+    peak = _traced_peak(lambda: operators.fundamental_solution_group(
+        u, group, m, axes))
+    assert peak <= cli.solve_peak_bytes(axes) <= 2 * peak
+
+
+@pytest.mark.parametrize("axes, chunk", [
+    ([Axis(0.0, 6.0, 1 << 16)], None),
+    ([Axis(0.0, 10.0, 32)] * 3, None),
+    ([Axis(0.0, 6.0, 8)] * 5, None),
+    ([Axis(0.0, 6.0, 16)] + [Axis(0.0, 6.0, 8)] * 4, 1 << 12),
+], ids=["1d", "3d", "5d", "5d-sliced"])
+def test_plancherel_peak_estimate_bounds_the_traced_peak(monkeypatch, axes,
+                                                         chunk):
+    if chunk is not None:  # sample slice by slice, as above SAMPLE_CHUNK
+        monkeypatch.setattr(testfuncs, "SAMPLE_CHUNK", chunk)
+        assert testfuncs.sample_chunk(axes) < 16 * 8 ** 4
+    f = gaussian([0.1] * len(axes), [1.0] * len(axes))
+    peak = _traced_peak(lambda: harmonic.plancherel_check(f, axes))
+    assert peak <= cli.plancherel_peak_bytes(axes) <= 2 * peak
 
 
 # ── seed stability ───────────────────────────────────────────────────────────

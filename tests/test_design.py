@@ -3,7 +3,9 @@
 Every group dimension and every choice made on a group's name lives in
 ``groups.law``; elsewhere the code asks the Law it gets from there.  The lint
 keeps the formula m(m−1)/2 and comparisons of a ``case`` or ``group`` against
-a group name out of the rest of ``src/anharm``.
+a group name out of the rest of ``src/anharm``.  A second lint keeps
+``np.meshgrid`` out of it too: ``testfuncs.node_mesh`` is the one mesh builder,
+with the column-contiguous layout the group laws use.
 """
 
 import ast
@@ -60,4 +62,31 @@ def test_group_knowledge_stays_in_the_law_table():
     paths = sorted(SRC.glob("*.py"))
     assert any(p.name == "groups.py" for p in paths)
     found = [v for p in paths for v in design_violations(p)]
+    assert not found, "\n".join(found)
+
+
+MESH_HELPER = ("testfuncs.py", "node_mesh")  # the one mesh builder
+
+
+def meshgrid_uses(path):
+    """'file:line' for each np.meshgrid outside the mesh helper."""
+    tree = ast.parse(path.read_text())
+    allowed = set()
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.FunctionDef)
+                and (path.name, node.name) == MESH_HELPER):
+            allowed.update(range(node.lineno, node.end_lineno + 1))
+        if isinstance(node, ast.Attribute) and node.attr == "meshgrid":
+            found.append(node.lineno)
+        if isinstance(node, ast.alias) and node.name == "meshgrid":
+            found.append(node.lineno)
+    return [f"{path.name}:{line}: np.meshgrid" for line in sorted(found)
+            if line not in allowed]
+
+
+def test_one_mesh_builder():
+    paths = sorted(SRC.glob("*.py"))
+    assert any(p.name == MESH_HELPER[0] for p in paths)
+    found = [v for p in paths for v in meshgrid_uses(p)]
     assert not found, "\n".join(found)

@@ -59,6 +59,63 @@ def test_round_trip_exact():
     assert np.max(np.abs(back.samples - vals)) < 1e-12
 
 
+def _shifted_formula_forward(gf):
+    """The transform as fftn → per-axis factors → fftshift, each step a new
+    array (the formula the in-place fourier_forward must reproduce)."""
+    vals = np.fft.fftn(gf.samples)
+    for ax, a in enumerate(gf.axes):
+        lam = 2.0 * np.pi * np.fft.fftfreq(a.points, a.step)
+        fac = np.exp(-1j * lam * (a.center - a.half_width)) * a.step
+        shape = [1] * vals.ndim
+        shape[ax] = -1
+        vals = vals * fac.reshape(shape)
+    return np.fft.fftshift(vals)
+
+
+def _shifted_formula_inverse(F, axes):
+    vals = np.fft.ifftshift(F.samples)
+    for ax, (da, a) in enumerate(zip(F.axes, axes)):
+        lam = 2.0 * np.pi * np.fft.fftfreq(a.points, a.step)
+        fac = (np.exp(1j * lam * (a.center - a.half_width))
+               * da.step * a.points / (2.0 * np.pi))
+        shape = [1] * vals.ndim
+        shape[ax] = -1
+        vals = vals * fac.reshape(shape)
+    return np.fft.ifftn(vals)
+
+
+@pytest.mark.parametrize("axes", [
+    (Axis(0.7, 5.0, 64),),
+    (Axis(0.0, 1.0, 2),),
+    (Axis(0.2, 3.0, 16), Axis(-0.5, 4.0, 8), Axis(0.0, 2.0, 32)),
+    (Axis(0.0, 6.0, 8), Axis(0.1, 6.0, 4), Axis(0.0, 3.0, 8),
+     Axis(-0.3, 6.0, 2), Axis(0.0, 6.0, 16)),
+], ids=["1d", "1d-P2", "3d", "5d"])
+def test_in_place_transforms_equal_shifted_formula(axes):
+    # bit for bit, signed zeros included, and the caller's samples untouched
+    rng = np.random.default_rng(3)
+    shape = tuple(a.points for a in axes)
+    vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    vals.real[vals.real > 1.0] = 0.0
+    vals.imag[vals.imag > 1.0] = -0.0
+    for data in (vals, vals.real + 0j):
+        gf = GridFunction(axes, data.copy())
+        F = fourier_forward(gf)
+        assert F.samples.tobytes() == _shifted_formula_forward(gf).tobytes()
+        assert gf.samples.tobytes() == data.tobytes()
+        back = fourier_inverse(F, axes)
+        want = _shifted_formula_inverse(F, axes)
+        assert back.samples.tobytes() == want.tobytes()
+        assert F.samples.tobytes() == _shifted_formula_forward(gf).tobytes()
+
+
+def test_inverse_in_place_refuses_a_strided_array():
+    vals = np.zeros((8, 8), dtype=complex)[:, ::2]
+    with pytest.raises(ValueError):
+        harmonic.inverse_in_place(vals, (Axis(0.0, 1.0, 4),),
+                                  (Axis(0.0, 1.0, 4),), (1,))
+
+
 def test_fourier_eval_matches_inverse_on_grid():
     axes = (Axis(0.0, 8.0, 32),)
     F = fourier_forward(sample(gaussian([0.4], [0.9]), axes))

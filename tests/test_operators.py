@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from anharm.groups import n_mul
-from anharm.testfuncs import Axis, derivative, gaussian, grid_mesh, grid_nodes
+from anharm.groups import law, n_mul
+from anharm.testfuncs import (
+    Axis, derivative, dual_axis, gaussian, grid_mesh, grid_nodes,
+)
 from anharm.operators import (
     EnvelopingElement, ZeroOperatorError, apply_P, apply_Q, apply_P_grid,
     fundamental_solution_abelian, fundamental_solution_group, generator_field,
@@ -288,6 +292,69 @@ def test_group_solution_s_m2_weak_residual():
         u, "S", 2, [Axis(0.0, 10.0, 32), Axis(0.0, 3.0, 32)], 1e-8)
     phis = [gaussian(rng.uniform(-0.2, 0.2, 2), [1.0, 3.0]) for _ in range(3)]
     assert max(weak_residuals(sol, u, "S", 2, phis)) < 1e-3
+
+
+# the Γ twists written out again: w = z − x·y on N (m = 3), e^{−2t}·n on S
+_TWIST_ORACLE = {
+    ("N", 3): lambda g: g[..., 1] - g[..., 0] * g[..., 2],
+    ("S", 2): lambda g: np.exp(-2.0 * g[..., 1]) * g[..., 0],
+}
+
+
+def _twisted_solution_oracle(u, group, m, axes, epsilon):
+    """The semidiscrete inverse, summed directly: conj(P)/(|P|²+ε²) on the
+    dual M grid, its tail axes inverted by dense DFT matrices into
+    C[l, tail], then Σ_l C[l, tail(x)] e^{iλ_l w(x)} Δλ/(2π) per point."""
+    ext = law(group, m).extension()
+    perm = ext.m_order
+    m_axes = [axes[p] for p in perm]
+    dual = [dual_axis(a) for a in m_axes]
+    P = symbol(q_remap(u, ext.name, m))(grid_mesh(dual))
+    C = np.conj(P) / (np.abs(P) ** 2 + epsilon**2)
+    for ax in range(1, len(axes)):
+        dft = (np.exp(1j * np.outer(grid_nodes(m_axes[ax]),
+                                    grid_nodes(dual[ax])))
+               * dual[ax].step / (2 * np.pi))
+        C = np.moveaxis(np.tensordot(C, dft, axes=([ax], [1])), -1, ax)
+    w = _TWIST_ORACLE[group, m](grid_mesh(axes))
+    tail = tuple(np.indices(w.shape)[p] for p in perm[1:])
+    out = np.zeros(w.shape, dtype=complex)
+    for l, lam in enumerate(grid_nodes(dual[0])):
+        out += C[(l,) + tail] * np.exp(1j * lam * w)
+    return out * dual[0].step / (2 * np.pi)
+
+
+_SUBLAPLACIAN = E(3, (0, 0), (2, 2), (), coefs=[1.0, 1.0, -1.0])
+
+
+@pytest.mark.parametrize("u, group, m, axes", [
+    (_SUBLAPLACIAN, "N", 3, [Axis(0.0, 6.0, 16)] * 3),
+    (_SUBLAPLACIAN, "N", 3, [Axis(0.0, 6.0, 32)] * 3),
+    (E(3, (0, 1), (2,), (), coefs=[1.0, 0.5j, -1.0]), "N", 3,
+     [Axis(0.3, 6.0, 16), Axis(-0.2, 5.0, 32), Axis(0.1, 4.0, 8)]),
+    (E(2, (0, 0), (1,), (), coefs=[1.0, 0.5j, -1.0]), "S", 2,
+     [Axis(0.0, 10.0, 32), Axis(0.0, 3.0, 32)]),
+    (E(2, (0, 0), (), coefs=[1.0, -1.0]), "S", 2,
+     [Axis(0.0, 10.0, 256), Axis(0.0, 3.0, 64)]),
+], ids=["N3-16", "N3-32", "N3-off-center", "S2-32", "S2-256x64"])
+def test_group_solution_twist_matches_direct_trig_sum(u, group, m, axes):
+    want = _twisted_solution_oracle(u, group, m, axes, 1e-8)
+    got = fundamental_solution_group(u, group, m, axes, 1e-8).values.samples
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_group_solution_s_m2_peak_memory():
+    # the twist keeps O(grid) arrays; a grid × frequency phase array
+    # (256 × 64 × 256 complex, 64 MB) made the peak about 490× the solution
+    u = E(2, (0, 0), (), coefs=[1.0, -1.0])
+    axes = [Axis(0.0, 10.0, 256), Axis(0.0, 3.0, 64)]
+    tracemalloc.start()
+    try:
+        sol = fundamental_solution_group(u, "S", 2, axes, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * sol.values.samples.nbytes
 
 
 def test_apply_p_grid_matches_pointwise():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from anharm import testfuncs
 from anharm.testfuncs import (
     TestFunction, Axis, GridFunction, gaussian, poly_gaussian, derivative,
     shift_function, scale_argument, grid_nodes, grid_mesh, sample, quadrature,
@@ -179,3 +180,68 @@ def test_csv_export(tmp_path):
     assert x0 == pytest.approx(-1.0)
     assert re == pytest.approx(math.exp(-0.5))
     assert im == 0.0
+
+
+# ── the column mesh and the CSV writer against their old formulas ───────────
+
+@pytest.mark.parametrize("axes", [
+    (Axis(0.3, 2.0, 8),),
+    (Axis(0.0, 1.0, 4), Axis(-0.7, 3.0, 16)),
+    (Axis(0.1, 2.0, 4), Axis(0.0, 1.0, 2), Axis(5.0, 0.5, 8), Axis(0.0, 6.0, 4)),
+], ids=["1d", "2d", "4d"])
+def test_grid_mesh_equals_stacked_meshgrid_with_contiguous_columns(axes):
+    mesh = grid_mesh(axes)
+    want = np.stack(np.meshgrid(*[grid_nodes(a) for a in axes],
+                                indexing="ij"), axis=-1)
+    assert mesh.shape == want.shape
+    assert mesh.tobytes() == want.tobytes()
+    for i in range(len(axes)):
+        assert mesh[..., i].flags.c_contiguous
+    flat = mesh.reshape(-1, len(axes))
+    assert np.shares_memory(flat, mesh)
+    assert np.array_equal(flat, want.reshape(-1, len(axes)))
+
+
+def test_sliced_sample_equals_whole_grid_sample(monkeypatch):
+    f = poly_gaussian(1.0 - 0.5j, [1, 0, 2], [0.1, -0.2, 0.3], [1.0, 1.5, 0.7])
+    axes = (Axis(0.0, 3.0, 8), Axis(0.2, 2.0, 4), Axis(0.0, 2.5, 16))
+    whole = sample(f, axes)
+    monkeypatch.setattr(testfuncs, "SAMPLE_CHUNK", 64)
+    assert testfuncs.sample_chunk(axes) == 64
+    sliced = sample(f, axes)
+    assert sliced.samples.tobytes() == whole.samples.tobytes()
+
+
+def _per_row_repr_csv(gf, path):
+    """The CSV as one repr per coordinate of each mesh row."""
+    mesh = np.stack(np.meshgrid(*[grid_nodes(a) for a in gf.axes],
+                                indexing="ij"), axis=-1)
+    mesh = mesh.reshape(-1, len(gf.axes))
+    with open(path, "w") as fh:
+        cols = [f"x{i}" for i in range(len(gf.axes))] + ["re", "im"]
+        fh.write(",".join(cols) + "\n")
+        for row, v in zip(mesh, gf.samples.ravel(order="C")):
+            coords = ",".join(repr(float(c)) for c in row)
+            fh.write(f"{coords},{float(v.real)!r},{float(v.imag)!r}\n")
+
+
+@pytest.mark.parametrize("axes", [
+    (Axis(0.0, 1.0, 8),),
+    (Axis(0.3, 2.0, 4), Axis(-1.7, 0.25, 8)),
+    (Axis(1e-3, 3.0, 4), Axis(0.0, 6.0, 8), Axis(-2.5, 1.0, 2)),
+], ids=["1d", "2d", "3d"])
+def test_export_csv_equals_per_row_repr(tmp_path, axes):
+    rng = np.random.default_rng(4)
+    shape = tuple(a.points for a in axes)
+    vals = rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, shape)
+    vals = vals + 1j * rng.normal(size=shape)
+    flat = vals.reshape(-1)
+    flat[0] = complex(-0.0, 0.0)
+    flat[-1] = complex(5e-324, -0.0)
+    flat[len(flat) // 2] = complex(-2.2250738585072014e-308 / 3, 1e300)
+    gf = GridFunction(axes, vals)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    export_csv(gf, got)
+    _per_row_repr_csv(gf, want)
+    assert got.read_bytes() == want.read_bytes()
+    assert "-0.0," in got.read_text() and "5e-324," in got.read_text()
