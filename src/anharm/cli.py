@@ -242,9 +242,11 @@ def plancherel_peak_bytes(axes):
 
 def solve_peak_bytes(axes):
     """Estimated peak bytes of fundamental_solution_group on the axes' grid:
-    8 sample arrays, where tracemalloc measures 4.5 to 5.7 (the symbol on
-    the dual mesh, then the twist's z, two Horner sums and the frequency
-    array; tests/test_cli.py checks the estimate)."""
+    8 sample arrays.  The peak is the Horner stage: the twisted coordinate
+    w, the frequency array, z and the two Horner sums (4.5 arrays), plus
+    the per-axis vectors.  tracemalloc measures 4.5 to 4.8 from 2^15 points
+    on and up to 6.9 on smaller grids, where those vectors weigh more;
+    tests/test_cli.py checks the estimate."""
     return 8 * grid_bytes(axes)
 
 

@@ -9,10 +9,11 @@ a_m = exp(-Σt).  S = N⋊A carries the law (x,a)(y,b) = (x·ρ(a)y, ab) with
 base element with an abelian shift vector; their product is componentwise.
 
 law(name, m) gives each of N, S, K1, H and the abelian picture M as one
-Law object: its dimension, product and inverse, and for K1 and H the
-embedding ι, the slots it fills and the Γ coordinate maps.  All operations
-are pure and act on numpy arrays whose last axis holds coordinates.  Element
-is a single point of N or S, for the JSON round-trip.
+Law object: its dimension, product and inverse, on N, S and M the two
+quotients y⁻¹x and x·y⁻¹, and for K1 and H the embedding ι, the slots it
+fills and the Γ coordinate maps.  All operations are pure and act on numpy
+arrays whose last axis holds coordinates.  Element is a single point of N
+or S, for the JSON round-trip.
 """
 
 from collections.abc import Callable
@@ -82,17 +83,29 @@ def _n_terms(m):
                  for i, j in upper_indices(m))
 
 
-def _n_mul_into(m, x, y, out):
+def _operands(out, *args):
+    """args as float arrays, and out, or a fresh output of their broadcast
+    shape laid out by empty_columns."""
+    args = [np.asarray(a, dtype=float) for a in args]
+    if out is None:
+        out = empty_columns(np.broadcast_shapes(*(a.shape for a in args)))
+    return (*args, out)
+
+
+def _n_mul_into(m, x, y, out, backward=False):
     """(xy)_ij = x_ij + y_ij + Σ_{i<l<j} x_il y_lj into out.
 
     out may be y itself: in layer order column (i, j) reads y only at rows
-    l > i of its own column, which come after it.
+    l > i of its own column, which come after it.  With backward=True the
+    columns run in reverse layer order, and out may be x instead: column
+    (i, j) then reads x only at (i, l) with l < j, in earlier layers.
     """
     tmp = None
-    for k, terms in enumerate(_n_terms(m)):
+    terms = _n_terms(m)
+    for k in range(len(terms) - 1, -1, -1) if backward else range(len(terms)):
         col = out[..., k]
         np.add(x[..., k], y[..., k], out=col)
-        for a, b in terms:
+        for a, b in terms[k]:
             if tmp is None:
                 tmp = np.empty(out.shape[:-1])
             col += np.multiply(x[..., a], y[..., b], out=tmp)
@@ -102,16 +115,14 @@ def _n_mul_into(m, x, y, out):
 def n_mul(m, x, y, out=None):
     """Coordinates of the product in N; broadcasts over leading axes.  The
     exact polynomial law, written into out when given."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if out is None:
-        out = empty_columns(np.broadcast_shapes(x.shape, y.shape))
-    return _n_mul_into(m, x, y, out)
+    return _n_mul_into(m, *_operands(out, x, y))
 
 
 def _n_inv_into(m, x, out):
     """(x⁻¹)_ij = −x_ij − Σ_{i<l<j} x_il (x⁻¹)_lj into out, each column's
-    rows from j−1 down to 0, so every (x⁻¹)_lj it reads is already written."""
+    rows from j−1 down to 0, so every (x⁻¹)_lj it reads is already written.
+    out may be x itself: column (i, j) reads x only at (i, l) with l < j,
+    in earlier layers, which come after it."""
     tmp = None
     terms = _n_terms(m)
     for k in range(len(terms) - 1, -1, -1):
@@ -129,6 +140,32 @@ def n_inv(m, x):
     return _n_inv_into(m, x, empty_columns(x.shape))
 
 
+def _n_inverse(m, y, out):
+    """y⁻¹ for a quotient written into out: in out itself when y spans
+    out's leading axes, else in scratch of y's own shape, so a y broadcast
+    along out's axes is inverted once per value."""
+    if y.shape[:-1] == out.shape[:-1]:
+        return _n_inv_into(m, y, out)
+    return _n_inv_into(m, y, np.empty(y.shape))
+
+
+def _n_ldiv(m, y, x, out=None):
+    """y⁻¹x in N, written into out when given: y⁻¹ (_n_inverse), then the
+    law, in reverse layer order when y⁻¹ is in out.  Every value is
+    n_mul(n_inv(y), x)'s, bit for bit."""
+    y, x, out = _operands(out, y, x)
+    yinv = _n_inverse(m, y, out)
+    return _n_mul_into(m, yinv, x, out, backward=yinv is out)
+
+
+def _n_rdiv(m, x, y, out=None):
+    """x·y⁻¹ in N, written into out when given (out may be y itself): y⁻¹
+    (_n_inverse), then the law.  Every value is n_mul(x, n_inv(y))'s, bit
+    for bit."""
+    x, y, out = _operands(out, x, y)
+    return _n_mul_into(m, x, _n_inverse(m, y, out), out)
+
+
 def diag_entries(t):
     """Diagonal entries (a_1 .. a_m) from log coordinates (..., m-1)."""
     t = np.asarray(t, dtype=float)
@@ -137,26 +174,28 @@ def diag_entries(t):
 
 
 @lru_cache(maxsize=None)
-def _rho_terms(m):
-    """Per N coordinate (i, j), the nonzero (l, C_lj) of the integer-valued
-    exponent log(a_i/a_j) = Σ_l t_l C_lj, in increasing l."""
+def _rho_terms(m, sign=1.0):
+    """Per N coordinate (i, j), the nonzero (l, sign·C_lj) of the
+    integer-valued exponent sign·log(a_i/a_j) = Σ_l t_l sign·C_lj, in
+    increasing l."""
     log_a = np.hstack([np.eye(m - 1), -np.ones((m - 1, 1))])  # log a = t @ log_a
     return tuple(
-        tuple((l, float(c)) for l, c in enumerate(log_a[:, i] - log_a[:, j])
-              if c)
+        tuple((l, sign * float(c))
+              for l, c in enumerate(log_a[:, i] - log_a[:, j]) if c)
         for i, j in upper_indices(m))
 
 
-def _rho_into(m, t, x, out):
-    """Column (i, j) of out gets exp(Σ_l t_l C_lj) · x_ij, or the scale
-    alone when x is None.  The exponential is taken only along the leading
-    axes t varies on: a broadcast t repeats one value along each axis of
-    stride 0.  The products are exact, so for m ≤ 3 (two terms at most)
-    each exponent is rounded once, as a matrix product rounds it."""
+def _rho_into(m, t, x, out, sign=1.0):
+    """Column (i, j) of out gets (a_i/a_j)^sign · x_ij = exp(Σ_l t_l
+    sign·C_lj) · x_ij, or the scale alone when x is None; out may be x
+    itself.  The exponential is taken only along the leading axes t varies
+    on: a broadcast t repeats one value along each axis of stride 0.  The
+    products are exact, so for m ≤ 3 (two terms at most) each exponent is
+    rounded once, as a matrix product rounds it."""
     t = t[tuple(slice(None) if st else slice(0, 1) for st in t.strides[:-1])]
     e = np.empty(t.shape[:-1])
     tmp = None
-    for k, ((l0, c0), *rest) in enumerate(_rho_terms(m)):
+    for k, ((l0, c0), *rest) in enumerate(_rho_terms(m, sign)):
         np.multiply(t[..., l0], c0, out=e)
         for l, c in rest:
             if c == 1.0:
@@ -218,6 +257,41 @@ def s_inv(m, p):
     return out
 
 
+def _s_ldiv(m, y, x, out=None):
+    """y⁻¹x = (ρ(−t_y)(n_y⁻¹n_x), t_x − t_y) in S, written into out when
+    given: the N quotient into out, then one ρ in place, its exponentials
+    taken along the axes t_y varies on."""
+    d = len(_n_terms(m))
+    y, x, out = _operands(out, y, x)
+    for k in range(d, d + m - 1):
+        np.subtract(x[..., k], y[..., k], out=out[..., k])
+    n = _n_ldiv(m, y[..., :d], x[..., :d], out[..., :d])
+    _rho_into(m, y[..., d:], n, n, sign=-1.0)
+    return out
+
+
+def _s_rdiv(m, x, z, out=None):
+    """x·z⁻¹ = (n_x·(ρ(t_x − t_z)n_z)⁻¹, t_x − t_z) in S, written into out
+    when given: t_x − t_z, then ρ(t_x − t_z)n_z and the N quotient in
+    place."""
+    d = len(_n_terms(m))
+    x, z, out = _operands(out, x, z)
+    for k in range(d, d + m - 1):
+        np.subtract(x[..., k], z[..., k], out=out[..., k])
+    w = _rho_into(m, out[..., d:], z[..., :d], out[..., :d])
+    _n_rdiv(m, x[..., :d], w, w)
+    return out
+
+
+def _s_modular(m, p):
+    """Δ(p) = Π_{i<j} a_i/a_j at p's A coordinates t: the exponent
+    Σ_{i<j} (log a_i − log a_j) is Σ_l 2(m−1−l)·t_l."""
+    d = len(_n_terms(m))
+    p = np.asarray(p, dtype=float)
+    e = np.multiply(p[..., d], 2.0 * (m - 1))
+    for l in range(1, m - 1):
+        e += p[..., d + l] * (2.0 * (m - 1 - l))
+    return np.exp(e, out=e)
 
 
 # ── the law table ────────────────────────────────────────────────────────────
@@ -231,13 +305,19 @@ class Law:
     look n_mul, s_mul, ... up when called, so a wrapper installed on those
     module functions sees every call made through a Law.
 
+    On N, S and M, the groups the engines divide by, ldiv(y, x, out) = y⁻¹x
+    and rdiv(x, y, out) = x·y⁻¹ form a quotient in one pass, into out when
+    given, with no inverse array between.  They call no n_mul, s_mul or
+    s_inv, so wrappers on those no longer see the quotients' work.
+
     K1 (base N) and H (base S) have the coordinates (base, shift) and the
     componentwise law.  compose(u, b) = ι(u)∘b, where ι puts the shift u
     into the base's acting slots.  The abelian picture M keeps the base's
     top slots and then the shift; m_order lists the base slots in that
     order, and the top slots compose by top_law (ℝ^{m−1} for K1, N for H).
-    On S, modular(x, z) = Π_{i<j} a_i/a_j at t_x − t_z, the Jacobian of the
-    substitution Z = Y⁻¹∘x; it is None on the unimodular N.
+    On S, modular(p) = Π_{i<j} a_i/a_j at p's A coordinates, the modular
+    function; at p = x∘Z⁻¹ it is the Jacobian of the substitution Z = Y⁻¹∘x.
+    It is None on the unimodular N.
     """
 
     name: str
@@ -245,6 +325,8 @@ class Law:
     dim: int
     mul: Callable
     inv: Callable
+    ldiv: Callable = None
+    rdiv: Callable = None
     modular: Callable = None
     base: "Law" = None
     acting: slice = None
@@ -293,7 +375,7 @@ class Law:
         with x the acting slots of g."""
         x = points[..., self.acting]
         b = self.base
-        unwound = b.mul(b.inv(self.iota(x)), points)
+        unwound = b.ldiv(self.iota(x), points)
         return np.concatenate([unwound[..., self.top], x], axis=-1)
 
     def gamma_inv(self, points):
@@ -304,11 +386,17 @@ class Law:
 
 def _m_add(x, y, out=None):
     """x + y on ℝ^d, one coordinate column at a time."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if out is None:
-        out = empty_columns(np.broadcast_shapes(x.shape, y.shape))
+    x, y, out = _operands(out, x, y)
     for i in range(out.shape[-1]):
         np.add(x[..., i], y[..., i], out=out[..., i])
+    return out
+
+
+def _m_sub(x, y, out=None):
+    """x − y on ℝ^d, one coordinate column at a time: both quotients of M."""
+    x, y, out = _operands(out, x, y)
+    for i in range(out.shape[-1]):
+        np.subtract(x[..., i], y[..., i], out=out[..., i])
     return out
 
 
@@ -352,18 +440,22 @@ def law(name, m):
     if name == "M":
         if m is not None and m < 1:
             raise ValueError(f"dimension must be >= 1, got {m}")
-        return Law("M", m, m, _m_add, _m_neg)
+        return Law("M", m, m, _m_add, _m_neg, ldiv=lambda y, x, out=None:
+                   _m_sub(x, y, out), rdiv=_m_sub)
     if m < 2:
         raise ValueError(f"matrix size must be >= 2, got {m}")
     d_n = m * (m - 1) // 2
     if name == "N":
         return Law("N", m, d_n, lambda x, y, out=None: n_mul(m, x, y, out),
-                   lambda x: n_inv(m, x))
+                   lambda x: n_inv(m, x),
+                   ldiv=lambda y, x, out=None: _n_ldiv(m, y, x, out),
+                   rdiv=lambda x, y, out=None: _n_rdiv(m, x, y, out))
     if name == "S":
         return Law("S", m, d_n + m - 1, lambda x, y: s_mul(m, x, y),
                    lambda x: s_inv(m, x),
-                   modular=lambda x, z: np.prod(
-                       rho_scale(m, x[..., d_n:] - z[..., d_n:]), axis=-1))
+                   ldiv=lambda y, x, out=None: _s_ldiv(m, y, x, out),
+                   rdiv=lambda x, y, out=None: _s_rdiv(m, x, y, out),
+                   modular=lambda p: _s_modular(m, p))
     if name == "K1":  # shift: the acting layers 1..m-2 of N
         base, k = law("N", m), d_n - (m - 1)
         return Law("K1", m, d_n + k, *_product(base, k), base=base,

@@ -162,60 +162,87 @@ def plancherel_check(f, axes):
 _CHUNK = 1 << 14  # node·point pairs per block; BENCH_3.json has the sweep
 
 
-def _node_blocks(axes, npoints):
+def _block_size(axes, npoints):
+    """Nodes per block: the largest power of two within _CHUNK // npoints
+    (at least one), or every node of the grid when it has fewer."""
+    total = int(np.prod([a.points for a in axes]))
+    return min(total, 1 << (max(1, _CHUNK // max(npoints, 1)).bit_length() - 1))
+
+
+def _node_blocks(axes, npoints, out=None):
     """Yield (nodes, cell volume): the product grid's nodes in C order, in
-    blocks of the largest power of two of nodes within _CHUNK // npoints
-    (at least one).  Axis sizes are powers of two too, so a block is a
-    product of index ranges, one per axis; the full mesh is never built.
-    Each block's coordinate columns are contiguous, as the group laws lay
-    out theirs."""
+    blocks of _block_size nodes.  Axis sizes are powers of two too, so a
+    block is a product of index ranges, one per axis, of the same lengths
+    in every block; the full mesh is never built.  Each block's coordinate
+    columns are contiguous, as the group laws lay out theirs.  Given out, a
+    (block size, k) array in that layout, every block is written into it,
+    and the columns of axes that every block covers whole are written once;
+    the consumer must not change it."""
     shape = [a.points for a in axes]
     grids = [grid_nodes(a) for a in axes]
     cell = float(np.prod([a.step for a in axes]))
     total = int(np.prod(shape))
-    size = 1 << (max(1, _CHUNK // max(npoints, 1)).bit_length() - 1)
+    size = _block_size(axes, npoints)
     for lo in range(0, total, size):
-        ranges, stride = [], total
+        ranges, lengths, stride = [], [], total
         for p, g in zip(shape, grids):
             stride //= p
-            start = lo // stride % p
-            ranges.append(g[start:start + min(p, max(1, size // stride))])
-        yield node_mesh(ranges).reshape(-1, len(axes)), cell
+            start, n = lo // stride % p, min(p, max(1, size // stride))
+            whole = out is not None and lo > 0 and n == p
+            ranges.append(None if whole else g[start:start + n])
+            lengths.append(n)
+        if out is None:
+            yield node_mesh(ranges).reshape(-1, len(axes)), cell
+        else:
+            node_mesh(ranges, out.reshape(tuple(lengths) + (len(axes),),
+                                          copy=False))
+            yield out, cell
 
 
 def _quadrature(axes, npoints, integrand, weight=None):
     """Σ over the nodes y of the axes' product grid, block by block, of
-    weight(y)·cell·integrand(y) (a tensordot over the block's nodes), or
-    without a weight of integrand(y)·cell; integrand(y) holds one row of
-    npoints values per node."""
+    weight(y)·cell·F(y) (a tensordot over the block's nodes), or without a
+    weight of F(y)·cell; F(y) holds one row of npoints values per node.
+
+    Every block has the same n nodes, so integrand(n) is called once: it
+    allocates the buffers every block refills and returns F.  The block's
+    nodes are refilled in place too."""
+    n = _block_size(axes, npoints)
+    block_integrand = integrand(n)
     out = np.zeros(npoints, dtype=complex)
-    for y, cell in _node_blocks(axes, npoints):
+    for y, cell in _node_blocks(axes, npoints,
+                                out=empty_columns((n, len(axes)))):
         if weight is None:
-            vals = np.asarray(integrand(y), dtype=complex)
+            vals = np.asarray(block_integrand(y), dtype=complex)
             out += vals.sum(axis=0) * cell
         else:
             w = np.asarray(weight(y), dtype=complex) * cell
-            out += np.tensordot(w, np.asarray(integrand(y), dtype=complex),
-                                axes=(0, 0))
+            out += np.tensordot(
+                w, np.asarray(block_integrand(y), dtype=complex), axes=(0, 0))
     return out
 
 
 def convolve_group(g, f, group, m, points, axes):
     """(g∗f)(X) = ∫ f(Y^{-1}X) g(Y) dY by Haar quadrature over the axes."""
     L = law(group, m)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    return _quadrature(
-        axes, points.shape[0],
-        lambda y: f(L.mul(L.inv(y)[:, None, :], points[None, :, :])),
-        weight=g)
+    x = np.atleast_2d(np.asarray(points, dtype=float))[None, :, :]
+
+    def integrand(n):
+        q = empty_columns((n,) + x.shape[1:])
+        return lambda y: f(L.ldiv(y[:, None, :], x, out=q))
+
+    return _quadrature(axes, x.shape[1], integrand, weight=g)
 
 
 def convolve_abelian(g, f, points, axes):
     """(g∗_c f)(X) = ∫ f(X−Y) g(Y) dY."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    return _quadrature(axes, points.shape[0],
-                       lambda y: f(points[None, :, :] - y[:, None, :]),
-                       weight=g)
+    x = np.atleast_2d(np.asarray(points, dtype=float))[None, :, :]
+
+    def integrand(n):
+        diff = empty_columns((n,) + x.shape[1:])
+        return lambda y: f(np.subtract(x, y[:, None, :], out=diff))
+
+    return _quadrature(axes, x.shape[1], integrand, weight=g)
 
 
 def _put(out, a, b=None):
@@ -228,21 +255,21 @@ def _put(out, a, b=None):
             np.subtract(a[..., i], b[..., i], out=out[..., i])
 
 
-def _c_translate(L, base, shift, y):
+def _c_translate(L, base, shift, y, out=None):
     """The ∗_c translate: y's top slots divide the base's on the left by
     the top law, y's acting slots are subtracted from the shift, and the
     acting slots stay fixed.
 
     For H the top law is N's (the T picture is the direct product
     N × R^{m-1}); the b-slot of the base is untouched.  Both parts are
-    views of one (nodes, points, dim) buffer.
+    views of one (nodes, points, dim) buffer, out when given.
     """
     d_b, a, t, top = L.base.dim, L.acting, L.top, L.top_law
-    buf = empty_columns(np.broadcast_shapes(base.shape[:-1], y.shape[:-1])
-                        + (L.dim,))
+    buf = out if out is not None else empty_columns(
+        np.broadcast_shapes(base.shape[:-1], y.shape[:-1]) + (L.dim,))
     nb, ns = buf[..., :d_b], buf[..., d_b:]
     _put(nb[..., a], base[..., a])
-    top.mul(top.inv(y[..., t]), base[..., t], out=nb[..., t])
+    top.ldiv(y[..., t], base[..., t], out=nb[..., t])
     _put(ns, shift, y[..., a])
     return nb, ns
 
@@ -256,9 +283,12 @@ def convolve_extended_c(phi, F_ext, case, m, base_points, shift_points, axes):
     L = law(case, m)
     x = np.atleast_2d(np.asarray(base_points, dtype=float))[None, :, :]
     s = np.atleast_2d(np.asarray(shift_points, dtype=float))[None, :, :]
-    return _quadrature(
-        axes, x.shape[1],
-        lambda y: F_ext(*_c_translate(L, x, s, y[:, None, :])), weight=phi)
+
+    def integrand(n):
+        buf = empty_columns((n, x.shape[1], L.dim))
+        return lambda y: F_ext(*_c_translate(L, x, s, y[:, None, :], buf))
+
+    return _quadrature(axes, x.shape[1], integrand, weight=phi)
 
 
 def convolve_extended_c_substituted(phi, F_ext, case, m, base_points,
@@ -273,21 +303,26 @@ def convolve_extended_c_substituted(phi, F_ext, case, m, base_points,
     s = np.atleast_2d(np.asarray(shift_points, dtype=float))[None, :, :]
     d_b, a, t, top = L.base.dim, L.acting, L.top, L.top_law
 
-    def integrand(block):
+    def integrand(n):
         # w = (top, shift): F at (x_act, w_top; w_shift), φ at
-        # (x_top ⊘ w_top, s − w_shift); F's (base, shift) share one buffer
-        w = block[:, None, :]
-        wt, ws = w[..., :top.dim], w[..., top.dim:]
-        lead = (block.shape[0], x.shape[1])
+        # (x_top ⊘ w_top, s − w_shift); F's (base, shift) share one buffer,
+        # whose x_act slots every block shares
+        lead = (n, x.shape[1])
         fa, y = empty_columns(lead + (L.dim,)), empty_columns(lead + (d_b,))
         fb, fs = fa[..., :d_b], fa[..., d_b:]
         _put(fb[..., a], x[..., a])
-        _put(fb[..., t], wt)
-        _put(fs, ws)
-        _put(y[..., a], s, ws)
-        top.mul(x[..., t], top.inv(wt), out=y[..., t])
-        return (np.asarray(F_ext(fb, fs), dtype=complex)
-                * np.asarray(phi(y), dtype=complex))
+
+        def block_integrand(block):
+            w = block[:, None, :]
+            wt, ws = w[..., :top.dim], w[..., top.dim:]
+            _put(fb[..., t], wt)
+            _put(fs, ws)
+            _put(y[..., a], s, ws)
+            top.rdiv(x[..., t], wt, out=y[..., t])
+            return (np.asarray(F_ext(fb, fs), dtype=complex)
+                    * np.asarray(phi(y), dtype=complex))
+
+        return block_integrand
 
     return _quadrature(axes, x.shape[1], integrand)
 
@@ -306,19 +341,26 @@ def convolve_extended_group(phi, F_ext, case, m, base_points, shift_points,
     x = np.atleast_2d(np.asarray(base_points, dtype=float))[None, :, :]
     s = np.atleast_2d(np.asarray(shift_points, dtype=float))[None, :, :]
     if not substituted:
-        return _quadrature(
-            axes, x.shape[1],
-            lambda y: F_ext(B.mul(B.inv(y)[:, None, :], x), s), weight=phi)
+        def integrand(n):
+            q = empty_columns((n, x.shape[1], B.dim))
+            return lambda y: F_ext(B.ldiv(y[:, None, :], x, out=q), s)
 
-    def integrand(block):
-        z = block[:, None, :]
-        pv = np.asarray(phi(B.mul(x, B.inv(block)[:, None, :])),
-                        dtype=complex)
-        if B.modular is not None:
-            pv = pv * B.modular(x, z)
-        return np.asarray(F_ext(z, s), dtype=complex) * pv
+        return _quadrature(axes, x.shape[1], integrand, weight=phi)
 
-    return _quadrature(axes, x.shape[1], integrand)
+    def substituted_integrand(n):
+        q = empty_columns((n, x.shape[1], B.dim))
+
+        def block_integrand(block):
+            z = block[:, None, :]
+            y = B.rdiv(x, z, out=q)  # Y = base∘Z⁻¹
+            pv = np.asarray(phi(y), dtype=complex)
+            if B.modular is not None:
+                pv *= B.modular(y)
+            return np.asarray(F_ext(z, s), dtype=complex) * pv
+
+        return block_integrand
+
+    return _quadrature(axes, x.shape[1], substituted_integrand)
 
 
 # ── exact lattice engines ────────────────────────────────────────────────────

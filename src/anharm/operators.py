@@ -23,7 +23,7 @@ import numpy as np
 
 from .extension import tilde_eval_coords
 from .groups import law
-from .testfuncs import GridFunction, dual_axis, grid_mesh
+from .testfuncs import GridFunction, dual_axis, grid_mesh, grid_nodes
 
 __all__ = [
     "EnvelopingElement", "SymbolPolynomial", "ZeroOperatorError",
@@ -151,6 +151,24 @@ class SymbolPolynomial:
             out += val
         return out
 
+    def on_grid(self, nodes):
+        """The symbol on the product grid of 1-D node arrays, shape
+        (P1, ..., Pk), with no mesh: each factor λ_i^e is taken on axis i's
+        nodes and broadcast, in the order __call__ multiplies them, so the
+        values are __call__'s on the mesh, bit for bit."""
+        nodes = [np.asarray(g, dtype=float) for g in nodes]
+        shape = tuple(g.size for g in nodes)
+        out = np.zeros(shape, dtype=complex)
+        val = np.empty(shape, dtype=complex)
+        for exps, c in self.terms:
+            val.fill(c)
+            for i, e in enumerate(exps):
+                if e:
+                    val *= (nodes[i] ** e).reshape(
+                        (-1,) + (1,) * (len(shape) - 1 - i))
+            out += val
+        return out
+
     @property
     def is_zero(self):
         return all(abs(c) == 0 for _, c in self.terms)
@@ -239,7 +257,7 @@ def _divided_symbol(u, axes, epsilon):
     if sym.is_zero:
         raise ZeroOperatorError("operator symbol is identically zero")
     dual = tuple(dual_axis(a) for a in axes)
-    P = sym(grid_mesh(dual))
+    P = sym.on_grid([grid_nodes(a) for a in dual])
     den = np.abs(P)
     np.square(den, out=den)
     den += epsilon**2

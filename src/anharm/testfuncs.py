@@ -158,14 +158,18 @@ def dual_axis(axis):
     return Axis(0.0, np.pi / axis.step, axis.points)
 
 
-def node_mesh(nodes):
+def node_mesh(nodes, out=None):
     """The product mesh of 1-D node arrays, shape (P1, ..., Pk, k), in the
     layout of groups.empty_columns: each coordinate column [..., i] is
-    contiguous, so mesh.reshape(-1, k) is a view.  The one mesh builder."""
-    nodes = [np.asarray(g, dtype=float) for g in nodes]
-    out = empty_columns(tuple(g.size for g in nodes) + (len(nodes),))
+    contiguous, so mesh.reshape(-1, k) is a view.  The one mesh builder.
+    Given out, an array of the mesh's shape, it refills out, and a None in
+    place of a node array leaves that column of out as it is."""
+    nodes = [None if g is None else np.asarray(g, dtype=float) for g in nodes]
+    if out is None:
+        out = empty_columns(tuple(g.size for g in nodes) + (len(nodes),))
     for i, g in enumerate(nodes):
-        out[..., i] = g.reshape((-1,) + (1,) * (len(nodes) - 1 - i))
+        if g is not None:
+            out[..., i] = g.reshape((-1,) + (1,) * (len(nodes) - 1 - i))
     return out
 
 

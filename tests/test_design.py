@@ -5,7 +5,9 @@ Every group dimension and every choice made on a group's name lives in
 keeps the formula m(m−1)/2 and comparisons of a ``case`` or ``group`` against
 a group name out of the rest of ``src/anharm``.  A second lint keeps
 ``np.meshgrid`` out of it too: ``testfuncs.node_mesh`` is the one mesh builder,
-with the column-contiguous layout the group laws use.
+with the column-contiguous layout the group laws use.  A third keeps every
+quotient y⁻¹x or x·y⁻¹ in the one-pass kernels of ``groups.py``: elsewhere no
+product is taken of an inverse.
 """
 
 import ast
@@ -89,4 +91,40 @@ def test_one_mesh_builder():
     paths = sorted(SRC.glob("*.py"))
     assert any(p.name == MESH_HELPER[0] for p in paths)
     found = [v for p in paths for v in meshgrid_uses(p)]
+    assert not found, "\n".join(found)
+
+
+QUOTIENT_KERNELS = "groups.py"  # where ldiv and rdiv are written
+
+
+def quotient_products(name, text):
+    """'name:line' for each call of a *mul function with a call of an *inv
+    function among its arguments: a quotient formed outside its kernel.
+    x·x⁻¹, the inverse axiom the group checks test, is no quotient."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if not (isinstance(node, ast.Call)
+                and (_subject(node.func) or "").endswith("mul")):
+            continue
+        args = node.args + [k.value for k in node.keywords]
+        for arg in args:
+            for sub in ast.walk(arg):
+                if (isinstance(sub, ast.Call) and sub.args
+                        and (_subject(sub.func) or "").endswith("inv")):
+                    inverted = ast.dump(sub.args[-1])
+                    if not any(ast.dump(o) == inverted for o in args):
+                        found.append(node.lineno)
+    return [f"{name}:{line}: mul of an inv" for line in sorted(set(found))]
+
+
+def test_quotients_have_one_kernel():
+    # the forms the engines used before Law.ldiv and Law.rdiv are caught
+    assert quotient_products("x", "B.mul(B.inv(y)[:, None, :], x)")
+    assert quotient_products("x", "n_mul(m, x, n_inv(m, w), out=o)")
+    assert not quotient_products("x", "B.ldiv(y, x, out=q)")
+    assert not quotient_products("x", "mul(x, inv(x))")
+    paths = sorted(SRC.glob("*.py"))
+    assert any(p.name == QUOTIENT_KERNELS for p in paths)
+    found = [v for p in paths if p.name != QUOTIENT_KERNELS
+             for v in quotient_products(p.name, p.read_text())]
     assert not found, "\n".join(found)

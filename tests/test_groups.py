@@ -287,6 +287,64 @@ def test_laws_on_strided_views_equal_contiguous_copies(m, width):
     assert np.max(np.abs(s_mul(m, p, s_inv(m, p)))) <= 1e-13
 
 
+# ── quotients ────────────────────────────────────────────────────────────────
+
+@pytest.mark.parametrize("width", [8, 12])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("name", ["N", "S", "M"])
+def test_quotients_equal_products_with_inverses(name, m, width):
+    rng = np.random.default_rng(70 + m)
+    L = law(name, m)
+    pairs = [  # (y, x): broadcast stacks, one element, strided views
+        (rng.uniform(-1, 1, (6, 1, L.dim)), rng.uniform(-1, 1, (1, 5, L.dim))),
+        (rng.uniform(-1, 1, L.dim), rng.uniform(-1, 1, (7, L.dim))),
+        (_strided_view(rng, width, L.dim), _strided_view(rng, width, L.dim)),
+    ]
+    for y, x in pairs:
+        for got, want, div in [
+                (L.ldiv(y, x), L.mul(L.inv(y), x), lambda o: L.ldiv(y, x, o)),
+                (L.rdiv(x, y), L.mul(x, L.inv(y)), lambda o: L.rdiv(x, y, o))]:
+            assert got.shape == want.shape
+            assert _max_rel(got, want) <= 1e-13
+            # out: a strided view, or a C-order array
+            out = (_strided_view(rng, width, L.dim) if got.shape == x.shape
+                   and x.ndim == 2 and not x.flags.c_contiguous
+                   else np.empty(got.shape))
+            assert div(out) is out
+            assert np.array_equal(out, got)
+
+
+def _inv_formula(m, x):
+    """n_inv as the polynomial inverse is written: (x⁻¹)_ij = −x_ij −
+    Σ_{i<l<j} x_il (x⁻¹)_lj, each column's rows from j−1 down to 0."""
+    idx = {ij: k for k, ij in enumerate(upper_indices(m))}
+    out = np.empty(x.shape)
+    for k in range(len(idx) - 1, -1, -1):
+        i, j = upper_indices(m)[k]
+        col = np.multiply(x[..., k], -1.0)
+        for l in range(i + 1, j):
+            col -= x[..., idx[i, l]] * out[..., idx[l, j]]
+        out[..., k] = col
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_inverses_equal_their_formulas_bit_for_bit(m):
+    # the quotient kernels share n_inv's code; n_inv and s_inv keep every
+    # bit, the sign of a zero included
+    rng = np.random.default_rng(80 + m)
+    d = m * (m - 1) // 2
+    p = rng.uniform(-1, 1, (300, d + m - 1))
+    p[::3] = 0.0
+    p[1::3, ::2] = -0.0
+    n, t = p[:, :d], p[:, d:]
+    assert n_inv(m, n).tobytes() == _inv_formula(m, n).tobytes()
+    neg_t = np.multiply(t, -1.0)
+    want = np.concatenate([rho_apply(m, neg_t, _inv_formula(m, n)), neg_t],
+                          axis=-1)
+    assert np.ascontiguousarray(s_inv(m, p)).tobytes() == want.tobytes()
+
+
 def test_json_round_trip():
     rng = np.random.default_rng(21)
     g = Element(4, rng.uniform(-2, 2, 6))

@@ -6,7 +6,7 @@ from anharm.testfuncs import (
     Axis, GridFunction, dual_axis, gaussian, grid_mesh, grid_nodes,
     quadrature, sample, shift_function,
 )
-from anharm import harmonic, ideals
+from anharm import groups, harmonic, ideals, testfuncs
 from anharm.harmonic import (
     convolve_abelian, convolve_extended_c, convolve_extended_c_lattice,
     convolve_extended_c_substituted, convolve_extended_group, convolve_group,
@@ -317,8 +317,10 @@ def test_theorem31_h_m2_margin_over_seeds():
 
 # ── block size ───────────────────────────────────────────────────────────────
 
-def _engine_runs():
-    """One small call of every engine and branch, keyed by name."""
+def _engine_runs(extend=None, refine=1):
+    """One small call of every engine and branch, keyed by name.
+    extend(f, case, m) gives F_ext, by default the tilde extension; refine
+    multiplies every axis's point count."""
     rng = np.random.default_rng(13)
     phi3, f3 = (gaussian(rng.uniform(-0.3, 0.3, 3), [1.0, 1.2, 0.9])
                 for _ in range(2))
@@ -326,10 +328,13 @@ def _engine_runs():
                 for _ in range(2))
     pts3, pts2 = rng.uniform(-0.4, 0.4, (5, 3)), rng.uniform(-0.4, 0.4, (5, 2))
     shift = rng.uniform(-0.4, 0.4, (5, 1))
-    axes3 = [Axis(0.0, 5.0, 8), Axis(0.0, 6.0, 4), Axis(0.0, 5.0, 16)]
-    axes2 = [Axis(0.0, 6.4, 16), Axis(0.0, 3.2, 8)]
+    axes3 = [Axis(0.0, 5.0, 8 * refine), Axis(0.0, 6.0, 4 * refine),
+             Axis(0.0, 5.0, 16 * refine)]
+    axes2 = [Axis(0.0, 6.4, 16 * refine), Axis(0.0, 3.2, 8 * refine)]
 
     def F(f, case, m):
+        if extend is not None:
+            return extend(f, case, m)
         return lambda b, s: tilde_eval_coords(f, case, m, b, s)
 
     K1, H = F(f3, "K1", 3), F(f2, "H", 2)
@@ -368,6 +373,50 @@ def test_engines_do_not_depend_on_block_size(monkeypatch, engine, chunk):
     assert np.max(np.abs(split - whole)) <= 1e-12 * np.max(np.abs(whole))
 
 
+def _count_empty_columns(monkeypatch):
+    """Record the shape of every groups.empty_columns call, under each name
+    the engines and the laws call it by."""
+    calls, real = [], groups.empty_columns
+
+    def spy(shape):
+        calls.append(tuple(shape))
+        return real(shape)
+
+    for module in (groups, harmonic, testfuncs):
+        monkeypatch.setattr(module, "empty_columns", spy)
+    return calls
+
+
+@pytest.mark.parametrize("engine", sorted(_engine_runs()))
+def test_engines_allocate_once_per_call(monkeypatch, engine):
+    # the node block, the quotient and the translates are kept buffers, so
+    # the engines' allocations do not grow with the number of blocks; F_ext
+    # here calls no group law, whose own allocations are not the engine's
+    def extend(f, case, m):
+        g = gaussian([0.1] * law(case, m).shift_dim, [2.0])
+        return lambda b, s: f(b) * g(s)
+
+    run = _engine_runs(extend, refine=4)[engine]
+    node_blocks = harmonic._node_blocks
+    counts, blocks = [], []
+
+    def counted_blocks(*args, **kwargs):
+        for block in node_blocks(*args, **kwargs):
+            blocks[-1] += 1
+            yield block
+
+    for chunk in (harmonic._CHUNK, harmonic._CHUNK // 16):
+        monkeypatch.setattr(harmonic, "_CHUNK", chunk)
+        monkeypatch.setattr(harmonic, "_node_blocks", counted_blocks)
+        calls = _count_empty_columns(monkeypatch)
+        blocks.append(0)
+        assert np.max(np.abs(run())) > 0
+        counts.append(len(calls))
+        monkeypatch.undo()
+    assert blocks[1] >= 2 * blocks[0], blocks
+    assert counts[0] == counts[1], counts
+
+
 @pytest.mark.parametrize("chunk", [1, 3, 40, 200, 1 << 40])
 def test_node_blocks_tile_the_mesh_in_order(monkeypatch, chunk):
     axes = [Axis(0.3, 5.0, 8), Axis(0.0, 6.0, 4), Axis(-1.0, 5.0, 16)]
@@ -377,6 +426,21 @@ def test_node_blocks_tile_the_mesh_in_order(monkeypatch, chunk):
     assert np.array_equal(np.concatenate(blocks), want)
     assert max(len(b) for b in blocks) * 5 <= max(chunk, 5)
     assert set(cells) == {1.25 * 3.0 * 0.625}
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 40, 200, 1 << 40])
+def test_kept_node_blocks_equal_fresh_ones(monkeypatch, chunk):
+    # one buffer refilled block by block, the columns of whole axes once
+    axes = [Axis(0.3, 5.0, 8), Axis(0.0, 6.0, 4), Axis(-1.0, 5.0, 16)]
+    monkeypatch.setattr(harmonic, "_CHUNK", chunk)
+    out = groups.empty_columns((harmonic._block_size(axes, 5), 3))
+    kept = [(b is out, b.copy(), cell)
+            for b, cell in harmonic._node_blocks(axes, 5, out=out)]
+    fresh = list(harmonic._node_blocks(axes, 5))
+    assert len(kept) == len(fresh)
+    for (same, b, cell), (want, want_cell) in zip(kept, fresh):
+        assert same and cell == want_cell
+        assert np.array_equal(b, want)
 
 
 # ── engines against the formulas they replaced ──────────────────────────────

@@ -146,6 +146,20 @@ def test_symbol_linearity():
     assert sym(np.array([2.0])) == pytest.approx(-5.0)
 
 
+@pytest.mark.parametrize("u", [
+    E(1, (0, 0), (), coefs=[1.0, -1.0]),
+    E(2, (0, 1), (1, 1, 1), (0,), coefs=[2.0 - 1.0j, 0.5, -3.0]),
+    E(3, (0, 1, 2), (1, 1), (2, 0, 2, 0), (), coefs=[1.0, -0.25j, 2.0, 1.5]),
+], ids=["1d", "2d", "3d"])
+def test_symbol_on_grid_equals_symbol_on_the_mesh(u):
+    # per-axis factors broadcast in __call__'s order: the same bits, the
+    # signs of zeros included, with no mesh
+    sym = symbol(u)
+    axes = [dual_axis(Axis(0.0, 3.0, p)) for p in (8, 16, 4)[:u.dim]]
+    got = sym.on_grid([grid_nodes(a) for a in axes])
+    assert got.tobytes() == sym(grid_mesh(axes)).tobytes()
+
+
 def test_transpose_reverses_and_signs():
     u = E(2, (0, 1), (0,), coefs=[2.0, 1.0])
     t = transpose(u)
