@@ -92,17 +92,15 @@ def _operands(out, *args):
     return (*args, out)
 
 
-def _n_mul_into(m, x, y, out, backward=False):
+def _n_mul_into(m, x, y, out):
     """(xy)_ij = x_ij + y_ij + Σ_{i<l<j} x_il y_lj into out.
 
     out may be y itself: in layer order column (i, j) reads y only at rows
-    l > i of its own column, which come after it.  With backward=True the
-    columns run in reverse layer order, and out may be x instead: column
-    (i, j) then reads x only at (i, l) with l < j, in earlier layers.
+    l > i of its own column, which come after it.
     """
     tmp = None
     terms = _n_terms(m)
-    for k in range(len(terms) - 1, -1, -1) if backward else range(len(terms)):
+    for k in range(len(terms)):
         col = out[..., k]
         np.add(x[..., k], y[..., k], out=col)
         for a, b in terms[k]:
@@ -140,30 +138,28 @@ def n_inv(m, x):
     return _n_inv_into(m, x, empty_columns(x.shape))
 
 
-def _n_inverse(m, y, out):
-    """y⁻¹ for a quotient written into out: in out itself when y spans
-    out's leading axes, else in scratch of y's own shape, so a y broadcast
-    along out's axes is inverted once per value."""
-    if y.shape[:-1] == out.shape[:-1]:
-        return _n_inv_into(m, y, out)
-    return _n_inv_into(m, y, np.empty(y.shape))
+def _n_inverse(m, y, scratch):
+    """y⁻¹ in scratch's first columns, which have y's shape (a buffer the
+    caller keeps across calls), or in a fresh one when scratch is None."""
+    if scratch is None:
+        return _n_inv_into(m, y, empty_columns(y.shape))
+    return _n_inv_into(m, y, scratch[..., :y.shape[-1]])
 
 
-def _n_ldiv(m, y, x, out=None):
-    """y⁻¹x in N, written into out when given: y⁻¹ (_n_inverse), then the
-    law, in reverse layer order when y⁻¹ is in out.  Every value is
+def _n_ldiv(m, y, x, out=None, scratch=None):
+    """y⁻¹x in N, written into out when given: y⁻¹ into scratch
+    (_n_inverse), then the law through n_mul.  Every value is
     n_mul(n_inv(y), x)'s, bit for bit."""
     y, x, out = _operands(out, y, x)
-    yinv = _n_inverse(m, y, out)
-    return _n_mul_into(m, yinv, x, out, backward=yinv is out)
+    return n_mul(m, _n_inverse(m, y, scratch), x, out)
 
 
-def _n_rdiv(m, x, y, out=None):
-    """x·y⁻¹ in N, written into out when given (out may be y itself): y⁻¹
-    (_n_inverse), then the law.  Every value is n_mul(x, n_inv(y))'s, bit
-    for bit."""
+def _n_rdiv(m, x, y, out=None, scratch=None):
+    """x·y⁻¹ in N, written into out when given: y⁻¹ into scratch
+    (_n_inverse), then the law through n_mul.  Every value is
+    n_mul(x, n_inv(y))'s, bit for bit."""
     x, y, out = _operands(out, x, y)
-    return _n_mul_into(m, x, _n_inverse(m, y, out), out)
+    return n_mul(m, x, _n_inverse(m, y, scratch), out)
 
 
 def diag_entries(t):
@@ -185,14 +181,26 @@ def _rho_terms(m, sign=1.0):
         for i, j in upper_indices(m))
 
 
+def _columns_of(a):
+    """A copy of a laid out by empty_columns, one column at a time."""
+    out = empty_columns(a.shape)
+    for k in range(a.shape[-1]):
+        np.copyto(out[..., k], a[..., k])
+    return out
+
+
 def _rho_into(m, t, x, out, sign=1.0):
     """Column (i, j) of out gets (a_i/a_j)^sign · x_ij = exp(Σ_l t_l
     sign·C_lj) · x_ij, or the scale alone when x is None; out may be x
     itself.  The exponential is taken only along the leading axes t varies
     on: a broadcast t repeats one value along each axis of stride 0.  The
     products are exact, so for m ≤ 3 (two terms at most) each exponent is
-    rounded once, as a matrix product rounds it."""
+    rounded once, as a matrix product rounds it.  A t of many rows whose
+    columns are strided is first copied to contiguous columns, so the terms
+    read it once per column, not once per term."""
     t = t[tuple(slice(None) if st else slice(0, 1) for st in t.strides[:-1])]
+    if t.size > t.shape[-1] and not t[..., 0].flags.contiguous:
+        t = _columns_of(t)
     e = np.empty(t.shape[:-1])
     tmp = None
     for k, ((l0, c0), *rest) in enumerate(_rho_terms(m, sign)):
@@ -257,29 +265,29 @@ def s_inv(m, p):
     return out
 
 
-def _s_ldiv(m, y, x, out=None):
+def _s_ldiv(m, y, x, out=None, scratch=None):
     """y⁻¹x = (ρ(−t_y)(n_y⁻¹n_x), t_x − t_y) in S, written into out when
-    given: the N quotient into out, then one ρ in place, its exponentials
-    taken along the axes t_y varies on."""
+    given: the N quotient into out, n_y⁻¹ held in scratch, then one ρ in
+    place, its exponentials taken along the axes t_y varies on."""
     d = len(_n_terms(m))
     y, x, out = _operands(out, y, x)
     for k in range(d, d + m - 1):
         np.subtract(x[..., k], y[..., k], out=out[..., k])
-    n = _n_ldiv(m, y[..., :d], x[..., :d], out[..., :d])
+    n = _n_ldiv(m, y[..., :d], x[..., :d], out[..., :d], scratch)
     _rho_into(m, y[..., d:], n, n, sign=-1.0)
     return out
 
 
-def _s_rdiv(m, x, z, out=None):
-    """x·z⁻¹ = (n_x·(ρ(t_x − t_z)n_z)⁻¹, t_x − t_z) in S, written into out
-    when given: t_x − t_z, then ρ(t_x − t_z)n_z and the N quotient in
-    place."""
+def _s_rdiv(m, x, z, out=None, scratch=None):
+    """x·z⁻¹ = (n_x·w⁻¹, t_x − t_z) with w = ρ(t_x − t_z)n_z in S, written
+    into out when given: t_x − t_z, then w, w⁻¹ and the law through n_mul,
+    each in place in out, so scratch goes unused."""
     d = len(_n_terms(m))
     x, z, out = _operands(out, x, z)
     for k in range(d, d + m - 1):
         np.subtract(x[..., k], z[..., k], out=out[..., k])
     w = _rho_into(m, out[..., d:], z[..., :d], out[..., :d])
-    _n_rdiv(m, x[..., :d], w, w)
+    n_mul(m, x[..., :d], _n_inv_into(m, w, w), w)
     return out
 
 
@@ -305,10 +313,13 @@ class Law:
     look n_mul, s_mul, ... up when called, so a wrapper installed on those
     module functions sees every call made through a Law.
 
-    On N, S and M, the groups the engines divide by, ldiv(y, x, out) = y⁻¹x
-    and rdiv(x, y, out) = x·y⁻¹ form a quotient in one pass, into out when
-    given, with no inverse array between.  They call no n_mul, s_mul or
-    s_inv, so wrappers on those no longer see the quotients' work.
+    On N, S and M, the groups the engines divide by, ldiv(y, x, out,
+    scratch) = y⁻¹x and rdiv(x, y, out, scratch) = x·y⁻¹ form a quotient
+    into out when given.  On N and S, y⁻¹'s N part goes into scratch, a
+    buffer of y's shape the caller keeps (a fresh one when None), and the
+    N law is applied through n_mul, so a wrapper on n_mul sees it; on S, ρ
+    is taken once.  They call no n_inv, s_mul or s_inv, so wrappers on
+    those no longer see the quotients' work.
 
     K1 (base N) and H (base S) have the coordinates (base, shift) and the
     componentwise law.  compose(u, b) = ι(u)∘b, where ι puts the shift u
@@ -440,21 +451,26 @@ def law(name, m):
     if name == "M":
         if m is not None and m < 1:
             raise ValueError(f"dimension must be >= 1, got {m}")
-        return Law("M", m, m, _m_add, _m_neg, ldiv=lambda y, x, out=None:
-                   _m_sub(x, y, out), rdiv=_m_sub)
+        return Law("M", m, m, _m_add, _m_neg,
+                   ldiv=lambda y, x, out=None, scratch=None: _m_sub(x, y, out),
+                   rdiv=lambda x, y, out=None, scratch=None: _m_sub(x, y, out))
     if m < 2:
         raise ValueError(f"matrix size must be >= 2, got {m}")
     d_n = m * (m - 1) // 2
     if name == "N":
         return Law("N", m, d_n, lambda x, y, out=None: n_mul(m, x, y, out),
                    lambda x: n_inv(m, x),
-                   ldiv=lambda y, x, out=None: _n_ldiv(m, y, x, out),
-                   rdiv=lambda x, y, out=None: _n_rdiv(m, x, y, out))
+                   ldiv=lambda y, x, out=None, scratch=None:
+                   _n_ldiv(m, y, x, out, scratch),
+                   rdiv=lambda x, y, out=None, scratch=None:
+                   _n_rdiv(m, x, y, out, scratch))
     if name == "S":
         return Law("S", m, d_n + m - 1, lambda x, y: s_mul(m, x, y),
                    lambda x: s_inv(m, x),
-                   ldiv=lambda y, x, out=None: _s_ldiv(m, y, x, out),
-                   rdiv=lambda x, y, out=None: _s_rdiv(m, x, y, out),
+                   ldiv=lambda y, x, out=None, scratch=None:
+                   _s_ldiv(m, y, x, out, scratch),
+                   rdiv=lambda x, y, out=None, scratch=None:
+                   _s_rdiv(m, x, y, out, scratch),
                    modular=lambda p: _s_modular(m, p))
     if name == "K1":  # shift: the acting layers 1..m-2 of N
         base, k = law("N", m), d_n - (m - 1)

@@ -229,7 +229,8 @@ def convolve_group(g, f, group, m, points, axes):
 
     def integrand(n):
         q = empty_columns((n,) + x.shape[1:])
-        return lambda y: f(L.ldiv(y[:, None, :], x, out=q))
+        yinv = empty_columns((n, 1, L.dim))
+        return lambda y: f(L.ldiv(y[:, None, :], x, out=q, scratch=yinv))
 
     return _quadrature(axes, x.shape[1], integrand, weight=g)
 
@@ -255,21 +256,22 @@ def _put(out, a, b=None):
             np.subtract(a[..., i], b[..., i], out=out[..., i])
 
 
-def _c_translate(L, base, shift, y, out=None):
+def _c_translate(L, base, shift, y, out=None, scratch=None):
     """The ∗_c translate: y's top slots divide the base's on the left by
     the top law, y's acting slots are subtracted from the shift, and the
     acting slots stay fixed.
 
     For H the top law is N's (the T picture is the direct product
     N × R^{m-1}); the b-slot of the base is untouched.  Both parts are
-    views of one (nodes, points, dim) buffer, out when given.
+    views of one (nodes, points, dim) buffer, out when given; scratch, of
+    y's top slots' shape, holds their inverse.
     """
     d_b, a, t, top = L.base.dim, L.acting, L.top, L.top_law
     buf = out if out is not None else empty_columns(
         np.broadcast_shapes(base.shape[:-1], y.shape[:-1]) + (L.dim,))
     nb, ns = buf[..., :d_b], buf[..., d_b:]
     _put(nb[..., a], base[..., a])
-    top.ldiv(y[..., t], base[..., t], out=nb[..., t])
+    top.ldiv(y[..., t], base[..., t], out=nb[..., t], scratch=scratch)
     _put(ns, shift, y[..., a])
     return nb, ns
 
@@ -286,7 +288,9 @@ def convolve_extended_c(phi, F_ext, case, m, base_points, shift_points, axes):
 
     def integrand(n):
         buf = empty_columns((n, x.shape[1], L.dim))
-        return lambda y: F_ext(*_c_translate(L, x, s, y[:, None, :], buf))
+        yinv = empty_columns((n, 1, L.top_law.dim))
+        return lambda y: F_ext(*_c_translate(L, x, s, y[:, None, :], buf,
+                                             yinv))
 
     return _quadrature(axes, x.shape[1], integrand, weight=phi)
 
@@ -309,6 +313,7 @@ def convolve_extended_c_substituted(phi, F_ext, case, m, base_points,
         # whose x_act slots every block shares
         lead = (n, x.shape[1])
         fa, y = empty_columns(lead + (L.dim,)), empty_columns(lead + (d_b,))
+        winv = empty_columns((n, 1, top.dim))
         fb, fs = fa[..., :d_b], fa[..., d_b:]
         _put(fb[..., a], x[..., a])
 
@@ -318,7 +323,7 @@ def convolve_extended_c_substituted(phi, F_ext, case, m, base_points,
             _put(fb[..., t], wt)
             _put(fs, ws)
             _put(y[..., a], s, ws)
-            top.rdiv(x[..., t], wt, out=y[..., t])
+            top.rdiv(x[..., t], wt, out=y[..., t], scratch=winv)
             return (np.asarray(F_ext(fb, fs), dtype=complex)
                     * np.asarray(phi(y), dtype=complex))
 
@@ -343,16 +348,19 @@ def convolve_extended_group(phi, F_ext, case, m, base_points, shift_points,
     if not substituted:
         def integrand(n):
             q = empty_columns((n, x.shape[1], B.dim))
-            return lambda y: F_ext(B.ldiv(y[:, None, :], x, out=q), s)
+            yinv = empty_columns((n, 1, B.dim))
+            return lambda y: F_ext(
+                B.ldiv(y[:, None, :], x, out=q, scratch=yinv), s)
 
         return _quadrature(axes, x.shape[1], integrand, weight=phi)
 
     def substituted_integrand(n):
         q = empty_columns((n, x.shape[1], B.dim))
+        zinv = empty_columns((n, 1, B.dim))
 
         def block_integrand(block):
             z = block[:, None, :]
-            y = B.rdiv(x, z, out=q)  # Y = base∘Z⁻¹
+            y = B.rdiv(x, z, out=q, scratch=zinv)  # Y = base∘Z⁻¹
             pv = np.asarray(phi(y), dtype=complex)
             if B.modular is not None:
                 pv *= B.modular(y)

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from anharm import groups
 from anharm.groups import (
     Element, coords_to_matrix, diag_entries, element_from_json,
-    element_to_json, law, matrix_to_coords, n_inv, n_mul, rho_apply,
+    element_to_json, empty_columns, law, matrix_to_coords, n_inv, n_mul, rho_apply,
     rho_scale, s_inv, s_mul, upper_indices,
 )
 
@@ -287,6 +288,20 @@ def test_laws_on_strided_views_equal_contiguous_copies(m, width):
     assert np.max(np.abs(s_mul(m, p, s_inv(m, p)))) <= 1e-13
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_rho_on_row_major_t_equals_rho_on_columns(m):
+    # a row-major t is read into contiguous columns first; the values are
+    # those of the term-by-term sums on a column-laid-out t, bit for bit
+    rng = np.random.default_rng(90 + m)
+    d = m * (m - 1) // 2
+    t = rng.uniform(-1, 1, (500, 1, m + 1))[..., :m - 1]
+    x = rng.uniform(-2, 2, (500, 3, d))
+    cols = empty_columns(t.shape)
+    cols[...] = t
+    assert rho_scale(m, t).tobytes() == rho_scale(m, cols).tobytes()
+    assert np.array_equal(rho_apply(m, t, x), rho_apply(m, cols, x))
+
+
 # ── quotients ────────────────────────────────────────────────────────────────
 
 @pytest.mark.parametrize("width", [8, 12])
@@ -312,6 +327,28 @@ def test_quotients_equal_products_with_inverses(name, m, width):
                    else np.empty(got.shape))
             assert div(out) is out
             assert np.array_equal(out, got)
+        # scratch: a kept buffer of y's shape that takes y⁻¹
+        scratch = empty_columns(y.shape)
+        assert np.array_equal(L.ldiv(y, x, scratch=scratch), L.ldiv(y, x))
+        assert np.array_equal(L.rdiv(x, y, scratch=scratch), L.rdiv(x, y))
+
+
+@pytest.mark.parametrize("name", ["N", "S"])
+def test_quotients_apply_the_law_through_n_mul(monkeypatch, name):
+    # a wrapper on groups.n_mul, as perfbench installs, sees each quotient
+    calls, real = [], groups.n_mul
+
+    def spy(m, x, y, out=None):
+        calls.append(out.shape)
+        return real(m, x, y, out)
+
+    monkeypatch.setattr(groups, "n_mul", spy)
+    rng = np.random.default_rng(75)
+    L = law(name, 3)
+    y, x = rng.uniform(-1, 1, (6, 1, L.dim)), rng.uniform(-1, 1, (1, 5, L.dim))
+    L.ldiv(y, x)
+    L.rdiv(x, y)
+    assert calls == [(6, 5, 3)] * 2
 
 
 def _inv_formula(m, x):
