@@ -315,11 +315,12 @@ class Law:
 
     On N, S and M, the groups the engines divide by, ldiv(y, x, out,
     scratch) = y⁻¹x and rdiv(x, y, out, scratch) = x·y⁻¹ form a quotient
-    into out when given.  On N and S, y⁻¹'s N part goes into scratch, a
-    buffer of y's shape the caller keeps (a fresh one when None), and the
-    N law is applied through n_mul, so a wrapper on n_mul sees it; on S, ρ
-    is taken once.  They call no n_inv, s_mul or s_inv, so wrappers on
-    those no longer see the quotients' work.
+    into out when given.  On N, and in S's ldiv, y⁻¹'s N part goes into
+    scratch, a buffer of y's shape the caller keeps (a fresh one when
+    None); S's rdiv works in out alone.  On N and S the N law is applied
+    through n_mul, so a wrapper on n_mul sees it, and on S ρ is taken
+    once.  They call no n_inv, s_mul or s_inv, so wrappers on those no
+    longer see the quotients' work.
 
     K1 (base N) and H (base S) have the coordinates (base, shift) and the
     componentwise law.  compose(u, b) = ι(u)∘b, where ι puts the shift u
