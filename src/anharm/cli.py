@@ -7,11 +7,11 @@ Subcommands::
                    scalar-groups,all} [flags]
     anharm solve fundamental-solution --operator EXPR [flags]
 
-Reports are JSON-lines (one object per check, ``"schema": 1``) or a CSV
-summary.  Exit codes: 0 all gating checks pass, 1 check failure, 2
+Reports are JSON-lines (one object per report line, ``"schema": 1``) or a
+CSV summary.  Exit codes: 0 all gating checks pass, 1 check failure, 2
 usage/configuration error, 3 I/O error.  Reports contain no clock data
-unless --timings is given, so identical seed and configuration produce
-byte-identical output.
+unless --timings is given, which gives each line its own ``wall_time``, so
+identical seed and configuration produce byte-identical output.
 """
 
 import argparse
@@ -22,6 +22,7 @@ import json
 import math
 import sys
 import time
+from collections import namedtuple
 
 import numpy as np
 
@@ -34,8 +35,7 @@ from .ideals import (
     transport_gram_deviation,
 )
 from .operators import (
-    EnvelopingElement, ZeroOperatorError, fundamental_solution_group,
-    operator_identity_residual,
+    EnvelopingElement, fundamental_solution_group, operator_identity_residual,
 )
 from .scalars import (
     NegReal, iso_Phi, iso_Psi, iso_Psi_inv, iso_psi, neg_identity, neg_inv,
@@ -44,23 +44,6 @@ from .scalars import (
 from .testfuncs import Axis, GridFunction, export_csv, gaussian, sample_chunk
 
 __all__ = ["main", "parse_operator", "OperatorSyntaxError"]
-
-CHECKS = ["group-axioms", "plancherel", "convolution-identity",
-          "projected-convolution", "operator-identity", "ideals",
-          "scalar-groups"]
-
-# The configuration flags each check reads.  A named check rejects any other
-# of them; ``verify all`` hands each check only its own.
-CHECK_FLAGS = {
-    "group-axioms": {"group", "m"},
-    "plancherel": {"group", "grid", "halfwidth"},
-    "convolution-identity": {"grid"},
-    "projected-convolution": set(),
-    "operator-identity": set(),
-    "ideals": {"dictionary_size", "probes"},
-    "scalar-groups": set(),
-}
-_FLAGS = ("group", "m", "grid", "halfwidth", "dictionary_size", "probes")
 
 # The cap on a command's estimated peak memory (plancherel_peak_bytes,
 # solve_peak_bytes); the 32⁵ plancherel grid is estimated at 1.81 GiB.
@@ -181,7 +164,7 @@ def parse_operator(expr, dim):
 
 # ── report plumbing ──────────────────────────────────────────────────────────
 
-def _line(check, params, metric, value, tolerance, gating=True):
+def _line(check, params, metric, value, tolerance):
     return {
         "schema": 1,
         "check": check,
@@ -190,17 +173,18 @@ def _line(check, params, metric, value, tolerance, gating=True):
         "value": float(value),
         "tolerance": float(tolerance),
         "pass": bool(value <= tolerance),
-        "gating": bool(gating),
+        "gating": True,
     }
 
 
 # ── checks ───────────────────────────────────────────────────────────────────
+# Each check is a generator of report lines (params, metric, value,
+# tolerance); the CHECKS table below gives its name and the flags it reads.
 
 def check_group_axioms(cfg):
     rng = np.random.default_rng(cfg.seed)
     ms = [cfg.m] if cfg.m else [2, 3, 4, 5]
     groups = [cfg.group] if cfg.group else ["N", "S"]
-    lines = []
     for group in groups:
         for m in ms:
             L = law(group, m)
@@ -215,9 +199,8 @@ def check_group_axioms(cfg):
             scale = max(1.0, float(np.max(np.abs(lhs))))
             worst = max(np.max(np.abs(assoc)), np.max(np.abs(unit)),
                         np.max(np.abs(invv))) / scale
-            lines.append(_line("group-axioms", {"group": group, "m": m},
-                               "max_rel_coord_err", worst, cfg.tol(1e-12)))
-    return lines
+            yield ({"group": group, "m": m}, "max_rel_coord_err", worst,
+                   cfg.tol(1e-12))
 
 
 def grid_bytes(axes):
@@ -250,15 +233,15 @@ def solve_peak_bytes(axes):
     return 8 * grid_bytes(axes)
 
 
-def _cap_error(command, axes, peak):
-    """The message refusing a grid whose estimated peak exceeds the cap, or
-    None."""
-    if peak <= MAX_GRID_BYTES:
-        return None
-    shape = "×".join(str(a.points) for a in axes)
-    return (f"{command}: a {shape} grid needs {_gib(grid_bytes(axes))} of "
-            f"samples and about {_gib(peak)} at peak, above the "
-            f"{_gib(MAX_GRID_BYTES)} cap")
+def _check_cap(command, axes, peak):
+    """Refuses, with a ValueError, a grid whose estimated peak exceeds the
+    cap."""
+    if peak > MAX_GRID_BYTES:
+        shape = "×".join(str(a.points) for a in axes)
+        raise ValueError(f"{command}: a {shape} grid needs "
+                         f"{_gib(grid_bytes(axes))} of samples and about "
+                         f"{_gib(peak)} at peak, above the "
+                         f"{_gib(MAX_GRID_BYTES)} cap")
 
 
 def _gib(nbytes):
@@ -274,30 +257,25 @@ def _plancherel_axes(cfg):
 
 
 def check_plancherel(cfg):
-    lines = []
     grids = _plancherel_axes(cfg)
     if "N" in grids:
         axes = grids["N"]
         rep = plancherel_check(gaussian([0.1, -0.2, 0.0], [1.0, 1.2, 0.9]),
                                axes)
-        lines.append(_line("plancherel",
-                           {"group": "N", "m": 3, "grid": axes[0].points},
-                           "rel_err", rep.rel_err, cfg.tol(1e-8)))
+        yield ({"group": "N", "m": 3, "grid": axes[0].points}, "rel_err",
+               rep.rel_err, cfg.tol(1e-8))
     rng = np.random.default_rng(cfg.seed)
     data = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     gf = GridFunction((Axis(0.0, 3.0, 16),) * 2, data)
     rep = plancherel_check(gf, gf.axes)
-    lines.append(_line("plancherel", {"kind": "discrete-parseval"},
-                       "rel_err", rep.rel_err, cfg.tol(1e-12)))
+    yield {"kind": "discrete-parseval"}, "rel_err", rep.rel_err, cfg.tol(1e-12)
     if "S" in grids:
         axes = grids["S"]
         rep = plancherel_check(
             gaussian([0.1, 0.0, -0.1, 0.05, 0.0], [1.0, 1.1, 0.9, 1.2, 1.0]),
             axes)
-        lines.append(_line("plancherel",
-                           {"group": "S", "m": 3, "grid": axes[0].points},
-                           "rel_err", rep.rel_err, cfg.tol(1e-6)))
-    return lines
+        yield ({"group": "S", "m": 3, "grid": axes[0].points}, "rel_err",
+               rep.rel_err, cfg.tol(1e-6))
 
 
 def _gauss_pair(rng, dim, widths, k, pt_scale):
@@ -310,25 +288,22 @@ def _gauss_pair(rng, dim, widths, k, pt_scale):
 
 def check_convolution_identity(cfg):
     rng = np.random.default_rng(cfg.seed)
-    lines = []
     phi, f, pts = _gauss_pair(rng, 3, [1.0] * 3, 1, 0.4)
     axes = [Axis(0.0, 6.4, cfg.grid or 16)] * 3
     r, s = theorem31_residual(phi, f, "K1", 3, pts, axes, axes)
-    lines.append(_line("convolution-identity", {"case": "K1", "m": 3},
-                       "rel_residual", r / max(s, 1e-300), cfg.tol(1e-3)))
+    yield ({"case": "K1", "m": 3}, "rel_residual", r / max(s, 1e-300),
+           cfg.tol(1e-3))
     phi, f, pts = _gauss_pair(rng, 2, [1.0, 3.0], 1, 0.4)
     # 8·grid × 4·grid: at 4·grid × 2·grid seeds 11, 16 and 19 fail the gate
     axes = [Axis(0.0, 6.4, 8 * (cfg.grid or 16)),
             Axis(0.0, 3.2, 4 * (cfg.grid or 16))]
     r, s = theorem31_residual(phi, f, "H", 2, pts, axes, axes)
-    lines.append(_line("convolution-identity", {"case": "H", "m": 2},
-                       "rel_residual", r / max(s, 1e-300), cfg.tol(1e-3)))
-    return lines
+    yield ({"case": "H", "m": 2}, "rel_residual", r / max(s, 1e-300),
+           cfg.tol(1e-3))
 
 
 def check_projected_convolution(cfg):
     rng = np.random.default_rng(cfg.seed)
-    lines = []
     phi = gaussian(rng.uniform(-0.3, 0.3, 3), [1.0] * 3)
     f = gaussian(rng.uniform(-0.3, 0.3, 3), [1.0] * 3)
     # P=16 at the step of P=8: index 2j on the finer dual grid is the
@@ -336,22 +311,20 @@ def check_projected_convolution(cfg):
     axes = [Axis(0.0, 9.6, 16)] * 4
     fi = [tuple(2 * int(v) for v in idx) for idx in rng.integers(2, 6, (10, 3))]
     r, s = projected_convolution_check(phi, f, "K1", 3, axes, fi)
-    lines.append(_line("projected-convolution", {"case": "K1", "m": 3},
-                       "rel_residual", r / max(s, 1e-300), cfg.tol(1e-2)))
+    yield ({"case": "K1", "m": 3}, "rel_residual", r / max(s, 1e-300),
+           cfg.tol(1e-2))
     phi = gaussian(rng.uniform(-0.2, 0.2, 2), [1.0, 4.0])
     f = gaussian(rng.uniform(-0.2, 0.2, 2), [3.0, 6.0])
     axes = [Axis(0.0, 10.0, 32), Axis(0.0, 2.4, 16), Axis(0.0, 2.4, 16)]
     fi = [(int(i), int(j)) for i, j in
           zip(rng.integers(13, 19, 10), rng.integers(5, 11, 10))]
     r, s = projected_convolution_check(phi, f, "H", 2, axes, fi)
-    lines.append(_line("projected-convolution", {"case": "H", "m": 2},
-                       "rel_residual", r / max(s, 1e-300), cfg.tol(1e-2)))
-    return lines
+    yield ({"case": "H", "m": 2}, "rel_residual", r / max(s, 1e-300),
+           cfg.tol(1e-2))
 
 
 def check_operator_identity(cfg):
     rng = np.random.default_rng(cfg.seed)
-    lines = []
     f3 = gaussian([0.1, 0.0, -0.2], [1.0, 1.2, 0.9])
     pts3 = [(rng.uniform(-0.5, 0.5, 3), rng.uniform(-0.5, 0.5, 1))
             for _ in range(10)]
@@ -361,18 +334,15 @@ def check_operator_identity(cfg):
         ("sublaplacian", EnvelopingElement(3, ((1.0, (0, 0)), (1.0, (2, 2))))),
     ]:
         r, s = operator_identity_residual(u, f3, "K1", 3, pts3)
-        lines.append(_line("operator-identity",
-                           {"case": "K1", "m": 3, "operator": name},
-                           "rel_residual", r / max(s, 1e-300), cfg.tol(1e-3)))
+        yield ({"case": "K1", "m": 3, "operator": name}, "rel_residual",
+               r / max(s, 1e-300), cfg.tol(1e-3))
     f2 = gaussian([0.1, -0.1], [1.0, 1.3])
     pts2 = [(rng.uniform(-0.5, 0.5, 2), rng.uniform(-0.5, 0.5, 1))
             for _ in range(10)]
     u = EnvelopingElement(2, ((1.0, (0, 0)), (0.5, (0, 1))))
     r, s = operator_identity_residual(u, f2, "H", 2, pts2)
-    lines.append(_line("operator-identity",
-                       {"case": "H", "m": 2, "operator": "E1*E1+0.5*E1*E2"},
-                       "rel_residual", r / max(s, 1e-300), cfg.tol(1e-3)))
-    return lines
+    yield ({"case": "H", "m": 2, "operator": "E1*E1+0.5*E1*E2"},
+           "rel_residual", r / max(s, 1e-300), cfg.tol(1e-3))
 
 
 def check_ideals(cfg):
@@ -392,18 +362,17 @@ def check_ideals(cfg):
     ax_x, ax_z, ax_y = Axis(0, 8.0, 16), Axis(0, 9.6, 16), Axis(0, 8.0, 16)
     model = ideal_model(gens, probes, 3, (ax_x, ax_z, ax_y),
                         (ax_z, ax_y, ax_x))
-    lines = [_line("ideals", {"m": 3}, "gram_transport_deviation",
-                   transport_gram_deviation(model), cfg.tol(1e-6))]
+    yield ({"m": 3}, "gram_transport_deviation",
+           transport_gram_deviation(model), cfg.tol(1e-6))
     rep = correspondence_check(model, [gating])
-    lines.append(_line("ideals", {"m": 3}, "closure_residual_difference",
-                       rep[0].difference, cfg.tol(1e-3)))
+    yield ({"m": 3}, "closure_residual_difference", rep[0].difference,
+           cfg.tol(1e-3))
     pts = rng.uniform(-1.0, 1.0, (20, 3))
     psi = gaussian([0.1, -0.2, 0.0], [1.3, 0.5, 1.1])
     r, s = gamma_intertwine_residual(psi, gens[0], 3, pts,
                                      (ax_x, ax_z, ax_y), (ax_z, ax_y, ax_x))
-    lines.append(_line("ideals", {"m": 3}, "intertwine_rel_residual",
-                       r / max(s, 1e-300), cfg.tol(1e-3)))
-    return lines
+    yield ({"m": 3}, "intertwine_rel_residual", r / max(s, 1e-300),
+           cfg.tol(1e-3))
 
 
 def check_scalar_groups(cfg):
@@ -432,48 +401,40 @@ def check_scalar_groups(cfg):
                   / max(1.0, abs(iso_Phi(*p) + iso_Phi(*q))))
         xr, yr = iso_Psi_inv(*iso_Psi(*p))
         hom = max(hom, abs(xr - p[0]) / p[0], abs(yr - x) / abs(x))
-    return [
-        _line("scalar-groups", {"samples": 10_000}, "max_axiom_err",
-              worst, cfg.tol(1e-12)),
-        _line("scalar-groups", {"samples": 10_000}, "max_homomorphism_err",
-              hom, cfg.tol(1e-12)),
-    ]
+    yield {"samples": 10_000}, "max_axiom_err", worst, cfg.tol(1e-12)
+    yield {"samples": 10_000}, "max_homomorphism_err", hom, cfg.tol(1e-12)
 
 
-CHECK_FUNS = {
-    "group-axioms": check_group_axioms,
-    "plancherel": check_plancherel,
-    "convolution-identity": check_convolution_identity,
-    "projected-convolution": check_projected_convolution,
-    "operator-identity": check_operator_identity,
-    "ideals": check_ideals,
-    "scalar-groups": check_scalar_groups,
+Check = namedtuple("Check", "run flags")
+
+# Each check and the configuration flags it reads.  A named check rejects any
+# other of them; ``verify all`` hands each check only its own.
+CHECKS = {
+    "group-axioms": Check(check_group_axioms, {"group", "m"}),
+    "plancherel": Check(check_plancherel, {"group", "grid", "halfwidth"}),
+    "convolution-identity": Check(check_convolution_identity, {"grid"}),
+    "projected-convolution": Check(check_projected_convolution, set()),
+    "operator-identity": Check(check_operator_identity, set()),
+    "ideals": Check(check_ideals, {"dictionary_size", "probes"}),
+    "scalar-groups": Check(check_scalar_groups, set()),
 }
+_FLAGS = ("group", "m", "grid", "halfwidth", "dictionary_size", "probes")
 
 
 # ── configuration and output ─────────────────────────────────────────────────
 
-class RunConfig:
-    def __init__(self, args):
-        self.group = args.group
-        self.m = args.m
-        self.grid = args.grid
-        self.halfwidth = args.halfwidth
-        self.seed = args.seed
-        self.tolerance = args.tolerance
-        self.epsilon = getattr(args, "epsilon", 1e-8)
-        self.dictionary_size = getattr(args, "dictionary_size", None)
-        self.probes = getattr(args, "probes", None)
-        self.timings = args.timings
-        if self.tolerance is not None and self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
-        if self.m is not None and self.m < 2:
-            raise ValueError(f"m must be >= 2, got {self.m}")
-        if self.halfwidth is not None and self.halfwidth <= 0:
-            raise ValueError(f"halfwidth must be positive, got {self.halfwidth}")
-        if self.grid is not None and (
-                self.grid < 2 or self.grid & (self.grid - 1)):
-            raise ValueError("grid must be a power of two >= 2")
+def _check_grid_flags(args):
+    """Refuses, with a ValueError, a bad --m, --halfwidth or --grid."""
+    if args.m is not None and args.m < 2:
+        raise ValueError(f"m must be >= 2, got {args.m}")
+    if args.halfwidth is not None and args.halfwidth <= 0:
+        raise ValueError(f"halfwidth must be positive, got {args.halfwidth}")
+    if args.grid is not None and (args.grid < 2 or args.grid & (args.grid - 1)):
+        raise ValueError("grid must be a power of two >= 2")
+
+
+class RunConfig(argparse.Namespace):
+    """The verify flags, as the checks read them."""
 
     def tol(self, default):
         return default if self.tolerance is None else self.tolerance
@@ -483,7 +444,7 @@ class RunConfig:
         flag it does not read is a ValueError."""
         cfg = copy.copy(self)
         for flag in _FLAGS:
-            if flag in CHECK_FLAGS[name] or getattr(self, flag) is None:
+            if flag in CHECKS[name].flags or getattr(self, flag) is None:
                 continue
             if strict:
                 raise ValueError(f"{name} does not read "
@@ -495,15 +456,16 @@ class RunConfig:
 def _check_configs(args):
     """Each check's configuration by name, validated before any check runs
     or any grid is allocated; raises ValueError."""
-    cfg = RunConfig(args)
+    if args.tolerance is not None and args.tolerance < 0:
+        raise ValueError("tolerance must be nonnegative")
+    _check_grid_flags(args)
+    cfg = RunConfig(**vars(args))
     names = CHECKS if args.check == "all" else [args.check]
     cfgs = {name: cfg.for_check(name, strict=args.check != "all")
             for name in names}
     grids = _plancherel_axes(cfgs["plancherel"]) if "plancherel" in cfgs else {}
     for axes in grids.values():
-        error = _cap_error("plancherel", axes, plancherel_peak_bytes(axes))
-        if error:
-            raise ValueError(error)
+        _check_cap("plancherel", axes, plancherel_peak_bytes(axes))
     return cfgs
 
 
@@ -540,46 +502,39 @@ def _run_verify(args):
         return 2
     lines = []
     for name, cfg in cfgs.items():
-        t0 = time.perf_counter()
-        produced = CHECK_FUNS[name](cfg)
-        elapsed = time.perf_counter() - t0
-        if cfg.timings:
-            for ln in produced:
-                ln["wall_time"] = elapsed / len(produced)
-        lines.extend(produced)
+        start = time.perf_counter()
+        for yielded in CHECKS[name].run(cfg):
+            lines.append(_line(name, *yielded))
+            if args.timings:  # since the previous line or the check's start
+                now = time.perf_counter()
+                lines[-1]["wall_time"], start = now - start, now
     code = _emit(lines, args)
     if code:
         return code
     return 0 if all(ln["pass"] for ln in lines if ln["gating"]) else 1
 
 
+def _solve_config(args):
+    """The group, m, operator and axes of a solve, validated before any
+    work; raises ValueError."""
+    _check_grid_flags(args)
+    if not args.output:
+        raise ValueError("solve requires --output")
+    group, m = args.group or "N", args.m or 3
+    dim = law(group, m).dim
+    u = parse_operator(args.operator, dim)
+    axes = [Axis(0.0, args.halfwidth or 8.0, args.grid or 32)] * dim
+    _check_cap("solve", axes, solve_peak_bytes(axes))
+    return group, m, u, axes
+
+
 def _run_solve(args):
     try:
-        cfg = RunConfig(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    group = cfg.group or "N"
-    m = cfg.m or 3
-    dim = law(group, m).dim
-    try:
-        u = parse_operator(args.operator, dim)
-    except OperatorSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    axes = [Axis(0.0, cfg.halfwidth or 8.0, cfg.grid or 32)] * dim
-    error = _cap_error("solve", axes, solve_peak_bytes(axes))
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    try:
+        group, m, u, axes = _solve_config(args)
         sol = fundamental_solution_group(u, group, m, axes,
-                                         epsilon=cfg.epsilon)
-    except (ZeroOperatorError, ValueError) as exc:
+                                         epsilon=args.epsilon)
+    except ValueError as exc:  # OperatorSyntaxError, ZeroOperatorError too
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not args.output:
-        print("error: solve requires --output", file=sys.stderr)
         return 2
     try:
         export_csv(sol.values, args.output)
@@ -588,7 +543,7 @@ def _run_solve(args):
         return 3
     summary = {"schema": 1, "operator": args.operator, "group": group,
                "m": m, "grid": axes[0].points, "halfwidth": axes[0].half_width,
-               "epsilon": cfg.epsilon, "output": args.output}
+               "epsilon": args.epsilon, "output": args.output}
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -599,26 +554,26 @@ def _build_parser():
         description="verification suite for group harmonic-analysis identities")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def grid_flags(p):
         p.add_argument("--group", choices=["N", "S"])
         p.add_argument("--m", type=int)
         p.add_argument("--grid", type=int)
         p.add_argument("--halfwidth", type=float)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tolerance", type=float)
         p.add_argument("--output")
-        p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
-        p.add_argument("--timings", action="store_true")
 
     verify = sub.add_parser("verify", help="run identity checks")
-    verify.add_argument("check", choices=CHECKS + ["all"])
-    common(verify)
+    verify.add_argument("check", choices=[*CHECKS, "all"])
+    grid_flags(verify)
+    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--tolerance", type=float)
+    verify.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
+    verify.add_argument("--timings", action="store_true")
     verify.add_argument("--dictionary-size", type=int, dest="dictionary_size")
     verify.add_argument("--probes", type=int)
 
     solve = sub.add_parser("solve", help="numerical solves")
     solve.add_argument("what", choices=["fundamental-solution"])
-    common(solve)
+    grid_flags(solve)
     solve.add_argument("--operator", required=True)
     solve.add_argument("--epsilon", type=float, default=1e-8)
     return parser

@@ -304,10 +304,10 @@ def fundamental_solution_group(u, group, m, axes, epsilon=1e-8):
     if not ext.shift_dim:  # abelian N: Γ is the identity
         return fundamental_solution_abelian(uq, axes, epsilon)
 
-    w = _TWISTS[group, m](grid_mesh(axes))
     perm = ext.m_order
     m_axes = tuple(axes[p] for p in perm)
-    dual, C = _divided_symbol(uq, m_axes, epsilon)
+    dual, C = _divided_symbol(uq, m_axes, epsilon)  # refuses ε ≤ 0, P ≡ 0
+    w = _TWISTS[group, m](grid_mesh(axes))
 
     # invert the on-grid tail axes (all but the first M axis) in place,
     # keeping the first axis in frequency: C[λ_1, tail spatial indices]

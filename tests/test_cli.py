@@ -113,8 +113,8 @@ def test_bad_m_or_halfwidth_is_config_error(monkeypatch, capsys, argv,
     def no_check(cfg):
         raise AssertionError("a check ran before the configuration was checked")
 
-    for name in cli.CHECK_FUNS:
-        monkeypatch.setitem(cli.CHECK_FUNS, name, no_check)
+    for name, check in cli.CHECKS.items():
+        monkeypatch.setitem(cli.CHECKS, name, check._replace(run=no_check))
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
@@ -176,11 +176,45 @@ def test_solve_rejects_zero_operator(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_solve_requires_output(capsys):
+def test_solve_requires_output(capsys, monkeypatch):
+    def no_mesh(axes):
+        raise AssertionError("a mesh was built before --output was checked")
+
+    monkeypatch.setattr(operators, "grid_mesh", no_mesh)
     code = main(["solve", "fundamental-solution", "--operator", "E2*E2-1",
                  "--m", "3", "--grid", "8"])
     assert code == 2
-    capsys.readouterr()
+    assert "requires --output" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--operator", "E1*E1-1", "--epsilon", "0"], "epsilon must be positive"),
+    (["--operator", "E1-E1"], "identically zero"),
+])
+def test_solve_rejects_bad_epsilon_or_zero_operator_before_any_mesh(
+        tmp_path, capsys, monkeypatch, argv, message):
+    def no_mesh(axes):
+        raise AssertionError("a mesh was built before the solve was refused")
+
+    monkeypatch.setattr(operators, "grid_mesh", no_mesh)
+    out = tmp_path / "x.csv"
+    code = main(["solve", "fundamental-solution", "--group", "N", "--m", "3",
+                 "--grid", "8", "--output", str(out), *argv])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--tolerance", "-1"],
+                                  ["--format", "csv"], ["--timings"]])
+def test_solve_does_not_parse_the_verify_flags(tmp_path, capsys, flag):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "fundamental-solution", "--operator", "E1*E1-1",
+              "--grid", "8", "--output", str(out), *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 def test_solve_rejects_unsupported_pair_before_any_mesh(tmp_path, capsys,
                                                          monkeypatch):
@@ -215,8 +249,8 @@ def test_named_check_rejects_a_flag_it_does_not_read(monkeypatch, capsys,
     def no_check(cfg):
         raise AssertionError("a check ran with a flag it does not read")
 
-    for name in cli.CHECK_FUNS:
-        monkeypatch.setitem(cli.CHECK_FUNS, name, no_check)
+    for name, check in cli.CHECKS.items():
+        monkeypatch.setitem(cli.CHECKS, name, check._replace(run=no_check))
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert f"does not read {flag}" in captured.err and captured.out == ""
@@ -231,8 +265,8 @@ def test_verify_all_passes_each_flag_only_to_its_readers(monkeypatch, capsys):
             return []
         return run
 
-    for name in cli.CHECK_FUNS:
-        monkeypatch.setitem(cli.CHECK_FUNS, name, recorder(name))
+    for name, check in cli.CHECKS.items():
+        monkeypatch.setitem(cli.CHECKS, name, check._replace(run=recorder(name)))
     argv = ["verify", "all", "--group", "N", "--m", "4", "--grid", "8",
             "--halfwidth", "5", "--dictionary-size", "4", "--probes", "2"]
     assert main(argv) == 0
@@ -241,8 +275,30 @@ def test_verify_all_passes_each_flag_only_to_its_readers(monkeypatch, capsys):
              "dictionary_size": 4, "probes": 2}
     assert set(seen) == set(cli.CHECKS)
     for name, flags in seen.items():
-        assert flags == {f: (v if f in cli.CHECK_FLAGS[name] else None)
+        assert flags == {f: (v if f in cli.CHECKS[name].flags else None)
                          for f, v in given.items()}
+
+
+# ── timings ──────────────────────────────────────────────────────────────────
+
+def test_timings_give_each_line_its_own_time(monkeypatch, capsys):
+    clock = [0.0]
+
+    def three_lines(cfg):  # its lines take 1, 2 and 4 s on the fake clock
+        for seconds in (1.0, 2.0, 4.0):
+            clock[0] += seconds
+            yield {"seconds": seconds}, "err", 0.0, 1.0
+
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: clock[0])
+    monkeypatch.setitem(cli.CHECKS, "scalar-groups",
+                        cli.Check(three_lines, set()))
+    assert main(["verify", "scalar-groups", "--timings"]) == 0
+    lines = [json.loads(s) for s in capsys.readouterr().out.splitlines()]
+    assert [ln["wall_time"] for ln in lines] == [1.0, 2.0, 4.0]
+    assert sum(ln["wall_time"] for ln in lines) == clock[0]  # the check's time
+    assert main(["verify", "scalar-groups"]) == 0
+    lines = [json.loads(s) for s in capsys.readouterr().out.splitlines()]
+    assert len(lines) == 3 and not any("wall_time" in ln for ln in lines)
 
 
 # ── grid size ────────────────────────────────────────────────────────────────
