@@ -10,8 +10,9 @@ Subcommands::
 Reports are JSON-lines (one object per report line, ``"schema": 1``) or a
 CSV summary.  Exit codes: 0 all gating checks pass, 1 check failure, 2
 usage/configuration error, 3 I/O error.  Reports contain no clock data
-unless --timings is given, which gives each line its own ``wall_time``, so
-identical seed and configuration produce byte-identical output.
+unless --timings is given, so identical seed and configuration produce
+byte-identical output.  --timings gives each line its own ``wall_time``: a
+field of its JSON object, or the last column of the CSV.
 """
 
 import argparse
@@ -418,7 +419,7 @@ CHECKS = {
     "ideals": Check(check_ideals, {"dictionary_size", "probes"}),
     "scalar-groups": Check(check_scalar_groups, set()),
 }
-_FLAGS = ("group", "m", "grid", "halfwidth", "dictionary_size", "probes")
+_FLAGS = sorted(set().union(*(c.flags for c in CHECKS.values())))
 
 
 # ── configuration and output ─────────────────────────────────────────────────
@@ -473,12 +474,14 @@ def _emit(lines, args):
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
+        timed = ["wall_time"] if args.timings else []
         writer.writerow(["check", "metric", "value", "tolerance", "pass",
-                         "gating", "params"])
+                         "gating", "params", *timed])
         for ln in lines:
             writer.writerow([ln["check"], ln["metric"], repr(ln["value"]),
                              repr(ln["tolerance"]), ln["pass"], ln["gating"],
-                             json.dumps(ln["params"], sort_keys=True)])
+                             json.dumps(ln["params"], sort_keys=True),
+                             *(repr(ln[k]) for k in timed)])
         text = buf.getvalue()
     else:
         text = "".join(json.dumps(ln, sort_keys=True) + "\n" for ln in lines)

@@ -6,7 +6,8 @@ abelian shift into the base group: for K1 it fills the acting layers
 u = 0 recovers f; restricting the base's acting coordinates to zero gives
 the abelian picture M (resp. T).  Γ is the twist identifying the two
 restrictions: Γ(h)(g) = h(top of ι(x)^{-1}g, x) with x the acting
-coordinates of g; it inverts restrict_to_M pointwise.
+coordinates of g.  Its inverse Γ⁻¹ is the restriction to M:
+Γ⁻¹(f)(v, u) = f̃(base(top=v, acting=0), u).
 
 M coordinates are ordered (top layer, shift) for K1 and (N coords, shift)
 for H; in both cases dim M = dim of the base group's N part (K1) or of S
@@ -19,7 +20,7 @@ import numpy as np
 
 from .groups import law
 
-__all__ = ["tilde_eval_coords", "restrict_to_M", "gamma", "gamma_inv"]
+__all__ = ["tilde_eval_coords", "gamma", "gamma_inv"]
 
 
 def tilde_eval_coords(f, case, m, base, shift):
@@ -29,17 +30,6 @@ def tilde_eval_coords(f, case, m, base, shift):
     return f(law(case, m).compose(shift, base))
 
 
-def restrict_to_M(f, case, m):
-    """f̃ on the abelian locus: (v, u) ↦ f̃(base(top=v, acting=0), u)."""
-    L = law(case, m)
-
-    def h(points):
-        base, u = L.m_split(np.asarray(points, dtype=float))
-        return tilde_eval_coords(f, case, m, base, u)
-
-    return h
-
-
 def gamma(h, case, m):
     """Γ: functions on M → functions on the group (ρ-twist of the top slot)."""
     L = law(case, m)
@@ -47,6 +37,7 @@ def gamma(h, case, m):
 
 
 def gamma_inv(F, case, m):
-    """Γ^{-1}: functions on the group → functions on M."""
+    """Γ^{-1}: functions on the group → functions on M, the restriction
+    of F̃ to the abelian locus: (v, u) ↦ F̃(base(top=v, acting=0), u)."""
     L = law(case, m)
     return lambda points: F(L.gamma_inv(np.asarray(points, dtype=float)))

@@ -191,13 +191,13 @@ def _columns_of(a):
 
 def _rho_into(m, t, x, out, sign=1.0):
     """Column (i, j) of out gets (a_i/a_j)^sign · x_ij = exp(Σ_l t_l
-    sign·C_lj) · x_ij, or the scale alone when x is None; out may be x
-    itself.  The exponential is taken only along the leading axes t varies
-    on: a broadcast t repeats one value along each axis of stride 0.  The
-    products are exact, so for m ≤ 3 (two terms at most) each exponent is
-    rounded once, as a matrix product rounds it.  A t of many rows whose
-    columns are strided is first copied to contiguous columns, so the terms
-    read it once per column, not once per term."""
+    sign·C_lj) · x_ij; out may be x itself.  The exponential is taken only
+    along the leading axes t varies on: a broadcast t repeats one value
+    along each axis of stride 0.  The products are exact, so for m ≤ 3 (two
+    terms at most) each exponent is rounded once, as a matrix product
+    rounds it.  A t of many rows whose columns are strided is first copied
+    to contiguous columns, so the terms read it once per column, not once
+    per term."""
     t = t[tuple(slice(None) if st else slice(0, 1) for st in t.strides[:-1])]
     if t.size > t.shape[-1] and not t[..., 0].flags.contiguous:
         t = _columns_of(t)
@@ -214,18 +214,14 @@ def _rho_into(m, t, x, out, sign=1.0):
                 if tmp is None:
                     tmp = np.empty(e.shape)
                 e += np.multiply(t[..., l], c, out=tmp)
-        if x is None:
-            np.exp(e, out=out[..., k])
-        else:
-            np.multiply(np.exp(e, out=e), x[..., k], out=out[..., k])
+        np.multiply(np.exp(e, out=e), x[..., k], out=out[..., k])
     return out
 
 
 def rho_scale(m, t):
-    """Per-coordinate scale a_i/a_j of conjugation by diag(exp-coords t)."""
-    t = np.asarray(t, dtype=float)
-    return _rho_into(m, t, None,
-                     empty_columns(t.shape[:-1] + (len(_rho_terms(m)),)))
+    """Per-coordinate scale a_i/a_j of conjugation by diag(exp-coords t):
+    ρ applied to ones."""
+    return rho_apply(m, t, np.ones(len(_rho_terms(m))))
 
 
 def rho_apply(m, t, x, out=None):

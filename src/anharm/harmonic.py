@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extension import tilde_eval_coords
+from .extension import gamma_inv, tilde_eval_coords
 from .groups import empty_columns, law
 from .testfuncs import (
     Axis, GridFunction, dual_axis, grid_mesh, grid_nodes, node_mesh, sample,
@@ -33,8 +33,7 @@ from .testfuncs import (
 __all__ = [
     "PlancherelReport", "fourier_forward", "fourier_inverse",
     "inverse_in_place", "fourier_eval", "plancherel_check", "convolve_group",
-    "convolve_abelian", "convolve_extended_c",
-    "convolve_extended_c_substituted",
+    "convolve_extended_c", "convolve_extended_c_substituted",
     "convolve_extended_group", "convolve_group_lattice",
     "convolve_extended_c_lattice", "theorem31_residual",
     "projected_convolution_check",
@@ -223,7 +222,9 @@ def _quadrature(axes, npoints, integrand, weight=None):
 
 
 def convolve_group(g, f, group, m, points, axes):
-    """(g∗f)(X) = ∫ f(Y^{-1}X) g(Y) dY by Haar quadrature over the axes."""
+    """(g∗f)(X) = ∫ f(Y^{-1}X) g(Y) dY by Haar quadrature over the axes.
+    On "M" with m its dimension, Y^{-1}X = X − Y: the abelian convolution
+    g ∗_c f."""
     L = law(group, m)
     x = np.atleast_2d(np.asarray(points, dtype=float))[None, :, :]
 
@@ -235,25 +236,11 @@ def convolve_group(g, f, group, m, points, axes):
     return _quadrature(axes, x.shape[1], integrand, weight=g)
 
 
-def convolve_abelian(g, f, points, axes):
-    """(g∗_c f)(X) = ∫ f(X−Y) g(Y) dY."""
-    x = np.atleast_2d(np.asarray(points, dtype=float))[None, :, :]
-
-    def integrand(n):
-        diff = empty_columns((n,) + x.shape[1:])
-        return lambda y: f(np.subtract(x, y[:, None, :], out=diff))
-
-    return _quadrature(axes, x.shape[1], integrand, weight=g)
-
-
-def _put(out, a, b=None):
-    """out = a, or a − b, one coordinate column at a time, a and b
-    broadcasting against out."""
+def _put(out, a):
+    """out = a, one coordinate column at a time, a broadcasting against
+    out."""
     for i in range(out.shape[-1]):
-        if b is None:
-            np.copyto(out[..., i], a[..., i])
-        else:
-            np.subtract(a[..., i], b[..., i], out=out[..., i])
+        np.copyto(out[..., i], a[..., i])
 
 
 def _c_translate(L, base, shift, y, out=None, scratch=None):
@@ -272,7 +259,7 @@ def _c_translate(L, base, shift, y, out=None, scratch=None):
     nb, ns = buf[..., :d_b], buf[..., d_b:]
     _put(nb[..., a], base[..., a])
     top.ldiv(y[..., t], base[..., t], out=nb[..., t], scratch=scratch)
-    _put(ns, shift, y[..., a])
+    law("M", None).ldiv(y[..., a], shift, out=ns)
     return nb, ns
 
 
@@ -322,7 +309,7 @@ def convolve_extended_c_substituted(phi, F_ext, case, m, base_points,
             wt, ws = w[..., :top.dim], w[..., top.dim:]
             _put(fb[..., t], wt)
             _put(fs, ws)
-            _put(y[..., a], s, ws)
+            law("M", None).ldiv(ws, s, out=y[..., a])
             top.rdiv(x[..., t], wt, out=y[..., t], scratch=winv)
             return (np.asarray(F_ext(fb, fs), dtype=complex)
                     * np.asarray(phi(y), dtype=complex))
@@ -410,18 +397,17 @@ def convolve_group_lattice(g, f, out_axes, axes):
     The same Riemann sum as convolve_group over the nodes of axes, exact up
     to rounding in O(P⁴ log P).  For X = (x, z, y) and Y = (a, c, b),
     Y^{-1}X = (x−a, z−c−a(y−b), y−b): for each pair (x, a) the (z, y) sum is
-    a 2-D linear convolution of g(a, ·, ·) with f(x−a, σ−a·s, s) on the
-    difference lattice (σ, s).  f is any callable on N coordinates.  The z
+    a 2-D linear convolution of g(a, ·, ·) with f(ι(a)⁻¹(x, σ, s)) =
+    f(x−a, σ−a·s, s) on the difference lattice (σ, s), the quotient taken by
+    the N law's ldiv.  f is any callable on N coordinates.  The z
     and y axes of out_axes must share their steps with those of axes.
     """
     out_axes, axes = tuple(out_axes), tuple(axes)
     sigma = _difference_nodes(out_axes[1], axes[1])
     s = _difference_nodes(out_axes[2], axes[2])
-    a = grid_nodes(axes[0])[None, :, None, None]
-    pts = np.empty((out_axes[0].points, axes[0].points, sigma.size, s.size, 3))
-    pts[..., 0] = grid_nodes(out_axes[0])[:, None, None, None] - a
-    pts[..., 1] = sigma[:, None] - a * s
-    pts[..., 2] = s
+    iota_a = law("K1", 3).iota(grid_nodes(axes[0])[:, None])
+    x = node_mesh([grid_nodes(out_axes[0]), sigma, s])
+    pts = law("N", 3).ldiv(iota_a[:, None, None, :], x[:, None])
     diffs = np.asarray(f(pts), dtype=complex)
     weights = np.asarray(g(grid_mesh(axes)), dtype=complex)
     out = _lattice_convolve(weights, diffs, [ax.points for ax in axes[1:]],
@@ -535,16 +521,9 @@ def projected_convolution_check(phi, f, case, m, axes_ext, freq_indices):
     for i in sorted(act, reverse=True):
         proj = proj.sum(axis=i) * Ghat.axes[i].step / (2.0 * np.pi)
 
-    # RHS -------------------------------------------------------------------
+    # RHS: the rest slots are M's, in M order -------------------------------
     slice_axes = tuple(axes_ext[i] for i in rest)
-
-    def f_slice(pts):
-        full = np.zeros(pts.shape[:-1] + (n_ext,))
-        for j, i in enumerate(rest):
-            full[..., i] = pts[..., j]
-        return F_ext(full[..., :d_base], full[..., d_base:])
-
-    Fhat0 = fourier_forward(sample(f_slice, slice_axes))
+    Fhat0 = fourier_forward(sample(gamma_inv(f, case, m), slice_axes))
     phihat = fourier_forward(sample(phi, axes_ext[:d_base]))
 
     pair = {i: j for i, j in zip(act, shift_slots)}

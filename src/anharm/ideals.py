@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extension import gamma_inv, restrict_to_M, tilde_eval_coords
+from .extension import gamma_inv, tilde_eval_coords
 from .groups import law
 from .harmonic import (
-    convolve_abelian, convolve_extended_c, convolve_extended_c_lattice,
+    convolve_extended_c, convolve_extended_c_lattice,
     convolve_extended_c_substituted, convolve_group, convolve_group_lattice,
 )
 from .testfuncs import grid_mesh
@@ -143,7 +143,7 @@ def ideal_model(generators, probes, m, axes, axes_m=None):
                        axes=tuple(axes), axes_m=tuple(axes_m))
     for g in generators:
         model.dictionary.append(g)
-        model.dictionary_m.append(restrict_to_M(g, "K1", m))
+        model.dictionary_m.append(gamma_inv(g, "K1", m))
     for p in probes:
         for g in generators:
             model.dictionary.append(_Convolution(p, g, m, axes, "N"))
@@ -263,14 +263,14 @@ def gamma_literal_residual(psi, phi, m, points, axes_n, axes_m):
     leaves the invariant locus); the returned value documents the gap.
     """
     L = law("K1", m)
-    h = restrict_to_M(phi, "K1", m)
+    h = gamma_inv(phi, "K1", m)
     n_order = np.argsort(L.m_order)  # M slots → ψ's N order
 
     def psi_m(pts):
         return psi(np.asarray(pts, dtype=float)[..., n_order])
 
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    lhs = convolve_abelian(psi_m, h, L.gamma(pts), axes_m)
+    lhs = convolve_group(psi_m, h, "M", L.base.dim, L.gamma(pts), axes_m)
     rhs = convolve_group(psi, phi, "N", m, pts, axes_n)
     scale = float(np.max(np.abs(rhs)))
     return float(np.max(np.abs(lhs - rhs))), scale

@@ -23,11 +23,12 @@ import numpy as np
 
 from .extension import tilde_eval_coords
 from .groups import law
+from .harmonic import fourier_inverse, inverse_in_place
 from .testfuncs import GridFunction, dual_axis, grid_mesh, grid_nodes
 
 __all__ = [
     "EnvelopingElement", "SymbolPolynomial", "ZeroOperatorError",
-    "generator_flow", "generator_field", "apply_P", "apply_Q", "symbol",
+    "generator_flow", "apply_P", "apply_Q", "symbol",
     "transpose", "operator_identity_residual", "FundamentalSolution",
     "fundamental_solution_abelian", "fundamental_solution_group",
     "weak_residuals", "apply_P_grid",
@@ -87,19 +88,6 @@ def generator_flow(group, m, i):
     return flow
 
 
-def generator_field(i, group, m=None, h_fd=1e-4):
-    """D_i f(x) = d/dt f(exp(-tE_i)·x)|_0 by central differences."""
-    flow = generator_flow(group, m, i)
-
-    def field(f):
-        def df(x):
-            return (np.asarray(f(flow(-h_fd, x)), dtype=complex)
-                    - np.asarray(f(flow(h_fd, x)), dtype=complex)) / (2 * h_fd)
-        return df
-
-    return field
-
-
 def _apply_word(f, word, flows, x, h):
     if not word:
         return np.asarray(f(x), dtype=complex)
@@ -109,7 +97,10 @@ def _apply_word(f, word, flows, x, h):
     return (lo - hi) / (2 * h)
 
 
-def _apply(u, f, group, m, points, h_fd):
+def apply_P(u, f, group, m, points, h_fd=None):
+    """P_u f at points: nested group-flow stencils per word.  A single
+    generator D_i f(x) = d/dt f(exp(-tE_i)·x)|_0 is the one-letter word
+    ((1, (i,)),)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if u.max_word > MAX_WORD:
         raise ValueError(f"word length {u.max_word} exceeds supported {MAX_WORD}")
@@ -121,14 +112,9 @@ def _apply(u, f, group, m, points, h_fd):
     return out
 
 
-def apply_P(u, f, group, m, points, h_fd=None):
-    """P_u f at points: nested group-flow stencils per word."""
-    return _apply(u, f, group, m, points, h_fd)
-
-
 def apply_Q(u, f, points, h_fd=None):
     """Q_u f at points: every generator acts as -∂_i."""
-    return _apply(u, f, "M", None, points, h_fd)
+    return apply_P(u, f, "M", None, points, h_fd)
 
 
 # ── symbols ──────────────────────────────────────────────────────────────────
@@ -202,42 +188,27 @@ def q_remap(u, case, m):
         u.dim, tuple((c, tuple(slot[i] for i in w)) for c, w in u.terms))
 
 
-def _m_coords_fun(f, case, m, base, shift):
-    """f̃ as a function of the abelian (top, shift) / (n, shift) slots,
-    with the acting slots frozen at the given extended point."""
-    L = law(case, m)
-    base = np.asarray(base, dtype=float)
-    shift = np.asarray(shift, dtype=float)
-
-    def h(y):
-        b, u = L.m_split(np.asarray(y, dtype=float), acting=base[L.acting])
-        return tilde_eval_coords(f, case, m, b, u)
-
-    return h, np.concatenate([base[L.top], shift])
-
-
 def operator_identity_residual(u, f, case, m, points, h_fd=None):
     """max |P_u f̃(p) − Q_u f̃(p)| over extended points; returns (res, scale).
 
     P_u differentiates the base-group slots (group N for K1, S for H) at
     fixed shift; Q_u differentiates the abelian (top, shift) slots at fixed
-    acting coordinates.
+    acting coordinates.  Both run once over all the points, row by row.
     """
-    group = law(case, m).base.name
-    p_vals, q_vals = [], []
-    for base, shift in points:
-        base = np.asarray(base, dtype=float)
-        shift = np.asarray(shift, dtype=float)
+    L = law(case, m)
+    base, shift = (np.array(c, dtype=float) for c in zip(*points))
 
-        def F(b):
-            s = np.broadcast_to(shift, b.shape[:-1] + shift.shape)
-            return tilde_eval_coords(f, case, m, b, s)
+    def F(b):
+        return tilde_eval_coords(f, case, m, b, shift)
 
-        p_vals.append(apply_P(u, F, group, m, base[None, :], h_fd)[0])
-        h, y0 = _m_coords_fun(f, case, m, base, shift)
-        uq = q_remap(EnvelopingElement(y0.shape[0], u.terms), case, m)
-        q_vals.append(apply_Q(uq, h, y0[None, :], h_fd)[0])
-    p_vals, q_vals = np.asarray(p_vals), np.asarray(q_vals)
+    def h(y):
+        return tilde_eval_coords(f, case, m,
+                                 *L.m_split(y, base[:, L.acting]))
+
+    p_vals = apply_P(u, F, L.base.name, m, base, h_fd)
+    y0 = np.concatenate([base[:, L.top], shift], axis=1)
+    uq = q_remap(EnvelopingElement(y0.shape[1], u.terms), case, m)
+    q_vals = apply_Q(uq, h, y0, h_fd)
     scale = float(max(np.max(np.abs(p_vals)), np.max(np.abs(q_vals)), 1e-300))
     return float(np.max(np.abs(p_vals - q_vals))), scale
 
@@ -268,8 +239,6 @@ def _divided_symbol(u, axes, epsilon):
 
 def fundamental_solution_abelian(u, axes, epsilon=1e-8):
     """E = 𝓕⁻¹[conj(P)/(|P|²+ε²)] on the given spatial axes."""
-    from .harmonic import fourier_inverse
-
     axes = tuple(axes)
     dual, Ehat = _divided_symbol(u, axes, epsilon)
     E = fourier_inverse(GridFunction(dual, Ehat), axes)
@@ -294,8 +263,6 @@ def fundamental_solution_group(u, group, m, axes, epsilon=1e-8):
     is evaluated by the semidiscrete inverse transform along its frequency
     axis.
     """
-    from .harmonic import inverse_in_place
-
     ext = law(group, m).extension()
     if ext.shift_dim and (group, m) not in _TWISTS:  # before any mesh
         raise ValueError(f"group solution not supported for {group!r}, m={m}")
@@ -340,7 +307,7 @@ def apply_P_grid(u, f, group, m, axes, h_fd=None):
     """P_u f sampled on the product grid (stencils on analytic f)."""
     mesh = grid_mesh(axes)
     flat = mesh.reshape(-1, mesh.shape[-1])
-    vals = _apply(u, f, group, m, flat, h_fd)
+    vals = apply_P(u, f, group, m, flat, h_fd)
     return GridFunction(tuple(axes), vals.reshape(mesh.shape[:-1]))
 
 

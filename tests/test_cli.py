@@ -1,5 +1,7 @@
 """Tests for the CLI harness and the operator-expression parser."""
 
+import csv
+import io
 import json
 import tracemalloc
 
@@ -299,6 +301,16 @@ def test_timings_give_each_line_its_own_time(monkeypatch, capsys):
     assert main(["verify", "scalar-groups"]) == 0
     lines = [json.loads(s) for s in capsys.readouterr().out.splitlines()]
     assert len(lines) == 3 and not any("wall_time" in ln for ln in lines)
+    # in CSV the times are a last column, present only under --timings
+    assert main(["verify", "scalar-groups", "--timings", "--format",
+                 "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0][-1] == "wall_time" and len(rows) == 4
+    assert [float(r[-1]) for r in rows[1:]] == [1.0, 2.0, 4.0]
+    assert main(["verify", "scalar-groups", "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert "wall_time" not in rows[0] and len(rows) == 4
+    assert {len(r) for r in rows} == {len(rows[0])}
 
 
 # ── grid size ────────────────────────────────────────────────────────────────

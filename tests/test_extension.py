@@ -3,9 +3,7 @@ import pytest
 
 from anharm.groups import coords_to_matrix, law, matrix_to_coords, s_mul
 from anharm.testfuncs import poly_gaussian, random_gaussian
-from anharm.extension import (
-    tilde_eval_coords, restrict_to_M, gamma, gamma_inv,
-)
+from anharm.extension import tilde_eval_coords, gamma, gamma_inv
 
 
 def rand_fun(rng, dim):
@@ -94,8 +92,9 @@ def test_invariance_residual_random(case, m):
 
 
 def test_restrict_h_m2_example():
+    # Γ⁻¹ is the restriction to M
     f = poly_gaussian(1.0, [2, 0], [0.0, 0.0], [0.2, 0.5])
-    h = restrict_to_M(f, "H", 2)
+    h = gamma_inv(f, "H", 2)
     got = h(np.array([1.0, np.log(2.0)]))
     assert got == pytest.approx(complex(f(np.array([4.0, np.log(2.0)]))), rel=1e-13)
 
@@ -103,7 +102,7 @@ def test_restrict_h_m2_example():
 def test_restrict_k1_matches_tilde_at_zero_acting():
     rng = np.random.default_rng(4)
     f = rand_fun(rng, 3)
-    h = restrict_to_M(f, "K1", 3)
+    h = gamma_inv(f, "K1", 3)
     for _ in range(20):
         v = rng.uniform(-1, 1, 2)
         u = rng.uniform(-1, 1, 1)
@@ -114,13 +113,35 @@ def test_restrict_k1_matches_tilde_at_zero_acting():
 
 @pytest.mark.parametrize("case,m", [("K1", 3), ("H", 2), ("H", 3)])
 def test_gamma_inverts_restriction(case, m):
-    """Γ(restrict_to_M(f)) = f on the group, pointwise."""
+    """Γ(Γ⁻¹(f)) = f on the group, pointwise."""
     rng = np.random.default_rng(5)
     dim = law(case, m).base.dim
     f = rand_fun(rng, dim)
-    g = gamma(restrict_to_M(f, case, m), case, m)
+    g = gamma(gamma_inv(f, case, m), case, m)
     pts = rng.uniform(-1.5, 1.5, (200, dim))
     assert np.max(np.abs(g(pts) - f(pts))) < 1e-12
+
+
+def _restrict_formula(f, case, m):
+    """The restriction to M as tilde_eval_coords after m_split."""
+    L = law(case, m)
+
+    def h(points):
+        base, u = L.m_split(np.asarray(points, dtype=float))
+        return tilde_eval_coords(f, case, m, base, u)
+
+    return h
+
+
+@pytest.mark.parametrize("case,m", [("K1", 3), ("K1", 4), ("H", 2), ("H", 3)])
+def test_gamma_inv_equals_the_restriction_formula(case, m):
+    rng = np.random.default_rng(9)
+    dim = law(case, m).base.dim
+    f = rand_fun(rng, dim)
+    pts = rng.uniform(-1.5, 1.5, (7, 5, dim))
+    got = gamma_inv(f, case, m)(pts)
+    assert got.shape == (7, 5)
+    assert np.array_equal(got, _restrict_formula(f, case, m)(pts))
 
 
 @pytest.mark.parametrize("case,m", [("K1", 3), ("H", 2), ("H", 3)])

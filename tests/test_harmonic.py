@@ -8,7 +8,7 @@ from anharm.testfuncs import (
 )
 from anharm import groups, harmonic, ideals, testfuncs
 from anharm.harmonic import (
-    convolve_abelian, convolve_extended_c, convolve_extended_c_lattice,
+    convolve_extended_c, convolve_extended_c_lattice,
     convolve_extended_c_substituted, convolve_extended_group, convolve_group,
     convolve_group_lattice, fourier_eval, fourier_forward, fourier_inverse,
     plancherel_check, projected_convolution_check, theorem31_residual,
@@ -148,11 +148,12 @@ def test_plancherel_heisenberg_grid():
 # ── convolutions ─────────────────────────────────────────────────────────────
 
 def test_abelian_convolution_closed_form():
-    # Gaussians convolve to a Gaussian: widths add in variance
+    # Gaussians convolve to a Gaussian: widths add in variance; the group
+    # convolution on M is the abelian one
     g = gaussian([0.2], [1.0])
     f = gaussian([-0.3], [2.0])
     pts = np.linspace(-1.0, 1.0, 7)[:, None]
-    got = convolve_abelian(g, f, pts, [Axis(0.0, 10.0, 128)])
+    got = convolve_group(g, f, "M", 1, pts, [Axis(0.0, 10.0, 128)])
     w1, w2 = 1.0, 2.0
     sig2 = 1.0 / w1 + 1.0 / w2
     norm = np.sqrt(2.0 * np.pi / (w1 * w2 * sig2))
@@ -167,8 +168,8 @@ def test_abelian_convolution_commutes():
     f = gaussian(rng.uniform(-0.5, 0.5, 2), [0.8, 1.1])
     pts = rng.uniform(-1, 1, (5, 2))
     axes = [Axis(0.0, 8.0, 64)] * 2
-    a = convolve_abelian(g, f, pts, axes)
-    b = convolve_abelian(f, g, pts, axes)
+    a = convolve_group(g, f, "M", 2, pts, axes)
+    b = convolve_group(f, g, "M", 2, pts, axes)
     assert np.max(np.abs(a - b)) < 1e-10
 
 
@@ -179,7 +180,7 @@ def test_group_convolution_m2_reduces_to_abelian():
     pts = np.linspace(-0.8, 0.8, 5)[:, None]
     axes = [Axis(0.0, 9.0, 128)]
     a = convolve_group(g, f, "N", 2, pts, axes)
-    b = convolve_abelian(g, f, pts, axes)
+    b = convolve_group(g, f, "M", 1, pts, axes)
     assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -341,7 +342,7 @@ def _engine_runs(extend=None, refine=1):
     return {
         "group_N": lambda: convolve_group(phi3, f3, "N", 3, pts3, axes3),
         "group_S": lambda: convolve_group(phi2, f2, "S", 2, pts2, axes2),
-        "abelian": lambda: convolve_abelian(phi3, f3, pts3, axes3),
+        "abelian": lambda: convolve_group(phi3, f3, "M", 3, pts3, axes3),
         "c_K1": lambda: convolve_extended_c(phi3, K1, "K1", 3, pts3, shift,
                                             axes3),
         "c_H": lambda: convolve_extended_c(phi2, H, "H", 2, pts2, shift, axes2),
@@ -538,6 +539,66 @@ def test_filled_engines_equal_concatenated_formulas(monkeypatch, chunk,
         assert np.max(np.abs(got)) > 0
         assert np.array_equal(got, formula(phi, F_ext, case, m, base, shift,
                                            axes))
+
+
+def _subtracted_abelian(g, f, points, axes):
+    """g ∗_c f with X − Y formed by np.subtract over the same node blocks."""
+    x = np.atleast_2d(np.asarray(points, dtype=float))[None, :, :]
+    out = np.zeros(x.shape[1], dtype=complex)
+    for y, cell in harmonic._node_blocks(axes, x.shape[1]):
+        w = np.asarray(g(y), dtype=complex) * cell
+        vals = np.asarray(f(np.subtract(x, y[:, None, :])), dtype=complex)
+        out += np.tensordot(w, vals, axes=(0, 0))
+    return out
+
+
+@pytest.mark.parametrize("chunk", [1, harmonic._CHUNK])
+@pytest.mark.parametrize("d", [1, 3])
+def test_group_convolution_on_m_equals_subtracted_formula(monkeypatch, chunk,
+                                                          d):
+    monkeypatch.setattr(harmonic, "_CHUNK", chunk)
+    rng = np.random.default_rng(26 + d)
+    g = gaussian(rng.uniform(-0.3, 0.3, d), [1.0, 1.4, 0.8][:d])
+    f = gaussian(rng.uniform(-0.3, 0.3, d), [0.9, 1.2, 1.1][:d])
+    pts = rng.uniform(-1.0, 1.0, (5, d))
+    axes = [Axis(0.0, 5.0, 8), Axis(0.2, 6.0, 4), Axis(0.0, 5.0, 16)][:d]
+    got = convolve_group(g, f, "M", d, pts, axes)
+    assert np.max(np.abs(got)) > 0
+    assert np.array_equal(got, _subtracted_abelian(g, f, pts, axes))
+
+
+def _inline_group_lattice(g, f, out_axes, axes):
+    """convolve_group_lattice's samples with f's arguments
+    (x−a, σ−a·s, s) written out by hand."""
+    sigma = harmonic._difference_nodes(out_axes[1], axes[1])
+    s = harmonic._difference_nodes(out_axes[2], axes[2])
+    a = grid_nodes(axes[0])[None, :, None, None]
+    pts = np.empty((out_axes[0].points, axes[0].points, sigma.size, s.size, 3))
+    pts[..., 0] = grid_nodes(out_axes[0])[:, None, None, None] - a
+    pts[..., 1] = sigma[:, None] - a * s
+    pts[..., 2] = s
+    diffs = np.asarray(f(pts), dtype=complex)
+    weights = np.asarray(g(grid_mesh(axes)), dtype=complex)
+    out = harmonic._lattice_convolve(
+        weights, diffs, [ax.points for ax in axes[1:]],
+        [ax.points for ax in out_axes[1:]], sum_axis=1)
+    return out * float(np.prod([ax.step for ax in axes]))
+
+
+@pytest.mark.parametrize("out_axes, axes", [
+    ([Axis(0.0, 4.0, 4), Axis(0.0, 4.8, 8), Axis(0.0, 4.0, 4)],
+     [Axis(0.0, 4.0, 4), Axis(0.0, 4.8, 8), Axis(0.0, 4.0, 4)]),
+    ([Axis(0.7, 4.0, 4), Axis(0.0, 2.4, 4), Axis(0.0, 8.0, 8)],
+     [Axis(0.3, 8.0, 8), Axis(-0.6, 4.8, 8), Axis(1.5, 4.0, 4)]),
+])
+def test_group_lattice_engine_equals_inline_formula(out_axes, axes):
+    # the engine forms f's arguments with the N law's ldiv of ι(a)
+    rng = np.random.default_rng(27)
+    g = gaussian(rng.uniform(-0.3, 0.3, 3), [4.0, 4.0, 4.0])
+    f = gaussian(rng.uniform(-0.3, 0.3, 3), [1.0, 0.4, 0.9])
+    got = convolve_group_lattice(g, f, out_axes, axes).samples
+    assert np.max(np.abs(got)) > 0
+    assert np.array_equal(got, _inline_group_lattice(g, f, out_axes, axes))
 
 
 # ── lattice engines against the direct ones ─────────────────────────────────

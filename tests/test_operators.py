@@ -9,7 +9,7 @@ from anharm.testfuncs import (
 )
 from anharm.operators import (
     EnvelopingElement, ZeroOperatorError, apply_P, apply_Q, apply_P_grid,
-    fundamental_solution_abelian, fundamental_solution_group, generator_field,
+    fundamental_solution_abelian, fundamental_solution_group,
     operator_identity_residual, q_remap, symbol, transpose, weak_residuals,
 )
 
@@ -19,32 +19,35 @@ def E(dim, *words, coefs=None):
     return EnvelopingElement(dim, list(zip(coefs, words)))
 
 
-# ── generator fields ─────────────────────────────────────────────────────────
+# ── generator fields: apply_P on a one-letter word ───────────────────────────
 
 def test_generator_abelian_is_minus_derivative():
-    field = generator_field(0, "M", h_fd=1e-4)
-    df = field(lambda x: np.asarray(x[..., 0] ** 2, dtype=complex))
-    assert complex(df(np.array([1.0]))) == pytest.approx(-2.0, abs=1e-8)
+    df = apply_P(E(1, (0,)),
+                 lambda x: np.asarray(x[..., 0] ** 2, dtype=complex),
+                 "M", None, np.array([1.0]), h_fd=1e-4)
+    assert complex(df[0]) == pytest.approx(-2.0, abs=1e-8)
 
 
 def test_generator_heisenberg_x_direction():
     # (exp(-tE_x))·(x,z,y) = (x-t, z-ty, y), so D f = -(∂_x + y ∂_z) f;
     # on f = z at (0, 0, 2) this gives -2
-    field = generator_field(0, "N", 3, h_fd=1e-5)
-    df = field(lambda p: np.asarray(p[..., 1], dtype=complex))
-    assert complex(df(np.array([0.0, 0.0, 2.0]))) == pytest.approx(-2.0, abs=1e-8)
+    df = apply_P(E(3, (0,)), lambda p: np.asarray(p[..., 1], dtype=complex),
+                 "N", 3, np.array([0.0, 0.0, 2.0]), h_fd=1e-5)
+    assert complex(df[0]) == pytest.approx(-2.0, abs=1e-8)
 
 
 def test_generator_on_constant_is_zero():
     for group, m, dim in (("M", None, 2), ("N", 3, 3), ("S", 2, 2)):
-        field = generator_field(0, group, m)
-        df = field(lambda p: np.ones(p.shape[:-1], dtype=complex))
-        assert abs(complex(df(np.zeros(dim)))) < 1e-10
+        df = apply_P(E(dim, (0,)),
+                     lambda p: np.ones(p.shape[:-1], dtype=complex),
+                     group, m, np.zeros(dim))
+        assert abs(complex(df[0])) < 1e-10
 
 
 def test_generator_index_out_of_range():
+    # E4 is a letter of the element but no generator of N, m = 3
     with pytest.raises(IndexError):
-        generator_field(3, "N", 3)
+        apply_P(E(4, (3,)), lambda p: p[..., 0], "N", 3, np.zeros(3))
 
 
 # ── apply_P / apply_Q ────────────────────────────────────────────────────────
@@ -215,6 +218,24 @@ def test_operator_identity_h_m2(word):
     r, s = operator_identity_residual(E(2, word), f, "H", 2,
                                       _ext_points(rng, "H", 2, 10))
     assert r < 1e-4 * s
+
+
+@pytest.mark.parametrize("case, m, u, f", [
+    ("K1", 3, E(3, (0,), (0, 1), (2, 2)),
+     gaussian([0.1, 0.0, -0.2], [1.0, 1.2, 0.9])),
+    ("H", 2, E(2, (0, 0), (0, 1), coefs=[1.0, 0.5]),
+     gaussian([0.1, -0.1], [1.0, 1.3])),
+])
+def test_operator_identity_batch_equals_one_point_calls(case, m, u, f):
+    # P and Q each run once over all the points; no point may see another
+    # point's shift or acting slots under broadcasting
+    rng = np.random.default_rng(10)
+    pts = _ext_points(rng, case, m, 10)
+    r, s = operator_identity_residual(u, f, case, m, pts)
+    one = [operator_identity_residual(u, f, case, m, [p]) for p in pts]
+    assert r > 0
+    assert r == max(ri for ri, _ in one)
+    assert s == max(si for _, si in one)
 
 
 def test_operator_identity_h_m3_a_direction():
