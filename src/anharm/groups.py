@@ -12,8 +12,7 @@ law(name, m) gives each of N, S, K1, H and the abelian picture M as one
 Law object: its dimension, product and inverse, on N, S and M the two
 quotients y⁻¹x and x·y⁻¹, and for K1 and H the embedding ι, the slots it
 fills and the Γ coordinate maps.  All operations are pure and act on numpy
-arrays whose last axis holds coordinates.  Element is a single point of N
-or S, for the JSON round-trip.
+arrays whose last axis holds coordinates.
 """
 
 from collections.abc import Callable
@@ -23,34 +22,14 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "Law", "law", "Element", "upper_indices", "coords_to_matrix",
-    "matrix_to_coords", "empty_columns", "n_mul", "n_inv", "s_mul", "s_inv",
-    "rho_scale", "rho_apply", "element_to_json", "element_from_json",
+    "Law", "law", "upper_indices", "empty_columns", "n_mul", "n_inv",
+    "s_mul", "s_inv", "rho_scale", "rho_apply",
 ]
 
 
 def upper_indices(m):
     """Strict upper (i, j) pairs in layer (column-major) order."""
     return [(i, j) for j in range(1, m) for i in range(j)]
-
-
-def coords_to_matrix(m, coords):
-    """Unit upper-triangular matrices from coordinates (..., dim_n)."""
-    coords = np.asarray(coords, dtype=float)
-    mats = np.zeros(coords.shape[:-1] + (m, m))
-    mats[..., np.arange(m), np.arange(m)] = 1.0
-    for k, (i, j) in enumerate(upper_indices(m)):
-        mats[..., i, j] = coords[..., k]
-    return mats
-
-
-def matrix_to_coords(m, mats):
-    mats = np.asarray(mats, dtype=float)
-    idx = upper_indices(m)
-    out = np.empty(mats.shape[:-2] + (len(idx),))
-    for k, (i, j) in enumerate(idx):
-        out[..., k] = mats[..., i, j]
-    return out
 
 
 # ── batched coordinate-level laws ────────────────────────────────────────────
@@ -160,13 +139,6 @@ def _n_rdiv(m, x, y, out=None, scratch=None):
     n_mul(x, n_inv(y))'s, bit for bit."""
     x, y, out = _operands(out, x, y)
     return n_mul(m, x, _n_inverse(m, y, scratch), out)
-
-
-def diag_entries(t):
-    """Diagonal entries (a_1 .. a_m) from log coordinates (..., m-1)."""
-    t = np.asarray(t, dtype=float)
-    last = -t.sum(axis=-1, keepdims=True)
-    return np.exp(np.concatenate([t, last], axis=-1))
 
 
 @lru_cache(maxsize=None)
@@ -483,48 +455,3 @@ def law(name, m):
                    compose=lambda u, b: _h_compose(m, u, b))
     raise ValueError(f"unknown group {name!r}")
 
-
-# ── elements and their JSON form ─────────────────────────────────────────────
-
-@dataclass(frozen=True)
-class Element:
-    """A point of N, or of S = AN when log_a is given: N coordinates in
-    layer order and the A log-coordinates t (a_m = exp(−Σt))."""
-
-    m: int
-    entries: np.ndarray
-    log_a: np.ndarray = ()
-
-    def __post_init__(self):
-        want = law("N", self.m).dim
-        e = np.asarray(self.entries, dtype=float)
-        t = np.asarray(self.log_a, dtype=float)
-        if e.shape != (want,):
-            raise ValueError(f"expected {want} coordinates, got {e.shape}")
-        if t.shape not in ((0,), (self.m - 1,)):
-            raise ValueError(
-                f"expected {self.m - 1} log coordinates, got {t.shape}")
-        object.__setattr__(self, "entries", e)
-        object.__setattr__(self, "log_a", t)
-
-
-def _row_major_order(m):
-    return [(i, j) for i in range(m) for j in range(i + 1, m)]
-
-
-def element_to_json(g):
-    """Serialize to {"m", "entries" (row-major strict upper), "log_a"}."""
-    col = {ij: k for k, ij in enumerate(upper_indices(g.m))}
-    entries = [float(g.entries[col[ij]]) for ij in _row_major_order(g.m)]
-    return {"m": g.m, "entries": entries, "log_a": list(map(float, g.log_a))}
-
-
-def element_from_json(obj):
-    m = int(obj["m"])
-    row = list(map(float, obj["entries"]))
-    want = law("N", m).dim
-    if len(row) != want:
-        raise ValueError(f"expected {want} entries, got {len(row)}")
-    pos = {ij: k for k, ij in enumerate(_row_major_order(m))}
-    return Element(m, [row[pos[ij]] for ij in upper_indices(m)],
-                   list(map(float, obj.get("log_a", []))))

@@ -27,12 +27,12 @@ import numpy as np
 from .extension import gamma_inv, tilde_eval_coords
 from .groups import empty_columns, law
 from .testfuncs import (
-    Axis, GridFunction, dual_axis, grid_mesh, grid_nodes, node_mesh, sample,
+    GridFunction, dual_axis, grid_mesh, grid_nodes, node_mesh, sample,
 )
 
 __all__ = [
     "PlancherelReport", "fourier_forward", "fourier_inverse",
-    "inverse_in_place", "fourier_eval", "plancherel_check", "convolve_group",
+    "inverse_in_place", "plancherel_check", "convolve_group",
     "convolve_extended_c", "convolve_extended_c_substituted",
     "convolve_extended_group", "convolve_group_lattice",
     "convolve_extended_c_lattice", "theorem31_residual",
@@ -115,22 +115,6 @@ def fourier_inverse(F, axes=None):
     vals = np.array(F.samples, dtype=complex)
     return GridFunction(axes, inverse_in_place(vals, F.axes, axes,
                                                range(vals.ndim)))
-
-
-def fourier_eval(F, points):
-    """Semidiscrete inverse: Σ F(λ)e^{+i<λ,x>}ΠΔλ/(2π) at arbitrary points."""
-    points = np.asarray(points, dtype=float)
-    flat = points.reshape(-1, points.shape[-1])
-    cell = float(np.prod([a.step for a in F.axes]))
-    lams = [grid_nodes(a) for a in F.axes]
-    out = np.empty(flat.shape[0], dtype=complex)
-    for i, x in enumerate(flat):
-        acc = F.samples
-        for ax in range(len(F.axes) - 1, -1, -1):
-            acc = acc @ np.exp(1j * lams[ax] * x[ax])
-        out[i] = acc
-    out *= cell / (2.0 * np.pi) ** len(F.axes)
-    return out.reshape(points.shape[:-1])
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from .testfuncs import grid_mesh
 
 __all__ = [
     "IdealModel", "ideal_model", "gamma_intertwine_residual",
-    "gamma_literal_residual", "closure_residual", "correspondence_check",
+    "closure_residual", "correspondence_check",
     "transport_gram_deviation", "CorrespondenceLine",
 ]
 
@@ -253,24 +253,3 @@ def gamma_intertwine_residual(psi, phi, m, points, axes_psi, axes_f):
     scale = float(np.max(np.abs(rhs)))
     return float(np.max(np.abs(lhs - rhs))), scale
 
-
-def gamma_literal_residual(psi, phi, m, points, axes_n, axes_m):
-    """Diagnostic: Γ applied after a genuine M-convolution of restrictions.
-
-    Rearranges ψ into M order, convolves abelianly with φ's M-restriction,
-    pulls back through the coordinate twist of Γ, and compares with ψ∗φ.
-    This reading is *not* an identity for nonabelian N (the convolution
-    leaves the invariant locus); the returned value documents the gap.
-    """
-    L = law("K1", m)
-    h = gamma_inv(phi, "K1", m)
-    n_order = np.argsort(L.m_order)  # M slots → ψ's N order
-
-    def psi_m(pts):
-        return psi(np.asarray(pts, dtype=float)[..., n_order])
-
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    lhs = convolve_group(psi_m, h, "M", L.base.dim, L.gamma(pts), axes_m)
-    rhs = convolve_group(psi, phi, "N", m, pts, axes_n)
-    scale = float(np.max(np.abs(rhs)))
-    return float(np.max(np.abs(lhs - rhs))), scale

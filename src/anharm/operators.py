@@ -28,7 +28,7 @@ from .testfuncs import GridFunction, dual_axis, grid_mesh, grid_nodes
 
 __all__ = [
     "EnvelopingElement", "SymbolPolynomial", "ZeroOperatorError",
-    "generator_flow", "apply_P", "apply_Q", "symbol",
+    "apply_P", "apply_Q", "symbol",
     "transpose", "operator_identity_residual", "FundamentalSolution",
     "fundamental_solution_abelian", "fundamental_solution_group",
     "weak_residuals", "apply_P_grid",

@@ -19,11 +19,9 @@ import numpy as np
 from .groups import empty_columns
 
 __all__ = [
-    "TestFunction", "Axis", "GridFunction", "gaussian", "poly_gaussian",
-    "random_gaussian", "derivative", "shift_function", "scale_argument",
+    "TestFunction", "Axis", "GridFunction", "gaussian", "derivative",
     "grid_nodes", "node_mesh", "grid_mesh", "sample_chunk", "sample",
-    "quadrature", "dual_axis",
-    "export_csv", "export_binary", "import_binary",
+    "quadrature", "dual_axis", "export_csv",
 ]
 
 
@@ -81,38 +79,6 @@ def gaussian(center, widths, coef=1.0):
     widths = np.broadcast_to(np.asarray(widths, dtype=float), center.shape)
     dim = center.shape[0]
     return TestFunction(dim, ((coef, np.zeros(dim, dtype=int), center, widths),))
-
-
-def poly_gaussian(coef, powers, center, widths):
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    dim = center.shape[0]
-    widths = np.broadcast_to(np.asarray(widths, dtype=float), (dim,))
-    return TestFunction(dim, ((coef, powers, center, widths),))
-
-
-def random_gaussian(rng, dim, center_scale=1.0, width_range=(0.6, 1.6)):
-    center = rng.uniform(-center_scale, center_scale, dim)
-    widths = rng.uniform(*width_range, dim)
-    return gaussian(center, widths)
-
-
-def shift_function(f, delta):
-    """f(· - delta), exact on the term data."""
-    delta = np.asarray(delta, dtype=float)
-    return TestFunction(
-        f.dim, tuple((c, a, mu + delta, w) for c, a, mu, w in f.terms))
-
-
-def scale_argument(f, scales):
-    """f(s ⊙ ·) for per-axis scales s (diagonal substitution, exact)."""
-    s = np.broadcast_to(np.asarray(scales, dtype=float), (f.dim,))
-    if np.any(s == 0):
-        raise ValueError("scales must be nonzero")
-    terms = []
-    for c, a, mu, w in f.terms:
-        coef = c * np.prod(s.astype(complex) ** a)
-        terms.append((coef, a, mu / s, w * s * s))
-    return TestFunction(f.dim, tuple(terms))
 
 
 def derivative(f, axis):
@@ -230,18 +196,13 @@ def quadrature(f, axes):
     axes = tuple(axes)
     if isinstance(f, GridFunction):
         vals = f.samples
-    elif callable(f):
-        vals = np.asarray(f(grid_mesh(axes)), dtype=complex)
     else:
-        vals = np.asarray(f, dtype=complex)
+        vals = np.asarray(f(grid_mesh(axes)), dtype=complex)
     cell = float(np.prod([a.step for a in axes]))
     return complex(np.sum(vals.ravel(order="C"))) * cell
 
 
 # ── exports ──────────────────────────────────────────────────────────────────
-
-_MAGIC = b"ANHGRID1"
-
 
 def export_csv(gf, path):
     """CSV rows in C order: node coordinates, re, im, each the repr of the
@@ -258,34 +219,3 @@ def export_csv(gf, path):
             fh.writelines(f"{head}{x},{re!r},{im!r}\n" for x, re, im in
                           zip(last, row.real.tolist(), row.imag.tolist()))
 
-
-def export_binary(gf, path):
-    """Little-endian dump: magic, ndim, per-axis (P, L, center), samples."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(np.int64(len(gf.axes)).astype("<i8").tobytes())
-        for a in gf.axes:
-            fh.write(np.int64(a.points).astype("<i8").tobytes())
-            fh.write(np.float64(a.half_width).astype("<f8").tobytes())
-            fh.write(np.float64(a.center).astype("<f8").tobytes())
-        inter = np.empty(gf.samples.size * 2)
-        inter[0::2] = gf.samples.real.ravel(order="C")
-        inter[1::2] = gf.samples.imag.ravel(order="C")
-        fh.write(inter.astype("<f8").tobytes())
-
-
-def import_binary(path):
-    with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
-            raise ValueError("not a grid dump")
-        ndim = int(np.frombuffer(fh.read(8), "<i8")[0])
-        axes = []
-        for _ in range(ndim):
-            p = int(np.frombuffer(fh.read(8), "<i8")[0])
-            hw = float(np.frombuffer(fh.read(8), "<f8")[0])
-            c = float(np.frombuffer(fh.read(8), "<f8")[0])
-            axes.append(Axis(c, hw, p))
-        shape = tuple(a.points for a in axes)
-        inter = np.frombuffer(fh.read(), "<f8")
-        vals = inter[0::2] + 1j * inter[1::2]
-        return GridFunction(tuple(axes), vals.reshape(shape))

@@ -7,7 +7,9 @@ a group name out of the rest of ``src/anharm``.  A second lint keeps
 ``np.meshgrid`` out of it too: ``testfuncs.node_mesh`` is the one mesh builder,
 with the column-contiguous layout the group laws use.  A third keeps every
 quotient y⁻¹x or x·y⁻¹ in the one-pass kernels of ``groups.py``: elsewhere no
-product is taken of an inverse.
+product is taken of an inverse.  A fourth fails on any name in a module's
+``__all__`` that no code in ``src/anharm``, perfbench or the acceptance tests
+reads.
 """
 
 import ast
@@ -127,4 +129,91 @@ def test_quotients_have_one_kernel():
     assert any(p.name == QUOTIENT_KERNELS for p in paths)
     found = [v for p in paths if p.name != QUOTIENT_KERNELS
              for v in quotient_products(p.name, p.read_text())]
+    assert not found, "\n".join(found)
+
+
+ROOT = SRC.parents[1]
+PERFBENCH = ROOT / "perfbench"
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+TARGETS = "TARGETS"  # perfbench's table of the functions its tracer wraps
+
+
+def public_names(tree):
+    """The names a module's __all__ lists, and the __all__ node."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(_subject(t) == "__all__" for t in node.targets)):
+            return [e.value for e in node.value.elts], node
+    return [], None
+
+
+def _references(tree, skip):
+    """Names the tree reads (Name, Attribute, import aliases and the
+    strings of a TARGETS table), outside the nodes in skip."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node in skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif (isinstance(node, ast.Assign)
+              and any(_subject(t) == TARGETS for t in node.targets)):
+            found.update(c.value for c in ast.walk(node.value)
+                         if isinstance(c, ast.Constant)
+                         and isinstance(c.value, str))
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def unused_public_names(src, callers):
+    """'module.name' for each name in a src module's __all__ that nothing
+    reads: not src itself, outside that __all__, nor the callers.  Names
+    match bare, so any Name, attribute or import alias of the same name
+    counts.  A read inside the body of a name found unused does not count,
+    so the search repeats until no name is added."""
+    trees = {p: ast.parse(p.read_text()) for p in (*src, *callers)}
+    public = {}  # (path, name) → the top-level definition, if any
+    skip = set()
+    for p in src:
+        names, node = public_names(trees[p])
+        if node is not None:
+            skip.add(node)
+        defs = {getattr(n, "name", None): n for n in trees[p].body}
+        public.update({(p, name): defs.get(name) for name in names})
+    unused = set()
+    while True:
+        dead = skip | {public[k] for k in unused if public[k]}
+        read = set().union(*(_references(t, dead) for t in trees.values()))
+        found = {k for k in public if k[1] not in read}
+        if found == unused:
+            return sorted(f"{p.stem}.{name}" for p, name in unused)
+        unused = found
+
+
+def test_unused_surface_lint_sees_a_dead_chain(tmp_path):
+    # Point's one reader is dump, which nothing reads; an import alias and
+    # a TARGETS string each reach a name
+    mod = tmp_path / "mod.py"
+    mod.write_text('__all__ = ["Point", "dump", "used", "traced"]\n'
+                   "class Point: pass\n"
+                   "def dump(): return Point()\n"
+                   "def used(): pass\n"
+                   "def traced(): pass\n")
+    caller = tmp_path / "caller.py"
+    caller.write_text("from mod import used as run\n"
+                      'TARGETS = (("layer", "mod", "traced"),)\n')
+    assert unused_public_names([mod], [caller]) == ["mod.Point", "mod.dump"]
+
+
+def test_every_public_name_is_reached():
+    src = sorted(SRC.glob("*.py"))
+    callers = [p for p in sorted(PERFBENCH.glob("*.py"))
+               if p.name != "test_harness.py"] + [ACCEPTANCE]
+    found = unused_public_names(src, callers)
     assert not found, "\n".join(found)

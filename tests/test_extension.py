@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from anharm.groups import coords_to_matrix, law, matrix_to_coords, s_mul
-from anharm.testfuncs import poly_gaussian, random_gaussian
+from anharm.groups import law, s_mul
+from anharm.testfuncs import TestFunction, gaussian
 from anharm.extension import tilde_eval_coords, gamma, gamma_inv
+from matrix_oracle import coords_to_matrix, matrix_to_coords
 
 
 def rand_fun(rng, dim):
-    return random_gaussian(rng, dim)
+    center = rng.uniform(-1.0, 1.0, dim)
+    return gaussian(center, rng.uniform(0.6, 1.6, dim))
 
 
 def invariance_residual(f, case, m, base, shift, s):
@@ -30,7 +32,7 @@ def test_tilde_shift_zero_is_section():
 
 
 def test_tilde_h_m2_example():
-    f = poly_gaussian(1.0, [1, 1], [0.0, 0.0], [0.3, 0.3])
+    f = TestFunction(2, ((1.0, [1, 1], [0.0, 0.0], [0.3, 0.3]),))
     got = complex(tilde_eval_coords(f, "H", 2, [1.0, 0.0], [np.log(2.0)]))
     want = complex(f(np.array([4.0, np.log(2.0)])))
     assert got == pytest.approx(want, rel=1e-13)
@@ -93,7 +95,7 @@ def test_invariance_residual_random(case, m):
 
 def test_restrict_h_m2_example():
     # Γ⁻¹ is the restriction to M
-    f = poly_gaussian(1.0, [2, 0], [0.0, 0.0], [0.2, 0.5])
+    f = TestFunction(2, ((1.0, [2, 0], [0.0, 0.0], [0.2, 0.5]),))
     h = gamma_inv(f, "H", 2)
     got = h(np.array([1.0, np.log(2.0)]))
     assert got == pytest.approx(complex(f(np.array([4.0, np.log(2.0)]))), rel=1e-13)

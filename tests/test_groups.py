@@ -1,16 +1,14 @@
 """Group arithmetic: oracles are dense matrix products/inverses."""
 
-import json
-
 import numpy as np
 import pytest
 
 from anharm import groups
 from anharm.groups import (
-    Element, coords_to_matrix, diag_entries, element_from_json,
-    element_to_json, empty_columns, law, matrix_to_coords, n_inv, n_mul, rho_apply,
-    rho_scale, s_inv, s_mul, upper_indices,
+    empty_columns, law, n_inv, n_mul, rho_apply, rho_scale, s_inv, s_mul,
+    upper_indices,
 )
+from matrix_oracle import coords_to_matrix, diag_entries, matrix_to_coords
 
 
 def _diag(m, t):
@@ -382,36 +380,6 @@ def test_inverses_equal_their_formulas_bit_for_bit(m):
     assert np.ascontiguousarray(s_inv(m, p)).tobytes() == want.tobytes()
 
 
-def test_json_round_trip():
-    rng = np.random.default_rng(21)
-    g = Element(4, rng.uniform(-2, 2, 6))
-    back = element_from_json(element_to_json(g))
-    assert np.array_equal(back.entries, g.entries)
-    assert back.log_a.shape == (0,)
-    p = Element(4, rng.uniform(-2, 2, 6), rng.uniform(-1, 1, 3))
-    back = element_from_json(element_to_json(p))
-    assert np.array_equal(back.entries, p.entries)
-    assert np.array_equal(back.log_a, p.log_a)
-    assert (json.dumps(element_to_json(Element(2, [1.5], [0.25])))
-            == '{"m": 2, "entries": [1.5], "log_a": [0.25]}')
-
-
-def test_json_entries_are_row_major():
-    # column-major (layer) order: n12, n13, n23, n14, n24, n34
-    g = Element(4, [12.0, 13.0, 23.0, 14.0, 24.0, 34.0])
-    obj = element_to_json(g)
-    assert obj["entries"] == [12.0, 13.0, 14.0, 23.0, 24.0, 34.0]
-    assert obj["log_a"] == []
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         law("N", 1)
-    with pytest.raises(ValueError):
-        Element(1, [])
-    with pytest.raises(ValueError):  # N coordinates of the wrong length
-        Element(3, [1.0, 2.0])
-    with pytest.raises(ValueError):  # A coordinates of the wrong length
-        Element(3, [0.0, 0.0, 0.0], [1.0])
-    with pytest.raises(ValueError):
-        element_from_json({"m": 3, "entries": [1.0, 2.0]})

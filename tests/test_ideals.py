@@ -14,8 +14,7 @@ import pytest
 
 from anharm.ideals import (
     CorrespondenceLine, closure_residual, correspondence_check,
-    gamma_intertwine_residual, gamma_literal_residual, ideal_model,
-    transport_gram_deviation,
+    gamma_intertwine_residual, ideal_model, transport_gram_deviation,
 )
 from anharm.testfuncs import Axis, TestFunction, gaussian
 
@@ -139,18 +138,6 @@ def test_intertwine_heisenberg():
     phi = gaussian([0.2, 0.0, -0.1], [1.0, 0.5, 0.9])
     res, scale = gamma_intertwine_residual(psi, phi, 3, pts, AXES_N, AXES_M)
     assert res < 1e-3 * scale
-
-
-def test_literal_gamma_reading_fails():
-    # applying Γ after a genuine M-convolution is NOT an identity for
-    # nonabelian N; the measured gap documents why the module uses the
-    # restriction identity instead
-    rng = np.random.default_rng(4)
-    pts = rng.uniform(-1.0, 1.0, (10, 3))
-    psi = gaussian([0.1, -0.2, 0.0], [1.3, 0.5, 1.1])
-    phi = gaussian([0.2, 0.0, -0.1], [1.0, 0.5, 0.9])
-    res, scale = gamma_literal_residual(psi, phi, 3, pts, AXES_N, AXES_M)
-    assert res > 1e-2 * scale
 
 
 def test_criterion_budget_smoke():

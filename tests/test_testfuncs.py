@@ -5,9 +5,8 @@ import pytest
 
 from anharm import testfuncs
 from anharm.testfuncs import (
-    TestFunction, Axis, GridFunction, gaussian, poly_gaussian, derivative,
-    shift_function, scale_argument, grid_nodes, grid_mesh, sample, quadrature,
-    dual_axis, export_csv, export_binary, import_binary,
+    TestFunction, Axis, GridFunction, gaussian, derivative, grid_nodes,
+    grid_mesh, sample, quadrature, dual_axis, export_csv,
 )
 
 
@@ -29,7 +28,7 @@ def test_evaluate_dimension_mismatch():
 
 
 def test_poly_gaussian_and_derivative_oracle():
-    f = poly_gaussian(2.0, [1, 0], [0.5, -0.5], [1.0, 2.0])
+    f = TestFunction(2, ((2.0, [1, 0], [0.5, -0.5], [1.0, 2.0]),))
     x = np.array([0.9, 0.1])
     want = 2.0 * (x[0] - 0.5) * math.exp(-0.5 * ((x[0] - 0.5) ** 2 + 2 * (x[1] + 0.5) ** 2))
     assert f(x) == pytest.approx(want, rel=1e-14)
@@ -86,16 +85,6 @@ def test_evaluate_single_point_gives_zero_dim_array():
     assert out.shape == () and complex(out) == pytest.approx(complex(_naive(f, x)), rel=1e-14)
 
 
-def test_shift_and_scale_are_exact():
-    rng = np.random.default_rng(0)
-    f = poly_gaussian(1.5, [2, 1], [0.2, -0.3], [1.1, 0.7])
-    delta = np.array([0.4, -1.2])
-    s = np.array([1.7, -0.6])
-    pts = rng.uniform(-2, 2, (50, 2))
-    assert np.allclose(shift_function(f, delta)(pts), f(pts - delta), rtol=1e-13)
-    assert np.allclose(scale_argument(f, s)(pts), f(pts * s), rtol=1e-12, atol=1e-14)
-
-
 def test_axis_validation():
     with pytest.raises(ValueError):
         Axis(0.0, 1.0, 48)       # not a power of two
@@ -143,7 +132,7 @@ def test_quadrature_translation_invariance():
     axes = [Axis(0.0, 10.0, 128)] * 2
     f = gaussian([0.0, 0.0], 1.0)
     base = quadrature(f, axes)
-    moved = quadrature(shift_function(f, [2.5, -3.0]), axes)
+    moved = quadrature(gaussian([2.5, -3.0], 1.0), axes)
     assert abs(moved - base) / abs(base) < 1e-8
 
 
@@ -154,18 +143,6 @@ def test_sample_then_sum_equals_quadrature():
     direct = quadrature(f, axes)
     summed = complex(np.sum(gf.samples.ravel(order="C"))) * gf.cell
     assert summed == direct
-
-
-def test_binary_round_trip(tmp_path):
-    rng = np.random.default_rng(1)
-    axes = (Axis(0.0, 4.0, 8), Axis(1.0, 2.0, 4))
-    vals = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
-    gf = GridFunction(axes, vals)
-    p = tmp_path / "dump.bin"
-    export_binary(gf, p)
-    back = import_binary(p)
-    assert back.axes == axes
-    assert np.array_equal(back.samples, gf.samples)
 
 
 def test_csv_export(tmp_path):
@@ -203,7 +180,8 @@ def test_grid_mesh_equals_stacked_meshgrid_with_contiguous_columns(axes):
 
 
 def test_sliced_sample_equals_whole_grid_sample(monkeypatch):
-    f = poly_gaussian(1.0 - 0.5j, [1, 0, 2], [0.1, -0.2, 0.3], [1.0, 1.5, 0.7])
+    f = TestFunction(3, ((1.0 - 0.5j, [1, 0, 2], [0.1, -0.2, 0.3],
+                          [1.0, 1.5, 0.7]),))
     axes = (Axis(0.0, 3.0, 8), Axis(0.2, 2.0, 4), Axis(0.0, 2.5, 16))
     whole = sample(f, axes)
     monkeypatch.setattr(testfuncs, "SAMPLE_CHUNK", 64)
