@@ -42,12 +42,12 @@ from .scalars import (
     NegReal, iso_Phi, iso_Psi, iso_Psi_inv, iso_psi, neg_identity, neg_inv,
     neg_mul, pair_mul,
 )
-from .testfuncs import Axis, GridFunction, export_csv, gaussian, sample_chunk
+from .testfuncs import Axis, GridFunction, export_csv, gaussian
 
 __all__ = ["main", "parse_operator", "OperatorSyntaxError"]
 
 # The cap on a command's estimated peak memory (plancherel_peak_bytes,
-# solve_peak_bytes); the 32⁵ plancherel grid is estimated at 1.81 GiB.
+# solve_peak_bytes); the 32⁵ plancherel grid is estimated at 0.516 GiB.
 MAX_GRID_BYTES = 2 << 30
 
 
@@ -210,18 +210,18 @@ def grid_bytes(axes):
 
 
 def plancherel_peak_bytes(axes):
-    """Estimated peak bytes of plancherel_check on the axes' grid, the sum
-    of its two phases' needs (an upper bound):
-
-    - the transform: the samples, one copy transformed in place and one
-      float array of squares (2.5 sample arrays; 3.5 leaves room for the
-      grid-sized phase factors of a 1-D grid);
-    - sampling: per point of the chunk evaluated at once, its mesh row of
-      k floats and TestFunction's three scratch floats.
+    """Estimated peak bytes of plancherel_check of a real TestFunction on
+    the axes' grid (an upper bound): the float samples and the half
+    spectrum of the real-input FFT, the two arrays alive at its peak, plus
+    four floats per node of each axis, which sampling keeps while it builds
+    the per-axis factors (in 1-D these weigh as much as the samples), and
+    64 KiB for the small objects.
 
     tests/test_cli.py checks the estimate against tracemalloc peaks."""
-    chunk = 16 * sample_chunk(axes)
-    return 7 * grid_bytes(axes) // 2 + chunk * (len(axes) + 3) // 2
+    n = math.prod(a.points for a in axes)
+    last = axes[-1].points
+    half = n // last * (last // 2 + 1)
+    return 8 * n + 16 * half + 32 * sum(a.points for a in axes) + (1 << 16)
 
 
 def solve_peak_bytes(axes):
@@ -247,7 +247,7 @@ def _check_cap(command, axes, peak):
 
 def _gib(nbytes):
     gib = nbytes / 2**30
-    return f"{gib:.0f} GiB" if gib >= 1 else f"{gib:.2f} GiB"
+    return f"{gib:.0f} GiB" if gib >= 10 else f"{gib:.3f} GiB"
 
 
 def _plancherel_axes(cfg):
@@ -428,8 +428,9 @@ def _check_grid_flags(args):
     """Refuses, with a ValueError, a bad --m, --halfwidth or --grid."""
     if args.m is not None and args.m < 2:
         raise ValueError(f"m must be >= 2, got {args.m}")
-    if args.halfwidth is not None and args.halfwidth <= 0:
-        raise ValueError(f"halfwidth must be positive, got {args.halfwidth}")
+    if args.halfwidth is not None and not 0 < args.halfwidth < math.inf:
+        raise ValueError("halfwidth must be positive and finite, got "
+                         f"{args.halfwidth}")
     if args.grid is not None and (args.grid < 2 or args.grid & (args.grid - 1)):
         raise ValueError("grid must be a power of two >= 2")
 
@@ -457,8 +458,9 @@ class RunConfig(argparse.Namespace):
 def _check_configs(args):
     """Each check's configuration by name, validated before any check runs
     or any grid is allocated; raises ValueError."""
-    if args.tolerance is not None and args.tolerance < 0:
-        raise ValueError("tolerance must be nonnegative")
+    if args.tolerance is not None and not 0 <= args.tolerance < math.inf:
+        raise ValueError("tolerance must be nonnegative and finite, got "
+                         f"{args.tolerance}")
     _check_grid_flags(args)
     cfg = RunConfig(**vars(args))
     names = CHECKS if args.check == "all" else [args.check]

@@ -222,8 +222,8 @@ class FundamentalSolution:
 
 
 def _divided_symbol(u, axes, epsilon):
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     sym = symbol(u)
     if sym.is_zero:
         raise ZeroOperatorError("operator symbol is identically zero")
@@ -273,7 +273,7 @@ def fundamental_solution_group(u, group, m, axes, epsilon=1e-8):
 
     perm = ext.m_order
     m_axes = tuple(axes[p] for p in perm)
-    dual, C = _divided_symbol(uq, m_axes, epsilon)  # refuses ε ≤ 0, P ≡ 0
+    dual, C = _divided_symbol(uq, m_axes, epsilon)  # refuses a bad ε, P ≡ 0
     w = _TWISTS[group, m](grid_mesh(axes))
 
     # invert the on-grid tail axes (all but the first M axis) in place,

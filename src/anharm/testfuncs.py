@@ -20,7 +20,7 @@ from .groups import empty_columns
 
 __all__ = [
     "TestFunction", "Axis", "GridFunction", "gaussian", "derivative",
-    "grid_nodes", "node_mesh", "grid_mesh", "sample_chunk", "sample",
+    "grid_nodes", "node_mesh", "grid_mesh", "sample",
     "quadrature", "dual_axis", "export_csv",
 ]
 
@@ -72,6 +72,63 @@ class TestFunction:
             else:
                 np.multiply(val, c, out=out)
         return out
+
+    @property
+    def is_real(self):
+        """Whether every coefficient is real, and so every value."""
+        return all(c.imag == 0 for c, _, _, _ in self.terms)
+
+    def on_grid(self, axes):
+        """Values at every node of the axes' product grid, shape
+        (P1, ..., Pk), with no mesh: each term is the outer product of one
+        P-vector per axis, (x_i-μ_i)^{α_i}·exp(-½ w_i (x_i-μ_i)²), the
+        first carrying c, written straight into one output array.  Float
+        when is_real, complex otherwise.  Equal to __call__ on
+        grid_mesh(axes) to rounding, not bit for bit: a product of exps is
+        not the exp of the sum."""
+        axes = tuple(axes)
+        if len(axes) != self.dim:
+            raise ValueError(f"expected {self.dim} axes, got {len(axes)}")
+        real = self.is_real
+        shape = tuple(a.points for a in axes)
+        out = np.zeros(shape, float if real else complex)
+        term = None  # the buffer of the second and later terms
+        for n, (c, alpha, mu, w) in enumerate(self.terms):
+            vecs = [_axis_factor(grid_nodes(a), alpha[i], mu[i], w[i])
+                    for i, a in enumerate(axes)]
+            vecs[0] = vecs[0] * (c.real if real else c)
+            if n == 0:
+                _outer(vecs, out)
+            else:
+                if term is None:
+                    term = np.empty_like(out)
+                out += _outer(vecs, term)
+        return out
+
+
+def _axis_factor(x, alpha, mu, w):
+    """(x-μ)^α·exp(-½ w (x-μ)²) on one axis's nodes, in the order of
+    TestFunction.__call__'s arithmetic."""
+    d = x - mu
+    val = d * (-0.5 * w)
+    val *= d
+    np.exp(val, out=val)
+    if alpha:
+        val *= d ** alpha
+    return val
+
+
+def _outer(vecs, out):
+    """out[i_1, ..., i_k] = Π_j vecs[j][i_j]; the last factor is multiplied
+    straight into out.  Returns out."""
+    head = vecs[0]
+    for v in vecs[1:-1]:
+        head = np.multiply.outer(head, v)
+    if len(vecs) == 1:
+        out[...] = head
+    else:
+        np.multiply(head[..., None], vecs[-1], out=out)
+    return out
 
 
 def gaussian(center, widths, coef=1.0):
@@ -162,33 +219,13 @@ class GridFunction:
         return float(np.prod([a.step for a in self.axes]))
 
 
-SAMPLE_CHUNK = 1 << 21
-
-
-def sample_chunk(axes):
-    """Points sample() evaluates in one call: the whole grid, or for a
-    multi-axis grid above SAMPLE_CHUNK points one slice along the first
-    axis."""
-    total = int(np.prod([a.points for a in axes]))
-    if total <= SAMPLE_CHUNK or len(axes) == 1:
-        return total
-    return total // axes[0].points
-
-
 def sample(f, axes):
+    """f at every node of the axes' product grid: a TestFunction through
+    on_grid, with no mesh, and any other callable on grid_mesh(axes)."""
     axes = tuple(axes)
-    shape = tuple(a.points for a in axes)
-    if sample_chunk(axes) == np.prod(shape):
-        return GridFunction(axes, f(grid_mesh(axes)))
-    # large product grids: evaluate slice by slice along the first axis,
-    # refilling only the first coordinate column of one slice mesh
-    out = np.empty(shape, dtype=complex)
-    first = grid_nodes(axes[0])
-    pts = node_mesh([first[:1]] + [grid_nodes(a) for a in axes[1:]])[0]
-    for k, x0 in enumerate(first):
-        pts[..., 0] = x0
-        out[k] = f(pts)
-    return GridFunction(axes, out)
+    if isinstance(f, TestFunction):
+        return GridFunction(axes, f.on_grid(axes))
+    return GridFunction(axes, f(grid_mesh(axes)))
 
 
 def quadrature(f, axes):

@@ -122,6 +122,65 @@ def test_bad_m_or_halfwidth_is_config_error(monkeypatch, capsys, argv,
     assert message in captured.err and captured.out == ""
 
 
+_SOLVE = ["solve", "fundamental-solution", "--operator", "E1*E1-1",
+          "--grid", "8"]
+_HALFWIDTH = "halfwidth must be positive and finite"
+_TOLERANCE = "tolerance must be nonnegative and finite"
+_EPSILON = "epsilon must be positive and finite"
+
+
+def _argv_id(argv):
+    if argv[0] == "solve":
+        return " ".join(["solve", *argv[len(_SOLVE):]])
+    return " ".join(argv[1:])
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["verify", "plancherel", "--halfwidth", "inf"], 2, _HALFWIDTH),
+    (["verify", "plancherel", "--halfwidth", "nan"], 2, _HALFWIDTH),
+    (["verify", "plancherel", "--halfwidth=-inf"], 2, _HALFWIDTH),
+    (["verify", "plancherel", "--halfwidth", "1e300"], 0, ""),
+    (["verify", "all", "--tolerance", "nan"], 2, _TOLERANCE),
+    (["verify", "scalar-groups", "--tolerance", "inf"], 2, _TOLERANCE),
+    (["verify", "scalar-groups", "--tolerance", "0"], 0, ""),
+    (_SOLVE + ["--halfwidth", "nan"], 2, _HALFWIDTH),
+    (_SOLVE + ["--halfwidth", "inf"], 2, _HALFWIDTH),
+    (_SOLVE + ["--epsilon", "nan"], 2, _EPSILON),
+    (_SOLVE + ["--epsilon", "inf"], 2, _EPSILON),
+    (_SOLVE + ["--epsilon=-inf"], 2, _EPSILON),
+    (_SOLVE + ["--epsilon", "0"], 2, _EPSILON),
+], ids=lambda v: _argv_id(v) if isinstance(v, list) else None)
+def test_float_flags_must_be_finite(tmp_path, monkeypatch, capsys, argv,
+                                    code, message):
+    # a bad value exits 2 with a one-line message before any check runs or
+    # any solve builds a mesh; a finite one reaches the check
+    ran = []
+
+    def recorder(name):
+        def run(cfg):
+            ran.append(name)
+            yield from ()
+        return run
+
+    def no_mesh(axes):
+        raise AssertionError("a mesh was built before the flags were checked")
+
+    for name, check in cli.CHECKS.items():
+        monkeypatch.setitem(cli.CHECKS, name, check._replace(run=recorder(name)))
+    monkeypatch.setattr(operators, "grid_mesh", no_mesh)
+    out = tmp_path / "x.csv"
+    if argv[0] == "solve":
+        argv = argv + ["--output", str(out)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not ran and not out.exists()
+    else:
+        assert ran == [argv[1]] and captured.err == ""
+
+
 def test_report_determinism(tmp_path, capsys):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     assert main(["verify", "group-axioms", "--seed", "5",
@@ -322,12 +381,17 @@ def test_grid_bytes_estimate():
     assert cli.grid_bytes([Axis(0.0, 6.0, 32)] * 5) <= cli.MAX_GRID_BYTES
 
 
-def test_plancherel_refuses_an_oversized_grid_before_sampling(monkeypatch,
-                                                              capsys):
+def _no_sampling(monkeypatch):
+    """Make TestFunction.on_grid, which samples the Plancherel grids, fail."""
     def no_sample(f, axes):
         raise AssertionError("a grid was sampled before its size was checked")
 
-    monkeypatch.setattr(harmonic, "sample", no_sample)
+    monkeypatch.setattr(testfuncs.TestFunction, "on_grid", no_sample)
+
+
+def test_plancherel_refuses_an_oversized_grid_before_sampling(monkeypatch,
+                                                              capsys):
+    _no_sampling(monkeypatch)
     assert main(["verify", "plancherel", "--grid", "128"]) == 2
     captured = capsys.readouterr()
     assert "512 GiB" in captured.err and captured.out == ""
@@ -336,14 +400,11 @@ def test_plancherel_refuses_an_oversized_grid_before_sampling(monkeypatch,
 def test_plancherel_refuses_a_grid_whose_peak_exceeds_the_cap(monkeypatch,
                                                               capsys):
     # 512³ is exactly 2 GiB of samples, which a cap on one sample array let
-    # through; its estimated peak is about 7 GiB
-    def no_sample(f, axes):
-        raise AssertionError("a grid was sampled before its size was checked")
-
-    monkeypatch.setattr(harmonic, "sample", no_sample)
+    # through; its float samples and half spectrum come to 2.004 GiB
+    _no_sampling(monkeypatch)
     assert main(["verify", "plancherel", "--group", "N", "--grid", "512"]) == 2
     captured = capsys.readouterr()
-    assert "7 GiB at peak" in captured.err and captured.out == ""
+    assert "2.004 GiB at peak" in captured.err and captured.out == ""
 
 
 def test_solve_refuses_an_oversized_grid_before_any_mesh(tmp_path, capsys,
@@ -383,17 +444,12 @@ def test_solve_peak_estimate_bounds_the_traced_peak(group, m, axes):
     assert peak <= cli.solve_peak_bytes(axes) <= 2 * peak
 
 
-@pytest.mark.parametrize("axes, chunk", [
-    ([Axis(0.0, 6.0, 1 << 16)], None),
-    ([Axis(0.0, 10.0, 32)] * 3, None),
-    ([Axis(0.0, 6.0, 8)] * 5, None),
-    ([Axis(0.0, 6.0, 16)] + [Axis(0.0, 6.0, 8)] * 4, 1 << 12),
-], ids=["1d", "3d", "5d", "5d-sliced"])
-def test_plancherel_peak_estimate_bounds_the_traced_peak(monkeypatch, axes,
-                                                         chunk):
-    if chunk is not None:  # sample slice by slice, as above SAMPLE_CHUNK
-        monkeypatch.setattr(testfuncs, "SAMPLE_CHUNK", chunk)
-        assert testfuncs.sample_chunk(axes) < 16 * 8 ** 4
+@pytest.mark.parametrize("axes", [
+    [Axis(0.0, 6.0, 1 << 16)],
+    [Axis(0.0, 10.0, 32)] * 3,
+    [Axis(0.0, 6.0, 8)] * 5,
+], ids=["1d", "3d", "5d"])
+def test_plancherel_peak_estimate_bounds_the_traced_peak(axes):
     f = gaussian([0.1] * len(axes), [1.0] * len(axes))
     peak = _traced_peak(lambda: harmonic.plancherel_check(f, axes))
     assert peak <= cli.plancherel_peak_bytes(axes) <= 2 * peak

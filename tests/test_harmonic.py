@@ -3,8 +3,8 @@ import pytest
 
 from anharm.groups import law, n_inv, n_mul, rho_scale, s_mul
 from anharm.testfuncs import (
-    Axis, GridFunction, dual_axis, gaussian, grid_mesh, grid_nodes,
-    quadrature, sample,
+    Axis, GridFunction, TestFunction, dual_axis, gaussian, grid_mesh,
+    grid_nodes, quadrature, sample,
 )
 from anharm import groups, harmonic, ideals, testfuncs
 from anharm.harmonic import (
@@ -129,6 +129,28 @@ def test_plancherel_gaussian_1d():
     rep = plancherel_check(gaussian([0.0], [2.0]), [Axis(0.0, 10.0, 64)])
     assert rep.rel_err < 1e-12
     assert rep.time_norm_sq == pytest.approx(np.sqrt(np.pi / 2), rel=1e-10)
+
+
+@pytest.mark.parametrize("axes", [
+    [Axis(0.0, 10.0, 64)],
+    [Axis(0.3, 6.0, 16), Axis(-0.2, 5.0, 8), Axis(0.0, 4.0, 2)],
+    [Axis(0.0, 5.0, 8), Axis(0.1, 4.0, 2)],
+    [Axis(0.0, 6.0, 8)] * 4 + [Axis(0.2, 6.0, 16)],
+], ids=["1d", "3d-last-P2", "2d-last-P2", "5d"])
+def test_real_plancherel_equals_the_complex_path(axes):
+    # the real path (on_grid, rfftn, half spectrum) against fourier_forward
+    # on the same samples; with P = 2 on the last axis, planes 0 and P/2
+    # are the whole half spectrum
+    rng = np.random.default_rng(len(axes))
+    dim = len(axes)
+    f = TestFunction(dim, tuple(
+        (c, rng.integers(0, 3, dim), rng.uniform(-0.3, 0.3, dim),
+         rng.uniform(0.5, 1.5, dim)) for c in (1.0, -0.4, 0.25)))
+    rep = plancherel_check(f, axes)
+    ref = plancherel_check(GridFunction(axes, f.on_grid(axes)), axes)
+    assert abs(rep.time_norm_sq - ref.time_norm_sq) <= 1e-14 * ref.time_norm_sq
+    assert abs(rep.freq_norm_sq - ref.freq_norm_sq) <= 1e-14 * ref.freq_norm_sq
+    assert rep.rel_err <= 1e-14
 
 
 def test_plancherel_heisenberg_grid():

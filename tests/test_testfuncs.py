@@ -179,15 +179,43 @@ def test_grid_mesh_equals_stacked_meshgrid_with_contiguous_columns(axes):
     assert np.array_equal(flat, want.reshape(-1, len(axes)))
 
 
-def test_sliced_sample_equals_whole_grid_sample(monkeypatch):
-    f = TestFunction(3, ((1.0 - 0.5j, [1, 0, 2], [0.1, -0.2, 0.3],
-                          [1.0, 1.5, 0.7]),))
-    axes = (Axis(0.0, 3.0, 8), Axis(0.2, 2.0, 4), Axis(0.0, 2.5, 16))
-    whole = sample(f, axes)
-    monkeypatch.setattr(testfuncs, "SAMPLE_CHUNK", 64)
-    assert testfuncs.sample_chunk(axes) == 64
-    sliced = sample(f, axes)
-    assert sliced.samples.tobytes() == whole.samples.tobytes()
+def _grid_axes(rng, dim):
+    """Axes of 2 to 16 points with their own centers and half-widths."""
+    return [Axis(rng.uniform(-0.5, 0.5), rng.uniform(2.0, 4.0),
+                 int(2 ** rng.integers(1, 5 if dim < 4 else 4)))
+            for _ in range(dim)]
+
+
+@pytest.mark.parametrize("coefs, dtype", [
+    ([1.5, -0.7, 0.3], float),
+    ([1.5, -0.7 + 0.2j, 0.3], complex),
+], ids=["real", "one-complex"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_on_grid_matches_call_on_the_mesh(dim, coefs, dtype):
+    rng = np.random.default_rng(70 + dim)
+    f = TestFunction(dim, tuple(
+        (c, rng.integers(0, 4, dim), rng.uniform(-0.5, 0.5, dim),
+         rng.uniform(0.4, 2.0, dim)) for c in coefs))
+    assert any(np.any(a) for _, a, _, _ in f.terms)
+    assert f.is_real == (dtype is float)
+    axes = _grid_axes(rng, dim)
+    got, want = f.on_grid(axes), f(grid_mesh(axes))
+    assert got.dtype == dtype and got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert sample(f, axes).samples.tobytes() == got.astype(complex).tobytes()
+
+
+def test_on_grid_of_one_term_and_of_none():
+    axes = [Axis(0.0, 3.0, 8), Axis(0.2, 2.0, 4)]
+    f = gaussian([0.1, -0.2], [1.0, 1.5], coef=2.0)
+    got = f.on_grid(axes)
+    assert got.dtype == float
+    want = f(grid_mesh(axes))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    empty = TestFunction(2, ()).on_grid(axes)
+    assert empty.shape == (8, 4) and not np.any(empty)
+    with pytest.raises(ValueError):
+        f.on_grid(axes[:1])
 
 
 def _per_row_repr_csv(gf, path):
