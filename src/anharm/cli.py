@@ -32,8 +32,8 @@ from .harmonic import (
     plancherel_check, projected_convolution_check, theorem31_residual,
 )
 from .ideals import (
-    correspondence_check, gamma_intertwine_residual, ideal_model,
-    transport_gram_deviation,
+    TransportGramError, correspondence_check, gamma_intertwine_residual,
+    ideal_model, transport_gram_deviation,
 )
 from .operators import (
     EnvelopingElement, fundamental_solution_group, operator_identity_residual,
@@ -87,6 +87,9 @@ def _tokenize(expr):
                 val = float(expr[i:j])
             except ValueError:
                 raise OperatorSyntaxError(f"bad literal {expr[i:j]!r}", i)
+            if not math.isfinite(val):
+                raise OperatorSyntaxError(
+                    f"literal {expr[i:j]!r} is not finite", i)
             tokens.append(("num", val, i))
             i = j
         else:
@@ -166,14 +169,16 @@ def parse_operator(expr, dim):
 # ── report plumbing ──────────────────────────────────────────────────────────
 
 def _line(check, params, metric, value, tolerance):
+    """One report line.  A value of None, one the check could not compute,
+    is written as null and fails."""
     return {
         "schema": 1,
         "check": check,
         "params": params,
         "metric": metric,
-        "value": float(value),
+        "value": None if value is None else float(value),
         "tolerance": float(tolerance),
-        "pass": bool(value <= tolerance),
+        "pass": value is not None and bool(value <= tolerance),
         "gating": True,
     }
 
@@ -365,8 +370,11 @@ def check_ideals(cfg):
                         (ax_z, ax_y, ax_x))
     yield ({"m": 3}, "gram_transport_deviation",
            transport_gram_deviation(model), cfg.tol(1e-6))
-    rep = correspondence_check(model, [gating])
-    yield ({"m": 3}, "closure_residual_difference", rep[0].difference,
+    try:
+        difference = correspondence_check(model, [gating])[0].difference
+    except TransportGramError:
+        difference = None
+    yield ({"m": 3}, "closure_residual_difference", difference,
            cfg.tol(1e-3))
     pts = rng.uniform(-1.0, 1.0, (20, 3))
     psi = gaussian([0.1, -0.2, 0.0], [1.3, 0.5, 1.1])
@@ -424,15 +432,27 @@ _FLAGS = sorted(set().union(*(c.flags for c in CHECKS.values())))
 
 # ── configuration and output ─────────────────────────────────────────────────
 
-def _check_grid_flags(args):
-    """Refuses, with a ValueError, a bad --m, --halfwidth or --grid."""
+def _check_grid_flags(args, default_grid):
+    """Refuses, with a ValueError, a bad --m, --halfwidth or --grid.  On the
+    points it is paired with, --grid or default_grid, a halfwidth L must
+    give a step h = 2L/P and a dual half-width π/h that are both positive
+    and finite."""
     if args.m is not None and args.m < 2:
         raise ValueError(f"m must be >= 2, got {args.m}")
-    if args.halfwidth is not None and not 0 < args.halfwidth < math.inf:
-        raise ValueError("halfwidth must be positive and finite, got "
-                         f"{args.halfwidth}")
     if args.grid is not None and (args.grid < 2 or args.grid & (args.grid - 1)):
         raise ValueError("grid must be a power of two >= 2")
+    if args.halfwidth is not None:
+        if not 0 < args.halfwidth < math.inf:
+            raise ValueError("halfwidth must be positive and finite, got "
+                             f"{args.halfwidth}")
+        points = args.grid or default_grid
+        step = 2.0 * args.halfwidth / points
+        dual = math.pi / step if step > 0 else math.inf
+        if not (0 < step < math.inf and 0 < dual < math.inf):
+            raise ValueError(
+                f"halfwidth {args.halfwidth} on {points} points: step and "
+                f"dual half-width must be positive and finite, got {step} "
+                f"and {dual}")
 
 
 class RunConfig(argparse.Namespace):
@@ -461,7 +481,7 @@ def _check_configs(args):
     if args.tolerance is not None and not 0 <= args.tolerance < math.inf:
         raise ValueError("tolerance must be nonnegative and finite, got "
                          f"{args.tolerance}")
-    _check_grid_flags(args)
+    _check_grid_flags(args, default_grid=64)  # plancherel's N grid
     cfg = RunConfig(**vars(args))
     names = CHECKS if args.check == "all" else [args.check]
     cfgs = {name: cfg.for_check(name, strict=args.check != "all")
@@ -480,7 +500,8 @@ def _emit(lines, args):
         writer.writerow(["check", "metric", "value", "tolerance", "pass",
                          "gating", "params", *timed])
         for ln in lines:
-            writer.writerow([ln["check"], ln["metric"], repr(ln["value"]),
+            value = "" if ln["value"] is None else repr(ln["value"])
+            writer.writerow([ln["check"], ln["metric"], value,
                              repr(ln["tolerance"]), ln["pass"], ln["gating"],
                              json.dumps(ln["params"], sort_keys=True),
                              *(repr(ln[k]) for k in timed)])
@@ -522,7 +543,7 @@ def _run_verify(args):
 def _solve_config(args):
     """The group, m, operator and axes of a solve, validated before any
     work; raises ValueError."""
-    _check_grid_flags(args)
+    _check_grid_flags(args, default_grid=32)
     if not args.output:
         raise ValueError("solve requires --output")
     group, m = args.group or "N", args.m or 3

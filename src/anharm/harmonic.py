@@ -218,33 +218,40 @@ def _node_blocks(axes, npoints, out=None):
             yield out, cell
 
 
-def _quadrature(axes, npoints, integrand, weight=None):
+def _quadrature(axes, npoints, integrand, weights=None):
     """Σ over the nodes y of the axes' product grid, block by block, of
-    weight(y)·cell·F(y) (a tensordot over the block's nodes), or without a
-    weight of F(y)·cell; F(y) holds one row of npoints values per node.
+    F(y)·cell, or with weights, a sequence of k functions, of
+    w_j(y)·cell·F(y) for each: a (k, npoints) array, row j for w_j, from
+    one tensordot of each block's (k, nodes) weights with F.  F(y) holds
+    one row of npoints values per node and is evaluated once per block
+    for all the weights; one weight is the case k = 1.  The sums are float
+    when the weights and F are.
 
     Every block has the same n nodes, so integrand(n) is called once: it
     allocates the buffers every block refills and returns F.  The block's
     nodes are refilled in place too."""
     n = _block_size(axes, npoints)
     block_integrand = integrand(n)
-    out = np.zeros(npoints, dtype=complex)
+    total = None
     for y, cell in _node_blocks(axes, npoints,
                                 out=empty_columns((n, len(axes)))):
-        if weight is None:
-            vals = np.asarray(block_integrand(y), dtype=complex)
-            out += vals.sum(axis=0) * cell
+        vals = np.asarray(block_integrand(y))
+        if weights is None:
+            part = vals.sum(axis=0) * cell
         else:
-            w = np.asarray(weight(y), dtype=complex) * cell
-            out += np.tensordot(
-                w, np.asarray(block_integrand(y), dtype=complex), axes=(0, 0))
-    return out
+            w = np.stack([wt(y) for wt in weights])
+            w *= cell
+            part = np.tensordot(w, vals, axes=(1, 0))
+        total = part if total is None else total + part
+    return total
 
 
 def convolve_group(g, f, group, m, points, axes):
     """(g∗f)(X) = ∫ f(Y^{-1}X) g(Y) dY by Haar quadrature over the axes.
     On "M" with m its dimension, Y^{-1}X = X − Y: the abelian convolution
-    g ∗_c f."""
+    g ∗_c f.  Given a sequence of weights g_1..g_k in place of g, the k
+    convolutions g_j∗f share each block's values of f: a (k, npoints)
+    array, row j for g_j."""
     L = law(group, m)
     x = np.atleast_2d(np.asarray(points, dtype=float))[None, :, :]
 
@@ -253,7 +260,9 @@ def convolve_group(g, f, group, m, points, axes):
         yinv = empty_columns((n, 1, L.dim))
         return lambda y: f(L.ldiv(y[:, None, :], x, out=q, scratch=yinv))
 
-    return _quadrature(axes, x.shape[1], integrand, weight=g)
+    if callable(g):
+        return _quadrature(axes, x.shape[1], integrand, weights=[g])[0]
+    return _quadrature(axes, x.shape[1], integrand, weights=g)
 
 
 def _put(out, a):
@@ -299,7 +308,7 @@ def convolve_extended_c(phi, F_ext, case, m, base_points, shift_points, axes):
         return lambda y: F_ext(*_c_translate(L, x, s, y[:, None, :], buf,
                                              yinv))
 
-    return _quadrature(axes, x.shape[1], integrand, weight=phi)
+    return _quadrature(axes, x.shape[1], integrand, weights=[phi])[0]
 
 
 def convolve_extended_c_substituted(phi, F_ext, case, m, base_points,
@@ -331,8 +340,7 @@ def convolve_extended_c_substituted(phi, F_ext, case, m, base_points,
             _put(fs, ws)
             law("M", None).ldiv(ws, s, out=y[..., a])
             top.rdiv(x[..., t], wt, out=y[..., t], scratch=winv)
-            return (np.asarray(F_ext(fb, fs), dtype=complex)
-                    * np.asarray(phi(y), dtype=complex))
+            return F_ext(fb, fs) * phi(y)
 
         return block_integrand
 
@@ -359,7 +367,7 @@ def convolve_extended_group(phi, F_ext, case, m, base_points, shift_points,
             return lambda y: F_ext(
                 B.ldiv(y[:, None, :], x, out=q, scratch=yinv), s)
 
-        return _quadrature(axes, x.shape[1], integrand, weight=phi)
+        return _quadrature(axes, x.shape[1], integrand, weights=[phi])[0]
 
     def substituted_integrand(n):
         q = empty_columns((n, x.shape[1], B.dim))
@@ -368,10 +376,10 @@ def convolve_extended_group(phi, F_ext, case, m, base_points, shift_points,
         def block_integrand(block):
             z = block[:, None, :]
             y = B.rdiv(x, z, out=q, scratch=zinv)  # Y = base∘Z⁻¹
-            pv = np.asarray(phi(y), dtype=complex)
+            pv = np.asarray(phi(y))
             if B.modular is not None:
                 pv *= B.modular(y)
-            return np.asarray(F_ext(z, s), dtype=complex) * pv
+            return F_ext(z, s) * pv
 
         return block_integrand
 

@@ -39,7 +39,7 @@ from .testfuncs import grid_mesh
 __all__ = [
     "IdealModel", "ideal_model", "gamma_intertwine_residual",
     "closure_residual", "correspondence_check",
-    "transport_gram_deviation", "CorrespondenceLine",
+    "transport_gram_deviation", "CorrespondenceLine", "TransportGramError",
 ]
 
 
@@ -54,7 +54,9 @@ class _Convolution:
 
     Called at points it runs the direct engine, which any point needs (the
     Γ⁻¹ pullback lands off the lattice); on_grid samples it with the exact
-    lattice engine, the same Riemann sums.
+    lattice engine, the same Riemann sums.  On side "N" psi may be a
+    sequence of k probes: called at points it then gives k rows, one
+    engine call sharing g's values between the probes.
     """
 
     psi: object
@@ -73,7 +75,7 @@ class _Convolution:
             base, u = law("K1", self.m).m_split(flat)
             out = convolve_extended_c(self.psi, _tilde(self.g, self.m), "K1",
                                       self.m, base, u, self.axes)
-        return out.reshape(pts.shape[:-1])
+        return out.reshape(out.shape[:-1] + pts.shape[:-1])
 
     def on_grid(self, out_axes):
         """Samples at every node of out_axes, flattened in C order."""
@@ -198,19 +200,34 @@ def transport_gram_deviation(model):
     Pulls each N-side dictionary member back through Γ⁻¹ (a volume-
     preserving coordinate twist), recomputes the Gram on the M grid, and
     compares with the N-side Gram.  The ∗_c-rebuilt M dictionary is *not*
-    used here: it is a different (commutative-picture) object.
+    used here: it is a different (commutative-picture) object.  Each
+    generator's probe convolutions p∗g are pulled back by one engine call
+    for all the probes, and the rows keep the dictionary's order.
     """
     if "T" not in model._cache:
         mesh = grid_mesh(model.axes_m)
-        model._cache["T"] = np.stack(
-            [np.asarray(gamma_inv(f, "K1", model.m)(mesh),
-                        dtype=complex).ravel() for f in model.dictionary])
+        gens, m = model.generators, model.m
+
+        def pullback(f):
+            return gamma_inv(f, "K1", m)(mesh).reshape(-1, mesh[..., 0].size)
+
+        rows = [pullback(g) for g in gens]
+        probes = tuple(model.probes)
+        convs = [pullback(_Convolution(probes, g, m, model.axes, "N"))
+                 for g in gens] if probes else []
+        model._cache["T"] = np.concatenate(
+            rows + [c[i:i + 1] for i in range(len(probes)) for c in convs],
+            dtype=complex)
     T = model._cache["T"]
     gram_t = (T.conj() @ T.T) * model.cell("M")
     scale = float(np.max(np.abs(model.gram)))
     if scale == 0.0:
         return 0.0
     return float(np.max(np.abs(model.gram - gram_t)) / scale)
+
+
+class TransportGramError(ValueError):
+    """The transported Gram deviates beyond correspondence_check's guard."""
 
 
 @dataclass(frozen=True)
@@ -224,11 +241,12 @@ def correspondence_check(model, probes, gram_tol=1e-6):
     """Per-probe (N-side, M-side) residual pairs and their differences.
 
     The volume-preservation of the transport is asserted first: if the two
-    Gram matrices disagree beyond gram_tol the comparison is meaningless.
+    Gram matrices disagree beyond gram_tol the comparison is meaningless,
+    and TransportGramError (a ValueError) is raised.
     """
     dev = transport_gram_deviation(model)
     if dev > gram_tol:
-        raise ValueError(
+        raise TransportGramError(
             f"transported Gram deviates by {dev:.3e} > {gram_tol:.3e}")
     lines = []
     for psi in probes:

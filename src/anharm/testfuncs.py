@@ -48,13 +48,16 @@ class TestFunction:
         object.__setattr__(self, "terms", tuple(norm))
 
     def __call__(self, x):
-        """Evaluate at points, shape (..., dim) → complex (...), one
-        coordinate column at a time with no (..., dim) temporaries."""
+        """Evaluate at points, shape (..., dim) → (...), one coordinate
+        column at a time with no (..., dim) temporaries.  Float when
+        is_real, as on_grid, and complex otherwise."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise ValueError(f"expected last axis {self.dim}, got {x.shape[-1]}")
         shape = x.shape[:-1]
-        out = (np.empty if self.terms else np.zeros)(shape, dtype=complex)
+        real = self.is_real
+        out = (np.empty if self.terms else np.zeros)(
+            shape, dtype=float if real else complex)
         d, sq, val = np.empty(shape), np.empty(shape), np.empty(shape)
         for n, (c, alpha, mu, w) in enumerate(self.terms):
             hw = -0.5 * w  # a power-of-two scale is exact: -½ Σ w_i d_i²
@@ -67,6 +70,8 @@ class TestFunction:
             np.exp(val, out=val)
             for i in np.flatnonzero(alpha):
                 val *= np.subtract(x[..., i], mu[i], out=d) ** alpha[i]
+            if real:
+                c = c.real
             if n:
                 out += c * val
             else:
@@ -229,10 +234,14 @@ def sample(f, axes):
 
 
 def quadrature(f, axes):
-    """Riemann sum over the product grid; fixed (C-order) summation order."""
+    """Riemann sum over the product grid; fixed (C-order) summation order.
+    A TestFunction is summed from on_grid, with no mesh; any other callable
+    is evaluated on grid_mesh(axes)."""
     axes = tuple(axes)
     if isinstance(f, GridFunction):
         vals = f.samples
+    elif isinstance(f, TestFunction):
+        vals = f.on_grid(axes)
     else:
         vals = np.asarray(f(grid_mesh(axes)), dtype=complex)
     cell = float(np.prod([a.step for a in axes]))

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from anharm import cli, harmonic, operators, testfuncs
+from anharm import cli, harmonic, ideals, operators, testfuncs
 from anharm.cli import OperatorSyntaxError, main, parse_operator
 from anharm.testfuncs import Axis, gaussian
 
@@ -127,6 +127,8 @@ _SOLVE = ["solve", "fundamental-solution", "--operator", "E1*E1-1",
 _HALFWIDTH = "halfwidth must be positive and finite"
 _TOLERANCE = "tolerance must be nonnegative and finite"
 _EPSILON = "epsilon must be positive and finite"
+_STEP = "step and dual half-width must be positive and finite"
+_LITERAL = "is not finite"
 
 
 def _argv_id(argv):
@@ -140,6 +142,7 @@ def _argv_id(argv):
     (["verify", "plancherel", "--halfwidth", "nan"], 2, _HALFWIDTH),
     (["verify", "plancherel", "--halfwidth=-inf"], 2, _HALFWIDTH),
     (["verify", "plancherel", "--halfwidth", "1e300"], 0, ""),
+    (["verify", "plancherel", "--halfwidth", "1e308"], 2, _STEP),
     (["verify", "all", "--tolerance", "nan"], 2, _TOLERANCE),
     (["verify", "scalar-groups", "--tolerance", "inf"], 2, _TOLERANCE),
     (["verify", "scalar-groups", "--tolerance", "0"], 0, ""),
@@ -149,6 +152,7 @@ def _argv_id(argv):
     (_SOLVE + ["--epsilon", "inf"], 2, _EPSILON),
     (_SOLVE + ["--epsilon=-inf"], 2, _EPSILON),
     (_SOLVE + ["--epsilon", "0"], 2, _EPSILON),
+    (_SOLVE + ["--operator", "1e400*E1"], 2, _LITERAL),
 ], ids=lambda v: _argv_id(v) if isinstance(v, list) else None)
 def test_float_flags_must_be_finite(tmp_path, monkeypatch, capsys, argv,
                                     code, message):
@@ -179,6 +183,36 @@ def test_float_flags_must_be_finite(tmp_path, monkeypatch, capsys, argv,
         assert not ran and not out.exists()
     else:
         assert ran == [argv[1]] and captured.err == ""
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_failed_gram_guard_is_a_failing_line(monkeypatch, capsys, fmt):
+    # correspondence_check refuses a transported Gram that deviates by more
+    # than 1e-6 (verify ideals --probes 40 gives 1.373e-6): the closure line
+    # then fails with a null value, and verify exits 1 with no traceback
+    def no_constant(name):
+        raise ValueError(f"{name} in a report")
+
+    monkeypatch.setattr(cli, "ideal_model", lambda *args: object())
+    for module in (cli, ideals):
+        monkeypatch.setattr(module, "transport_gram_deviation",
+                            lambda model: 2e-6)
+    monkeypatch.setattr(cli, "gamma_intertwine_residual",
+                        lambda *args: (1e-5, 1.0))
+    assert main(["verify", "ideals", "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if fmt == "csv":
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert [r["value"] for r in rows] == [repr(2e-6), "", repr(1e-5)]
+        assert [r["pass"] for r in rows] == ["False", "False", "True"]
+        return
+    lines = [json.loads(ln, parse_constant=no_constant)
+             for ln in captured.out.splitlines()]
+    assert [(ln["metric"], ln["value"], ln["pass"]) for ln in lines] == [
+        ("gram_transport_deviation", 2e-6, False),
+        ("closure_residual_difference", None, False),
+        ("intertwine_rel_residual", 1e-5, True)]
 
 
 def test_report_determinism(tmp_path, capsys):

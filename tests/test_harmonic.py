@@ -332,15 +332,18 @@ def test_theorem31_h_m2_margin_over_seeds():
 
 # ── block size ───────────────────────────────────────────────────────────────
 
-def _engine_runs(extend=None, refine=1):
+def _engine_runs(extend=None, refine=1, cast=None):
     """One small call of every engine and branch, keyed by name.
     extend(f, case, m) gives F_ext, by default the tilde extension; refine
-    multiplies every axis's point count."""
+    multiplies every axis's point count; cast, given, wraps each test
+    function (φ and f)."""
     rng = np.random.default_rng(13)
     phi3, f3 = (gaussian(rng.uniform(-0.3, 0.3, 3), [1.0, 1.2, 0.9])
                 for _ in range(2))
     phi2, f2 = (gaussian(rng.uniform(-0.3, 0.3, 2), [1.0, 3.0])
                 for _ in range(2))
+    if cast is not None:
+        phi3, f3, phi2, f2 = map(cast, (phi3, f3, phi2, f2))
     pts3, pts2 = rng.uniform(-0.4, 0.4, (5, 3)), rng.uniform(-0.4, 0.4, (5, 2))
     shift = rng.uniform(-0.4, 0.4, (5, 1))
     axes3 = [Axis(0.0, 5.0, 8 * refine), Axis(0.0, 6.0, 4 * refine),
@@ -386,6 +389,46 @@ def test_engines_do_not_depend_on_block_size(monkeypatch, engine, chunk):
     split = run()
     assert np.max(np.abs(whole)) > 0
     assert np.max(np.abs(split - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+
+@pytest.mark.parametrize("engine", sorted(_engine_runs()))
+def test_real_engines_equal_complex_casts(engine):
+    # real test functions run the engines in float arithmetic; the same
+    # functions cast to complex, as every engine did before, run them in
+    # complex arithmetic, and the sums agree to rounding
+    def complex_cast(f):
+        return lambda x: np.asarray(f(x), dtype=complex)
+
+    real = _engine_runs()[engine]()
+    cplx = _engine_runs(cast=complex_cast)[engine]()
+    assert real.dtype == float and cplx.dtype == complex
+    assert np.max(np.abs(real - cplx)) <= 1e-12 * np.max(np.abs(cplx))
+
+
+@pytest.mark.parametrize("group, m, axes", [
+    ("N", 3, [Axis(0.0, 5.0, 8), Axis(0.0, 6.0, 4), Axis(0.0, 5.0, 16)]),
+    ("S", 2, [Axis(0.0, 6.4, 16), Axis(0.0, 3.2, 8)]),
+    ("M", 3, [Axis(0.0, 5.0, 8), Axis(0.2, 6.0, 4), Axis(0.0, 5.0, 16)]),
+])
+@pytest.mark.parametrize("chunk", [40, harmonic._CHUNK])
+def test_batched_weights_equal_one_weight_calls(monkeypatch, chunk, group,
+                                                m, axes):
+    # a sequence of weights shares each block's integrand; row j equals
+    # the one-weight call on g_j, a complex weight among them
+    monkeypatch.setattr(harmonic, "_CHUNK", chunk)
+    rng = np.random.default_rng(27)
+    d = len(axes)
+    f = gaussian(rng.uniform(-0.3, 0.3, d), rng.uniform(0.8, 1.4, d))
+    gs = [gaussian(rng.uniform(-0.3, 0.3, d), rng.uniform(0.8, 3.0, d))
+          for _ in range(3)]
+    gs.append(gaussian(rng.uniform(-0.3, 0.3, d), [1.0] * d, coef=0.5 - 2j))
+    pts = rng.uniform(-0.5, 0.5, (7, d))
+    rows = convolve_group(gs, f, group, m, pts, axes)
+    assert rows.shape == (len(gs), len(pts))
+    for g, row in zip(gs, rows):
+        one = convolve_group(g, f, group, m, pts, axes)
+        assert np.max(np.abs(one)) > 0
+        assert np.max(np.abs(row - one)) <= 1e-13 * np.max(np.abs(one))
 
 
 def _count_empty_columns(monkeypatch):
@@ -474,9 +517,9 @@ def _concatenated_c_translate(case, m, base, shift, y):
 
 
 def _concatenated_c(phi, F_ext, case, m, base_points, shift_points, axes):
-    out = np.zeros(len(base_points), dtype=complex)
+    out = np.zeros(len(base_points))
     for y, cell in harmonic._node_blocks(axes, len(base_points)):
-        weights = np.asarray(phi(y), dtype=complex) * cell
+        weights = np.asarray(phi(y)) * cell
         nb, ns = _concatenated_c_translate(case, m, base_points[None],
                                            shift_points[None], y[:, None])
         out += np.tensordot(weights, F_ext(nb, ns), axes=(0, 0))
@@ -559,10 +602,10 @@ def test_filled_engines_equal_concatenated_formulas(monkeypatch, chunk,
 def _subtracted_abelian(g, f, points, axes):
     """g ∗_c f with X − Y formed by np.subtract over the same node blocks."""
     x = np.atleast_2d(np.asarray(points, dtype=float))[None, :, :]
-    out = np.zeros(x.shape[1], dtype=complex)
+    out = np.zeros(x.shape[1])
     for y, cell in harmonic._node_blocks(axes, x.shape[1]):
-        w = np.asarray(g(y), dtype=complex) * cell
-        vals = np.asarray(f(np.subtract(x, y[:, None, :])), dtype=complex)
+        w = np.asarray(g(y)) * cell
+        vals = np.asarray(f(np.subtract(x, y[:, None, :])))
         out += np.tensordot(w, vals, axes=(0, 0))
     return out
 

@@ -16,7 +16,8 @@ from anharm.ideals import (
     CorrespondenceLine, closure_residual, correspondence_check,
     gamma_intertwine_residual, ideal_model, transport_gram_deviation,
 )
-from anharm.testfuncs import Axis, TestFunction, gaussian
+from anharm.extension import gamma_inv
+from anharm.testfuncs import Axis, TestFunction, gaussian, grid_mesh
 
 AX_X = Axis(0.0, 8.0, 16)
 AX_Z = Axis(0.0, 9.6, 16)
@@ -46,6 +47,36 @@ def test_model_shapes_and_gram_psd():
     assert model.gram.shape == (k, k)
     assert np.allclose(model.gram, model.gram.conj().T)
     assert np.min(np.linalg.eigvalsh(model.gram)) > -1e-10
+
+
+def test_transport_evaluates_the_generator_once_for_all_probes(monkeypatch):
+    # every p∗g pulled back through Γ⁻¹ evaluates g at the same quotients;
+    # one engine call per generator evaluates them once for all the probes
+    axes_n = (Axis(0.0, 8.0, 8), Axis(0.0, 9.6, 8), Axis(0.0, 8.0, 8))
+    axes_m = (axes_n[1], axes_n[2], axes_n[0])
+    g = GENS[0]
+    probes = PROBES + [gaussian([-0.1, 0.1, 0.2], [4.0, 4.0, 4.0])]
+    call, points = TestFunction.__call__, []
+
+    def spy(self, x):
+        if self is g:
+            points[-1] += np.asarray(x)[..., 0].size
+        return call(self, x)
+
+    for k in (1, 3):
+        model = ideal_model([g], probes[:k], 3, axes_n, axes_m)
+        monkeypatch.setattr(TestFunction, "__call__", spy)
+        points.append(0)
+        transport_gram_deviation(model)
+        monkeypatch.undo()
+        # the rows keep the dictionary's order: generators, then p∗g
+        mesh = grid_mesh(axes_m)
+        want = np.stack([gamma_inv(f, "K1", 3)(mesh).ravel()
+                         for f in model.dictionary])
+        got = model._cache["T"]
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert points[0] == points[1] > 0
 
 
 def test_model_validation():

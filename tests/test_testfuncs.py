@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,19 @@ def test_evaluate_matches_naive_terms(dim):
     assert empty.shape == (0,) and empty.dtype == complex
 
 
+@pytest.mark.parametrize("dim", [1, 3, 5])
+def test_real_function_evaluates_to_float(dim):
+    # real coefficients give float values, as on_grid does
+    rng = np.random.default_rng(60 + dim)
+    f = TestFunction(dim, tuple((c.real, a, mu, w) for c, a, mu, w in
+                                _multi_term(rng, dim).terms))
+    assert f.is_real
+    x = rng.uniform(-2.5, 2.5, (40, dim))
+    got, want = f(x), _naive(f, x)
+    assert got.dtype == float and f(np.empty((0, dim))).dtype == float
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_evaluate_single_point_gives_zero_dim_array():
     f = _multi_term(np.random.default_rng(3), 3)
     x = np.array([0.2, -0.4, 0.7])
@@ -143,6 +157,28 @@ def test_sample_then_sum_equals_quadrature():
     direct = quadrature(f, axes)
     summed = complex(np.sum(gf.samples.ravel(order="C"))) * gf.cell
     assert summed == direct
+
+
+def test_quadrature_of_a_test_function_builds_no_mesh(monkeypatch):
+    # a TestFunction is summed from on_grid: its float samples, half a
+    # complex sample array, set the peak (through the mesh it was 4.03)
+    axes = [Axis(0.0, 8.0, 64)] * 3
+    f = gaussian([0.1, -0.2, 0.0], [2.0, 1.5, 1.0])
+    cell = float(np.prod([a.step for a in axes]))
+    want = complex(np.sum(f(grid_mesh(axes)))) * cell
+
+    def no_mesh(axes):
+        raise AssertionError("quadrature built a mesh")
+
+    monkeypatch.setattr(testfuncs, "grid_mesh", no_mesh)
+    tracemalloc.start()
+    try:
+        got = quadrature(f, axes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * 16 * 64 ** 3, peak / (16 * 64 ** 3)
+    assert abs(got - want) <= 1e-14 * abs(want)
 
 
 def test_csv_export(tmp_path):
