@@ -230,13 +230,16 @@ def plancherel_peak_bytes(axes):
 
 
 def solve_peak_bytes(axes):
-    """Estimated peak bytes of fundamental_solution_group on the axes' grid:
-    8 sample arrays.  The peak is the Horner stage: the twisted coordinate
-    w, the frequency array, z and the two Horner sums (4.5 arrays), plus
-    the per-axis vectors.  tracemalloc measures 4.5 to 4.8 from 2^15 points
-    on and up to 6.9 on smaller grids, where those vectors weigh more;
-    tests/test_cli.py checks the estimate."""
-    return 8 * grid_bytes(axes)
+    """Estimated peak bytes of fundamental_solution_group on the axes' grid
+    (an upper bound): 4.5 sample arrays, the twisted coordinate w, the
+    frequency array, z and the two Horner sums alive at the Horner stage,
+    plus 32 bytes per node of each axis for the per-axis vectors (dual
+    nodes and phases), and 320 KiB for numpy's ufunc buffers, the caches a
+    first call fills and the small objects.  tracemalloc measures 4.5
+    arrays plus at most 257 KiB, from 2^10 to 2^20 points and on grids
+    with one long axis; tests/test_cli.py checks the estimate."""
+    return (9 * grid_bytes(axes) // 2 + 32 * sum(a.points for a in axes)
+            + (5 << 16))
 
 
 def _check_cap(command, axes, peak):

@@ -9,8 +9,8 @@ a_m = exp(-Σt).  S = N⋊A carries the law (x,a)(y,b) = (x·ρ(a)y, ab) with
 base element with an abelian shift vector; their product is componentwise.
 
 law(name, m) gives each of N, S, K1, H and the abelian picture M as one
-Law object: its dimension, product and inverse, on N, S and M the two
-quotients y⁻¹x and x·y⁻¹, and for K1 and H the embedding ι, the slots it
+Law object: its dimension, product and inverse, on N, S and M the quotient
+y⁻¹x, on N and M also x·y⁻¹, and for K1 and H the embedding ι, the slots it
 fills and the Γ coordinate maps.  All operations are pure and act on numpy
 arrays whose last axis holds coordinates.
 """
@@ -246,30 +246,6 @@ def _s_ldiv(m, y, x, out=None, scratch=None):
     return out
 
 
-def _s_rdiv(m, x, z, out=None, scratch=None):
-    """x·z⁻¹ = (n_x·w⁻¹, t_x − t_z) with w = ρ(t_x − t_z)n_z in S, written
-    into out when given: t_x − t_z, then w, w⁻¹ and the law through n_mul,
-    each in place in out, so scratch goes unused."""
-    d = len(_n_terms(m))
-    x, z, out = _operands(out, x, z)
-    for k in range(d, d + m - 1):
-        np.subtract(x[..., k], z[..., k], out=out[..., k])
-    w = _rho_into(m, out[..., d:], z[..., :d], out[..., :d])
-    n_mul(m, x[..., :d], _n_inv_into(m, w, w), w)
-    return out
-
-
-def _s_modular(m, p):
-    """Δ(p) = Π_{i<j} a_i/a_j at p's A coordinates t: the exponent
-    Σ_{i<j} (log a_i − log a_j) is Σ_l 2(m−1−l)·t_l."""
-    d = len(_n_terms(m))
-    p = np.asarray(p, dtype=float)
-    e = np.multiply(p[..., d], 2.0 * (m - 1))
-    for l in range(1, m - 1):
-        e += p[..., d + l] * (2.0 * (m - 1 - l))
-    return np.exp(e, out=e)
-
-
 # ── the law table ────────────────────────────────────────────────────────────
 
 @dataclass(frozen=True, eq=False)
@@ -282,22 +258,20 @@ class Law:
     module functions sees every call made through a Law.
 
     On N, S and M, the groups the engines divide by, ldiv(y, x, out,
-    scratch) = y⁻¹x and rdiv(x, y, out, scratch) = x·y⁻¹ form a quotient
-    into out when given.  On N, and in S's ldiv, y⁻¹'s N part goes into
-    scratch, a buffer of y's shape the caller keeps (a fresh one when
-    None); S's rdiv works in out alone.  On N and S the N law is applied
-    through n_mul, so a wrapper on n_mul sees it, and on S ρ is taken
-    once.  They call no n_inv, s_mul or s_inv, so wrappers on those no
-    longer see the quotients' work.
+    scratch) = y⁻¹x forms a quotient into out when given; on N and M so
+    does rdiv(x, y, out, scratch) = x·y⁻¹.  On N and S y⁻¹'s N part goes
+    into scratch, a buffer of y's shape the caller keeps (a fresh one when
+    None), the N law is applied through n_mul, so a wrapper on n_mul sees
+    it, and on S ρ is taken once.  They call no n_inv, s_mul or s_inv, so
+    wrappers on those no longer see the quotients' work.
 
     K1 (base N) and H (base S) have the coordinates (base, shift) and the
     componentwise law.  compose(u, b) = ι(u)∘b, where ι puts the shift u
     into the base's acting slots.  The abelian picture M keeps the base's
     top slots and then the shift; m_order lists the base slots in that
     order, and the top slots compose by top_law (ℝ^{m−1} for K1, N for H).
-    On S, modular(p) = Π_{i<j} a_i/a_j at p's A coordinates, the modular
-    function; at p = x∘Z⁻¹ it is the Jacobian of the substitution Z = Y⁻¹∘x.
-    It is None on the unimodular N.
+    unimodular says whether the Haar measure is bi-invariant: False on S
+    and H, True on N, K1 and M.
     """
 
     name: str
@@ -307,7 +281,7 @@ class Law:
     inv: Callable
     ldiv: Callable = None
     rdiv: Callable = None
-    modular: Callable = None
+    unimodular: bool = True
     base: "Law" = None
     acting: slice = None
     top: slice = None
@@ -437,10 +411,7 @@ def law(name, m):
         return Law("S", m, d_n + m - 1, lambda x, y: s_mul(m, x, y),
                    lambda x: s_inv(m, x),
                    ldiv=lambda y, x, out=None, scratch=None:
-                   _s_ldiv(m, y, x, out, scratch),
-                   rdiv=lambda x, y, out=None, scratch=None:
-                   _s_rdiv(m, x, y, out, scratch),
-                   modular=lambda p: _s_modular(m, p))
+                   _s_ldiv(m, y, x, out, scratch), unimodular=False)
     if name == "K1":  # shift: the acting layers 1..m-2 of N
         base, k = law("N", m), d_n - (m - 1)
         return Law("K1", m, d_n + k, *_product(base, k), base=base,
@@ -450,8 +421,8 @@ def law(name, m):
     if name == "H":  # shift: A
         base = law("S", m)
         return Law("H", m, base.dim + m - 1, *_product(base, m - 1),
-                   base=base, acting=slice(d_n, base.dim), top=slice(0, d_n),
-                   top_law=law("N", m),
+                   unimodular=False, base=base, acting=slice(d_n, base.dim),
+                   top=slice(0, d_n), top_law=law("N", m),
                    compose=lambda u, b: _h_compose(m, u, b))
     raise ValueError(f"unknown group {name!r}")
 

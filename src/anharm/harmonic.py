@@ -14,10 +14,11 @@ is reported as a diagnostic, never assumed).
 
 The two sides of the reduction identity have pointwise-equal integrands
 under the natural parameterization, so computing them on a shared grid
-would compare nothing.  The group side is therefore evaluated after the
-substitution Z = Y^{-1}∘base (nodes on f's mass) while the abelian side
-integrates against φ directly (nodes on φ's mass): two independent
-discretizations whose difference is a genuine quadrature residual.
+would compare nothing.  On N the group side is therefore evaluated after
+the substitution Z = Y^{-1}∘base (nodes on f's mass) while the abelian side
+integrates against φ directly (nodes on φ's mass); on S the roles swap, the
+abelian side substituted: two independent discretizations whose difference
+is a genuine quadrature residual.
 """
 
 from dataclasses import dataclass
@@ -246,23 +247,28 @@ def _quadrature(axes, npoints, integrand, weights=None):
     return total
 
 
+def _group_convolution(L, weights, f, x, axes):
+    """Σ over the nodes y of the axes of w_j(y)·cell·f(y⁻¹x) for each
+    weight w_j: a (k, npoints) array.  x is (1, npoints, L.dim); the
+    quotient y⁻¹x is L's ldiv into a kept buffer, y⁻¹ into kept scratch."""
+    def integrand(n):
+        q = empty_columns((n,) + x.shape[1:])
+        yinv = empty_columns((n, 1, L.dim))
+        return lambda y: f(L.ldiv(y[:, None, :], x, out=q, scratch=yinv))
+
+    return _quadrature(axes, x.shape[1], integrand, weights=weights)
+
+
 def convolve_group(g, f, group, m, points, axes):
     """(g∗f)(X) = ∫ f(Y^{-1}X) g(Y) dY by Haar quadrature over the axes.
     On "M" with m its dimension, Y^{-1}X = X − Y: the abelian convolution
     g ∗_c f.  Given a sequence of weights g_1..g_k in place of g, the k
     convolutions g_j∗f share each block's values of f: a (k, npoints)
     array, row j for g_j."""
-    L = law(group, m)
     x = np.atleast_2d(np.asarray(points, dtype=float))[None, :, :]
-
-    def integrand(n):
-        q = empty_columns((n,) + x.shape[1:])
-        yinv = empty_columns((n, 1, L.dim))
-        return lambda y: f(L.ldiv(y[:, None, :], x, out=q, scratch=yinv))
-
     if callable(g):
-        return _quadrature(axes, x.shape[1], integrand, weights=[g])[0]
-    return _quadrature(axes, x.shape[1], integrand, weights=g)
+        return _group_convolution(law(group, m), [g], f, x, axes)[0]
+    return _group_convolution(law(group, m), g, f, x, axes)
 
 
 def _put(out, a):
@@ -272,20 +278,18 @@ def _put(out, a):
         np.copyto(out[..., i], a[..., i])
 
 
-def _c_translate(L, base, shift, y, out=None, scratch=None):
+def _c_translate(L, base, shift, y, out, scratch):
     """The ∗_c translate: y's top slots divide the base's on the left by
     the top law, y's acting slots are subtracted from the shift, and the
     acting slots stay fixed.
 
     For H the top law is N's (the T picture is the direct product
     N × R^{m-1}); the b-slot of the base is untouched.  Both parts are
-    views of one (nodes, points, dim) buffer, out when given; scratch, of
-    y's top slots' shape, holds their inverse.
+    views of out, one (nodes, points, dim) buffer; scratch, of y's top
+    slots' shape, holds their inverse (a fresh one when None).
     """
     d_b, a, t, top = L.base.dim, L.acting, L.top, L.top_law
-    buf = out if out is not None else empty_columns(
-        np.broadcast_shapes(base.shape[:-1], y.shape[:-1]) + (L.dim,))
-    nb, ns = buf[..., :d_b], buf[..., d_b:]
+    nb, ns = out[..., :d_b], out[..., d_b:]
     _put(nb[..., a], base[..., a])
     top.ldiv(y[..., t], base[..., t], out=nb[..., t], scratch=scratch)
     law("M", None).ldiv(y[..., a], shift, out=ns)
@@ -348,42 +352,34 @@ def convolve_extended_c_substituted(phi, F_ext, case, m, base_points,
 
 
 def convolve_extended_group(phi, F_ext, case, m, base_points, shift_points,
-                            axes, substituted=False):
+                            axes):
     """(φ ∗ F)(base, u) = ∫ φ(Y) F(Y^{-1}∘base, u) dY over the base group.
 
-    With substituted=True the variable change Z = Y^{-1}∘base places the
-    nodes on F's mass: ∫ φ(base∘Z^{-1}) F(Z, u) J(Z) dZ.  On N the change
-    is measure-preserving (J = 1); on S it picks up the modular factor
-    J(Z) = Π_{i<j} a_i/a_j evaluated at t_base − t_Z.  F_ext must broadcast
-    the leading axes of its two arguments, as tilde extensions do.
+    On the unimodular N the substitution Z = Y^{-1}∘base, of Jacobian 1,
+    places the nodes on F's mass: ∫ φ(base∘Z^{-1}) F(Z, u) dZ, the axes
+    parameterizing Z.  On S the axes parameterize Y, so the nodes sit on
+    φ's mass: there the substitution's Jacobian would shear the integrand
+    exponentially.  F_ext must broadcast the leading axes of its two
+    arguments, as tilde extensions do.
     """
     B = law(case, m).base
     x = np.atleast_2d(np.asarray(base_points, dtype=float))[None, :, :]
     s = np.atleast_2d(np.asarray(shift_points, dtype=float))[None, :, :]
-    if not substituted:
-        def integrand(n):
-            q = empty_columns((n, x.shape[1], B.dim))
-            yinv = empty_columns((n, 1, B.dim))
-            return lambda y: F_ext(
-                B.ldiv(y[:, None, :], x, out=q, scratch=yinv), s)
+    if not B.unimodular:
+        return _group_convolution(B, [phi], lambda b: F_ext(b, s), x, axes)[0]
 
-        return _quadrature(axes, x.shape[1], integrand, weights=[phi])[0]
-
-    def substituted_integrand(n):
+    def integrand(n):
         q = empty_columns((n, x.shape[1], B.dim))
         zinv = empty_columns((n, 1, B.dim))
 
         def block_integrand(block):
             z = block[:, None, :]
             y = B.rdiv(x, z, out=q, scratch=zinv)  # Y = base∘Z⁻¹
-            pv = np.asarray(phi(y))
-            if B.modular is not None:
-                pv *= B.modular(y)
-            return F_ext(z, s) * pv
+            return F_ext(z, s) * phi(y)
 
         return block_integrand
 
-    return _quadrature(axes, x.shape[1], substituted_integrand)
+    return _quadrature(axes, x.shape[1], integrand)
 
 
 # ── exact lattice engines ────────────────────────────────────────────────────
@@ -477,21 +473,20 @@ def theorem31_residual(phi, f, case, m, points, axes_phi, axes_f):
     are discretized independently: one with nodes on φ's mass (axes_phi),
     the other with substituted variables placing the nodes on f's mass
     (axes_f).  For K1 the substitution is applied on the group side
-    (Z = Y^{-1}∘base); for H it is applied on the abelian side (W = p ⊖ Y),
-    because the group-side substitution on the non-unimodular S shears the
-    integrand exponentially and is numerically useless.  Returns
-    (residual, scale), scale = max |lhs|.
+    (Z = Y^{-1}∘base, convolve_extended_group on N); for H it is applied on
+    the abelian side (W = p ⊖ Y), because the group-side substitution on
+    the non-unimodular S shears the integrand exponentially and is
+    numerically useless.  Returns (residual, scale), scale = max |lhs|.
     """
-    unimodular = law(case, m).base.modular is None
     base_points = np.atleast_2d(np.asarray([p[0] for p in points], dtype=float))
     shift_points = np.atleast_2d(np.asarray([p[1] for p in points], dtype=float))
 
     def F_ext(base, shift):
         return tilde_eval_coords(f, case, m, base, shift)
 
-    if unimodular:
+    if law(case, m).base.unimodular:
         lhs = convolve_extended_group(phi, F_ext, case, m, base_points,
-                                      shift_points, axes_f, substituted=True)
+                                      shift_points, axes_f)
         rhs = convolve_extended_c(phi, F_ext, case, m, base_points,
                                   shift_points, axes_phi)
     else:

@@ -31,8 +31,8 @@ import numpy as np
 from .extension import gamma_inv, tilde_eval_coords
 from .groups import law
 from .harmonic import (
-    convolve_extended_c, convolve_extended_c_lattice,
-    convolve_extended_c_substituted, convolve_group, convolve_group_lattice,
+    convolve_extended_c_lattice, convolve_extended_c_substituted,
+    convolve_group, convolve_group_lattice,
 )
 from .testfuncs import grid_mesh
 
@@ -50,13 +50,15 @@ def _tilde(f, m):
 @dataclass(frozen=True)
 class _Convolution:
     """Dictionary member ψ∗g on N (side "N") or (ψ ∗_c g̃)|_M on M (side
-    "M"), with ψ's quadrature nodes on the N axes.
+    "M"), with ψ's quadrature nodes on the N axes of the Heisenberg group
+    (m = 3).
 
-    Called at points it runs the direct engine, which any point needs (the
-    Γ⁻¹ pullback lands off the lattice); on_grid samples it with the exact
-    lattice engine, the same Riemann sums.  On side "N" psi may be a
-    sequence of k probes: called at points it then gives k rows, one
-    engine call sharing g's values between the probes.
+    on_grid samples either side with its exact lattice engine.  A side "N"
+    member is also called at points, which runs the direct engine of the
+    same Riemann sums (the Γ⁻¹ pullback lands off the lattice); psi may
+    then be a sequence of k probes, which gives k rows, one engine call
+    sharing g's values between the probes.  Only the lattice samples of a
+    side "M" member are ever read.
     """
 
     psi: object
@@ -68,13 +70,7 @@ class _Convolution:
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
         flat = pts.reshape(-1, pts.shape[-1])
-        if self.side == "N":
-            out = convolve_group(self.psi, self.g, "N", self.m, flat,
-                                 self.axes)
-        else:
-            base, u = law("K1", self.m).m_split(flat)
-            out = convolve_extended_c(self.psi, _tilde(self.g, self.m), "K1",
-                                      self.m, base, u, self.axes)
+        out = convolve_group(self.psi, self.g, "N", self.m, flat, self.axes)
         return out.reshape(out.shape[:-1] + pts.shape[:-1])
 
     def on_grid(self, out_axes):
@@ -82,10 +78,8 @@ class _Convolution:
         if self.side == "M":
             gf = convolve_extended_c_lattice(
                 self.psi, _tilde(self.g, self.m), self.m, out_axes, self.axes)
-        elif self.m == 3:
-            gf = convolve_group_lattice(self.psi, self.g, out_axes, self.axes)
         else:
-            return self(grid_mesh(out_axes)).ravel()
+            gf = convolve_group_lattice(self.psi, self.g, out_axes, self.axes)
         return gf.samples.ravel()
 
 
@@ -130,10 +124,13 @@ def ideal_model(generators, probes, m, axes, axes_m=None):
     The N-side dictionary holds each generator g and each p∗g (group law);
     the M-side dictionary is rebuilt on M by the same rule from the
     transported generators, with ∗ replaced by the commutative ∗_c.  The
-    convolutions are sampled by the lattice engines, so each M axis must
-    share its step with the N axis of the same coordinate (the default
-    axes_m is the N axes in M order).
+    convolutions are sampled by the lattice engines, which serve the
+    Heisenberg group, so m must be 3, and each M axis must share its step
+    with the N axis of the same coordinate (the default axes_m is the N
+    axes in M order).
     """
+    if m != 3:
+        raise ValueError(f"the ideal model needs m = 3, got {m}")
     if not generators:
         raise ValueError("at least one generator is required")
     L = law("K1", m)
@@ -202,7 +199,9 @@ def transport_gram_deviation(model):
     compares with the N-side Gram.  The ∗_c-rebuilt M dictionary is *not*
     used here: it is a different (commutative-picture) object.  Each
     generator's probe convolutions p∗g are pulled back by one engine call
-    for all the probes, and the rows keep the dictionary's order.
+    for all the probes, and the rows keep the dictionary's order.  The
+    rows stay float when every member is real, so their Gram is a real
+    matrix product.
     """
     if "T" not in model._cache:
         mesh = grid_mesh(model.axes_m)
@@ -216,8 +215,7 @@ def transport_gram_deviation(model):
         convs = [pullback(_Convolution(probes, g, m, model.axes, "N"))
                  for g in gens] if probes else []
         model._cache["T"] = np.concatenate(
-            rows + [c[i:i + 1] for i in range(len(probes)) for c in convs],
-            dtype=complex)
+            rows + [c[i:i + 1] for i in range(len(probes)) for c in convs])
     T = model._cache["T"]
     gram_t = (T.conj() @ T.T) * model.cell("M")
     scale = float(np.max(np.abs(model.gram)))

@@ -453,7 +453,7 @@ def test_solve_refuses_an_oversized_grid_before_any_mesh(tmp_path, capsys,
                  str(out)])
     assert code == 2
     err = capsys.readouterr().err
-    assert "512×512×512" in err and "16 GiB at peak" in err
+    assert "512×512×512" in err and "9.000 GiB at peak" in err
     assert not out.exists()
 
 

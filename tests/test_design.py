@@ -9,12 +9,14 @@ with the column-contiguous layout the group laws use.  A third keeps every
 quotient y⁻¹x or x·y⁻¹ in the one-pass kernels of ``groups.py``: elsewhere no
 product is taken of an inverse.  A fourth fails on any name in a module's
 ``__all__`` that no code in ``src/anharm``, perfbench or the acceptance tests
-reads.
+reads outside the name's own definition, unless it is listed, with its
+reason, among the names kept unread.
 """
 
 import ast
 import pathlib
 import re
+from collections import Counter
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "anharm"
 GROUP_NAMES = {"N", "S", "K1", "H", "M"}
@@ -148,20 +150,20 @@ def public_names(tree):
 
 
 def _references(tree, skip):
-    """Names the tree reads (Name, Attribute, import aliases and the
-    strings of a TARGETS table), outside the nodes in skip."""
-    found = set()
+    """How often the tree reads each name (Name, Attribute, import aliases
+    and the strings of a TARGETS table), outside the nodes in skip."""
+    found = Counter()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node in skip:
             continue
         if isinstance(node, ast.Name):
-            found.add(node.id)
+            found[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            found[node.attr] += 1
         elif isinstance(node, ast.alias):
-            found.add(node.name)
+            found[node.name] += 1
         elif (isinstance(node, ast.Assign)
               and any(_subject(t) == TARGETS for t in node.targets)):
             found.update(c.value for c in ast.walk(node.value)
@@ -175,8 +177,9 @@ def unused_public_names(src, callers):
     """'module.name' for each name in a src module's __all__ that nothing
     reads: not src itself, outside that __all__, nor the callers.  Names
     match bare, so any Name, attribute or import alias of the same name
-    counts.  A read inside the body of a name found unused does not count,
-    so the search repeats until no name is added."""
+    counts, except a read inside the name's own top-level definition.  A
+    read inside the body of a name found unused does not count either, so
+    the search repeats until no name is added."""
     trees = {p: ast.parse(p.read_text()) for p in (*src, *callers)}
     public = {}  # (path, name) → the top-level definition, if any
     skip = set()
@@ -189,8 +192,9 @@ def unused_public_names(src, callers):
     unused = set()
     while True:
         dead = skip | {public[k] for k in unused if public[k]}
-        read = set().union(*(_references(t, dead) for t in trees.values()))
-        found = {k for k in public if k[1] not in read}
+        read = sum((_references(t, dead) for t in trees.values()), Counter())
+        found = {k for k, node in public.items() if read[k[1]]
+                 <= (_references(node, dead)[k[1]] if node else 0)}
         if found == unused:
             return sorted(f"{p.stem}.{name}" for p, name in unused)
         unused = found
@@ -198,17 +202,23 @@ def unused_public_names(src, callers):
 
 def test_unused_surface_lint_sees_a_dead_chain(tmp_path):
     # Point's one reader is dump, which nothing reads; an import alias and
-    # a TARGETS string each reach a name
+    # a TARGETS string each reach a name; twist reads only its own name
     mod = tmp_path / "mod.py"
-    mod.write_text('__all__ = ["Point", "dump", "used", "traced"]\n'
+    mod.write_text('__all__ = ["Point", "dump", "used", "traced", "twist"]\n'
                    "class Point: pass\n"
                    "def dump(): return Point()\n"
                    "def used(): pass\n"
-                   "def traced(): pass\n")
+                   "def traced(): pass\n"
+                   "def twist(L): return L.twist()\n")
     caller = tmp_path / "caller.py"
     caller.write_text("from mod import used as run\n"
                       'TARGETS = (("layer", "mod", "traced"),)\n')
-    assert unused_public_names([mod], [caller]) == ["mod.Point", "mod.dump"]
+    assert unused_public_names([mod], [caller]) == ["mod.Point", "mod.dump",
+                                                    "mod.twist"]
+
+
+# public names kept with no reader, each for the reason given
+UNREAD_KEPT = {"extension.gamma": "the paper's Γ, which Law.gamma backs"}
 
 
 def test_every_public_name_is_reached():
@@ -216,4 +226,4 @@ def test_every_public_name_is_reached():
     callers = [p for p in sorted(PERFBENCH.glob("*.py"))
                if p.name != "test_harness.py"] + [ACCEPTANCE]
     found = unused_public_names(src, callers)
-    assert not found, "\n".join(found)
+    assert found == sorted(UNREAD_KEPT), "\n".join(found)

@@ -163,7 +163,9 @@ def test_law_slots_and_dimensions():
     assert law("S", 3).extension() is law("H", 3)
     assert np.array_equal(K1.iota([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0, 0, 0, 0])
     assert np.array_equal(H.iota([1.0, 2.0]), [0, 0, 0, 1.0, 2.0])
-    assert law("N", 3).modular is None
+    assert law("N", 3).unimodular and law("K1", 3).unimodular
+    assert not law("S", 3).unimodular and not law("H", 3).unimodular
+    assert law("M", 3).unimodular
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -314,9 +316,12 @@ def test_quotients_equal_products_with_inverses(name, m, width):
         (_strided_view(rng, width, L.dim), _strided_view(rng, width, L.dim)),
     ]
     for y, x in pairs:
-        for got, want, div in [
-                (L.ldiv(y, x), L.mul(L.inv(y), x), lambda o: L.ldiv(y, x, o)),
-                (L.rdiv(x, y), L.mul(x, L.inv(y)), lambda o: L.rdiv(x, y, o))]:
+        quotients = [
+            (L.ldiv(y, x), L.mul(L.inv(y), x), lambda o: L.ldiv(y, x, o))]
+        if name != "S":  # S divides on the left only
+            quotients.append(
+                (L.rdiv(x, y), L.mul(x, L.inv(y)), lambda o: L.rdiv(x, y, o)))
+        for got, want, div in quotients:
             assert got.shape == want.shape
             assert _max_rel(got, want) <= 1e-13
             # out: a strided view, or a C-order array
@@ -328,7 +333,8 @@ def test_quotients_equal_products_with_inverses(name, m, width):
         # scratch: a kept buffer of y's shape that takes y⁻¹
         scratch = empty_columns(y.shape)
         assert np.array_equal(L.ldiv(y, x, scratch=scratch), L.ldiv(y, x))
-        assert np.array_equal(L.rdiv(x, y, scratch=scratch), L.rdiv(x, y))
+        if name != "S":
+            assert np.array_equal(L.rdiv(x, y, scratch=scratch), L.rdiv(x, y))
 
 
 @pytest.mark.parametrize("name", ["N", "S"])
@@ -345,8 +351,9 @@ def test_quotients_apply_the_law_through_n_mul(monkeypatch, name):
     L = law(name, 3)
     y, x = rng.uniform(-1, 1, (6, 1, L.dim)), rng.uniform(-1, 1, (1, 5, L.dim))
     L.ldiv(y, x)
-    L.rdiv(x, y)
-    assert calls == [(6, 5, 3)] * 2
+    if name == "N":  # S divides on the left only
+        L.rdiv(x, y)
+    assert calls == [(6, 5, 3)] * (2 if name == "N" else 1)
 
 
 def _inv_formula(m, x):

@@ -371,10 +371,6 @@ def _engine_runs(extend=None, refine=1, cast=None):
                                                     shift, axes3),
         "group_H": lambda: convolve_extended_group(phi2, H, "H", 2, pts2,
                                                    shift, axes2),
-        "group_substituted_K1": lambda: convolve_extended_group(
-            phi3, K1, "K1", 3, pts3, shift, axes3, substituted=True),
-        "group_substituted_H": lambda: convolve_extended_group(
-            phi2, H, "H", 2, pts2, shift, axes2, substituted=True),
     }
 
 
@@ -587,7 +583,9 @@ def test_filled_engines_equal_concatenated_formulas(monkeypatch, chunk,
     def F_ext(b, s):
         return tilde_eval_coords(f, case, m, b, s)
 
-    got = harmonic._c_translate(law(case, m), base[None], shift[None], y)
+    out = groups.empty_columns((len(y), len(base), law(case, m).dim))
+    got = harmonic._c_translate(law(case, m), base[None], shift[None], y,
+                                out, None)
     want = _concatenated_c_translate(case, m, base[None], shift[None], y)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     for engine, formula in [(convolve_extended_c, _concatenated_c),

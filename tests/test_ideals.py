@@ -84,6 +84,9 @@ def test_model_validation():
         ideal_model([], PROBES, 3, AXES_N, AXES_M)
     with pytest.raises(ValueError):
         ideal_model(GENS, PROBES, 3, AXES_N[:2], AXES_M)
+    # the lattice engines serve m = 3 only: refused on N's six axes at m = 4
+    with pytest.raises(ValueError, match="m = 3"):
+        ideal_model(GENS, PROBES, 4, AXES_N * 2)
 
 
 def test_gram_transport_preserved():
