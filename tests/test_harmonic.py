@@ -371,6 +371,10 @@ def _engine_runs(extend=None, refine=1, cast=None):
                                                     shift, axes3),
         "group_H": lambda: convolve_extended_group(phi2, H, "H", 2, pts2,
                                                    shift, axes2),
+        # on the unimodular N under K1 the group engine is the substituted
+        # form Z = Y⁻¹∘base; its cases keep their own IDs
+        "group_substituted_K1": lambda: convolve_extended_group(
+            phi3, K1, "K1", 3, pts3, shift, axes3),
     }
 
 
