@@ -47,8 +47,12 @@ from .testfuncs import Axis, GridFunction, export_csv, gaussian
 __all__ = ["main", "parse_operator", "OperatorSyntaxError"]
 
 # The cap on a command's estimated peak memory (plancherel_peak_bytes,
-# solve_peak_bytes); the 32⁵ plancherel grid is estimated at 0.516 GiB.
+# solve_peak_bytes, group_axioms_peak_bytes); the 32⁵ plancherel grid is
+# estimated at 0.516 GiB.
 MAX_GRID_BYTES = 2 << 30
+
+# The random points x, y and z that check_group_axioms draws on each law.
+AXIOM_POINTS = 10_000
 
 
 # ── operator expression parser ───────────────────────────────────────────────
@@ -187,26 +191,29 @@ def _line(check, params, metric, value, tolerance):
 # Each check is a generator of report lines (params, metric, value,
 # tolerance); the CHECKS table below gives its name and the flags it reads.
 
+def _axiom_laws(cfg):
+    """The (group, m) pairs of check_group_axioms, in its order."""
+    return [(group, m) for group in ([cfg.group] if cfg.group else ["N", "S"])
+            for m in ([cfg.m] if cfg.m else [2, 3, 4, 5])]
+
+
 def check_group_axioms(cfg):
     rng = np.random.default_rng(cfg.seed)
-    ms = [cfg.m] if cfg.m else [2, 3, 4, 5]
-    groups = [cfg.group] if cfg.group else ["N", "S"]
-    for group in groups:
-        for m in ms:
-            L = law(group, m)
-            mul, inv = L.mul, L.inv
-            x, y, z = (rng.uniform(-2.0, 2.0, (10_000, L.dim))
-                       for _ in range(3))
-            lhs = mul(mul(x, y), z)
-            assoc = lhs - mul(x, mul(y, z))
-            unit = mul(x, np.zeros(L.dim)) - x
-            invv = mul(x, inv(x))
-            # ρ factors inflate S intermediates; compare against their size
-            scale = max(1.0, float(np.max(np.abs(lhs))))
-            worst = max(np.max(np.abs(assoc)), np.max(np.abs(unit)),
-                        np.max(np.abs(invv))) / scale
-            yield ({"group": group, "m": m}, "max_rel_coord_err", worst,
-                   cfg.tol(1e-12))
+    for group, m in _axiom_laws(cfg):
+        L = law(group, m)
+        mul, inv = L.mul, L.inv
+        x, y, z = (rng.uniform(-2.0, 2.0, (AXIOM_POINTS, L.dim))
+                   for _ in range(3))
+        lhs = mul(mul(x, y), z)
+        assoc = lhs - mul(x, mul(y, z))
+        unit = mul(x, np.zeros(L.dim)) - x
+        invv = mul(x, inv(x))
+        # ρ factors inflate S intermediates; compare against their size
+        scale = max(1.0, float(np.max(np.abs(lhs))))
+        worst = max(np.max(np.abs(assoc)), np.max(np.abs(unit)),
+                    np.max(np.abs(invv))) / scale
+        yield ({"group": group, "m": m}, "max_rel_coord_err", worst,
+               cfg.tol(1e-12))
 
 
 def grid_bytes(axes):
@@ -242,13 +249,23 @@ def solve_peak_bytes(axes):
             + (5 << 16))
 
 
-def _check_cap(command, axes, peak):
-    """Refuses, with a ValueError, a grid whose estimated peak exceeds the
-    cap."""
+def group_axioms_peak_bytes(dim):
+    """Estimated peak bytes of check_group_axioms on a law of dimension dim
+    (an upper bound): 9 arrays of AXIOM_POINTS × dim floats, the points
+    x, y, z and the products and differences alive beside them, plus 1 MiB
+    for the small objects and the caches a first call fills.  tracemalloc
+    measures 8.0 to 8.3 arrays plus at most 2.2 MiB on N and S, m = 8 to
+    24, the most on S, whose ρ factors add AXIOM_POINTS × (m - 1) floats;
+    tests/test_cli.py checks the estimate."""
+    return 9 * 8 * AXIOM_POINTS * dim + (1 << 20)
+
+
+def _check_cap(command, shape, nbytes, peak):
+    """Refuses, with a ValueError, a run whose estimated peak exceeds the
+    cap; shape and nbytes are those of its sample array."""
     if peak > MAX_GRID_BYTES:
-        shape = "×".join(str(a.points) for a in axes)
-        raise ValueError(f"{command}: a {shape} grid needs "
-                         f"{_gib(grid_bytes(axes))} of samples and about "
+        raise ValueError(f"{command}: a {'×'.join(map(str, shape))} sample "
+                         f"array needs {_gib(nbytes)} and about "
                          f"{_gib(peak)} at peak, above the "
                          f"{_gib(MAX_GRID_BYTES)} cap")
 
@@ -356,14 +373,15 @@ def check_operator_identity(cfg):
 
 def check_ideals(cfg):
     rng = np.random.default_rng(cfg.seed)
-    n_gen = max(1, (cfg.dictionary_size or 3) - (cfg.probes or 2))
+    n_probe = 2 if cfg.probes is None else cfg.probes
+    size = 3 if cfg.dictionary_size is None else cfg.dictionary_size
+    n_gen = max(1, size - n_probe)
     # calibrated base functions; extra members drawn near them if requested
     gens = [gaussian([0.2, 0.0, -0.1], [1.0, 0.4, 0.9])]
     gens += [gaussian(rng.uniform(-0.2, 0.2, 3), [1.0, 0.4, 0.9])
              for _ in range(n_gen - 1)]
     fixed = [gaussian([0.1, -0.2, 0.0], [4.0, 4.0, 4.0]),
              gaussian([0.0, 0.3, -0.1], [4.0, 4.0, 4.0])]
-    n_probe = cfg.probes or 2
     probes = fixed[:n_probe] + [
         gaussian(rng.uniform(-0.3, 0.3, 3), [4.0, 4.0, 4.0])
         for _ in range(max(0, n_probe - len(fixed)))]
@@ -484,6 +502,13 @@ def _check_configs(args):
     if args.tolerance is not None and not 0 <= args.tolerance < math.inf:
         raise ValueError("tolerance must be nonnegative and finite, got "
                          f"{args.tolerance}")
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
+    if args.probes is not None and args.probes < 0:
+        raise ValueError(f"probes must be >= 0, got {args.probes}")
+    if args.dictionary_size is not None and args.dictionary_size < 1:
+        raise ValueError(f"dictionary-size must be >= 1, got "
+                         f"{args.dictionary_size}")
     _check_grid_flags(args, default_grid=64)  # plancherel's N grid
     cfg = RunConfig(**vars(args))
     names = CHECKS if args.check == "all" else [args.check]
@@ -491,7 +516,13 @@ def _check_configs(args):
             for name in names}
     grids = _plancherel_axes(cfgs["plancherel"]) if "plancherel" in cfgs else {}
     for axes in grids.values():
-        _check_cap("plancherel", axes, plancherel_peak_bytes(axes))
+        _check_cap("plancherel", [a.points for a in axes], grid_bytes(axes),
+                   plancherel_peak_bytes(axes))
+    laws = _axiom_laws(cfgs["group-axioms"]) if "group-axioms" in cfgs else []
+    for group, m in laws:
+        dim = law(group, m).dim
+        _check_cap(f"group-axioms on {group}, m = {m}", (AXIOM_POINTS, dim),
+                   8 * AXIOM_POINTS * dim, group_axioms_peak_bytes(dim))
     return cfgs
 
 
@@ -553,7 +584,8 @@ def _solve_config(args):
     dim = law(group, m).dim
     u = parse_operator(args.operator, dim)
     axes = [Axis(0.0, args.halfwidth or 8.0, args.grid or 32)] * dim
-    _check_cap("solve", axes, solve_peak_bytes(axes))
+    _check_cap("solve", [a.points for a in axes], grid_bytes(axes),
+               solve_peak_bytes(axes))
     return group, m, u, axes
 
 

@@ -42,75 +42,41 @@ __all__ = [
     "transport_gram_deviation", "CorrespondenceLine", "TransportGramError",
 ]
 
+# correspondence_check's bound on transport_gram_deviation
+_GRAM_TOL = 1e-6
+
 
 def _tilde(f, m):
     return lambda base, shift: tilde_eval_coords(f, "K1", m, base, shift)
 
 
-@dataclass(frozen=True)
-class _Convolution:
-    """Dictionary member ψ∗g on N (side "N") or (ψ ∗_c g̃)|_M on M (side
-    "M"), with ψ's quadrature nodes on the N axes of the Heisenberg group
-    (m = 3).
-
-    on_grid samples either side with its exact lattice engine.  A side "N"
-    member is also called at points, which runs the direct engine of the
-    same Riemann sums (the Γ⁻¹ pullback lands off the lattice); psi may
-    then be a sequence of k probes, which gives k rows, one engine call
-    sharing g's values between the probes.  Only the lattice samples of a
-    side "M" member are ever read.
-    """
-
-    psi: object
-    g: object
-    m: int
-    axes: tuple
-    side: str
-
-    def __call__(self, points):
-        pts = np.asarray(points, dtype=float)
-        flat = pts.reshape(-1, pts.shape[-1])
-        out = convolve_group(self.psi, self.g, "N", self.m, flat, self.axes)
-        return out.reshape(out.shape[:-1] + pts.shape[:-1])
-
-    def on_grid(self, out_axes):
-        """Samples at every node of out_axes, flattened in C order."""
-        if self.side == "M":
-            gf = convolve_extended_c_lattice(
-                self.psi, _tilde(self.g, self.m), self.m, out_axes, self.axes)
-        else:
-            gf = convolve_group_lattice(self.psi, self.g, out_axes, self.axes)
-        return gf.samples.ravel()
-
-
-def _grid_samples(f, axes):
-    """f at every node of the axes, flattened in C order."""
-    if isinstance(f, _Convolution):
-        return f.on_grid(axes)
-    return np.asarray(f(grid_mesh(axes)), dtype=complex).ravel()
+def _convolution_samples(psi, g, m, axes, out_axes, side):
+    """ψ∗g (side "N") or (ψ ∗_c g̃)|_M (side "M") at every node of
+    out_axes, flattened in C order, by the side's exact lattice engine,
+    with ψ's quadrature nodes on the N axes of the Heisenberg group."""
+    if side == "M":
+        gf = convolve_extended_c_lattice(psi, _tilde(g, m), m, out_axes, axes)
+    else:
+        gf = convolve_group_lattice(psi, g, out_axes, axes)
+    return gf.samples.ravel()
 
 
 @dataclass
 class IdealModel:
-    """Finite proxy for an ideal of L¹(N): generators, dictionary, Gram."""
+    """Finite proxy for an ideal of L¹(N): generators, probes, and the grid
+    samples of the dictionary on each side with their Grams."""
 
     m: int
     generators: list
     probes: list
     axes: tuple
     axes_m: tuple
-    dictionary: list = field(default_factory=list)
-    dictionary_m: list = field(default_factory=list)
     gram: np.ndarray = None
     gram_m: np.ndarray = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     def samples(self, side):
-        """Grid samples of the dictionary, rows = members (cached)."""
-        if side not in self._cache:
-            axes = self.axes if side == "N" else self.axes_m
-            fns = self.dictionary if side == "N" else self.dictionary_m
-            self._cache[side] = np.stack([_grid_samples(f, axes) for f in fns])
+        """Grid samples of the dictionary on a side, rows = members."""
         return self._cache[side]
 
     def cell(self, side):
@@ -119,15 +85,15 @@ class IdealModel:
 
 
 def ideal_model(generators, probes, m, axes, axes_m=None):
-    """Build the dictionary (generators + probe convolutions) and its Gram.
+    """Sample the dictionary (generators + probe convolutions) and its Gram.
 
-    The N-side dictionary holds each generator g and each p∗g (group law);
-    the M-side dictionary is rebuilt on M by the same rule from the
-    transported generators, with ∗ replaced by the commutative ∗_c.  The
-    convolutions are sampled by the lattice engines, which serve the
-    Heisenberg group, so m must be 3, and each M axis must share its step
-    with the N axis of the same coordinate (the default axes_m is the N
-    axes in M order).
+    The N-side dictionary holds each generator g and then each p∗g (group
+    law), p outer; the M-side dictionary is rebuilt on M by the same rule
+    from the transported generators, with ∗ replaced by the commutative
+    ∗_c.  The convolutions are sampled by the lattice engines, which serve
+    the Heisenberg group, so m must be 3, and each M axis must share its
+    step with the N axis of the same coordinate (the default axes_m is the
+    N axes in M order).
     """
     if m != 3:
         raise ValueError(f"the ideal model needs m = 3, got {m}")
@@ -140,20 +106,17 @@ def ideal_model(generators, probes, m, axes, axes_m=None):
         raise ValueError("axis count does not match the group dimension")
     model = IdealModel(m=m, generators=list(generators), probes=list(probes),
                        axes=tuple(axes), axes_m=tuple(axes_m))
-    for g in generators:
-        model.dictionary.append(g)
-        model.dictionary_m.append(gamma_inv(g, "K1", m))
-    for p in probes:
-        for g in generators:
-            model.dictionary.append(_Convolution(p, g, m, axes, "N"))
-            model.dictionary_m.append(_Convolution(p, g, m, axes, "M"))
-    for side in ("N", "M"):
-        V = model.samples(side)
-        G = (V.conj() @ V.T) * model.cell(side)
-        if side == "N":
-            model.gram = G
-        else:
-            model.gram_m = G
+    grams = []
+    for side, out_axes in (("N", model.axes), ("M", model.axes_m)):
+        mesh = grid_mesh(out_axes)
+        gens = generators if side == "N" else [
+            gamma_inv(g, "K1", m) for g in generators]
+        rows = [np.asarray(g(mesh), dtype=complex).ravel() for g in gens]
+        rows += [_convolution_samples(p, g, m, axes, out_axes, side)
+                 for p in probes for g in generators]
+        V = model._cache[side] = np.stack(rows)
+        grams.append((V.conj() @ V.T) * model.cell(side))
+    model.gram, model.gram_m = grams
     return model
 
 
@@ -180,13 +143,13 @@ def closure_residual(model, psi, side):
     """
     if side not in ("N", "M"):
         raise ValueError(f"side must be 'N' or 'M', got {side!r}")
-    axes = model.axes if side == "N" else model.axes_m
+    out_axes = model.axes if side == "N" else model.axes_m
     V = model.samples(side)
     gram = model.gram if side == "N" else model.gram_m
     cell = model.cell(side)
     worst = 0.0
     for g in model.generators:
-        w = _Convolution(psi, g, model.m, model.axes, side).on_grid(axes)
+        w = _convolution_samples(psi, g, model.m, model.axes, out_axes, side)
         worst = max(worst, _span_residual(V, gram, cell, w))
     return worst
 
@@ -205,15 +168,15 @@ def transport_gram_deviation(model):
     """
     if "T" not in model._cache:
         mesh = grid_mesh(model.axes_m)
-        gens, m = model.generators, model.m
+        gens, m, probes = model.generators, model.m, tuple(model.probes)
 
         def pullback(f):
             return gamma_inv(f, "K1", m)(mesh).reshape(-1, mesh[..., 0].size)
 
         rows = [pullback(g) for g in gens]
-        probes = tuple(model.probes)
-        convs = [pullback(_Convolution(probes, g, m, model.axes, "N"))
-                 for g in gens] if probes else []
+        convs = [pullback(lambda x, g=g: convolve_group(
+            probes, g, "N", m, x.reshape(-1, x.shape[-1]), model.axes))
+            for g in gens] if probes else []
         model._cache["T"] = np.concatenate(
             rows + [c[i:i + 1] for i in range(len(probes)) for c in convs])
     T = model._cache["T"]
@@ -235,17 +198,17 @@ class CorrespondenceLine:
     difference: float
 
 
-def correspondence_check(model, probes, gram_tol=1e-6):
+def correspondence_check(model, probes):
     """Per-probe (N-side, M-side) residual pairs and their differences.
 
     The volume-preservation of the transport is asserted first: if the two
-    Gram matrices disagree beyond gram_tol the comparison is meaningless,
+    Gram matrices disagree beyond _GRAM_TOL the comparison is meaningless,
     and TransportGramError (a ValueError) is raised.
     """
     dev = transport_gram_deviation(model)
-    if dev > gram_tol:
+    if dev > _GRAM_TOL:
         raise TransportGramError(
-            f"transported Gram deviates by {dev:.3e} > {gram_tol:.3e}")
+            f"transported Gram deviates by {dev:.3e} > {_GRAM_TOL:.3e}")
     lines = []
     for psi in probes:
         rn = closure_residual(model, psi, "N")

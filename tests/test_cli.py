@@ -96,32 +96,6 @@ def test_unknown_check_is_usage_error(capsys):
     capsys.readouterr()
 
 
-def test_negative_tolerance_is_config_error(capsys):
-    assert main(["verify", "scalar-groups", "--tolerance", "-1"]) == 2
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["verify", "group-axioms", "--m", "1"], "m must be >= 2"),
-    (["verify", "all", "--m", "0"], "m must be >= 2"),
-    (["verify", "plancherel", "--halfwidth", "0"], "halfwidth must be positive"),
-    (["verify", "group-axioms", "--halfwidth", "-2.5"],
-     "halfwidth must be positive"),
-    (["solve", "fundamental-solution", "--operator", "E1", "--m", "1",
-      "--output", "unused.csv"], "m must be >= 2"),
-])
-def test_bad_m_or_halfwidth_is_config_error(monkeypatch, capsys, argv,
-                                            message):
-    def no_check(cfg):
-        raise AssertionError("a check ran before the configuration was checked")
-
-    for name, check in cli.CHECKS.items():
-        monkeypatch.setitem(cli.CHECKS, name, check._replace(run=no_check))
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert message in captured.err and captured.out == ""
-
-
 _SOLVE = ["solve", "fundamental-solution", "--operator", "E1*E1-1",
           "--grid", "8"]
 _HALFWIDTH = "halfwidth must be positive and finite"
@@ -129,6 +103,9 @@ _TOLERANCE = "tolerance must be nonnegative and finite"
 _EPSILON = "epsilon must be positive and finite"
 _STEP = "step and dual half-width must be positive and finite"
 _LITERAL = "is not finite"
+_M = "m must be >= 2"
+_SEED = "seed must be >= 0"
+_CAP = "at peak, above the 2.000 GiB cap"
 
 
 def _argv_id(argv):
@@ -153,11 +130,28 @@ def _argv_id(argv):
     (_SOLVE + ["--epsilon=-inf"], 2, _EPSILON),
     (_SOLVE + ["--epsilon", "0"], 2, _EPSILON),
     (_SOLVE + ["--operator", "1e400*E1"], 2, _LITERAL),
+    (["verify", "group-axioms", "--m", "1"], 2, _M),
+    (["verify", "all", "--m", "0"], 2, _M),
+    pytest.param(["verify", "plancherel", "--halfwidth", "0"], 2, _HALFWIDTH,
+                 id="plancherel --halfwidth 0-2"),
+    pytest.param(["verify", "group-axioms", "--halfwidth", "-2.5"], 2,
+                 _HALFWIDTH, id="group-axioms --halfwidth -2.5-2"),
+    (_SOLVE + ["--m", "1"], 2, _M),
+    pytest.param(["verify", "scalar-groups", "--tolerance", "-1"], 2,
+                 _TOLERANCE, id="scalar-groups --tolerance -1-2"),
+    (["verify", "all", "--seed", "-1"], 2, _SEED),
+    (["verify", "scalar-groups", "--seed", "-1"], 2, _SEED),
+    (["verify", "ideals", "--probes", "-1"], 2, "probes must be >= 0"),
+    (["verify", "ideals", "--probes", "0"], 0, ""),
+    (["verify", "ideals", "--dictionary-size", "0"], 2,
+     "dictionary-size must be >= 1"),
+    (["verify", "group-axioms", "--group", "S", "--m", "1000"], 2, _CAP),
+    (["verify", "all", "--m", "1000"], 2, _CAP),
 ], ids=lambda v: _argv_id(v) if isinstance(v, list) else None)
 def test_float_flags_must_be_finite(tmp_path, monkeypatch, capsys, argv,
                                     code, message):
-    # a bad value exits 2 with a one-line message before any check runs or
-    # any solve builds a mesh; a finite one reaches the check
+    # a bad flag value exits 2 with a one-line message before any check
+    # runs or any solve builds a mesh; a good one reaches the check
     ran = []
 
     def recorder(name):
@@ -183,6 +177,26 @@ def test_float_flags_must_be_finite(tmp_path, monkeypatch, capsys, argv,
         assert not ran and not out.exists()
     else:
         assert ran == [argv[1]] and captured.err == ""
+
+
+@pytest.mark.parametrize("flags, n_probes, n_gens", [
+    ([], 2, 1),
+    (["--probes", "0"], 0, 3),
+    (["--dictionary-size", "1"], 2, 1),
+    (["--probes", "5", "--dictionary-size", "8"], 5, 3),
+])
+def test_ideals_reads_its_size_flags(monkeypatch, flags, n_probes, n_gens):
+    # 0 is a size, not an unset flag: --probes 0 builds no probe convolutions
+    class Built(Exception):
+        pass
+
+    def record(gens, probes, *args):
+        raise Built(len(probes), len(gens))
+
+    monkeypatch.setattr(cli, "ideal_model", record)
+    with pytest.raises(Built) as built:
+        main(["verify", "ideals", *flags])
+    assert built.value.args == (n_probes, n_gens)
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
@@ -487,6 +501,14 @@ def test_plancherel_peak_estimate_bounds_the_traced_peak(axes):
     f = gaussian([0.1] * len(axes), [1.0] * len(axes))
     peak = _traced_peak(lambda: harmonic.plancherel_check(f, axes))
     assert peak <= cli.plancherel_peak_bytes(axes) <= 2 * peak
+
+
+@pytest.mark.parametrize("group, m", [("N", 8), ("S", 5)])
+def test_group_axioms_peak_estimate_bounds_the_traced_peak(group, m):
+    cfg = cli.RunConfig(seed=0, group=group, m=m, tolerance=None)
+    peak = _traced_peak(lambda: list(cli.check_group_axioms(cfg)))
+    dim = cli.law(group, m).dim
+    assert peak <= cli.group_axioms_peak_bytes(dim) <= 2 * peak
 
 
 # ── seed stability ───────────────────────────────────────────────────────────

@@ -16,7 +16,10 @@ from anharm.ideals import (
     CorrespondenceLine, closure_residual, correspondence_check,
     gamma_intertwine_residual, ideal_model, transport_gram_deviation,
 )
-from anharm.extension import gamma_inv
+from anharm.extension import gamma_inv, tilde_eval_coords
+from anharm.harmonic import (
+    convolve_extended_c_lattice, convolve_group, convolve_group_lattice,
+)
 from anharm.testfuncs import Axis, TestFunction, gaussian, grid_mesh
 
 AX_X = Axis(0.0, 8.0, 16)
@@ -43,7 +46,7 @@ def heisenberg_model(nprobes=2):
 def test_model_shapes_and_gram_psd():
     model = heisenberg_model()
     k = len(GENS) * (1 + len(PROBES))
-    assert len(model.dictionary) == k and len(model.dictionary_m) == k
+    assert len(model.samples("N")) == k and len(model.samples("M")) == k
     assert model.gram.shape == (k, k)
     assert np.allclose(model.gram, model.gram.conj().T)
     assert np.min(np.linalg.eigvalsh(model.gram)) > -1e-10
@@ -71,12 +74,44 @@ def test_transport_evaluates_the_generator_once_for_all_probes(monkeypatch):
         monkeypatch.undo()
         # the rows keep the dictionary's order: generators, then p∗g
         mesh = grid_mesh(axes_m)
+
+        def conv(p):
+            return lambda x: convolve_group(
+                p, g, "N", 3, x.reshape(-1, 3), axes_n).reshape(x.shape[:-1])
+
         want = np.stack([gamma_inv(f, "K1", 3)(mesh).ravel()
-                         for f in model.dictionary])
+                         for f in [g] + [conv(p) for p in probes[:k]]])
         got = model._cache["T"]
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     assert points[0] == points[1] > 0
+
+
+def test_samples_are_the_lattice_engines_rows_in_dictionary_order():
+    # generators, then p∗g with p outer: with one generator, perfbench's
+    # mass check reads p_i∗g at row 1 + i
+    axes_n = (Axis(0.0, 8.0, 8), Axis(0.0, 9.6, 8), Axis(0.0, 8.0, 8))
+    axes_m = (axes_n[1], axes_n[2], axes_n[0])
+    gens = GENS + [gaussian([-0.1, 0.1, 0.2], [1.0, 0.4, 0.9])]
+    model = ideal_model(gens, PROBES, 3, axes_n, axes_m)
+
+    def tilde(g):
+        return lambda base, shift: tilde_eval_coords(g, "K1", 3, base, shift)
+
+    lattice = {
+        "N": lambda p, g: convolve_group_lattice(p, g, axes_n, axes_n),
+        "M": lambda p, g: convolve_extended_c_lattice(
+            p, tilde(g), 3, axes_m, axes_n),
+    }
+    for side, axes in (("N", axes_n), ("M", axes_m)):
+        mesh = grid_mesh(axes)
+        sampled = gens if side == "N" else [gamma_inv(g, "K1", 3)
+                                            for g in gens]
+        want = np.stack(
+            [np.asarray(g(mesh), dtype=complex).ravel() for g in sampled]
+            + [lattice[side](p, g).samples.ravel()
+               for p in PROBES for g in gens])
+        assert np.array_equal(model.samples(side), want)
 
 
 def test_model_validation():
