@@ -174,7 +174,9 @@ def parse_operator(expr, dim):
 
 def _line(check, params, metric, value, tolerance):
     """One report line.  A value of None, one the check could not compute,
-    is written as null and fails."""
+    and a NaN or infinite one are written as null and fail."""
+    if value is not None and not math.isfinite(value):
+        value = None
     return {
         "schema": 1,
         "check": check,

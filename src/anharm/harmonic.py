@@ -22,14 +22,15 @@ is a genuine quadrature residual.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .extension import gamma_inv, tilde_eval_coords
 from .groups import empty_columns, law
 from .testfuncs import (
-    GridFunction, TestFunction, dual_axis, grid_mesh, grid_nodes, node_mesh,
-    sample,
+    Axis, GridFunction, TestFunction, dual_axis, grid_mesh, grid_nodes,
+    node_mesh, sample,
 )
 
 __all__ = [
@@ -501,65 +502,48 @@ def theorem31_residual(phi, f, case, m, points, axes_phi, axes_f):
 def projected_convolution_check(phi, f, case, m, axes_ext, freq_indices):
     """Projected convolution theorem at dual-grid frequency points.
 
-    LHS: the full extended-coordinate transform of φ∗f̃ (group-law
-    quadrature; for K1 with m = 3 the lattice engine), integrated over the
-    acting-slot frequencies with measure ΠΔλ/(2π).  RHS: the transform of
-    the acting=0 slice of f̃ times the transform of φ, the latter taken with
-    φ's acting coordinate paired with the shift frequency.  freq_indices
-    index the remaining dual axes.
-    Returns (residual, scale).
+    LHS: the transform of φ∗f̃ integrated over the acting-slot frequencies
+    with measure ΠΔλ/(2π).  On acting axes centred at 0 with even P that
+    integral is the inverse transform at the node 0, so the LHS is the M
+    transform of φ∗f̃ at acting = 0 (group-law quadrature; for K1 with
+    m = 3 the lattice engine).  RHS: the transform of Γ⁻¹f times that of φ,
+    whose acting frequencies are paired with the shift's.  freq_indices
+    index the M dual axes, (top slots, shift).  Returns (residual, scale).
     """
     axes_ext = tuple(axes_ext)
     L = law(case, m)
     d_base = L.base.dim
-    act = list(range(d_base))[L.acting]
-    n_ext = len(axes_ext)
-    rest = [i for i in range(n_ext) if i not in act]
-    shift_slots = list(range(d_base, n_ext))
-    for i, j in zip(act, shift_slots):
+    base_axes = axes_ext[:d_base]
+    for i, j in zip(range(d_base)[L.acting], range(d_base, len(axes_ext))):
         if abs(axes_ext[i].center) > 1e-15:
             raise ValueError("acting axes must be centered at 0")
         if (axes_ext[i].points, axes_ext[i].step) != (axes_ext[j].points, axes_ext[j].step):
             raise ValueError("acting and shift axes must share P and h")
+    m_axes = base_axes[L.top] + axes_ext[d_base:]
+    F_ext = partial(tilde_eval_coords, f, case, m)
 
-    def F_ext(base, shift):
-        return tilde_eval_coords(f, case, m, base, shift)
-
-    # LHS -------------------------------------------------------------------
+    # LHS: φ∗f̃ on the M grid ------------------------------------------------
     if L.base is law("N", 3):
         # the Heisenberg group has an exact lattice engine: one group
-        # convolution per shift value u
-        base_axes = axes_ext[:d_base]
+        # convolution per shift value u, on the x nodes (−h, 0)
+        out_axes = (Axis(0.0, base_axes[0].step, 2),) + base_axes[1:]
         conv = np.stack(
             [convolve_group_lattice(phi, lambda b: F_ext(b, np.array([u])),
-                                    base_axes, base_axes).samples
+                                    out_axes, base_axes).samples[1]
              for u in grid_nodes(axes_ext[d_base])], axis=-1)
     else:
-        mesh = grid_mesh(axes_ext).reshape(-1, n_ext)
-        conv = convolve_extended_group(phi, F_ext, case, m, mesh[:, :d_base],
-                                       mesh[:, d_base:], axes_ext[:d_base])
-    G = GridFunction(axes_ext, conv.reshape([a.points for a in axes_ext]))
-    Ghat = fourier_forward(G)
-    proj = Ghat.samples
-    for i in sorted(act, reverse=True):
-        proj = proj.sum(axis=i) * Ghat.axes[i].step / (2.0 * np.pi)
+        base, shift = L.m_split(grid_mesh(m_axes).reshape(-1, d_base))
+        conv = convolve_extended_group(phi, F_ext, case, m, base, shift,
+                                       base_axes)
+    lhs = fourier_forward(GridFunction(
+        m_axes, conv.reshape([a.points for a in m_axes]))).samples
 
-    # RHS: the rest slots are M's, in M order -------------------------------
-    slice_axes = tuple(axes_ext[i] for i in rest)
-    Fhat0 = fourier_forward(sample(gamma_inv(f, case, m), slice_axes))
-    phihat = fourier_forward(sample(phi, axes_ext[:d_base]))
+    # RHS: φ's axes in M order put its acting frequencies on the shift's ----
+    Fhat0 = fourier_forward(sample(gamma_inv(f, case, m), m_axes)).samples
+    phihat = fourier_forward(sample(phi, base_axes)).samples
+    rhs = Fhat0 * phihat.transpose(L.m_order)
 
-    pair = {i: j for i, j in zip(act, shift_slots)}
-    for i in range(d_base):
-        pair.setdefault(i, i)
-    rest_pos = {i: k for k, i in enumerate(rest)}
-
-    lhs_vals, rhs_vals = [], []
-    for idx in freq_indices:
-        idx = tuple(idx)
-        lhs_vals.append(proj[idx])
-        phi_idx = tuple(idx[rest_pos[pair[i]]] for i in range(d_base))
-        rhs_vals.append(Fhat0.samples[idx] * phihat.samples[phi_idx])
-    lhs_vals, rhs_vals = np.asarray(lhs_vals), np.asarray(rhs_vals)
+    idx = tuple(np.asarray(freq_indices, dtype=int).T)
+    lhs_vals, rhs_vals = lhs[idx], rhs[idx]
     scale = float(max(np.max(np.abs(lhs_vals)), np.max(np.abs(rhs_vals))))
     return float(np.max(np.abs(lhs_vals - rhs_vals))), scale

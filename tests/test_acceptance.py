@@ -29,7 +29,7 @@ from anharm.scalars import (
 from anharm.testfuncs import (
     Axis, GridFunction, derivative, gaussian, grid_nodes, quadrature,
 )
-from anharm.groups import law, n_mul, rho_scale, s_mul
+from anharm.groups import law, n_mul, s_mul
 
 
 def E(dim, *words, coefs=None):

@@ -13,7 +13,7 @@ from anharm.harmonic import (
     convolve_group_lattice, fourier_forward, fourier_inverse,
     plancherel_check, projected_convolution_check, theorem31_residual,
 )
-from anharm.extension import tilde_eval_coords
+from anharm.extension import gamma_inv, tilde_eval_coords
 
 
 # ── Fourier transform ────────────────────────────────────────────────────────
@@ -785,6 +785,70 @@ def test_projected_convolution_h():
           zip(rng.integers(13, 19, 10), rng.integers(5, 11, 10))]
     r, s = projected_convolution_check(phi, f, "H", 2, axes, fi)
     assert r <= 1e-2 * s
+
+
+def _projected_convolution_on_the_extended_grid(phi, f, case, m, axes_ext,
+                                               freq_indices):
+    """projected_convolution_check's (residual, scale) with its left side
+    taken the long way: φ∗f̃ on the whole extended grid, its transform
+    along every axis, and the sum over the acting frequencies times
+    Δλ/(2π).  φ̂ is read by pairing its acting slots with the shift slots
+    one point at a time."""
+    L = law(case, m)
+    d_base, n_ext = L.base.dim, len(axes_ext)
+    act = list(range(d_base))[L.acting]
+    rest = [i for i in range(n_ext) if i not in act]
+
+    def F_ext(base, shift):
+        return tilde_eval_coords(f, case, m, base, shift)
+
+    if L.base is law("N", 3):
+        base_axes = axes_ext[:d_base]
+        conv = np.stack(
+            [convolve_group_lattice(phi, lambda b: F_ext(b, np.array([u])),
+                                    base_axes, base_axes).samples
+             for u in grid_nodes(axes_ext[d_base])], axis=-1)
+    else:
+        mesh = grid_mesh(axes_ext).reshape(-1, n_ext)
+        conv = convolve_extended_group(phi, F_ext, case, m, mesh[:, :d_base],
+                                       mesh[:, d_base:], axes_ext[:d_base])
+    Ghat = fourier_forward(GridFunction(
+        axes_ext, conv.reshape([a.points for a in axes_ext])))
+    proj = Ghat.samples
+    for i in sorted(act, reverse=True):
+        proj = proj.sum(axis=i) * Ghat.axes[i].step / (2.0 * np.pi)
+    Fhat0 = fourier_forward(sample(gamma_inv(f, case, m),
+                                   [axes_ext[i] for i in rest])).samples
+    phihat = fourier_forward(sample(phi, axes_ext[:d_base])).samples
+    pair = dict(zip(act, range(d_base, n_ext)))
+    rest_pos = {i: k for k, i in enumerate(rest)}
+    lhs, rhs = [], []
+    for idx in map(tuple, freq_indices):
+        phi_idx = tuple(idx[rest_pos[pair.get(i, i)]] for i in range(d_base))
+        lhs.append(proj[idx])
+        rhs.append(Fhat0[idx] * phihat[phi_idx])
+    lhs, rhs = np.array(lhs), np.array(rhs)
+    scale = float(max(np.max(np.abs(lhs)), np.max(np.abs(rhs))))
+    return float(np.max(np.abs(lhs - rhs))), scale
+
+
+@pytest.mark.parametrize("case, m, widths_phi, widths_f, axes, fi", [
+    ("K1", 3, [1.0] * 3, [1.0] * 3, [Axis(0.0, 4.8, 8)] * 4,
+     [(2, 3, 4), (5, 2, 2), (4, 4, 5)]),
+    ("H", 2, [1.0, 4.0], [3.0, 6.0],
+     [Axis(0.0, 10.0, 32), Axis(0.0, 2.4, 16), Axis(0.0, 2.4, 16)],
+     [(13, 5), (16, 8), (18, 10)]),
+], ids=["K1-lattice", "H-direct"])
+def test_projected_convolution_equals_the_extended_grid_computation(
+        case, m, widths_phi, widths_f, axes, fi):
+    rng = np.random.default_rng(5)
+    phi = gaussian(rng.uniform(-0.3, 0.3, len(widths_phi)), widths_phi)
+    f = gaussian(rng.uniform(-0.3, 0.3, len(widths_f)), widths_f)
+    r, s = projected_convolution_check(phi, f, case, m, axes, fi)
+    r0, s0 = _projected_convolution_on_the_extended_grid(phi, f, case, m,
+                                                         axes, fi)
+    assert 0 < r <= 1e-2 * s
+    assert abs(r - r0) <= 1e-12 * s and abs(s - s0) <= 1e-12 * s
 
 
 def test_projected_convolution_rejects_mismatched_axes():
