@@ -103,15 +103,12 @@ def inverse_in_place(vals, freq_axes, axes, dims):
     return vals
 
 
-def fourier_inverse(F, axes=None):
+def fourier_inverse(F, axes):
     """Σ_j F(λ_j) e^{+i λ_j x_k} ΠΔλ/(2π) on the given spatial axes.
 
-    The default axes are the centered duals of F's axes; pass the original
-    axes to undo fourier_forward exactly.  One copy of F's samples is
-    transformed in place; F is not changed.
+    Pass the axes F was transformed from to undo fourier_forward exactly.
+    One copy of F's samples is transformed in place; F is not changed.
     """
-    if axes is None:
-        axes = tuple(dual_axis(a) for a in F.axes)
     axes = tuple(axes)
     if tuple(a.points for a in axes) != tuple(a.points for a in F.axes):
         raise ValueError("axis point counts do not match")

@@ -46,14 +46,15 @@ def iso_psi(x):
 
 
 def pair_mul(p, q):
-    """Componentwise law on ℝ₊* × ℝ₋* (ordinary · on the first factor)."""
+    """Componentwise law on ℝ₊* × ℝ₋* (ordinary · on the first factor, the
+    law −yt of neg_mul on the second, whose NegReal refuses an underflow)."""
     x, y = _check_pair(*p)
     s, t = _check_pair(*q)
-    return (x * s, neg_mul(NegReal(y), NegReal(t)).value)
+    return (x * s, NegReal(-y * t).value)
 
 
 def _check_pair(x, y):
-    if x <= 0:
+    if not x > 0:
         raise ValueError(f"first component must be positive, got {x}")
     y = y.value if isinstance(y, NegReal) else float(y)
     if not y < 0:

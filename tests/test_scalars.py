@@ -83,6 +83,25 @@ def test_Psi_domain_error():
         iso_Psi(-1.0, -1.0)
     with pytest.raises(ValueError):
         iso_Psi(1.0, 1.0)
+    # NaN is no positive real, as it is no negative one (NegReal refuses it)
+    nan = float("nan")
+    with pytest.raises(ValueError, match="first component"):
+        iso_Psi(nan, -1.0)
+    with pytest.raises(ValueError, match="first component"):
+        iso_Phi(nan, -1.0)
+    with pytest.raises(ValueError, match="first component"):
+        pair_mul((nan, -1.0), (1.0, -2.0))
+    with pytest.raises(ValueError, match="first component"):
+        pair_mul((1.0, -2.0), (nan, -1.0))
+    with pytest.raises(ValueError, match="second component"):
+        iso_Psi(1.0, nan)
+
+
+def test_pair_mul_refuses_an_underflowed_product():
+    # −y·t rounds to −0.0, which is no negative real
+    with pytest.raises(ValueError, match="must be negative"):
+        pair_mul((1.0, -1e-200), (1.0, -1e-200))
+    assert pair_mul((2.0, -3.0), (0.5, NegReal(-2.0))) == (1.0, -6.0)
 
 
 def test_Phi_examples_and_homomorphism():
