@@ -38,8 +38,8 @@ __all__ = [
     "inverse_in_place", "plancherel_check", "convolve_group",
     "convolve_extended_c", "convolve_extended_c_substituted",
     "convolve_extended_group", "convolve_group_lattice",
-    "convolve_extended_c_lattice", "theorem31_residual",
-    "projected_convolution_check",
+    "convolve_group_pullback_lattice", "convolve_extended_c_lattice",
+    "theorem31_residual", "projected_convolution_check",
 ]
 
 
@@ -401,14 +401,19 @@ def _lattice_convolve(nodes, diffs, p_node, p_out, sum_axis=None):
     diffs are samples on _difference_nodes, leading axes broadcast, and
     sum_axis (of the broadcast product) is summed in frequency space.  Each
     axis is zero-padded to the next power of two ≥ P_node + P_out − 1, so the
-    circular wraparound lands only on outputs that are thrown away.
+    circular wraparound lands only on outputs that are thrown away.  When
+    both operands are float the transforms are real-input ones and the
+    output is float.
     """
     ax = tuple(range(-len(p_node), 0))
     shape = [1 << (pn + po - 2).bit_length() for pn, po in zip(p_node, p_out)]
-    spec = np.fft.fftn(nodes, shape, axes=ax) * np.fft.fftn(diffs, shape, axes=ax)
+    real = np.isrealobj(nodes) and np.isrealobj(diffs)
+    fft, ifft = ((np.fft.rfftn, np.fft.irfftn) if real
+                 else (np.fft.fftn, np.fft.ifftn))
+    spec = fft(nodes, shape, axes=ax) * fft(diffs, shape, axes=ax)
     if sum_axis is not None:
         spec = spec.sum(axis=sum_axis)
-    full = np.fft.ifftn(spec, axes=ax)
+    full = ifft(spec, shape, axes=ax)
     return full[(Ellipsis,) + tuple(slice(pn - 1, pn - 1 + po)
                                     for pn, po in zip(p_node, p_out))]
 
@@ -436,6 +441,52 @@ def convolve_group_lattice(g, f, out_axes, axes):
                             [ax.points for ax in out_axes[1:]], sum_axis=1)
     cell = float(np.prod([ax.step for ax in axes]))
     return GridFunction(out_axes, out * cell)
+
+
+def convolve_group_pullback_lattice(probes, g, out_axes, axes):
+    """(p∗g)∘Γ⁻¹ on K1 with m = 3 for each of the probes p, at every node of
+    the M lattice out_axes: a (k, npoints) array, row j for the j-th probe,
+    in the C order of the M mesh.
+
+    The same Riemann sum over the nodes of axes as convolve_group at Γ⁻¹ of
+    the M mesh, exact up to rounding in O(P⁴ log P).  For Y = (a, c, b) and
+    X = Γ⁻¹(v_z, v_y, u), c is central, so Y⁻¹X = (a, 0, b)⁻¹Γ⁻¹(σ, v_y, u)
+    with σ = v_z − c: for each (u, v_y) the c sum is a 1-D linear
+    convolution along z of p(a, ·, b) with g on the difference lattice σ,
+    and the (a, b) sum is taken in frequency space.  The arguments are the
+    N law's ldiv on K1's gamma_inv.  One u plane at a time, in blocks of
+    (a, b) nodes sized as the direct engines' (_block_size), g is evaluated
+    once for all the probes, on P_u·P_a·P_b·P_vy·(P_z,out + P_z,node − 1)
+    points in all.  out_axes are in M order (z, y, x); their z axis must
+    share its step with that of axes.  The rows are float when g and every
+    probe are.
+    """
+    out_axes, axes = tuple(out_axes), tuple(axes)
+    sigma = _difference_nodes(out_axes[0], axes[1])
+    # the M points (σ, v_y, u) laid out (u, v_y, σ), each column contiguous
+    planes = law("K1", 3).gamma_inv(node_mesh(
+        [grid_nodes(out_axes[2]), grid_nodes(out_axes[1]), sigma])[..., ::-1])
+    ab = node_mesh([grid_nodes(axes[0]), [0.0], grid_nodes(axes[2])])
+    ab = ab.reshape(-1, 1, 1, 3)
+    n = _block_size((axes[0], axes[2]), planes[0, ..., 0].size)
+    q = empty_columns((n,) + planes.shape[1:])
+    abinv = empty_columns((n, 1, 1, 3))
+    mesh = grid_mesh(axes)
+    weights = np.stack([np.asarray(p(mesh)) for p in probes])
+    p_c = axes[1].points
+    weights = weights.transpose(0, 1, 3, 2).reshape(len(probes), -1, 1, p_c)
+    rows = []
+    for plane in planes:
+        row = 0.0
+        for lo in range(0, len(ab), n):
+            diffs = g(law("N", 3).ldiv(ab[lo:lo + n], plane, out=q,
+                                       scratch=abinv))
+            row = row + _lattice_convolve(weights[:, lo:lo + n], diffs, [p_c],
+                                          [out_axes[0].points], sum_axis=1)
+        rows.append(row)
+    out = np.stack(rows, axis=-1).transpose(0, 2, 1, 3)  # (k, v_z, v_y, u)
+    cell = float(np.prod([ax.step for ax in axes]))
+    return out.reshape(len(probes), -1) * cell
 
 
 def convolve_extended_c_lattice(phi, F_ext, m, out_axes, axes):

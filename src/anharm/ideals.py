@@ -6,8 +6,9 @@ convolutions against a fixed probe set.  Ideal membership of ψ∗g is proxied
 by the least-squares distance of its grid samples from the span of the
 dictionary, solved through the normal equations on the cached Gram matrix.
 Grid samples of the dictionary's convolutions come from the exact lattice
-engines of ``harmonic``; every point off the lattice (the Γ⁻¹ pullback, the
-intertwining) goes through the direct engines.
+engines of ``harmonic``: on N, on M, and pulled back through Γ⁻¹ onto the M
+lattice, where Γ⁻¹ shears N's z by x·y.  The intertwining, at points off
+the lattice, goes through the direct engines.
 
 The correspondence under Γ is tested two ways:
 
@@ -32,7 +33,7 @@ from .extension import gamma_inv, tilde_eval_coords
 from .groups import law
 from .harmonic import (
     convolve_extended_c_lattice, convolve_extended_c_substituted,
-    convolve_group, convolve_group_lattice,
+    convolve_group, convolve_group_lattice, convolve_group_pullback_lattice,
 )
 from .testfuncs import grid_mesh
 
@@ -161,22 +162,20 @@ def transport_gram_deviation(model):
     preserving coordinate twist), recomputes the Gram on the M grid, and
     compares with the N-side Gram.  The ∗_c-rebuilt M dictionary is *not*
     used here: it is a different (commutative-picture) object.  Each
-    generator's probe convolutions p∗g are pulled back by one engine call
-    for all the probes, and the rows keep the dictionary's order.  The
-    rows stay float when every member is real, so their Gram is a real
-    matrix product.
+    generator's probe convolutions p∗g are pulled back onto the M lattice
+    by one call of the lattice engine convolve_group_pullback_lattice for
+    all the probes (the same Riemann sum as convolve_group at Γ⁻¹ of the M
+    mesh), and the rows keep the dictionary's order.  The rows stay float
+    when every member is real, so their Gram is a real matrix product.
     """
     if "T" not in model._cache:
         mesh = grid_mesh(model.axes_m)
-        gens, m, probes = model.generators, model.m, tuple(model.probes)
-
-        def pullback(f):
-            return gamma_inv(f, "K1", m)(mesh).reshape(-1, mesh[..., 0].size)
-
-        rows = [pullback(g) for g in gens]
-        convs = [pullback(lambda x, g=g: convolve_group(
-            probes, g, "N", m, x.reshape(-1, x.shape[-1]), model.axes))
-            for g in gens] if probes else []
+        gens, probes = model.generators, tuple(model.probes)
+        rows = [gamma_inv(g, "K1", model.m)(mesh).reshape(1, -1)
+                for g in gens]
+        convs = [convolve_group_pullback_lattice(probes, g, model.axes_m,
+                                                 model.axes)
+                 for g in gens] if probes else []
         model._cache["T"] = np.concatenate(
             rows + [c[i:i + 1] for i in range(len(probes)) for c in convs])
     T = model._cache["T"]

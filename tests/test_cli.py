@@ -300,8 +300,8 @@ def test_ideals_reads_its_size_flags(monkeypatch, flags, n_probes, n_gens):
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 def test_failed_gram_guard_is_a_failing_line(monkeypatch, capsys, fmt):
     # correspondence_check refuses a transported Gram that deviates by more
-    # than 1e-6 (verify ideals --probes 40 gives 1.373e-6): the closure line
-    # then fails with a null value, and verify exits 1 with no traceback
+    # than 1e-6 (here a stub's 2e-6): the closure line then fails with a
+    # null value, and verify exits 1 with no traceback
     def no_constant(name):
         raise ValueError(f"{name} in a report")
 
@@ -584,3 +584,12 @@ def test_gate_margin_over_seeds(capsys, check, cases, seeds):
             line = lines[case]
             assert 3.0 * line["value"] <= line["tolerance"], (
                 seed, case, line["value"])
+
+
+def test_ideals_transport_gate_margin(capsys):
+    # the line draws nothing from the seed; on an M z window as narrow as
+    # N's its margin was 1.96, because Γ⁻¹ shears z by x·y
+    assert main(["verify", "ideals", "--seed", "0"]) == 0
+    line, = [ln for ln in map(json.loads, capsys.readouterr().out.splitlines())
+             if ln["metric"] == "gram_transport_deviation"]
+    assert 3.0 * line["value"] <= line["tolerance"], line["value"]

@@ -10,8 +10,9 @@ from anharm import groups, harmonic, ideals, testfuncs
 from anharm.harmonic import (
     convolve_extended_c, convolve_extended_c_lattice,
     convolve_extended_c_substituted, convolve_extended_group, convolve_group,
-    convolve_group_lattice, fourier_forward, fourier_inverse,
-    plancherel_check, projected_convolution_check, theorem31_residual,
+    convolve_group_lattice, convolve_group_pullback_lattice, fourier_forward,
+    fourier_inverse, plancherel_check, projected_convolution_check,
+    theorem31_residual,
 )
 from anharm.extension import gamma_inv, tilde_eval_coords
 
@@ -721,6 +722,58 @@ def test_extended_c_lattice_engine_matches_direct(m, out_axes, axes):
     assert _rel_dev(got.samples.ravel(), want) <= 1e-12
 
 
+_BENCH_N = [Axis(0.0, 8.0, 8), Axis(0.0, 9.6, 16), Axis(0.0, 8.0, 8)]
+
+
+@pytest.mark.parametrize("out_axes, axes, coef", [
+    # the ideals benchmark's grid: N (x, z, y) 8×16×8, M (z, y, x)
+    ([Axis(0.0, 9.6, 16), Axis(0.0, 8.0, 8), Axis(0.0, 8.0, 8)], _BENCH_N,
+     1.0),
+    # 16³ with a nonzero center on every node axis
+    ([Axis(0.0, 9.6, 16), Axis(0.0, 8.0, 16), Axis(0.0, 8.0, 16)],
+     [Axis(0.3, 8.0, 16), Axis(-0.6, 9.6, 16), Axis(1.5, 8.0, 16)], 1.0),
+    # 32 z outputs against 16 z nodes at the same step
+    ([Axis(0.0, 19.2, 32), Axis(0.0, 8.0, 8), Axis(0.0, 8.0, 8)], _BENCH_N,
+     1.0),
+    # a probe with a complex coefficient
+    ([Axis(0.0, 9.6, 16), Axis(0.0, 8.0, 8), Axis(0.0, 8.0, 8)], _BENCH_N,
+     0.5 - 1.5j),
+], ids=["bench", "16-off-centre", "z32-vs-z16", "complex-probe"])
+def test_pullback_lattice_engine_matches_direct(out_axes, axes, coef):
+    # (p∗g)∘Γ⁻¹ on the M lattice: the direct engine at Γ⁻¹ of the M mesh
+    rng = np.random.default_rng(24)
+    probes = [gaussian(rng.uniform(-0.3, 0.3, 3), [4.0] * 3, coef=coef),
+              gaussian(rng.uniform(-0.3, 0.3, 3), [4.0] * 3)]
+    g = gaussian(rng.uniform(-0.3, 0.3, 3), [1.0, 0.4, 0.9])
+    got = convolve_group_pullback_lattice(probes, g, out_axes, axes)
+    pts = law("K1", 3).gamma_inv(grid_mesh(out_axes)).reshape(-1, 3)
+    want = convolve_group(probes, g, "N", 3, pts, axes)
+    assert got.shape == want.shape
+    assert np.iscomplexobj(got) == (coef != 1.0)
+    assert _rel_dev(got, want) <= 1e-12
+
+
+def test_pullback_lattice_engine_evaluates_g_on_p4_points(monkeypatch):
+    # P_u·P_a·P_b·P_vy·(P_z,out + P_z,node − 1) points of g, once for all
+    # the probes: a fall-back to P⁶ node·point pairs would count P_u·P_vy·
+    # P_z,out·P_a·P_z,node·P_b.  Every axis has its own size.
+    out_axes = [Axis(0.0, 19.2, 32), Axis(0.0, 8.0, 64), Axis(0.0, 4.0, 4)]
+    axes = [Axis(0.0, 8.0, 8), Axis(0.0, 9.6, 16), Axis(0.0, 4.0, 2)]
+    g = gaussian([0.2, 0.0, -0.1], [1.0, 0.4, 0.9])
+    probes = [gaussian([0.1, -0.2, 0.0], [4.0] * 3),
+              gaussian([0.0, 0.3, -0.1], [4.0] * 3)]
+    call, points = TestFunction.__call__, [0]
+
+    def spy(self, x):
+        if self is g:
+            points[0] += np.asarray(x)[..., 0].size
+        return call(self, x)
+
+    monkeypatch.setattr(TestFunction, "__call__", spy)
+    convolve_group_pullback_lattice(probes, g, out_axes, axes)
+    assert points[0] == 4 * 8 * 2 * 64 * (32 + 16 - 1)
+
+
 def test_lattice_engines_reject_mismatched_steps():
     f = gaussian([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
     axes = [Axis(0.0, 8.0, 8), Axis(0.0, 9.6, 16), Axis(0.0, 8.0, 8)]
@@ -736,6 +789,10 @@ def test_lattice_engines_reject_mismatched_steps():
     # M order is (z, y, x): pairing the N axes unpermuted mismatches z and x
     with pytest.raises(ValueError, match="steps"):
         convolve_extended_c_lattice(f, F_ext, 3, axes, axes)
+    # the pullback pairs M's z (its first axis) with N's z only
+    with pytest.raises(ValueError, match="steps"):
+        convolve_group_pullback_lattice(
+            [f], f, [Axis(0.0, 9.6, 8), axes[2], axes[0]], axes)
 
 
 def test_off_lattice_checks_never_call_a_lattice_engine(monkeypatch):
@@ -745,6 +802,7 @@ def test_off_lattice_checks_never_call_a_lattice_engine(monkeypatch):
     for module in (harmonic, ideals):
         monkeypatch.setattr(module, "convolve_group_lattice", spy)
         monkeypatch.setattr(module, "convolve_extended_c_lattice", spy)
+        monkeypatch.setattr(module, "convolve_group_pullback_lattice", spy)
     rng = np.random.default_rng(23)
     phi, f, pts = _pair(rng, 3, [1.0] * 3, 1, 0.4)
     axes = [Axis(0.0, 6.4, 8)] * 3
