@@ -217,14 +217,11 @@ def _node_blocks(axes, npoints, out=None):
             yield out, cell
 
 
-def _quadrature(axes, npoints, integrand, weights=None):
+def _quadrature(axes, npoints, integrand, weight=None):
     """Σ over the nodes y of the axes' product grid, block by block, of
-    F(y)·cell, or with weights, a sequence of k functions, of
-    w_j(y)·cell·F(y) for each: a (k, npoints) array, row j for w_j, from
-    one tensordot of each block's (k, nodes) weights with F.  F(y) holds
-    one row of npoints values per node and is evaluated once per block
-    for all the weights; one weight is the case k = 1.  The sums are float
-    when the weights and F are.
+    F(y)·cell, or with a weight w, of w(y)·cell·F(y), one tensordot of each
+    block's node weights with F: npoints sums.  F(y) holds one row of
+    npoints values per node.  The sums are float when w and F are.
 
     Every block has the same n nodes, so integrand(n) is called once: it
     allocates the buffers every block refills and returns F.  The block's
@@ -235,37 +232,32 @@ def _quadrature(axes, npoints, integrand, weights=None):
     for y, cell in _node_blocks(axes, npoints,
                                 out=empty_columns((n, len(axes)))):
         vals = np.asarray(block_integrand(y))
-        if weights is None:
+        if weight is None:
             part = vals.sum(axis=0) * cell
         else:
-            w = np.stack([wt(y) for wt in weights])
-            w *= cell
-            part = np.tensordot(w, vals, axes=(1, 0))
+            part = np.tensordot(np.asarray(weight(y)) * cell, vals,
+                                axes=(0, 0))
         total = part if total is None else total + part
     return total
 
 
-def _group_convolution(L, weights, f, x, axes):
-    """Σ over the nodes y of the axes of w_j(y)·cell·f(y⁻¹x) for each
-    weight w_j: a (k, npoints) array.  x is (1, npoints, L.dim); the
-    quotient y⁻¹x is L's ldiv into a kept buffer, y⁻¹ into kept scratch."""
+def _group_convolution(L, g, f, x, axes):
+    """Σ over the nodes y of the axes of g(y)·cell·f(y⁻¹x).  x is
+    (1, npoints, L.dim); the quotient y⁻¹x is L's ldiv into a kept buffer,
+    y⁻¹ into kept scratch."""
     def integrand(n):
         q = empty_columns((n,) + x.shape[1:])
         yinv = empty_columns((n, 1, L.dim))
         return lambda y: f(L.ldiv(y[:, None, :], x, out=q, scratch=yinv))
 
-    return _quadrature(axes, x.shape[1], integrand, weights=weights)
+    return _quadrature(axes, x.shape[1], integrand, weight=g)
 
 
 def convolve_group(g, f, group, m, points, axes):
     """(g∗f)(X) = ∫ f(Y^{-1}X) g(Y) dY by Haar quadrature over the axes.
     On "M" with m its dimension, Y^{-1}X = X − Y: the abelian convolution
-    g ∗_c f.  Given a sequence of weights g_1..g_k in place of g, the k
-    convolutions g_j∗f share each block's values of f: a (k, npoints)
-    array, row j for g_j."""
+    g ∗_c f."""
     x = np.atleast_2d(np.asarray(points, dtype=float))[None, :, :]
-    if callable(g):
-        return _group_convolution(law(group, m), [g], f, x, axes)[0]
     return _group_convolution(law(group, m), g, f, x, axes)
 
 
@@ -310,7 +302,7 @@ def convolve_extended_c(phi, F_ext, case, m, base_points, shift_points, axes):
         return lambda y: F_ext(*_c_translate(L, x, s, y[:, None, :], buf,
                                              yinv))
 
-    return _quadrature(axes, x.shape[1], integrand, weights=[phi])[0]
+    return _quadrature(axes, x.shape[1], integrand, weight=phi)
 
 
 def convolve_extended_c_substituted(phi, F_ext, case, m, base_points,
@@ -364,7 +356,7 @@ def convolve_extended_group(phi, F_ext, case, m, base_points, shift_points,
     x = np.atleast_2d(np.asarray(base_points, dtype=float))[None, :, :]
     s = np.atleast_2d(np.asarray(shift_points, dtype=float))[None, :, :]
     if not B.unimodular:
-        return _group_convolution(B, [phi], lambda b: F_ext(b, s), x, axes)[0]
+        return _group_convolution(B, phi, lambda b: F_ext(b, s), x, axes)
 
     def integrand(n):
         q = empty_columns((n, x.shape[1], B.dim))
@@ -381,6 +373,9 @@ def convolve_extended_group(phi, F_ext, case, m, base_points, shift_points,
 
 
 # ── exact lattice engines ────────────────────────────────────────────────────
+# Each takes a sequence of k probes p in place of one weight and evaluates f
+# (or F̃) once for all of them: a (k, npoints) array, row j for the j-th
+# probe, in the C order of the output lattice, float when every input is.
 
 def _difference_nodes(out_axis, node_axis):
     """The P_node + P_out − 1 values of out − node, ascending; the two axes
@@ -418,35 +413,40 @@ def _lattice_convolve(nodes, diffs, p_node, p_out, sum_axis=None):
                                     for pn, po in zip(p_node, p_out))]
 
 
-def convolve_group_lattice(g, f, out_axes, axes):
-    """(g∗f)(X) on N with m = 3 at every node of out_axes, as GridFunction.
+def _probe_samples(probes, axes):
+    """The probes' samples on the mesh of axes, stacked: (k, *points)."""
+    mesh = grid_mesh(axes)
+    return np.stack([np.asarray(p(mesh)) for p in probes])
+
+
+def convolve_group_lattice(probes, f, out_axes, axes):
+    """(p∗f)(X) on N with m = 3 for each of the probes p, at every node of
+    out_axes.
 
     The same Riemann sum as convolve_group over the nodes of axes, exact up
     to rounding in O(P⁴ log P).  For X = (x, z, y) and Y = (a, c, b),
     Y^{-1}X = (x−a, z−c−a(y−b), y−b): for each pair (x, a) the (z, y) sum is
-    a 2-D linear convolution of g(a, ·, ·) with f(ι(a)⁻¹(x, σ, s)) =
+    a 2-D linear convolution of p(a, ·, ·) with f(ι(a)⁻¹(x, σ, s)) =
     f(x−a, σ−a·s, s) on the difference lattice (σ, s), the quotient taken by
-    the N law's ldiv.  f is any callable on N coordinates.  The z
-    and y axes of out_axes must share their steps with those of axes.
+    the N law's ldiv.  f is any callable on N coordinates.  The z and y
+    axes of out_axes must share their steps with those of axes.
     """
     out_axes, axes = tuple(out_axes), tuple(axes)
     sigma = _difference_nodes(out_axes[1], axes[1])
     s = _difference_nodes(out_axes[2], axes[2])
     iota_a = law("K1", 3).iota(grid_nodes(axes[0])[:, None])
     x = node_mesh([grid_nodes(out_axes[0]), sigma, s])
-    pts = law("N", 3).ldiv(iota_a[:, None, None, :], x[:, None])
-    diffs = np.asarray(f(pts), dtype=complex)
-    weights = np.asarray(g(grid_mesh(axes)), dtype=complex)
+    diffs = f(law("N", 3).ldiv(iota_a[:, None, None, :], x[:, None]))
+    weights = _probe_samples(probes, axes)[:, None]
     out = _lattice_convolve(weights, diffs, [ax.points for ax in axes[1:]],
-                            [ax.points for ax in out_axes[1:]], sum_axis=1)
+                            [ax.points for ax in out_axes[1:]], sum_axis=2)
     cell = float(np.prod([ax.step for ax in axes]))
-    return GridFunction(out_axes, out * cell)
+    return out.reshape(len(probes), -1) * cell
 
 
 def convolve_group_pullback_lattice(probes, g, out_axes, axes):
     """(p∗g)∘Γ⁻¹ on K1 with m = 3 for each of the probes p, at every node of
-    the M lattice out_axes: a (k, npoints) array, row j for the j-th probe,
-    in the C order of the M mesh.
+    the M lattice out_axes.
 
     The same Riemann sum over the nodes of axes as convolve_group at Γ⁻¹ of
     the M mesh, exact up to rounding in O(P⁴ log P).  For Y = (a, c, b) and
@@ -456,10 +456,9 @@ def convolve_group_pullback_lattice(probes, g, out_axes, axes):
     and the (a, b) sum is taken in frequency space.  The arguments are the
     N law's ldiv on K1's gamma_inv.  One u plane at a time, in blocks of
     (a, b) nodes sized as the direct engines' (_block_size), g is evaluated
-    once for all the probes, on P_u·P_a·P_b·P_vy·(P_z,out + P_z,node − 1)
-    points in all.  out_axes are in M order (z, y, x); their z axis must
-    share its step with that of axes.  The rows are float when g and every
-    probe are.
+    on P_u·P_a·P_b·P_vy·(P_z,out + P_z,node − 1) points in all.  out_axes
+    are in M order (z, y, x); their z axis must share its step with that of
+    axes.
     """
     out_axes, axes = tuple(out_axes), tuple(axes)
     sigma = _difference_nodes(out_axes[0], axes[1])
@@ -471,10 +470,9 @@ def convolve_group_pullback_lattice(probes, g, out_axes, axes):
     n = _block_size((axes[0], axes[2]), planes[0, ..., 0].size)
     q = empty_columns((n,) + planes.shape[1:])
     abinv = empty_columns((n, 1, 1, 3))
-    mesh = grid_mesh(axes)
-    weights = np.stack([np.asarray(p(mesh)) for p in probes])
     p_c = axes[1].points
-    weights = weights.transpose(0, 1, 3, 2).reshape(len(probes), -1, 1, p_c)
+    weights = _probe_samples(probes, axes).transpose(0, 1, 3, 2).reshape(
+        len(probes), -1, 1, p_c)
     rows = []
     for plane in planes:
         row = 0.0
@@ -489,28 +487,30 @@ def convolve_group_pullback_lattice(probes, g, out_axes, axes):
     return out.reshape(len(probes), -1) * cell
 
 
-def convolve_extended_c_lattice(phi, F_ext, m, out_axes, axes):
-    """(φ ∗_c F) on K1 at base acting slots 0, at every node of the M
-    lattice out_axes, as GridFunction.
+def convolve_extended_c_lattice(probes, F_ext, m, out_axes, axes):
+    """(p ∗_c F) on K1 at base acting slots 0 for each of the probes p, at
+    every node of the M lattice out_axes.
 
-    out_axes are M axes in (top, shift) order, axes φ's node axes on N in
-    (acting, top) order.  With the acting slots 0 the ∗_c translate of
-    (v, u) by Y is F((0, v − y_top), u − y_act), so the sum is one linear
-    convolution of φ's node samples, taken in M order, with F sampled once
-    on the difference lattice: the same Riemann sum as convolve_extended_c,
-    exact up to rounding.  Each M axis must share its step with its node axis.
+    out_axes are M axes in (top, shift) order, axes the probes' node axes
+    on N in (acting, top) order.  With the acting slots 0 the ∗_c translate
+    of (v, u) by Y is F((0, v − y_top), u − y_act), so the sum is one linear
+    convolution of p's node samples, taken in M order, with F sampled on
+    the difference lattice: the same Riemann sum as convolve_extended_c,
+    exact up to rounding.  Each M axis must share its step with its node
+    axis.
     """
     out_axes, axes = tuple(out_axes), tuple(axes)
     L = law("K1", m)
     order = L.m_order
     nodes_m = [axes[i] for i in order]
     diff = [_difference_nodes(o, n) for o, n in zip(out_axes, nodes_m)]
-    diffs = np.asarray(F_ext(*L.m_split(node_mesh(diff))), dtype=complex)
-    weights = np.asarray(phi(grid_mesh(axes)), dtype=complex).transpose(order)
+    diffs = F_ext(*L.m_split(node_mesh(diff)))
+    weights = _probe_samples(probes, axes).transpose(
+        (0,) + tuple(1 + i for i in order))
     out = _lattice_convolve(weights, diffs, [ax.points for ax in nodes_m],
                             [ax.points for ax in out_axes])
     cell = float(np.prod([ax.step for ax in axes]))
-    return GridFunction(out_axes, out * cell)
+    return out.reshape(len(probes), -1) * cell
 
 
 # ── reduction identities ─────────────────────────────────────────────────────
@@ -576,8 +576,8 @@ def projected_convolution_check(phi, f, case, m, axes_ext, freq_indices):
         # convolution per shift value u, on the x nodes (−h, 0)
         out_axes = (Axis(0.0, base_axes[0].step, 2),) + base_axes[1:]
         conv = np.stack(
-            [convolve_group_lattice(phi, lambda b: F_ext(b, np.array([u])),
-                                    out_axes, base_axes).samples[1]
+            [convolve_group_lattice([phi], lambda b: F_ext(b, np.array([u])),
+                                    out_axes, base_axes).reshape(2, -1)[1]
              for u in grid_nodes(axes_ext[d_base])], axis=-1)
     else:
         base, shift = L.m_split(grid_mesh(m_axes).reshape(-1, d_base))

@@ -5,10 +5,10 @@ finite dictionary: a list of generators on N together with their left
 convolutions against a fixed probe set.  Ideal membership of ψ∗g is proxied
 by the least-squares distance of its grid samples from the span of the
 dictionary, solved through the normal equations on the cached Gram matrix.
-Grid samples of the dictionary's convolutions come from the exact lattice
-engines of ``harmonic``: on N, on M, and pulled back through Γ⁻¹ onto the M
-lattice, where Γ⁻¹ shears N's z by x·y.  The intertwining, at points off
-the lattice, goes through the direct engines.
+One function samples the dictionary's convolutions on N, on M, and pulled
+back through Γ⁻¹ onto the M lattice ("T"; Γ⁻¹ shears N's z by x·y) by the
+exact lattice engines of ``harmonic``, one call per generator for all the
+probes.  The intertwining, off the lattice, goes through the direct engines.
 
 The correspondence under Γ is tested two ways:
 
@@ -51,15 +51,27 @@ def _tilde(f, m):
     return lambda base, shift: tilde_eval_coords(f, "K1", m, base, shift)
 
 
-def _convolution_samples(psi, g, m, axes, out_axes, side):
-    """ψ∗g (side "N") or (ψ ∗_c g̃)|_M (side "M") at every node of
-    out_axes, flattened in C order, by the side's exact lattice engine,
-    with ψ's quadrature nodes on the N axes of the Heisenberg group."""
-    if side == "M":
-        gf = convolve_extended_c_lattice(psi, _tilde(g, m), m, out_axes, axes)
+def _convolution_rows(model, side, probes):
+    """p∗g on N ("N"), (p ∗_c g̃)|_M ("M") or (p∗g)∘Γ⁻¹ on M ("T") for the
+    probes p, outer, and the model's generators g: one row each, by one
+    call of the side's lattice engine per generator for all the probes."""
+    m, axes, out_axes = model.m, model.axes, model._side_axes(side)
+    if side == "N":
+        rows = [convolve_group_lattice(probes, g, out_axes, axes)
+                for g in model.generators]
+    elif side == "M":
+        rows = [convolve_extended_c_lattice(probes, _tilde(g, m), m,
+                                            out_axes, axes)
+                for g in model.generators]
     else:
-        gf = convolve_group_lattice(psi, g, out_axes, axes)
-    return gf.samples.ravel()
+        rows = [convolve_group_pullback_lattice(probes, g, out_axes, axes)
+                for g in model.generators]
+    return np.stack(rows, axis=1).reshape(-1, rows[0].shape[1])
+
+
+def _gram(model, side):
+    V = model.samples(side)
+    return (V.conj() @ V.T) * model.cell(side)
 
 
 @dataclass
@@ -76,13 +88,27 @@ class IdealModel:
     gram_m: np.ndarray = None
     _cache: dict = field(default_factory=dict, repr=False)
 
+    def _side_axes(self, side):
+        if side not in ("N", "M", "T"):
+            raise ValueError(f"side must be 'N', 'M' or 'T', got {side!r}")
+        return self.axes if side == "N" else self.axes_m
+
     def samples(self, side):
-        """Grid samples of the dictionary on a side, rows = members."""
+        """Grid samples of the dictionary on a side, rows = members: the
+        generators, then _convolution_rows of the probes.  "M" is the ∗_c-
+        rebuilt dictionary, "T" the N one pulled back; built on first use."""
+        if side not in self._cache:
+            mesh = grid_mesh(self._side_axes(side))
+            gens = self.generators if side == "N" else [
+                gamma_inv(g, "K1", self.m) for g in self.generators]
+            rows = [np.asarray(g(mesh)).reshape(1, -1) for g in gens]
+            if self.probes:
+                rows.append(_convolution_rows(self, side, self.probes))
+            self._cache[side] = np.concatenate(rows)
         return self._cache[side]
 
     def cell(self, side):
-        axes = self.axes if side == "N" else self.axes_m
-        return float(np.prod([a.step for a in axes]))
+        return float(np.prod([a.step for a in self._side_axes(side)]))
 
 
 def ideal_model(generators, probes, m, axes, axes_m=None):
@@ -101,23 +127,14 @@ def ideal_model(generators, probes, m, axes, axes_m=None):
     if not generators:
         raise ValueError("at least one generator is required")
     L = law("K1", m)
+    if len(axes) != L.base.dim or (axes_m is not None
+                                   and len(axes_m) != L.base.dim):
+        raise ValueError("axis count does not match the group dimension")
     if axes_m is None:  # the N axes in M order (top, shift)
         axes_m = tuple(axes[i] for i in L.m_order)
-    if len(axes) != L.base.dim or len(axes_m) != L.base.dim:
-        raise ValueError("axis count does not match the group dimension")
     model = IdealModel(m=m, generators=list(generators), probes=list(probes),
                        axes=tuple(axes), axes_m=tuple(axes_m))
-    grams = []
-    for side, out_axes in (("N", model.axes), ("M", model.axes_m)):
-        mesh = grid_mesh(out_axes)
-        gens = generators if side == "N" else [
-            gamma_inv(g, "K1", m) for g in generators]
-        rows = [np.asarray(g(mesh), dtype=complex).ravel() for g in gens]
-        rows += [_convolution_samples(p, g, m, axes, out_axes, side)
-                 for p in probes for g in generators]
-        V = model._cache[side] = np.stack(rows)
-        grams.append((V.conj() @ V.T) * model.cell(side))
-    model.gram, model.gram_m = grams
+    model.gram, model.gram_m = _gram(model, "N"), _gram(model, "M")
     return model
 
 
@@ -144,15 +161,11 @@ def closure_residual(model, psi, side):
     """
     if side not in ("N", "M"):
         raise ValueError(f"side must be 'N' or 'M', got {side!r}")
-    out_axes = model.axes if side == "N" else model.axes_m
     V = model.samples(side)
     gram = model.gram if side == "N" else model.gram_m
     cell = model.cell(side)
-    worst = 0.0
-    for g in model.generators:
-        w = _convolution_samples(psi, g, model.m, model.axes, out_axes, side)
-        worst = max(worst, _span_residual(V, gram, cell, w))
-    return worst
+    return max(_span_residual(V, gram, cell, w)
+               for w in _convolution_rows(model, side, [psi]))
 
 
 def transport_gram_deviation(model):
@@ -161,25 +174,11 @@ def transport_gram_deviation(model):
     Pulls each N-side dictionary member back through Γ⁻¹ (a volume-
     preserving coordinate twist), recomputes the Gram on the M grid, and
     compares with the N-side Gram.  The ∗_c-rebuilt M dictionary is *not*
-    used here: it is a different (commutative-picture) object.  Each
-    generator's probe convolutions p∗g are pulled back onto the M lattice
-    by one call of the lattice engine convolve_group_pullback_lattice for
-    all the probes (the same Riemann sum as convolve_group at Γ⁻¹ of the M
-    mesh), and the rows keep the dictionary's order.  The rows stay float
-    when every member is real, so their Gram is a real matrix product.
+    used here: it is a different (commutative-picture) object.  The pulled-
+    back members are model.samples("T"), whose rows stay float when every
+    member is real, so their Gram is a real matrix product.
     """
-    if "T" not in model._cache:
-        mesh = grid_mesh(model.axes_m)
-        gens, probes = model.generators, tuple(model.probes)
-        rows = [gamma_inv(g, "K1", model.m)(mesh).reshape(1, -1)
-                for g in gens]
-        convs = [convolve_group_pullback_lattice(probes, g, model.axes_m,
-                                                 model.axes)
-                 for g in gens] if probes else []
-        model._cache["T"] = np.concatenate(
-            rows + [c[i:i + 1] for i in range(len(probes)) for c in convs])
-    T = model._cache["T"]
-    gram_t = (T.conj() @ T.T) * model.cell("M")
+    gram_t = _gram(model, "T")
     scale = float(np.max(np.abs(model.gram)))
     if scale == 0.0:
         return 0.0

@@ -406,32 +406,6 @@ def test_real_engines_equal_complex_casts(engine):
     assert np.max(np.abs(real - cplx)) <= 1e-12 * np.max(np.abs(cplx))
 
 
-@pytest.mark.parametrize("group, m, axes", [
-    ("N", 3, [Axis(0.0, 5.0, 8), Axis(0.0, 6.0, 4), Axis(0.0, 5.0, 16)]),
-    ("S", 2, [Axis(0.0, 6.4, 16), Axis(0.0, 3.2, 8)]),
-    ("M", 3, [Axis(0.0, 5.0, 8), Axis(0.2, 6.0, 4), Axis(0.0, 5.0, 16)]),
-])
-@pytest.mark.parametrize("chunk", [40, harmonic._CHUNK])
-def test_batched_weights_equal_one_weight_calls(monkeypatch, chunk, group,
-                                                m, axes):
-    # a sequence of weights shares each block's integrand; row j equals
-    # the one-weight call on g_j, a complex weight among them
-    monkeypatch.setattr(harmonic, "_CHUNK", chunk)
-    rng = np.random.default_rng(27)
-    d = len(axes)
-    f = gaussian(rng.uniform(-0.3, 0.3, d), rng.uniform(0.8, 1.4, d))
-    gs = [gaussian(rng.uniform(-0.3, 0.3, d), rng.uniform(0.8, 3.0, d))
-          for _ in range(3)]
-    gs.append(gaussian(rng.uniform(-0.3, 0.3, d), [1.0] * d, coef=0.5 - 2j))
-    pts = rng.uniform(-0.5, 0.5, (7, d))
-    rows = convolve_group(gs, f, group, m, pts, axes)
-    assert rows.shape == (len(gs), len(pts))
-    for g, row in zip(gs, rows):
-        one = convolve_group(g, f, group, m, pts, axes)
-        assert np.max(np.abs(one)) > 0
-        assert np.max(np.abs(row - one)) <= 1e-13 * np.max(np.abs(one))
-
-
 def _count_empty_columns(monkeypatch):
     """Record the shape of every groups.empty_columns call, under each name
     the engines and the laws call it by."""
@@ -638,12 +612,12 @@ def _inline_group_lattice(g, f, out_axes, axes):
     pts[..., 0] = grid_nodes(out_axes[0])[:, None, None, None] - a
     pts[..., 1] = sigma[:, None] - a * s
     pts[..., 2] = s
-    diffs = np.asarray(f(pts), dtype=complex)
-    weights = np.asarray(g(grid_mesh(axes)), dtype=complex)
+    diffs = f(pts)
+    weights = g(grid_mesh(axes))
     out = harmonic._lattice_convolve(
         weights, diffs, [ax.points for ax in axes[1:]],
         [ax.points for ax in out_axes[1:]], sum_axis=1)
-    return out * float(np.prod([ax.step for ax in axes]))
+    return out.ravel() * float(np.prod([ax.step for ax in axes]))
 
 
 @pytest.mark.parametrize("out_axes, axes", [
@@ -657,7 +631,7 @@ def test_group_lattice_engine_equals_inline_formula(out_axes, axes):
     rng = np.random.default_rng(27)
     g = gaussian(rng.uniform(-0.3, 0.3, 3), [4.0, 4.0, 4.0])
     f = gaussian(rng.uniform(-0.3, 0.3, 3), [1.0, 0.4, 0.9])
-    got = convolve_group_lattice(g, f, out_axes, axes).samples
+    got = convolve_group_lattice([g], f, out_axes, axes)[0]
     assert np.max(np.abs(got)) > 0
     assert np.array_equal(got, _inline_group_lattice(g, f, out_axes, axes))
 
@@ -688,11 +662,11 @@ def test_group_lattice_engine_matches_direct(out_axes, axes, kind):
         f_n = lambda b: tilde_eval_coords(f, "K1", 3, b, u)  # noqa: E731
     else:
         f_n = f
-    got = convolve_group_lattice(g, f_n, out_axes, axes)
+    got = convolve_group_lattice([g], f_n, out_axes, axes)
     want = convolve_group(g, f_n, "N", 3, grid_mesh(out_axes).reshape(-1, 3),
                           axes)
-    assert got.axes == tuple(out_axes)
-    assert _rel_dev(got.samples.ravel(), want) <= 1e-12
+    assert got.shape == (1, want.size)
+    assert _rel_dev(got[0], want) <= 1e-12
 
 
 @pytest.mark.parametrize("m, out_axes, axes", [
@@ -714,12 +688,12 @@ def test_extended_c_lattice_engine_matches_direct(m, out_axes, axes):
     def F_ext(base, shift):
         return tilde_eval_coords(f, "K1", m, base, shift)
 
-    got = convolve_extended_c_lattice(phi, F_ext, m, out_axes, axes)
+    got = convolve_extended_c_lattice([phi], F_ext, m, out_axes, axes)
     pts = grid_mesh(out_axes).reshape(-1, d_n)
     base = np.concatenate([np.zeros((len(pts), k)), pts[:, : m - 1]], axis=1)
     want = convolve_extended_c(phi, F_ext, "K1", m, base, pts[:, m - 1:],
                                axes)
-    assert _rel_dev(got.samples.ravel(), want) <= 1e-12
+    assert _rel_dev(got[0], want) <= 1e-12
 
 
 _BENCH_N = [Axis(0.0, 8.0, 8), Axis(0.0, 9.6, 16), Axis(0.0, 8.0, 8)]
@@ -747,7 +721,7 @@ def test_pullback_lattice_engine_matches_direct(out_axes, axes, coef):
     g = gaussian(rng.uniform(-0.3, 0.3, 3), [1.0, 0.4, 0.9])
     got = convolve_group_pullback_lattice(probes, g, out_axes, axes)
     pts = law("K1", 3).gamma_inv(grid_mesh(out_axes)).reshape(-1, 3)
-    want = convolve_group(probes, g, "N", 3, pts, axes)
+    want = np.stack([convolve_group(p, g, "N", 3, pts, axes) for p in probes])
     assert got.shape == want.shape
     assert np.iscomplexobj(got) == (coef != 1.0)
     assert _rel_dev(got, want) <= 1e-12
@@ -774,21 +748,63 @@ def test_pullback_lattice_engine_evaluates_g_on_p4_points(monkeypatch):
     assert points[0] == 4 * 8 * 2 * 64 * (32 + 16 - 1)
 
 
+_AXES_16 = [Axis(0.0, 8.0, 16), Axis(0.0, 9.6, 16), Axis(0.0, 8.0, 16)]
+_AXES_16_M = [_AXES_16[i] for i in law("K1", 3).m_order]
+
+# probes, f → rows: one case per lattice engine on 16³ node and output axes
+_LATTICE_RUNS = {
+    "convolve_group_lattice": lambda probes, f: convolve_group_lattice(
+        probes, f, _AXES_16, _AXES_16),
+    "convolve_extended_c_lattice": lambda probes, f: (
+        convolve_extended_c_lattice(
+            probes, lambda b, s: tilde_eval_coords(f, "K1", 3, b, s), 3,
+            _AXES_16_M, _AXES_16)),
+    "convolve_group_pullback_lattice": lambda probes, f: (
+        convolve_group_pullback_lattice(probes, f, _AXES_16_M, _AXES_16)),
+}
+
+
+@pytest.mark.parametrize("coef", [1.0, 0.5 - 1.5j],
+                         ids=["real", "complex-probe"])
+@pytest.mark.parametrize("name", [n for n in harmonic.__all__
+                                  if n.endswith("_lattice")])
+def test_lattice_engines_return_one_row_per_probe(name, coef):
+    # every lattice engine takes a sequence of probes and returns a
+    # (k, npoints) array in the C order of its output mesh, float for real
+    # inputs; a row is the one-probe call's bit for bit when the batch and
+    # the call share their arithmetic, and to rounding otherwise
+    rng = np.random.default_rng(28)
+    f = gaussian(rng.uniform(-0.3, 0.3, 3), [1.0, 0.4, 0.9])
+    probes = [gaussian(rng.uniform(-0.3, 0.3, 3), [4.0] * 3, coef=c)
+              for c in (1.0, coef, 1.0)]
+    run = _LATTICE_RUNS[name]
+    rows = run(probes, f)
+    assert rows.shape == (3, 16 ** 3)
+    assert np.iscomplexobj(rows) == (coef != 1.0)
+    for p, row in zip(probes, rows):
+        one = run([p], f)
+        assert one.shape == (1, 16 ** 3) and np.max(np.abs(one)) > 0
+        if one.dtype == rows.dtype:
+            assert np.array_equal(row, one[0])
+        else:
+            assert _rel_dev(row, one[0]) <= 1e-13
+
+
 def test_lattice_engines_reject_mismatched_steps():
     f = gaussian([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
     axes = [Axis(0.0, 8.0, 8), Axis(0.0, 9.6, 16), Axis(0.0, 8.0, 8)]
     with pytest.raises(ValueError, match="steps"):
-        convolve_group_lattice(f, f, [axes[0], Axis(0.0, 9.6, 8), axes[2]],
+        convolve_group_lattice([f], f, [axes[0], Axis(0.0, 9.6, 8), axes[2]],
                                axes)
     with pytest.raises(ValueError, match="steps"):
-        convolve_group_lattice(f, f, axes[:2] + [Axis(0.0, 8.0, 16)], axes)
+        convolve_group_lattice([f], f, axes[:2] + [Axis(0.0, 8.0, 16)], axes)
 
     def F_ext(base, shift):
         return tilde_eval_coords(f, "K1", 3, base, shift)
 
     # M order is (z, y, x): pairing the N axes unpermuted mismatches z and x
     with pytest.raises(ValueError, match="steps"):
-        convolve_extended_c_lattice(f, F_ext, 3, axes, axes)
+        convolve_extended_c_lattice([f], F_ext, 3, axes, axes)
     # the pullback pairs M's z (its first axis) with N's z only
     with pytest.raises(ValueError, match="steps"):
         convolve_group_pullback_lattice(
@@ -863,8 +879,8 @@ def _projected_convolution_on_the_extended_grid(phi, f, case, m, axes_ext,
     if L.base is law("N", 3):
         base_axes = axes_ext[:d_base]
         conv = np.stack(
-            [convolve_group_lattice(phi, lambda b: F_ext(b, np.array([u])),
-                                    base_axes, base_axes).samples
+            [convolve_group_lattice([phi], lambda b: F_ext(b, np.array([u])),
+                                    base_axes, base_axes)[0]
              for u in grid_nodes(axes_ext[d_base])], axis=-1)
     else:
         mesh = grid_mesh(axes_ext).reshape(-1, n_ext)

@@ -81,7 +81,7 @@ def test_transport_evaluates_the_generator_once_for_all_probes(monkeypatch):
 
         want = np.stack([gamma_inv(f, "K1", 3)(mesh).ravel()
                          for f in [g] + [conv(p) for p in probes[:k]]])
-        got = model._cache["T"]
+        got = model.samples("T")
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     assert points[0] == points[1] > 0
@@ -99,19 +99,47 @@ def test_samples_are_the_lattice_engines_rows_in_dictionary_order():
         return lambda base, shift: tilde_eval_coords(g, "K1", 3, base, shift)
 
     lattice = {
-        "N": lambda p, g: convolve_group_lattice(p, g, axes_n, axes_n),
+        "N": lambda p, g: convolve_group_lattice([p], g, axes_n, axes_n),
         "M": lambda p, g: convolve_extended_c_lattice(
-            p, tilde(g), 3, axes_m, axes_n),
+            [p], tilde(g), 3, axes_m, axes_n),
     }
     for side, axes in (("N", axes_n), ("M", axes_m)):
         mesh = grid_mesh(axes)
         sampled = gens if side == "N" else [gamma_inv(g, "K1", 3)
                                             for g in gens]
         want = np.stack(
-            [np.asarray(g(mesh), dtype=complex).ravel() for g in sampled]
-            + [lattice[side](p, g).samples.ravel()
-               for p in PROBES for g in gens])
+            [g(mesh).ravel() for g in sampled]
+            + [lattice[side](p, g)[0] for p in PROBES for g in gens])
         assert np.array_equal(model.samples(side), want)
+
+
+def test_ideal_model_evaluates_each_generator_once_per_side(monkeypatch):
+    # one lattice engine call per generator and side evaluates g once for
+    # all the probes, so g's point count does not grow with the probes
+    axes_n = (Axis(0.0, 8.0, 8), Axis(0.0, 9.6, 8), Axis(0.0, 8.0, 8))
+    axes_m = (axes_n[1], axes_n[2], axes_n[0])
+    g = GENS[0]
+    probes = PROBES + [gaussian([-0.1, 0.1, 0.2], [4.0, 4.0, 4.0])]
+    call, points = TestFunction.__call__, []
+
+    def spy(self, x):
+        if self is g:
+            points[-1] += np.asarray(x)[..., 0].size
+        return call(self, x)
+
+    monkeypatch.setattr(TestFunction, "__call__", spy)
+    for k in (1, 3):
+        points.append(0)
+        ideal_model([g], probes[:k], 3, axes_n, axes_m)
+    assert points[0] == points[1] > 0
+
+
+@pytest.mark.parametrize("side", ["N", "M"])
+def test_probes_are_members(side):
+    # closure_residual's one-probe rows lie in the span of the batched ones
+    model = heisenberg_model()
+    for p in model.probes:
+        assert closure_residual(model, p, side) <= 1e-12
 
 
 def test_model_validation():
@@ -119,6 +147,15 @@ def test_model_validation():
         ideal_model([], PROBES, 3, AXES_N, AXES_M)
     with pytest.raises(ValueError):
         ideal_model(GENS, PROBES, 3, AXES_N[:2], AXES_M)
+    # the count is checked before the default M axes are built from N's
+    with pytest.raises(ValueError, match="axis count"):
+        ideal_model(GENS, PROBES, 3, AXES_N[:2])
+    model = heisenberg_model()
+    for side in ("X", "n"):
+        with pytest.raises(ValueError, match="side"):
+            model.samples(side)
+        with pytest.raises(ValueError, match="side"):
+            model.cell(side)
     # the lattice engines serve m = 3 only: refused on N's six axes at m = 4
     with pytest.raises(ValueError, match="m = 3"):
         ideal_model(GENS, PROBES, 4, AXES_N * 2)
