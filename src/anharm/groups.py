@@ -11,8 +11,8 @@ base element with an abelian shift vector; their product is componentwise.
 law(name, m) gives each of N, S, K1, H and the abelian picture M as one
 Law object: its dimension, product and inverse, on N, S and M the quotient
 y⁻¹x, on N and M also x·y⁻¹, and for K1 and H the embedding ι, the slots it
-fills and the Γ coordinate maps.  All operations are pure and act on numpy
-arrays whose last axis holds coordinates.
+fills, the Γ coordinate maps and c_law.  All operations are pure and act on
+numpy arrays whose last axis holds coordinates.
 """
 
 from collections.abc import Callable
@@ -233,15 +233,24 @@ def s_inv(m, p):
     return out
 
 
-def _s_ldiv(m, y, x, out=None, scratch=None):
-    """y⁻¹x = (ρ(−t_y)(n_y⁻¹n_x), t_x − t_y) in S, written into out when
-    given: the N quotient into out, n_y⁻¹ held in scratch, then one ρ in
-    place, its exponentials taken along the axes t_y varies on."""
+def _t_ldiv(m, y, x, out=None, scratch=None):
+    """y⁻¹x = (n_y⁻¹n_x, t_x − t_y) in T = N × ℝ^{m−1}, written into out
+    when given: the N quotient, n_y⁻¹ held in scratch, and x − y on the
+    ℝ^{m−1} slots."""
     d = len(_n_terms(m))
     y, x, out = _operands(out, y, x)
-    for k in range(d, d + m - 1):
-        np.subtract(x[..., k], y[..., k], out=out[..., k])
-    n = _n_ldiv(m, y[..., :d], x[..., :d], out[..., :d], scratch)
+    _m_sub(x[..., d:], y[..., d:], out[..., d:])
+    _n_ldiv(m, y[..., :d], x[..., :d], out[..., :d], scratch)
+    return out
+
+
+def _s_ldiv(m, y, x, out=None, scratch=None):
+    """y⁻¹x = (ρ(−t_y)(n_y⁻¹n_x), t_x − t_y) in S, written into out when
+    given: T's quotient (_t_ldiv), then one ρ in place, its exponentials
+    taken along the axes t_y varies on."""
+    d = len(_n_terms(m))
+    y, x, out = _operands(out, y, x)
+    n = _t_ldiv(m, y, x, out, scratch)[..., :d]
     _rho_into(m, y[..., d:], n, n, sign=-1.0)
     return out
 
@@ -257,19 +266,22 @@ class Law:
     look n_mul, s_mul, ... up when called, so a wrapper installed on those
     module functions sees every call made through a Law.
 
-    On N, S and M, the groups the engines divide by, ldiv(y, x, out,
-    scratch) = y⁻¹x forms a quotient into out when given; on N and M so
-    does rdiv(x, y, out, scratch) = x·y⁻¹.  On N and S y⁻¹'s N part goes
-    into scratch, a buffer of y's shape the caller keeps (a fresh one when
-    None), the N law is applied through n_mul, so a wrapper on n_mul sees
-    it, and on S ρ is taken once.  They call no n_inv, s_mul or s_inv, so
-    wrappers on those no longer see the quotients' work.
+    On N, S, M and T = N × ℝ^{m−1}, the groups the engines divide by,
+    ldiv(y, x, out, scratch) = y⁻¹x forms a quotient into out when given;
+    on N and M so does rdiv(x, y, out, scratch) = x·y⁻¹.  On N, S and T
+    y⁻¹'s N part goes into scratch, a buffer of y's shape the caller keeps
+    (a fresh one when None), the N law is applied through n_mul, so a
+    wrapper on n_mul sees it, and on S ρ is taken once.  They call no
+    n_inv, s_mul or s_inv, so wrappers on those no longer see the
+    quotients' work.
 
     K1 (base N) and H (base S) have the coordinates (base, shift) and the
     componentwise law.  compose(u, b) = ι(u)∘b, where ι puts the shift u
     into the base's acting slots.  The abelian picture M keeps the base's
     top slots and then the shift; m_order lists the base slots in that
     order, and the top slots compose by top_law (ℝ^{m−1} for K1, N for H).
+    c_law is the law of the commutative picture on the base's coordinates,
+    the acting slots composing by addition: M for K1, T for H.
     unimodular says whether the Haar measure is bi-invariant: False on S
     and H, True on N, K1 and M.
     """
@@ -286,6 +298,7 @@ class Law:
     acting: slice = None
     top: slice = None
     top_law: "Law" = None
+    c_law: "Law" = None
     compose: Callable = None
 
     @property
@@ -416,13 +429,16 @@ def law(name, m):
         base, k = law("N", m), d_n - (m - 1)
         return Law("K1", m, d_n + k, *_product(base, k), base=base,
                    acting=slice(0, k), top=slice(k, d_n),
-                   top_law=law("M", m - 1),
+                   top_law=law("M", m - 1), c_law=law("M", d_n),
                    compose=lambda u, b: n_mul(m, law("K1", m).iota(u), b))
     if name == "H":  # shift: A
         base = law("S", m)
+        c_law = Law("T", m, base.dim, *_product(law("N", m), m - 1),
+                    ldiv=lambda y, x, out=None, scratch=None:
+                    _t_ldiv(m, y, x, out, scratch))
         return Law("H", m, base.dim + m - 1, *_product(base, m - 1),
                    unimodular=False, base=base, acting=slice(d_n, base.dim),
-                   top=slice(0, d_n), top_law=law("N", m),
+                   top=slice(0, d_n), top_law=law("N", m), c_law=c_law,
                    compose=lambda u, b: _h_compose(m, u, b))
     raise ValueError(f"unknown group {name!r}")
 

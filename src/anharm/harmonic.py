@@ -253,56 +253,42 @@ def _group_convolution(L, g, f, x, axes):
     return _quadrature(axes, x.shape[1], integrand, weight=g)
 
 
+def _rows(points):
+    """points as one (1, npoints, dim) float row, the layout the direct
+    engines divide by."""
+    return np.atleast_2d(np.asarray(points, dtype=float))[None, :, :]
+
+
 def convolve_group(g, f, group, m, points, axes):
     """(g∗f)(X) = ∫ f(Y^{-1}X) g(Y) dY by Haar quadrature over the axes.
     On "M" with m its dimension, Y^{-1}X = X − Y: the abelian convolution
     g ∗_c f."""
-    x = np.atleast_2d(np.asarray(points, dtype=float))[None, :, :]
-    return _group_convolution(law(group, m), g, f, x, axes)
-
-
-def _put(out, a):
-    """out = a, one coordinate column at a time, a broadcasting against
-    out."""
-    for i in range(out.shape[-1]):
-        np.copyto(out[..., i], a[..., i])
-
-
-def _c_translate(L, base, shift, y, out, scratch):
-    """The ∗_c translate: y's top slots divide the base's on the left by
-    the top law, y's acting slots are subtracted from the shift, and the
-    acting slots stay fixed.
-
-    For H the top law is N's (the T picture is the direct product
-    N × R^{m-1}); the b-slot of the base is untouched.  Both parts are
-    views of out, one (nodes, points, dim) buffer; scratch, of y's top
-    slots' shape, holds their inverse (a fresh one when None).
-    """
-    d_b, a, t, top = L.base.dim, L.acting, L.top, L.top_law
-    nb, ns = out[..., :d_b], out[..., d_b:]
-    _put(nb[..., a], base[..., a])
-    top.ldiv(y[..., t], base[..., t], out=nb[..., t], scratch=scratch)
-    law("M", None).ldiv(y[..., a], shift, out=ns)
-    return nb, ns
+    return _group_convolution(law(group, m), g, f, _rows(points), axes)
 
 
 def convolve_extended_c(phi, F_ext, case, m, base_points, shift_points, axes):
     """(φ ∗_c F)(base, u): quadrature over the base group's coordinates.
 
     φ lives on the base group (N for K1, S for H); F_ext(base, shift) is an
-    extended-group function (typically a tilde extension).
+    extended-group function (typically a tilde extension).  The ∗_c
+    translate by Y is the quotient Y⁻¹X on the commutative picture's law
+    (c_law), X the base with the shift u in its acting slots: those slots
+    of the quotient are F's shift, and the base's own go back in their
+    place.
     """
     L = law(case, m)
-    x = np.atleast_2d(np.asarray(base_points, dtype=float))[None, :, :]
-    s = np.atleast_2d(np.asarray(shift_points, dtype=float))[None, :, :]
+    x, a = _rows(base_points), L.acting
+    X = x.copy()
+    X[..., a] = _rows(shift_points)
+    shift = empty_columns((_block_size(axes, x.shape[1]), x.shape[1],
+                           L.shift_dim))
 
-    def integrand(n):
-        buf = empty_columns((n, x.shape[1], L.dim))
-        yinv = empty_columns((n, 1, L.top_law.dim))
-        return lambda y: F_ext(*_c_translate(L, x, s, y[:, None, :], buf,
-                                             yinv))
+    def f(q):
+        shift[...] = q[..., a]
+        q[..., a] = x[..., a]
+        return F_ext(q, shift)
 
-    return _quadrature(axes, x.shape[1], integrand, weight=phi)
+    return _group_convolution(L.c_law, phi, f, X, axes)
 
 
 def convolve_extended_c_substituted(phi, F_ext, case, m, base_points,
@@ -313,8 +299,7 @@ def convolve_extended_c_substituted(phi, F_ext, case, m, base_points,
     (top, shift) for K1 and (n, shift) for H.
     """
     L = law(case, m)
-    x = np.atleast_2d(np.asarray(base_points, dtype=float))[None, :, :]
-    s = np.atleast_2d(np.asarray(shift_points, dtype=float))[None, :, :]
+    x, s = _rows(base_points), _rows(shift_points)
     d_b, a, t, top = L.base.dim, L.acting, L.top, L.top_law
 
     def integrand(n):
@@ -325,13 +310,13 @@ def convolve_extended_c_substituted(phi, F_ext, case, m, base_points,
         fa, y = empty_columns(lead + (L.dim,)), empty_columns(lead + (d_b,))
         winv = empty_columns((n, 1, top.dim))
         fb, fs = fa[..., :d_b], fa[..., d_b:]
-        _put(fb[..., a], x[..., a])
+        fb[..., a] = x[..., a]
 
         def block_integrand(block):
             w = block[:, None, :]
             wt, ws = w[..., :top.dim], w[..., top.dim:]
-            _put(fb[..., t], wt)
-            _put(fs, ws)
+            fb[..., t] = wt
+            fs[...] = ws
             law("M", None).ldiv(ws, s, out=y[..., a])
             top.rdiv(x[..., t], wt, out=y[..., t], scratch=winv)
             return F_ext(fb, fs) * phi(y)
@@ -353,8 +338,7 @@ def convolve_extended_group(phi, F_ext, case, m, base_points, shift_points,
     arguments, as tilde extensions do.
     """
     B = law(case, m).base
-    x = np.atleast_2d(np.asarray(base_points, dtype=float))[None, :, :]
-    s = np.atleast_2d(np.asarray(shift_points, dtype=float))[None, :, :]
+    x, s = _rows(base_points), _rows(shift_points)
     if not B.unimodular:
         return _group_convolution(B, phi, lambda b: F_ext(b, s), x, axes)
 
@@ -530,9 +514,7 @@ def theorem31_residual(phi, f, case, m, points, axes_phi, axes_f):
     base_points = np.atleast_2d(np.asarray([p[0] for p in points], dtype=float))
     shift_points = np.atleast_2d(np.asarray([p[1] for p in points], dtype=float))
 
-    def F_ext(base, shift):
-        return tilde_eval_coords(f, case, m, base, shift)
-
+    F_ext = partial(tilde_eval_coords, f, case, m)
     if law(case, m).base.unimodular:
         lhs = convolve_extended_group(phi, F_ext, case, m, base_points,
                                       shift_points, axes_f)

@@ -26,6 +26,7 @@ Coordinates on M are ordered (top layer, shift) throughout.
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -47,10 +48,6 @@ __all__ = [
 _GRAM_TOL = 1e-6
 
 
-def _tilde(f, m):
-    return lambda base, shift: tilde_eval_coords(f, "K1", m, base, shift)
-
-
 def _convolution_rows(model, side, probes):
     """p∗g on N ("N"), (p ∗_c g̃)|_M ("M") or (p∗g)∘Γ⁻¹ on M ("T") for the
     probes p, outer, and the model's generators g: one row each, by one
@@ -60,8 +57,9 @@ def _convolution_rows(model, side, probes):
         rows = [convolve_group_lattice(probes, g, out_axes, axes)
                 for g in model.generators]
     elif side == "M":
-        rows = [convolve_extended_c_lattice(probes, _tilde(g, m), m,
-                                            out_axes, axes)
+        rows = [convolve_extended_c_lattice(
+                    probes, partial(tilde_eval_coords, g, "K1", m), m,
+                    out_axes, axes)
                 for g in model.generators]
     else:
         rows = [convolve_group_pullback_lattice(probes, g, out_axes, axes)
@@ -223,7 +221,7 @@ def gamma_intertwine_residual(psi, phi, m, points, axes_psi, axes_f):
     mass.  Returns (residual, scale) with scale = max |ψ∗φ| over the points.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    F = _tilde(phi, m)
+    F = partial(tilde_eval_coords, phi, "K1", m)
     shift0 = np.zeros((pts.shape[0], law("K1", m).shift_dim))
     lhs = convolve_extended_c_substituted(psi, F, "K1", m, pts, shift0, axes_f)
     rhs = convolve_group(psi, phi, "N", m, pts, axes_psi)

@@ -188,7 +188,7 @@ def q_remap(u, case, m):
         u.dim, tuple((c, tuple(slot[i] for i in w)) for c, w in u.terms))
 
 
-def operator_identity_residual(u, f, case, m, points, h_fd=None):
+def operator_identity_residual(u, f, case, m, points):
     """max |P_u f̃(p) − Q_u f̃(p)| over extended points; returns (res, scale).
 
     P_u differentiates the base-group slots (group N for K1, S for H) at
@@ -205,10 +205,10 @@ def operator_identity_residual(u, f, case, m, points, h_fd=None):
         return tilde_eval_coords(f, case, m,
                                  *L.m_split(y, base[:, L.acting]))
 
-    p_vals = apply_P(u, F, L.base.name, m, base, h_fd)
+    p_vals = apply_P(u, F, L.base.name, m, base)
     y0 = np.concatenate([base[:, L.top], shift], axis=1)
     uq = q_remap(EnvelopingElement(y0.shape[1], u.terms), case, m)
-    q_vals = apply_Q(uq, h, y0, h_fd)
+    q_vals = apply_Q(uq, h, y0)
     scale = float(max(np.max(np.abs(p_vals)), np.max(np.abs(q_vals)), 1e-300))
     return float(np.max(np.abs(p_vals - q_vals))), scale
 
@@ -311,7 +311,7 @@ def apply_P_grid(u, f, group, m, axes, h_fd=None):
     return GridFunction(tuple(axes), vals.reshape(mesh.shape[:-1]))
 
 
-def weak_residuals(sol, u, group, m, phis, h_fd=None):
+def weak_residuals(sol, u, group, m, phis):
     """|⟨E, P_uᵗ φ⟩ − φ(e)| per test function φ, by grid quadrature."""
     E = sol.values
     ut = transpose(u)
@@ -319,7 +319,7 @@ def weak_residuals(sol, u, group, m, phis, h_fd=None):
     dim = len(E.axes)
     e = np.zeros(dim)
     for phi in phis:
-        tphi = apply_P_grid(ut, phi, group, m, E.axes, h_fd)
+        tphi = apply_P_grid(ut, phi, group, m, E.axes)
         pairing = np.sum((E.samples * tphi.samples).ravel(order="C")) * E.cell
         out.append(float(abs(pairing - complex(phi(e)))))
     return out

@@ -306,10 +306,12 @@ def test_rho_on_row_major_t_equals_rho_on_columns(m):
 
 @pytest.mark.parametrize("width", [8, 12])
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
-@pytest.mark.parametrize("name", ["N", "S", "M"])
+@pytest.mark.parametrize("name", ["N", "S", "M", "K1.c_law", "H.c_law"])
 def test_quotients_equal_products_with_inverses(name, m, width):
+    # "K1.c_law": the law of K1's commutative picture (M), "H.c_law" H's (T)
     rng = np.random.default_rng(70 + m)
-    L = law(name, m)
+    case, _, attr = name.partition(".")
+    L = getattr(law(case, m), attr) if attr else law(case, m)
     pairs = [  # (y, x): broadcast stacks, one element, strided views
         (rng.uniform(-1, 1, (6, 1, L.dim)), rng.uniform(-1, 1, (1, 5, L.dim))),
         (rng.uniform(-1, 1, L.dim), rng.uniform(-1, 1, (7, L.dim))),
@@ -318,7 +320,7 @@ def test_quotients_equal_products_with_inverses(name, m, width):
     for y, x in pairs:
         quotients = [
             (L.ldiv(y, x), L.mul(L.inv(y), x), lambda o: L.ldiv(y, x, o))]
-        if name != "S":  # S divides on the left only
+        if name in ("N", "M"):  # S and the c_laws divide on the left only
             quotients.append(
                 (L.rdiv(x, y), L.mul(x, L.inv(y)), lambda o: L.rdiv(x, y, o)))
         for got, want, div in quotients:
@@ -333,7 +335,7 @@ def test_quotients_equal_products_with_inverses(name, m, width):
         # scratch: a kept buffer of y's shape that takes y⁻¹
         scratch = empty_columns(y.shape)
         assert np.array_equal(L.ldiv(y, x, scratch=scratch), L.ldiv(y, x))
-        if name != "S":
+        if name in ("N", "M"):
             assert np.array_equal(L.rdiv(x, y, scratch=scratch), L.rdiv(x, y))
 
 

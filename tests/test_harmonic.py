@@ -562,11 +562,6 @@ def test_filled_engines_equal_concatenated_formulas(monkeypatch, chunk,
     def F_ext(b, s):
         return tilde_eval_coords(f, case, m, b, s)
 
-    out = groups.empty_columns((len(y), len(base), law(case, m).dim))
-    got = harmonic._c_translate(law(case, m), base[None], shift[None], y,
-                                out, None)
-    want = _concatenated_c_translate(case, m, base[None], shift[None], y)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
     for engine, formula in [(convolve_extended_c, _concatenated_c),
                             (convolve_extended_c_substituted,
                              _concatenated_c_substituted)]:
