@@ -233,25 +233,38 @@ def s_inv(m, p):
     return out
 
 
-def _t_ldiv(m, y, x, out=None, scratch=None):
-    """y⁻¹x = (n_y⁻¹n_x, t_x − t_y) in T = N × ℝ^{m−1}, written into out
-    when given: the N quotient, n_y⁻¹ held in scratch, and x − y on the
-    ℝ^{m−1} slots."""
-    d = len(_n_terms(m))
-    y, x, out = _operands(out, y, x)
-    _m_sub(x[..., d:], y[..., d:], out[..., d:])
-    _n_ldiv(m, y[..., :d], x[..., :d], out[..., :d], scratch)
-    return out
+def _an_ldiv(m, y, x, out, scratch, rho):
+    """y⁻¹x = (P, t_x − t_y) with P = n_y⁻¹n_x in T = N × ℝ^{m−1}, and
+    (ρ(−t_y)P, t_x − t_y) in S when rho, written into out when given.
 
-
-def _s_ldiv(m, y, x, out=None, scratch=None):
-    """y⁻¹x = (ρ(−t_y)(n_y⁻¹n_x), t_x − t_y) in S, written into out when
-    given: T's quotient (_t_ldiv), then one ρ in place, its exponentials
-    taken along the axes t_y varies on."""
+    y is one array, or an (N part, A part) pair whose leading axes
+    broadcast against each other and x's: a node block's N-block and
+    A-block.  Given one array, P is formed in out's N slots, n_y⁻¹ in
+    scratch (y's shape), and ρ taken in place.  Given a pair, the N law
+    runs at the N part's broadcast with x only, n_y⁻¹ into scratch[0] (the
+    N part's shape) and P into scratch[1]; ρ's exponentials are taken at
+    the A part's shape, and each N slot of out gets one broadcast product
+    (on T, one copy) of P's.  The values are the one-array form's on the
+    broadcast concatenation, bit for bit."""
     d = len(_n_terms(m))
-    y, x, out = _operands(out, y, x)
-    n = _t_ldiv(m, y, x, out, scratch)[..., :d]
-    _rho_into(m, y[..., d:], n, n, sign=-1.0)
+    x = np.asarray(x, dtype=float)
+    pair = isinstance(y, tuple)
+    if pair:
+        yn, ya = (np.asarray(b, dtype=float) for b in y)
+        yinv, p = (None, None) if scratch is None else scratch
+    else:
+        y = np.asarray(y, dtype=float)
+        yn, ya, yinv = y[..., :d], y[..., d:], scratch
+    if out is None:
+        out = empty_columns(np.broadcast_shapes(
+            yn.shape[:-1], ya.shape[:-1], x.shape[:-1]) + x.shape[-1:])
+    _m_sub(x[..., d:], ya, out[..., d:])
+    p = _n_ldiv(m, yn, x[..., :d], p if pair else out[..., :d], yinv)
+    if rho:
+        _rho_into(m, ya, p, out[..., :d], sign=-1.0)
+    elif pair:
+        for k in range(d):
+            np.copyto(out[..., k], p[..., k])
     return out
 
 
@@ -275,6 +288,13 @@ class Law:
     n_inv, s_mul or s_inv, so wrappers on those no longer see the
     quotients' work.
 
+    split is the slot where the N part ends on S and T, whose elements
+    factor as n·a (on T as (n, 0)·(0, t)), and None on the groups that do
+    not factor so.  Where it is set, ldiv also takes y as an (N part,
+    A part) pair of broadcastable blocks, with scratch a pair of buffers
+    (_an_ldiv): the direct engines walk such a group's node blocks as an
+    N-block times an A-block.
+
     K1 (base N) and H (base S) have the coordinates (base, shift) and the
     componentwise law.  compose(u, b) = ι(u)∘b, where ι puts the shift u
     into the base's acting slots.  The abelian picture M keeps the base's
@@ -294,6 +314,7 @@ class Law:
     ldiv: Callable = None
     rdiv: Callable = None
     unimodular: bool = True
+    split: int = None
     base: "Law" = None
     acting: slice = None
     top: slice = None
@@ -424,7 +445,8 @@ def law(name, m):
         return Law("S", m, d_n + m - 1, lambda x, y: s_mul(m, x, y),
                    lambda x: s_inv(m, x),
                    ldiv=lambda y, x, out=None, scratch=None:
-                   _s_ldiv(m, y, x, out, scratch), unimodular=False)
+                   _an_ldiv(m, y, x, out, scratch, rho=True),
+                   unimodular=False, split=d_n)
     if name == "K1":  # shift: the acting layers 1..m-2 of N
         base, k = law("N", m), d_n - (m - 1)
         return Law("K1", m, d_n + k, *_product(base, k), base=base,
@@ -435,7 +457,7 @@ def law(name, m):
         base = law("S", m)
         c_law = Law("T", m, base.dim, *_product(law("N", m), m - 1),
                     ldiv=lambda y, x, out=None, scratch=None:
-                    _t_ldiv(m, y, x, out, scratch))
+                    _an_ldiv(m, y, x, out, scratch, rho=False), split=d_n)
         return Law("H", m, base.dim + m - 1, *_product(base, m - 1),
                    unimodular=False, base=base, acting=slice(d_n, base.dim),
                    top=slice(0, d_n), top_law=law("N", m), c_law=c_law,

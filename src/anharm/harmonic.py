@@ -187,7 +187,34 @@ def _block_size(axes, npoints):
     return min(total, 1 << (max(1, _CHUNK // max(npoints, 1)).bit_length() - 1))
 
 
-def _node_blocks(axes, npoints, out=None):
+def _block_lengths(axes, npoints):
+    """Per axis, the length of the index range every block covers."""
+    size, stride, lengths = _block_size(axes, npoints), 1, []
+    for a in reversed(axes):
+        lengths.insert(0, min(a.points, max(1, size // stride)))
+        stride *= a.points
+    return lengths
+
+
+def _block_lead(axes, npoints, split=None):
+    """The leading shape of every block _node_blocks yields: (nodes,), or
+    given split, (nodes of the first split axes, nodes of the rest)."""
+    lengths = _block_lengths(axes, npoints)
+    if split is None:
+        return (int(np.prod(lengths)),)
+    return int(np.prod(lengths[:split])), int(np.prod(lengths[split:]))
+
+
+def _block_shapes(axes, npoints, split=None):
+    """The shapes of the arrays each block comes as: (nodes, k), or given
+    split, (b_1, 1, split) and (1, b_2, k − split)."""
+    lead, k = _block_lead(axes, npoints, split), len(axes)
+    if split is None:
+        return [lead + (k,)]
+    return [(lead[0], 1, split), (1, lead[1], k - split)]
+
+
+def _node_blocks(axes, npoints, out=None, split=None):
     """Yield (nodes, cell volume): the product grid's nodes in C order, in
     blocks of _block_size nodes.  Axis sizes are powers of two too, so a
     block is a product of index ranges, one per axis, of the same lengths
@@ -195,48 +222,74 @@ def _node_blocks(axes, npoints, out=None):
     columns are contiguous, as the group laws lay out theirs.  Given out, a
     (block size, k) array in that layout, every block is written into it,
     and the columns of axes that every block covers whole are written once;
-    the consumer must not change it."""
+    the consumer must not change it.
+
+    Given split, each block is yielded as its two factor blocks: the nodes
+    of the first split axes, shaped (b_1, 1, split), and those of the rest,
+    shaped (1, b_2, k − split), whose broadcast concatenation is the block
+    in the same C order.  out is then a pair of buffers of those shapes."""
     shape = [a.points for a in axes]
     grids = [grid_nodes(a) for a in axes]
     cell = float(np.prod([a.step for a in axes]))
     total = int(np.prod(shape))
     size = _block_size(axes, npoints)
+    lengths = _block_lengths(axes, npoints)
+    shapes = _block_shapes(axes, npoints, split)
+    cuts = [0, len(axes)] if split is None else [0, split, len(axes)]
+    kept = out is not None
+    bufs = [out] if split is None else out or [None, None]
     for lo in range(0, total, size):
-        ranges, lengths, stride = [], [], total
-        for p, g in zip(shape, grids):
+        ranges, stride = [], total
+        for p, g, n in zip(shape, grids, lengths):
             stride //= p
-            start, n = lo // stride % p, min(p, max(1, size // stride))
-            whole = out is not None and lo > 0 and n == p
-            ranges.append(None if whole else g[start:start + n])
-            lengths.append(n)
-        if out is None:
-            yield node_mesh(ranges).reshape(-1, len(axes)), cell
-        else:
-            node_mesh(ranges, out.reshape(tuple(lengths) + (len(axes),),
-                                          copy=False))
-            yield out, cell
+            start = lo // stride % p
+            ranges.append(None if kept and lo > 0 and n == p
+                          else g[start:start + n])
+        blocks = [empty_columns(s) if buf is None else buf
+                  for s, buf in zip(shapes, bufs)]
+        for i, j, block in zip(cuts, cuts[1:], blocks):
+            node_mesh(ranges[i:j], block.reshape(
+                tuple(lengths[i:j]) + (j - i,), copy=False))
+        yield (blocks[0] if split is None else tuple(blocks)), cell
 
 
-def _quadrature(axes, npoints, integrand, weight=None):
+def _at(f, y):
+    """f at the node block y: a dense block, or a pair of factor blocks
+    taken at their broadcast concatenation.  A TestFunction evaluates a
+    pair factored (TestFunction.on_blocks); any other callable gets the
+    dense concatenation, as testfuncs.sample dispatches."""
+    if not isinstance(y, tuple):
+        return f(y)
+    if isinstance(f, TestFunction):
+        return f.on_blocks(*y)
+    lead = np.broadcast_shapes(*(b.shape[:-1] for b in y))
+    return f(np.concatenate([np.broadcast_to(b, lead + b.shape[-1:])
+                             for b in y], axis=-1))
+
+
+def _quadrature(axes, npoints, integrand, weight=None, split=None):
     """Σ over the nodes y of the axes' product grid, block by block, of
     F(y)·cell, or with a weight w, of w(y)·cell·F(y), one tensordot of each
-    block's node weights with F: npoints sums.  F(y) holds one row of
-    npoints values per node.  The sums are float when w and F are.
+    block's node weights with F: npoints sums.  F(y) holds a row of
+    npoints values per node, in the block's C order.  The sums are float
+    when w and F are.
 
-    Every block has the same n nodes, so integrand(n) is called once: it
-    allocates the buffers every block refills and returns F.  The block's
-    nodes are refilled in place too."""
-    n = _block_size(axes, npoints)
-    block_integrand = integrand(n)
+    Every block has the same leading shape, lead (_block_lead), so
+    integrand(lead) is called once: it allocates the buffers every block
+    refills and returns F.  The block's nodes are refilled in place too.
+    Given split, F gets each block as its factor blocks (_node_blocks),
+    and w is taken at them by _at."""
+    block_integrand = integrand(_block_lead(axes, npoints, split))
+    out = [empty_columns(s) for s in _block_shapes(axes, npoints, split)]
+    out = out[0] if split is None else tuple(out)
     total = None
-    for y, cell in _node_blocks(axes, npoints,
-                                out=empty_columns((n, len(axes)))):
-        vals = np.asarray(block_integrand(y))
+    for y, cell in _node_blocks(axes, npoints, out=out, split=split):
+        vals = np.asarray(block_integrand(y)).reshape(-1, npoints)
         if weight is None:
             part = vals.sum(axis=0) * cell
         else:
-            part = np.tensordot(np.asarray(weight(y)) * cell, vals,
-                                axes=(0, 0))
+            part = np.tensordot((np.asarray(_at(weight, y)) * cell).ravel(),
+                                vals, axes=(0, 0))
         total = part if total is None else total + part
     return total
 
@@ -244,13 +297,23 @@ def _quadrature(axes, npoints, integrand, weight=None):
 def _group_convolution(L, g, f, x, axes):
     """Σ over the nodes y of the axes of g(y)·cell·f(y⁻¹x).  x is
     (1, npoints, L.dim); the quotient y⁻¹x is L's ldiv into a kept buffer,
-    y⁻¹ into kept scratch."""
-    def integrand(n):
-        q = empty_columns((n,) + x.shape[1:])
-        yinv = empty_columns((n, 1, L.dim))
-        return lambda y: f(L.ldiv(y[:, None, :], x, out=q, scratch=yinv))
+    y⁻¹ into kept scratch.  On a law that splits (Law.split), each block
+    is an N-block (b_N, 1, 1, ·) and an A-block (1, b_A, 1, ·), and ldiv
+    takes the pair: the N law runs on the N-block, into a kept partial
+    quotient, and ρ's exponentials on the A-block."""
+    split = L.split
 
-    return _quadrature(axes, x.shape[1], integrand, weight=g)
+    def integrand(lead):
+        q = empty_columns(lead + x.shape[1:])
+        if split is None:
+            yinv = empty_columns(lead + (1, L.dim))
+            return lambda y: f(L.ldiv(y[:, None, :], x, out=q, scratch=yinv))
+        scratch = (empty_columns((lead[0], 1, 1, split)),
+                   empty_columns((lead[0], 1) + x.shape[1:-1] + (split,)))
+        return lambda y: f(L.ldiv((y[0][..., None, :], y[1][..., None, :]),
+                                  x, out=q, scratch=scratch))
+
+    return _quadrature(axes, x.shape[1], integrand, weight=g, split=split)
 
 
 def _rows(points):
@@ -280,8 +343,8 @@ def convolve_extended_c(phi, F_ext, case, m, base_points, shift_points, axes):
     x, a = _rows(base_points), L.acting
     X = x.copy()
     X[..., a] = _rows(shift_points)
-    shift = empty_columns((_block_size(axes, x.shape[1]), x.shape[1],
-                           L.shift_dim))
+    shift = empty_columns(_block_lead(axes, x.shape[1], L.c_law.split)
+                          + (x.shape[1], L.shift_dim))
 
     def f(q):
         shift[...] = q[..., a]
@@ -302,28 +365,28 @@ def convolve_extended_c_substituted(phi, F_ext, case, m, base_points,
     x, s = _rows(base_points), _rows(shift_points)
     d_b, a, t, top = L.base.dim, L.acting, L.top, L.top_law
 
-    def integrand(n):
-        # w = (top, shift): F at (x_act, w_top; w_shift), φ at
-        # (x_top ⊘ w_top, s − w_shift); F's (base, shift) share one buffer,
-        # whose x_act slots every block shares
-        lead = (n, x.shape[1])
-        fa, y = empty_columns(lead + (L.dim,)), empty_columns(lead + (d_b,))
-        winv = empty_columns((n, 1, top.dim))
-        fb, fs = fa[..., :d_b], fa[..., d_b:]
+    def integrand(lead):
+        # w = (top, shift), walked as a top block (b_top, 1, 1, ·) times a
+        # shift block (1, b_s, 1, ·): F at ((x_act, w_top), w_shift), φ at
+        # (x_top ⊘ w_top, s − w_shift) in slot order; the x_act slots of
+        # F's base are written once
+        fb = empty_columns((lead[0], 1, x.shape[1], d_b))
         fb[..., a] = x[..., a]
+        y_top = empty_columns((lead[0], 1, x.shape[1], top.dim))
+        y_shift = empty_columns((1, lead[1], x.shape[1], L.shift_dim))
+        winv = empty_columns((lead[0], 1, 1, top.dim))
+        y = (y_top, y_shift) if t.start < a.start else (y_shift, y_top)
 
         def block_integrand(block):
-            w = block[:, None, :]
-            wt, ws = w[..., :top.dim], w[..., top.dim:]
+            wt, ws = (b[..., None, :] for b in block)
             fb[..., t] = wt
-            fs[...] = ws
-            law("M", None).ldiv(ws, s, out=y[..., a])
-            top.rdiv(x[..., t], wt, out=y[..., t], scratch=winv)
-            return F_ext(fb, fs) * phi(y)
+            law("M", None).ldiv(ws, s, out=y_shift)
+            top.rdiv(x[..., t], wt, out=y_top, scratch=winv)
+            return F_ext(fb, ws) * _at(phi, y)
 
         return block_integrand
 
-    return _quadrature(axes, x.shape[1], integrand)
+    return _quadrature(axes, x.shape[1], integrand, split=top.dim)
 
 
 def convolve_extended_group(phi, F_ext, case, m, base_points, shift_points,
@@ -342,9 +405,9 @@ def convolve_extended_group(phi, F_ext, case, m, base_points, shift_points,
     if not B.unimodular:
         return _group_convolution(B, phi, lambda b: F_ext(b, s), x, axes)
 
-    def integrand(n):
-        q = empty_columns((n, x.shape[1], B.dim))
-        zinv = empty_columns((n, 1, B.dim))
+    def integrand(lead):
+        q = empty_columns(lead + (x.shape[1], B.dim))
+        zinv = empty_columns(lead + (1, B.dim))
 
         def block_integrand(block):
             z = block[:, None, :]

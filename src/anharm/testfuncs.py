@@ -48,28 +48,54 @@ class TestFunction:
         object.__setattr__(self, "terms", tuple(norm))
 
     def __call__(self, x):
-        """Evaluate at points, shape (..., dim) → (...), one coordinate
-        column at a time with no (..., dim) temporaries.  Float when
-        is_real, as on_grid, and complex otherwise."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
-            raise ValueError(f"expected last axis {self.dim}, got {x.shape[-1]}")
-        shape = x.shape[:-1]
+        """Evaluate at points, shape (..., dim) → (...): on_blocks with the
+        one block x.  It takes exactly one array, whose leading axes give
+        the number of points."""
+        return self.on_blocks(x)
+
+    def on_blocks(self, *blocks):
+        """Evaluate at the concatenation of coordinate blocks, shapes
+        (..., d_1), (..., d_2), ... with Σ d_k = dim, whose leading axes
+        broadcast: (...) of their broadcast shape.  Float when is_real, as
+        on_grid, and complex otherwise.
+
+        One coordinate column at a time, with no (..., dim) temporaries,
+        and each column's own work at its block's shape: only the running
+        sum of -½ w_i d_i² grows to the broadcast shape, at the first
+        column whose block widens it.  The arithmetic and its order are
+        those of one block, so the values equal __call__ on the broadcast
+        concatenation bit for bit."""
+        blocks = [np.asarray(b, dtype=float) for b in blocks]
+        dim = sum(b.shape[-1] for b in blocks)
+        if dim != self.dim:
+            raise ValueError(f"expected last axis {self.dim}, got {dim}")
+        # per column: its values, its block's scratch d and sq, and the
+        # running sum's buffer from that column on, each allocated once
+        cols, sums, shape = [], {}, None
+        for b in blocks:
+            lead = b.shape[:-1]
+            shape = lead if shape is None else np.broadcast_shapes(shape, lead)
+            if shape not in sums:
+                sums[shape] = np.empty(shape)
+            d, sq = np.empty(lead), np.empty(lead)
+            cols += [(b[..., j], d, sq, sums[shape]) for j in range(b.shape[-1])]
+        shape = () if shape is None else shape
         real = self.is_real
         out = (np.empty if self.terms else np.zeros)(
             shape, dtype=float if real else complex)
-        d, sq, val = np.empty(shape), np.empty(shape), np.empty(shape)
         for n, (c, alpha, mu, w) in enumerate(self.terms):
             hw = -0.5 * w  # a power-of-two scale is exact: -½ Σ w_i d_i²
-            for i in range(self.dim):
-                np.subtract(x[..., i], mu[i], out=d)
+            val = cols[0][3]
+            for i, (x, d, sq, total) in enumerate(cols):
+                np.subtract(x, mu[i], out=d)
                 acc = np.multiply(d, hw[i], out=sq if i else val)
                 acc *= d
                 if i:
-                    val += sq
+                    val = np.add(val, sq, out=total)
             np.exp(val, out=val)
             for i in np.flatnonzero(alpha):
-                val *= np.subtract(x[..., i], mu[i], out=d) ** alpha[i]
+                x, d = cols[i][:2]
+                val *= np.subtract(x, mu[i], out=d) ** alpha[i]
             if real:
                 c = c.real
             if n:

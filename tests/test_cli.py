@@ -586,6 +586,27 @@ def test_gate_margin_over_seeds(capsys, check, cases, seeds):
                 seed, case, line["value"])
 
 
+def test_intertwine_gate_margin_over_seeds(capsys, monkeypatch):
+    # the line's 20 points come from the seed; the dictionary lines draw
+    # nothing from it, so with them stubbed each seed runs only the ∗_c/∗
+    # intertwining, and seed 0 gives the real verify line's value
+    assert main(["verify", "ideals", "--seed", "0"]) == 0
+    real, = [ln["value"] for ln in
+             map(json.loads, capsys.readouterr().out.splitlines())
+             if ln["metric"] == "intertwine_rel_residual"]
+    monkeypatch.setattr(cli, "ideal_model", lambda *args: None)
+    monkeypatch.setattr(cli, "transport_gram_deviation", lambda model: 0.0)
+    monkeypatch.setattr(cli, "correspondence_check", lambda model, fns: [
+        ideals.CorrespondenceLine(0.0, 0.0, 0.0)])
+    for seed in range(32):
+        cfg = cli.RunConfig(seed=seed, probes=None, dictionary_size=None,
+                            tolerance=None)
+        (_, _, value, gate), = [ln for ln in cli.check_ideals(cfg)
+                                if ln[1] == "intertwine_rel_residual"]
+        assert seed or value == real
+        assert 3.0 * value <= gate, (seed, value)
+
+
 def test_ideals_transport_gate_margin(capsys):
     # the line draws nothing from the seed; on an M z window as narrow as
     # N's its margin was 1.96, because Γ⁻¹ shears z by x·y

@@ -337,6 +337,28 @@ def test_quotients_equal_products_with_inverses(name, m, width):
         assert np.array_equal(L.ldiv(y, x, scratch=scratch), L.ldiv(y, x))
         if name in ("N", "M"):
             assert np.array_equal(L.rdiv(x, y, scratch=scratch), L.rdiv(x, y))
+    if L.split is None:
+        return
+    # S and T also divide by y as an (N-block, A-block) pair: the dense
+    # quotient on the broadcast block, bit for bit, with an A-block of one
+    # node and of many, fresh and into out with kept scratch
+    k = L.split
+    x = rng.uniform(-1, 1, (1, 1, 5, L.dim))
+    yn = rng.uniform(-1, 1, (6, 1, 1, k))
+    for b_a in (1, 4):
+        ya = rng.uniform(-1, 1, (1, b_a, 1, L.dim - k))
+        lead = (6, b_a, 1)
+        want = L.ldiv(np.concatenate([np.broadcast_to(yn, lead + (k,)),
+                                      np.broadcast_to(ya, lead + ya.shape[-1:])],
+                                     axis=-1), x)
+        out = empty_columns(want.shape)
+        scratch = (empty_columns(yn.shape), empty_columns((6, 1, 5, k)))
+        for got in (L.ldiv((yn, ya), x),
+                    L.ldiv((yn, ya), x, out=out, scratch=scratch)):
+            assert got.shape == want.shape
+            assert (np.ascontiguousarray(got).tobytes()
+                    == np.ascontiguousarray(want).tobytes())
+        assert L.ldiv((yn, ya), x, out=out, scratch=scratch) is out
 
 
 @pytest.mark.parametrize("name", ["N", "S"])

@@ -1,3 +1,8 @@
+import importlib
+import importlib.util
+import pathlib
+import time
+
 import numpy as np
 import pytest
 
@@ -316,6 +321,43 @@ def test_theorem31_sides_match_direct_oracle():
     assert np.max(np.abs(lhs - rhs)) < 1e-3 * scale
     assert np.max(np.abs(plain - rhs)) < 1e-3 * scale
     assert np.max(np.abs(plain - lhs)) < 1e-3 * scale
+
+
+def _perfbench_tracing():
+    """perfbench's tracer module, loaded read-only from its file."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_h_m3_residual_equals_untraced_with_additive_spans():
+    # the tracer wraps TestFunction.__call__ and the engines and counts each
+    # call's points from its one array: a tuple of factor blocks reaching a
+    # wrapped function would fail there
+    tracing = _perfbench_tracing()
+    for _, module, *_ in tracing.TARGETS:  # install() looks each one up
+        importlib.import_module(module)
+    rng = np.random.default_rng(9)
+    phi, f, pts = _pair(rng, 5, [1.0] * 3 + [5.0] * 2, 2, 0.3)
+    axes = [Axis(0.0, 4.0, 8)] * 3 + [Axis(0.0, 1.6, 4)] * 2
+    want = theorem31_residual(phi, f, "H", 3, pts[:2], axes, axes)
+    tracer = tracing.Tracer()
+    tracer.install()
+    t0 = time.perf_counter_ns()
+    try:
+        got = harmonic.theorem31_residual(phi, f, "H", 3, pts[:2], axes, axes)
+    finally:
+        wall = time.perf_counter_ns() - t0
+        tracer.uninstall()
+    assert got == want
+    rounds = [{"wall_ns": wall, "traced": True, "pinv_fallbacks": 0},
+              {"wall_ns": wall, "traced": False, "pinv_fallbacks": 0}]
+    metrics, additive = tracing.summarize(tracer.spans, tracer.counts, rounds)
+    assert additive
+    assert metrics["harmonic.convolve_extended_group_pairs"]["value"] > 0
+    assert metrics["testfuncs.eval_points"]["value"] > 0
 
 
 def test_theorem31_h_m2_margin_over_seeds():

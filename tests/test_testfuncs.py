@@ -92,6 +92,32 @@ def test_real_function_evaluates_to_float(dim):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("shapes", [
+    [(40, 5)],
+    [(8, 1, 3), (1, 6, 2)],
+    [(1, 1, 2), (5, 1, 1), (1, 4, 2)],
+    [(3, 1, 1, 3), (1, 1, 4, 2)],
+    [(3,), (2,)],
+], ids=["one-block", "N-by-A", "three-blocks", "size-1-axes", "one-point"])
+def test_on_blocks_equals_call_on_the_concatenation(shapes):
+    # each column at its own block's shape, in __call__'s order: every
+    # value is __call__'s on the broadcast concatenation, bit for bit
+    rng = np.random.default_rng(90)
+    g = gaussian(rng.uniform(-0.5, 0.5, 5), rng.uniform(0.5, 2.0, 5))
+    fs = [g, derivative(derivative(derivative(g, 1), 1), 3),
+          _multi_term(rng, 5)]
+    assert len(fs[1].terms) > 1 and any(np.any(a) for _, a, _, _ in fs[1].terms)
+    assert not fs[2].is_real
+    blocks = [rng.uniform(-2.5, 2.5, s) for s in shapes]
+    lead = np.broadcast_shapes(*(b.shape[:-1] for b in blocks))
+    dense = np.concatenate([np.broadcast_to(b, lead + b.shape[-1:])
+                            for b in blocks], axis=-1)
+    for f in fs:
+        got, want = f.on_blocks(*blocks), f(dense)
+        assert got.dtype == want.dtype and got.shape == want.shape == lead
+        assert got.tobytes() == want.tobytes()
+
+
 def test_evaluate_single_point_gives_zero_dim_array():
     f = _multi_term(np.random.default_rng(3), 3)
     x = np.array([0.2, -0.4, 0.7])
