@@ -268,6 +268,21 @@ def _an_ldiv(m, y, x, out, scratch, rho):
     return out
 
 
+def _t_rdiv(m, x, y, out=None, scratch=None):
+    """x·y⁻¹ = (n_x·n_y⁻¹, t_x − t_y) on T = N × ℝ^{m−1}, as its (N part,
+    A part) pair, into out (a pair of buffers) when given.  y is such a
+    pair, or one array split where its N part ends; n_y⁻¹ goes into
+    scratch (_n_inverse)."""
+    d = len(_n_terms(m))
+    x = np.asarray(x, dtype=float)
+    if not isinstance(y, tuple):
+        y = np.asarray(y, dtype=float)
+        y = y[..., :d], y[..., d:]
+    out = out or (None, None)
+    return (_n_rdiv(m, x[..., :d], y[0], out[0], scratch),
+            _m_sub(x[..., d:], y[1], out[1]))
+
+
 # ── the law table ────────────────────────────────────────────────────────────
 
 @dataclass(frozen=True, eq=False)
@@ -281,7 +296,8 @@ class Law:
 
     On N, S, M and T = N × ℝ^{m−1}, the groups the engines divide by,
     ldiv(y, x, out, scratch) = y⁻¹x forms a quotient into out when given;
-    on N and M so does rdiv(x, y, out, scratch) = x·y⁻¹.  On N, S and T
+    on N, M and T so does rdiv(x, y, out, scratch) = x·y⁻¹, which T, a
+    direct product, returns as its (N part, A part) pair.  On N, S and T
     y⁻¹'s N part goes into scratch, a buffer of y's shape the caller keeps
     (a fresh one when None), the N law is applied through n_mul, so a
     wrapper on n_mul sees it, and on S ρ is taken once.  They call no
@@ -290,18 +306,18 @@ class Law:
 
     split is the slot where the N part ends on S and T, whose elements
     factor as n·a (on T as (n, 0)·(0, t)), and None on the groups that do
-    not factor so.  Where it is set, ldiv also takes y as an (N part,
-    A part) pair of broadcastable blocks, with scratch a pair of buffers
-    (_an_ldiv): the direct engines walk such a group's node blocks as an
-    N-block times an A-block.
+    not factor so.  Where it is set, ldiv and rdiv also take y as an
+    (N part, A part) pair of broadcastable blocks, ldiv with scratch a
+    pair of buffers (_an_ldiv): the direct engines walk such a group's
+    node blocks as an N-block times an A-block.
 
     K1 (base N) and H (base S) have the coordinates (base, shift) and the
     componentwise law.  compose(u, b) = ι(u)∘b, where ι puts the shift u
     into the base's acting slots.  The abelian picture M keeps the base's
     top slots and then the shift; m_order lists the base slots in that
-    order, and the top slots compose by top_law (ℝ^{m−1} for K1, N for H).
-    c_law is the law of the commutative picture on the base's coordinates,
-    the acting slots composing by addition: M for K1, T for H.
+    order.  c_law is the law of the commutative picture on the base's
+    coordinates, the top slots composing as in M (ℝ^{m−1} for K1, N for H)
+    and the acting slots by addition: M for K1, T for H.
     unimodular says whether the Haar measure is bi-invariant: False on S
     and H, True on N, K1 and M.
     """
@@ -318,7 +334,6 @@ class Law:
     base: "Law" = None
     acting: slice = None
     top: slice = None
-    top_law: "Law" = None
     c_law: "Law" = None
     compose: Callable = None
 
@@ -352,7 +367,7 @@ class Law:
     def m_split(self, points, acting=0.0):
         """M points (top, shift) → (base coordinates with `acting` in the
         acting slots, shift)."""
-        nt = self.top_law.dim
+        nt = len(range(self.base.dim)[self.top])
         base = np.empty(points.shape[:-1] + (self.base.dim,))
         base[..., self.acting] = acting
         base[..., self.top] = points[..., :nt]
@@ -450,17 +465,18 @@ def law(name, m):
     if name == "K1":  # shift: the acting layers 1..m-2 of N
         base, k = law("N", m), d_n - (m - 1)
         return Law("K1", m, d_n + k, *_product(base, k), base=base,
-                   acting=slice(0, k), top=slice(k, d_n),
-                   top_law=law("M", m - 1), c_law=law("M", d_n),
+                   acting=slice(0, k), top=slice(k, d_n), c_law=law("M", d_n),
                    compose=lambda u, b: n_mul(m, law("K1", m).iota(u), b))
     if name == "H":  # shift: A
         base = law("S", m)
         c_law = Law("T", m, base.dim, *_product(law("N", m), m - 1),
                     ldiv=lambda y, x, out=None, scratch=None:
-                    _an_ldiv(m, y, x, out, scratch, rho=False), split=d_n)
+                    _an_ldiv(m, y, x, out, scratch, rho=False),
+                    rdiv=lambda x, y, out=None, scratch=None:
+                    _t_rdiv(m, x, y, out, scratch), split=d_n)
         return Law("H", m, base.dim + m - 1, *_product(base, m - 1),
                    unimodular=False, base=base, acting=slice(d_n, base.dim),
-                   top=slice(0, d_n), top_law=law("N", m), c_law=c_law,
+                   top=slice(0, d_n), c_law=c_law,
                    compose=lambda u, b: _h_compose(m, u, b))
     raise ValueError(f"unknown group {name!r}")
 

@@ -187,69 +187,43 @@ def _block_size(axes, npoints):
     return min(total, 1 << (max(1, _CHUNK // max(npoints, 1)).bit_length() - 1))
 
 
-def _block_lengths(axes, npoints):
-    """Per axis, the length of the index range every block covers."""
-    size, stride, lengths = _block_size(axes, npoints), 1, []
-    for a in reversed(axes):
-        lengths.insert(0, min(a.points, max(1, size // stride)))
-        stride *= a.points
-    return lengths
-
-
-def _block_lead(axes, npoints, split=None):
-    """The leading shape of every block _node_blocks yields: (nodes,), or
-    given split, (nodes of the first split axes, nodes of the rest)."""
-    lengths = _block_lengths(axes, npoints)
-    if split is None:
-        return (int(np.prod(lengths)),)
-    return int(np.prod(lengths[:split])), int(np.prod(lengths[split:]))
-
-
-def _block_shapes(axes, npoints, split=None):
-    """The shapes of the arrays each block comes as: (nodes, k), or given
-    split, (b_1, 1, split) and (1, b_2, k − split)."""
-    lead, k = _block_lead(axes, npoints, split), len(axes)
-    if split is None:
-        return [lead + (k,)]
-    return [(lead[0], 1, split), (1, lead[1], k - split)]
-
-
-def _node_blocks(axes, npoints, out=None, split=None):
+def _node_blocks(axes, npoints, split=None):
     """Yield (nodes, cell volume): the product grid's nodes in C order, in
     blocks of _block_size nodes.  Axis sizes are powers of two too, so a
     block is a product of index ranges, one per axis, of the same lengths
-    in every block; the full mesh is never built.  Each block's coordinate
-    columns are contiguous, as the group laws lay out theirs.  Given out, a
-    (block size, k) array in that layout, every block is written into it,
-    and the columns of axes that every block covers whole are written once;
-    the consumer must not change it.
+    in every block; the full mesh is never built.  Every block is written
+    into one buffer allocated here, each coordinate column contiguous, as
+    the group laws lay out theirs, and the columns of axes that every block
+    covers whole are written once: the consumer must not change it.
 
-    Given split, each block is yielded as its two factor blocks: the nodes
-    of the first split axes, shaped (b_1, 1, split), and those of the rest,
-    shaped (1, b_2, k − split), whose broadcast concatenation is the block
-    in the same C order.  out is then a pair of buffers of those shapes."""
+    Given split, each block is yielded as its two factor blocks, each in a
+    buffer of its own: the nodes of the first split axes, shaped
+    (b_1, 1, split), and those of the rest, shaped (1, b_2, k − split),
+    whose broadcast concatenation is the block in the same C order."""
     shape = [a.points for a in axes]
     grids = [grid_nodes(a) for a in axes]
     cell = float(np.prod([a.step for a in axes]))
     total = int(np.prod(shape))
-    size = _block_size(axes, npoints)
-    lengths = _block_lengths(axes, npoints)
-    shapes = _block_shapes(axes, npoints, split)
-    cuts = [0, len(axes)] if split is None else [0, split, len(axes)]
-    kept = out is not None
-    bufs = [out] if split is None else out or [None, None]
+    size, stride, lengths = _block_size(axes, npoints), 1, []
+    for p in reversed(shape):
+        lengths.insert(0, min(p, max(1, size // stride)))
+        stride *= p
+    k = len(axes)
+    if split is None:
+        spans, leads = [(0, k)], [(-1,)]
+    else:
+        spans, leads = [(0, split), (split, k)], [(-1, 1), (1, -1)]
+    meshes = [empty_columns(tuple(lengths[i:j]) + (j - i,)) for i, j in spans]
+    blocks = [b.reshape(lead + b.shape[-1:], copy=False)
+              for lead, b in zip(leads, meshes)]
     for lo in range(0, total, size):
         ranges, stride = [], total
         for p, g, n in zip(shape, grids, lengths):
             stride //= p
             start = lo // stride % p
-            ranges.append(None if kept and lo > 0 and n == p
-                          else g[start:start + n])
-        blocks = [empty_columns(s) if buf is None else buf
-                  for s, buf in zip(shapes, bufs)]
-        for i, j, block in zip(cuts, cuts[1:], blocks):
-            node_mesh(ranges[i:j], block.reshape(
-                tuple(lengths[i:j]) + (j - i,), copy=False))
+            ranges.append(None if lo > 0 and n == p else g[start:start + n])
+        for (i, j), mesh in zip(spans, meshes):
+            node_mesh(ranges[i:j], mesh)
         yield (blocks[0] if split is None else tuple(blocks)), cell
 
 
@@ -274,16 +248,21 @@ def _quadrature(axes, npoints, integrand, weight=None, split=None):
     npoints values per node, in the block's C order.  The sums are float
     when w and F are.
 
-    Every block has the same leading shape, lead (_block_lead), so
-    integrand(lead) is called once: it allocates the buffers every block
-    refills and returns F.  The block's nodes are refilled in place too.
-    Given split, F gets each block as its factor blocks (_node_blocks),
-    and w is taken at them by _at."""
-    block_integrand = integrand(_block_lead(axes, npoints, split))
-    out = [empty_columns(s) for s in _block_shapes(axes, npoints, split)]
-    out = out[0] if split is None else tuple(out)
-    total = None
-    for y, cell in _node_blocks(axes, npoints, out=out, split=split):
+    F and w get each block with an axis for the points inserted before the
+    coordinates, (b, 1, k), or given split as its factor blocks
+    (_node_blocks), (b_1, 1, 1, split) and (1, b_2, 1, k − split), w taken
+    at them by _at.  Every block has the same leading shape, lead, (b,) or
+    (b_1, b_2), so integrand(lead) is called once, at the first block: it
+    allocates the buffers every block refills and returns F."""
+    block_integrand = total = None
+    for nodes, cell in _node_blocks(axes, npoints, split):
+        if split is None:
+            lead, y = nodes.shape[:-1], nodes[:, None, :]
+        else:
+            lead = (nodes[0].shape[0], nodes[1].shape[1])
+            y = tuple(b[..., None, :] for b in nodes)
+        if block_integrand is None:
+            block_integrand = integrand(lead)
         vals = np.asarray(block_integrand(y)).reshape(-1, npoints)
         if weight is None:
             part = vals.sum(axis=0) * cell
@@ -306,14 +285,35 @@ def _group_convolution(L, g, f, x, axes):
     def integrand(lead):
         q = empty_columns(lead + x.shape[1:])
         if split is None:
-            yinv = empty_columns(lead + (1, L.dim))
-            return lambda y: f(L.ldiv(y[:, None, :], x, out=q, scratch=yinv))
-        scratch = (empty_columns((lead[0], 1, 1, split)),
-                   empty_columns((lead[0], 1) + x.shape[1:-1] + (split,)))
-        return lambda y: f(L.ldiv((y[0][..., None, :], y[1][..., None, :]),
-                                  x, out=q, scratch=scratch))
+            scratch = empty_columns(lead + (1, L.dim))
+        else:
+            scratch = (empty_columns((lead[0], 1, 1, split)),
+                       empty_columns((lead[0], 1) + x.shape[1:-1] + (split,)))
+        return lambda y: f(L.ldiv(y, x, out=q, scratch=scratch))
 
     return _quadrature(axes, x.shape[1], integrand, weight=g, split=split)
+
+
+def _substituted_convolution(L, F, phi, x, axes):
+    """Σ over the nodes w of the axes of F(w)·cell·φ(x·w⁻¹), the mirror of
+    _group_convolution with the nodes on F: the quotient x·w⁻¹ is L's rdiv
+    into kept buffers, w⁻¹ into kept scratch, and φ is taken by _at at
+    whatever rdiv returns.  On a law that splits, F and rdiv get w as its
+    N-block (b_N, 1, 1, ·) and A-block (1, b_A, 1, ·)."""
+    split = L.split
+
+    def integrand(lead):
+        if split is None:
+            q = empty_columns(lead + x.shape[1:])
+            winv = empty_columns(lead + (1, L.dim))
+        else:
+            q = (empty_columns((lead[0], 1) + x.shape[1:-1] + (split,)),
+                 empty_columns((1, lead[1]) + x.shape[1:-1]
+                               + (L.dim - split,)))
+            winv = empty_columns((lead[0], 1, 1, split))
+        return lambda w: F(w) * _at(phi, L.rdiv(x, w, out=q, scratch=winv))
+
+    return _quadrature(axes, x.shape[1], integrand, split=split)
 
 
 def _rows(points):
@@ -329,64 +329,55 @@ def convolve_group(g, f, group, m, points, axes):
     return _group_convolution(law(group, m), g, f, _rows(points), axes)
 
 
+def _c_picture(F_ext, case, m, base_points, shift_points):
+    """What both ∗_c engines integrate on: c_law; X, the base points with
+    the shifts in their acting slots, as (1, npoints, dim) rows; and F̃ at
+    w in c_law (one array, or on T its (N part, A part) pair): F_ext at
+    w's top slots and the base points' acting slots, with w's acting slots
+    as the shift, in one base buffer allocated at F̃'s first call."""
+    L = law(case, m)
+    x, a, t = _rows(base_points), L.acting, L.top
+    X = x.copy()
+    X[..., a] = _rows(shift_points)
+    base = None
+
+    def F(w):
+        nonlocal base
+        top, shift = w if isinstance(w, tuple) else (w[..., t], w[..., a])
+        if base is None:
+            base = empty_columns(np.broadcast_shapes(
+                top.shape[:-1], x.shape[:-1]) + x.shape[-1:])
+            base[..., a] = x[..., a]
+        base[..., t] = top
+        return F_ext(base, shift)
+
+    return L.c_law, X, F
+
+
 def convolve_extended_c(phi, F_ext, case, m, base_points, shift_points, axes):
     """(φ ∗_c F)(base, u): quadrature over the base group's coordinates.
 
     φ lives on the base group (N for K1, S for H); F_ext(base, shift) is an
     extended-group function (typically a tilde extension).  The ∗_c
     translate by Y is the quotient Y⁻¹X on the commutative picture's law
-    (c_law), X the base with the shift u in its acting slots: those slots
-    of the quotient are F's shift, and the base's own go back in their
-    place.
+    (c_law), X the base with the shift u in its acting slots, at which F
+    is taken as F̃ (_c_picture).
     """
-    L = law(case, m)
-    x, a = _rows(base_points), L.acting
-    X = x.copy()
-    X[..., a] = _rows(shift_points)
-    shift = empty_columns(_block_lead(axes, x.shape[1], L.c_law.split)
-                          + (x.shape[1], L.shift_dim))
-
-    def f(q):
-        shift[...] = q[..., a]
-        q[..., a] = x[..., a]
-        return F_ext(q, shift)
-
-    return _group_convolution(L.c_law, phi, f, X, axes)
+    C, X, F = _c_picture(F_ext, case, m, base_points, shift_points)
+    return _group_convolution(C, phi, F, X, axes)
 
 
 def convolve_extended_c_substituted(phi, F_ext, case, m, base_points,
                                     shift_points, axes):
-    """Same integral as convolve_extended_c after substituting W = p ⊖ Y,
-    so the quadrature nodes sit on F's abelian-slot mass instead of φ's.
-    The substitution has Jacobian 1; `axes` parameterize W in M-order
-    (top, shift) for K1 and (n, shift) for H.
+    """Same integral as convolve_extended_c after substituting W = Y⁻¹X on
+    c_law, so the quadrature nodes sit on F's abelian-slot mass instead of
+    φ's: Σ_W F̃(W)·φ(X·W⁻¹)·cell.  The substitution has Jacobian 1; `axes`
+    parameterize W in the base's coordinates, as convolve_extended_c's
+    parameterize Y.  On H the walk is factored, as T splits; on K1, whose
+    c_law M does not, it is dense.
     """
-    L = law(case, m)
-    x, s = _rows(base_points), _rows(shift_points)
-    d_b, a, t, top = L.base.dim, L.acting, L.top, L.top_law
-
-    def integrand(lead):
-        # w = (top, shift), walked as a top block (b_top, 1, 1, ·) times a
-        # shift block (1, b_s, 1, ·): F at ((x_act, w_top), w_shift), φ at
-        # (x_top ⊘ w_top, s − w_shift) in slot order; the x_act slots of
-        # F's base are written once
-        fb = empty_columns((lead[0], 1, x.shape[1], d_b))
-        fb[..., a] = x[..., a]
-        y_top = empty_columns((lead[0], 1, x.shape[1], top.dim))
-        y_shift = empty_columns((1, lead[1], x.shape[1], L.shift_dim))
-        winv = empty_columns((lead[0], 1, 1, top.dim))
-        y = (y_top, y_shift) if t.start < a.start else (y_shift, y_top)
-
-        def block_integrand(block):
-            wt, ws = (b[..., None, :] for b in block)
-            fb[..., t] = wt
-            law("M", None).ldiv(ws, s, out=y_shift)
-            top.rdiv(x[..., t], wt, out=y_top, scratch=winv)
-            return F_ext(fb, ws) * _at(phi, y)
-
-        return block_integrand
-
-    return _quadrature(axes, x.shape[1], integrand, split=top.dim)
+    C, X, F = _c_picture(F_ext, case, m, base_points, shift_points)
+    return _substituted_convolution(C, F, phi, X, axes)
 
 
 def convolve_extended_group(phi, F_ext, case, m, base_points, shift_points,
@@ -402,21 +393,9 @@ def convolve_extended_group(phi, F_ext, case, m, base_points, shift_points,
     """
     B = law(case, m).base
     x, s = _rows(base_points), _rows(shift_points)
-    if not B.unimodular:
-        return _group_convolution(B, phi, lambda b: F_ext(b, s), x, axes)
-
-    def integrand(lead):
-        q = empty_columns(lead + (x.shape[1], B.dim))
-        zinv = empty_columns(lead + (1, B.dim))
-
-        def block_integrand(block):
-            z = block[:, None, :]
-            y = B.rdiv(x, z, out=q, scratch=zinv)  # Y = base∘Z⁻¹
-            return F_ext(z, s) * phi(y)
-
-        return block_integrand
-
-    return _quadrature(axes, x.shape[1], integrand)
+    if B.unimodular:
+        return _substituted_convolution(B, lambda z: F_ext(z, s), phi, x, axes)
+    return _group_convolution(B, phi, lambda b: F_ext(b, s), x, axes)
 
 
 # ── exact lattice engines ────────────────────────────────────────────────────
@@ -568,11 +547,12 @@ def theorem31_residual(phi, f, case, m, points, axes_phi, axes_f):
     points: iterable of (base coords, shift coords) pairs.  The two sides
     are discretized independently: one with nodes on φ's mass (axes_phi),
     the other with substituted variables placing the nodes on f's mass
-    (axes_f).  For K1 the substitution is applied on the group side
-    (Z = Y^{-1}∘base, convolve_extended_group on N); for H it is applied on
-    the abelian side (W = p ⊖ Y), because the group-side substitution on
-    the non-unimodular S shears the integrand exponentially and is
-    numerically useless.  Returns (residual, scale), scale = max |lhs|.
+    (axes_f), both axes in the base's coordinates.  For K1 the substitution
+    is applied on the group side (Z = Y^{-1}∘base, convolve_extended_group
+    on N); for H it is applied on the abelian side (W = Y⁻¹X on c_law),
+    because the group-side substitution on the non-unimodular S shears the
+    integrand exponentially and is numerically useless.  Returns
+    (residual, scale), scale = max |lhs|.
     """
     base_points = np.atleast_2d(np.asarray([p[0] for p in points], dtype=float))
     shift_points = np.atleast_2d(np.asarray([p[1] for p in points], dtype=float))

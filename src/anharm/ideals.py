@@ -217,13 +217,15 @@ def gamma_intertwine_residual(psi, phi, m, points, axes_psi, axes_f):
     """Max deviation, and the scale, of the ∗_c/∗ intertwining on N.
 
     The commutative side (ψ ∗_c φ̃) restricted to N is quadratured with
-    nodes on φ̃'s abelian-slot mass; the group side ψ∗φ with nodes on ψ's
-    mass.  Returns (residual, scale) with scale = max |ψ∗φ| over the points.
+    nodes on φ̃'s abelian-slot mass (axes_f, in M order); the group side ψ∗φ
+    with nodes on ψ's mass.  Returns (residual, scale), scale = max |ψ∗φ|.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    L = law("K1", m)
     F = partial(tilde_eval_coords, phi, "K1", m)
-    shift0 = np.zeros((pts.shape[0], law("K1", m).shift_dim))
-    lhs = convolve_extended_c_substituted(psi, F, "K1", m, pts, shift0, axes_f)
+    shift0 = np.zeros((pts.shape[0], L.shift_dim))
+    axes_w = [axes_f[i] for i in np.argsort(L.m_order)]  # in base order
+    lhs = convolve_extended_c_substituted(psi, F, "K1", m, pts, shift0, axes_w)
     rhs = convolve_group(psi, phi, "N", m, pts, axes_psi)
     scale = float(np.max(np.abs(rhs)))
     return float(np.max(np.abs(lhs - rhs))), scale

@@ -586,6 +586,22 @@ def test_gate_margin_over_seeds(capsys, check, cases, seeds):
                 seed, case, line["value"])
 
 
+def test_axioms_and_parseval_gate_margin_over_seeds(capsys, monkeypatch):
+    # the group-axioms points and the discrete-parseval samples come from
+    # the seed; with the sampled Plancherel grids stubbed out, the
+    # plancherel check runs only its parseval line
+    monkeypatch.setattr(cli, "_plancherel_axes", lambda cfg: {})
+    for seed in range(32):
+        for check in ("group-axioms", "plancherel"):
+            assert main(["verify", check, "--seed", str(seed)]) == 0
+        lines = list(map(json.loads, capsys.readouterr().out.splitlines()))
+        assert [ln["check"] for ln in lines] == ["group-axioms"] * 8 + [
+            "plancherel"]
+        for line in lines:
+            assert 3.0 * line["value"] <= line["tolerance"], (
+                seed, line["params"], line["value"])
+
+
 def test_intertwine_gate_margin_over_seeds(capsys, monkeypatch):
     # the line's 20 points come from the seed; the dictionary lines draw
     # nothing from it, so with them stubbed each seed runs only the ∗_c/∗

@@ -10,7 +10,9 @@ quotient y⁻¹x or x·y⁻¹ in the one-pass kernels of ``groups.py``: elsewher
 product is taken of an inverse.  A fourth fails on any name in a module's
 ``__all__`` that no code in ``src/anharm``, perfbench or the acceptance tests
 reads outside the name's own definition, unless it is listed, with its
-reason, among the names kept unread.
+reason, among the names kept unread.  A fifth keeps the direct engines on
+two integrand builders: ``harmonic._quadrature``, the one quadrature loop,
+is called only by the group-convolution core and the substituted core.
 """
 
 import ast
@@ -227,3 +229,28 @@ def test_every_public_name_is_reached():
                if p.name != "test_harness.py"] + [ACCEPTANCE]
     found = unused_public_names(src, callers)
     assert found == sorted(UNREAD_KEPT), "\n".join(found)
+
+
+QUADRATURE = ("harmonic.py", "_quadrature")  # the one quadrature loop
+BUILDERS = {"_group_convolution", "_substituted_convolution"}
+
+
+def quadrature_callers(path):
+    """The names of the top-level functions of path whose bodies call the
+    quadrature loop, each with the line of the call."""
+    found = []
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call)
+                    and _subject(node.func) == QUADRATURE[1]):
+                found.append((getattr(top, "name", None), node.lineno))
+    return found
+
+
+def test_quadrature_has_two_callers():
+    callers = quadrature_callers(SRC / QUADRATURE[0])
+    assert {name for name, _ in callers} == BUILDERS, callers
+    others = [f"{p.name}:{line}: {name}" for p in sorted(SRC.glob("*.py"))
+              if p.name != QUADRATURE[0]
+              for name, line in quadrature_callers(p)]
+    assert not others, "\n".join(others)

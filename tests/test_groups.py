@@ -320,8 +320,8 @@ def test_quotients_equal_products_with_inverses(name, m, width):
     for y, x in pairs:
         quotients = [
             (L.ldiv(y, x), L.mul(L.inv(y), x), lambda o: L.ldiv(y, x, o))]
-        if name in ("N", "M"):  # S and the c_laws divide on the left only
-            quotients.append(
+        if L.rdiv is not None and L.split is None:  # S has no x·y⁻¹, and
+            quotients.append(  # T's is a pair, tested below
                 (L.rdiv(x, y), L.mul(x, L.inv(y)), lambda o: L.rdiv(x, y, o)))
         for got, want, div in quotients:
             assert got.shape == want.shape
@@ -335,7 +335,7 @@ def test_quotients_equal_products_with_inverses(name, m, width):
         # scratch: a kept buffer of y's shape that takes y⁻¹
         scratch = empty_columns(y.shape)
         assert np.array_equal(L.ldiv(y, x, scratch=scratch), L.ldiv(y, x))
-        if name in ("N", "M"):
+        if L.rdiv is not None and L.split is None:
             assert np.array_equal(L.rdiv(x, y, scratch=scratch), L.rdiv(x, y))
     if L.split is None:
         return
@@ -359,6 +359,30 @@ def test_quotients_equal_products_with_inverses(name, m, width):
             assert (np.ascontiguousarray(got).tobytes()
                     == np.ascontiguousarray(want).tobytes())
         assert L.ldiv((yn, ya), x, out=out, scratch=scratch) is out
+    if L.rdiv is None:
+        return
+    # T's x·y⁻¹ is the pair (n_x·n_y⁻¹, t_x − t_y) of the N law and M's
+    # subtraction, bit for bit, for y as an (N-block, A-block) pair and as
+    # one array, fresh and into out with kept scratch
+    for b_a in (1, 4):
+        ya = rng.uniform(-1, 1, (1, b_a, 1, L.dim - k))
+        dense = np.concatenate([np.broadcast_to(yn, (6, b_a, 1, k)),
+                                np.broadcast_to(ya, (6, b_a, 1, L.dim - k))],
+                               axis=-1)
+        for y, (y_n, y_a) in (((yn, ya), (yn, ya)),
+                              (dense, (dense[..., :k], dense[..., k:]))):
+            want = (n_mul(m, x[..., :k], n_inv(m, y_n)), x[..., k:] - y_a)
+            out = tuple(empty_columns(w.shape) for w in want)
+            scratch = empty_columns(y_n.shape)
+            for got in (L.rdiv(x, y),
+                        L.rdiv(x, y, out=out, scratch=scratch)):
+                assert len(got) == 2
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape
+                    assert (np.ascontiguousarray(g).tobytes()
+                            == np.ascontiguousarray(w).tobytes())
+            assert all(g is o for g, o in zip(
+                L.rdiv(x, y, out=out, scratch=scratch), out))
 
 
 @pytest.mark.parametrize("name", ["N", "S"])

@@ -494,28 +494,19 @@ def test_engines_allocate_once_per_call(monkeypatch, engine):
 
 @pytest.mark.parametrize("chunk", [1, 3, 40, 200, 1 << 40])
 def test_node_blocks_tile_the_mesh_in_order(monkeypatch, chunk):
-    axes = [Axis(0.3, 5.0, 8), Axis(0.0, 6.0, 4), Axis(-1.0, 5.0, 16)]
-    monkeypatch.setattr(harmonic, "_CHUNK", chunk)
-    blocks, cells = zip(*harmonic._node_blocks(axes, 5))
-    want = grid_mesh(axes).reshape(-1, 3)
-    assert np.array_equal(np.concatenate(blocks), want)
-    assert max(len(b) for b in blocks) * 5 <= max(chunk, 5)
-    assert set(cells) == {1.25 * 3.0 * 0.625}
-
-
-@pytest.mark.parametrize("chunk", [1, 3, 40, 200, 1 << 40])
-def test_kept_node_blocks_equal_fresh_ones(monkeypatch, chunk):
     # one buffer refilled block by block, the columns of whole axes once
     axes = [Axis(0.3, 5.0, 8), Axis(0.0, 6.0, 4), Axis(-1.0, 5.0, 16)]
     monkeypatch.setattr(harmonic, "_CHUNK", chunk)
-    out = groups.empty_columns((harmonic._block_size(axes, 5), 3))
-    kept = [(b is out, b.copy(), cell)
-            for b, cell in harmonic._node_blocks(axes, 5, out=out)]
-    fresh = list(harmonic._node_blocks(axes, 5))
-    assert len(kept) == len(fresh)
-    for (same, b, cell), (want, want_cell) in zip(kept, fresh):
-        assert same and cell == want_cell
-        assert np.array_equal(b, want)
+    blocks, copies, cells = [], [], set()
+    for b, cell in harmonic._node_blocks(axes, 5):
+        blocks.append(b)
+        copies.append(b.copy())
+        cells.add(cell)
+    assert all(b is blocks[0] for b in blocks)
+    want = grid_mesh(axes).reshape(-1, 3)
+    assert np.array_equal(np.concatenate(copies), want)
+    assert max(len(b) for b in copies) * 5 <= max(chunk, 5)
+    assert cells == {1.25 * 3.0 * 0.625}
 
 
 # ── engines against the formulas they replaced ──────────────────────────────
@@ -551,13 +542,13 @@ def _concatenated_c_substituted(phi, F_ext, case, m, base_points,
     for block, cell in harmonic._node_blocks(axes, len(base_points)):
         w = block[:, None, :]
         lead = (len(block), len(base_points))
-        if case == "K1":
+        if case == "K1":  # W in base order: the shift slots, then the top
             k = d_n - (m - 1)
             base = np.concatenate(
                 [np.broadcast_to(x[..., :k], lead + (k,)),
-                 np.broadcast_to(w[..., : m - 1], lead + (m - 1,))], axis=-1)
-            fv = F_ext(base, np.broadcast_to(w[..., m - 1:], lead + (k,)))
-            y = np.concatenate([s - w[..., m - 1:], x[..., k:] - w[..., : m - 1]],
+                 np.broadcast_to(w[..., k:], lead + (m - 1,))], axis=-1)
+            fv = F_ext(base, np.broadcast_to(w[..., :k], lead + (k,)))
+            y = np.concatenate([s - w[..., :k], x[..., k:] - w[..., k:]],
                                axis=-1)
         else:
             base = np.concatenate(
