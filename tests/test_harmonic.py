@@ -494,19 +494,31 @@ def test_engines_allocate_once_per_call(monkeypatch, engine):
 
 @pytest.mark.parametrize("chunk", [1, 3, 40, 200, 1 << 40])
 def test_node_blocks_tile_the_mesh_in_order(monkeypatch, chunk):
-    # one buffer refilled block by block, the columns of whole axes once
     axes = [Axis(0.3, 5.0, 8), Axis(0.0, 6.0, 4), Axis(-1.0, 5.0, 16)]
     monkeypatch.setattr(harmonic, "_CHUNK", chunk)
-    blocks, copies, cells = [], [], set()
-    for b, cell in harmonic._node_blocks(axes, 5):
-        blocks.append(b)
-        copies.append(b.copy())
-        cells.add(cell)
-    assert all(b is blocks[0] for b in blocks)
+    copies, cells = zip(*((b.copy(), cell)
+                          for b, cell in harmonic._node_blocks(axes, 5)))
     want = grid_mesh(axes).reshape(-1, 3)
     assert np.array_equal(np.concatenate(copies), want)
     assert max(len(b) for b in copies) * 5 <= max(chunk, 5)
-    assert cells == {1.25 * 3.0 * 0.625}
+    assert set(cells) == {1.25 * 3.0 * 0.625}
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 40, 200, 1 << 40])
+def test_kept_node_blocks_equal_fresh_ones(monkeypatch, chunk):
+    # one buffer refilled block by block, the columns of whole axes once;
+    # each block, read when it is yielded, is the fresh slice of the mesh
+    axes = [Axis(0.3, 5.0, 8), Axis(0.0, 6.0, 4), Axis(-1.0, 5.0, 16)]
+    monkeypatch.setattr(harmonic, "_CHUNK", chunk)
+    fresh = grid_mesh(axes).reshape(-1, 3)
+    first, start = None, 0
+    for b, cell in harmonic._node_blocks(axes, 5):
+        first = b if first is None else first
+        assert b is first
+        assert np.array_equal(b, fresh[start:start + len(b)])
+        assert cell == 1.25 * 3.0 * 0.625
+        start += len(b)
+    assert start == len(fresh)
 
 
 # ── engines against the formulas they replaced ──────────────────────────────
