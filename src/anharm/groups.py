@@ -233,6 +233,117 @@ def s_inv(m, p):
     return out
 
 
+# The least Gaussian exponent a product-form quotient gives (exponent):
+# exp(-300) ≈ 5e-131, so neither np.exp nor the products that follow it
+# (polynomials, coefficients, node weights down to 1e-177) meet an
+# underflowing or subnormal value, on which each runs many times slower.
+_EXP_FLOOR = -300.0
+
+
+class _ProductQuotient:
+    """y⁻¹x on S for y an N-block times an A-block, in product form: N slot
+    k is G_k·P_k, with G = ρ(−t_y)'s scale on the A-block and P = n_y⁻¹n_x
+    on the N-block, and A slot l is v_l − t_l, with v = t_x at the points
+    and t = t_y on the A-block.  The leading axes are (N-block, A-block,
+    points): P's are (b_N, 1, points), G's and t's (1, b_A, 1), and v's
+    (1, points).  H's ι-composition keeps the form (composed).
+
+    np.asarray gives the dense quotient in one buffer the block keeps, with
+    _an_ldiv's dense arithmetic, bit for bit.  A TestFunction reads the
+    block through exponent and centered instead, at no (b_N, b_A, points,
+    dim) size."""
+
+    def __init__(self, g, p, t, v):
+        self.g, self.p, self.t, self.v = g, p, t, v
+        self.shape = np.broadcast_shapes(
+            g.shape[:-1], p.shape[:-1], t.shape[:-1], v.shape[:-1]) + (
+            g.shape[-1] + t.shape[-1],)
+        self.features = self.gs = self.weights = self.values = None
+        self.dense = self.x = self.child = None
+        self.stale = True  # whether the features predate the last fill
+
+    def __array__(self, dtype=None, copy=None):
+        if self.dense is None:
+            self.dense = empty_columns(self.shape)
+        d = self.p.shape[-1]
+        for k in range(d):
+            np.multiply(self.g[..., k], self.p[..., k], out=self.dense[..., k])
+        for k in range(self.t.shape[-1]):
+            np.subtract(self.v[..., k], self.t[..., k],
+                        out=self.dense[..., d + k])
+        return self.dense.astype(dtype or float, copy=False)
+
+    def exponent(self, hw, mu):
+        """Σ_i hw_i (x_i − μ_i)² over the block's coordinates x, bounded
+        below at _EXP_FLOOR, in one buffer the block keeps, its memory laid
+        out (N-block, points, A-block).
+
+        With s = t + μ_A, it is one matrix product of the features (P², P,
+        v², v, 1) at the N-block and the points, P's formed once per fill
+        and v's once per block, with the A-block's (hw_N·G², −2·hw_N·μ_N·G,
+        hw_A, −2·hw_A·s, Σ hw_A·s² + Σ hw_N·μ_N²)."""
+        b_n, b_a, n = self.shape[:-1]
+        d, a = self.p.shape[-1], self.t.shape[-1]
+        if self.features is None:
+            f = self.features = empty_columns((b_n * n, 2 * (d + a) + 1))
+            v, fv = self.v.reshape(n, a), f[:, 2 * d:-1].reshape(b_n, n, 2 * a)
+            np.multiply(v, v, out=fv[..., :a])
+            np.copyto(fv[..., a:], v)
+            f[:, -1] = 1.0
+            self.gs = np.empty((2 * d, b_a))
+            self.weights = np.empty((2 * (d + a) + 1, b_a))
+            self.values = np.empty((b_n, n, b_a))
+        if self.stale:
+            f, gs = self.features, self.gs
+            p = self.p.reshape(b_n * n, d)
+            np.multiply(p, p, out=f[:, :d])
+            np.copyto(f[:, d:2 * d], p)
+            g = self.g.reshape(b_a, d).T
+            np.multiply(g, g, out=gs[:d])
+            np.copyto(gs[d:], g)
+            self.stale = False
+        w, hn, ha = self.weights, hw[:d, None], hw[d:, None]
+        np.multiply(self.gs, np.vstack([hn, -2.0 * hn * mu[:d, None]]),
+                    out=w[:2 * d])
+        s = self.t.reshape(b_a, a).T + mu[d:, None]
+        w[2 * d:2 * d + a] = ha
+        np.multiply(s, -2.0 * ha, out=w[2 * d + a:-1])
+        np.dot(hw[d:], s * s, out=w[-1])
+        w[-1] += np.dot(hw[:d], mu[:d] * mu[:d])
+        np.matmul(self.features, w, out=self.values.reshape(b_n * n, b_a))
+        np.maximum(self.values, _EXP_FLOOR, out=self.values)
+        return self.values.transpose(0, 2, 1)
+
+    def composed(self, m, u):
+        """ι(u)∘ the block on H, in product form: ρ(u) scales P and u is
+        added to v.  The composition is kept with ρ(u)'s scales, and
+        refilled from the block while u is the same array."""
+        c = self.child
+        if c is None or c.u is not u:
+            scale = rho_apply(m, u, np.ones(self.p.shape[-1]))
+            c = self.child = _ProductQuotient(
+                self.g, np.multiply(scale, self.p), self.t, _m_add(u, self.v))
+            c.u, c.scale = u, scale
+        else:
+            np.multiply(c.scale, self.p, out=c.p)
+            c.g, c.t, c.stale = self.g, self.t, True
+        return c
+
+    def centered(self, i, mu):
+        """x_i − μ for coordinate i, fresh, in exponent's layout."""
+        b_n, b_a, n = self.shape[:-1]
+        d = self.p.shape[-1]
+        if i >= d:
+            col = np.subtract.outer(self.v.reshape(n, -1)[:, i - d],
+                                    self.t.reshape(b_a, -1)[:, i - d])
+            col -= mu
+            return col.T
+        col = np.multiply.outer(self.p.reshape(b_n, n, d)[..., i],
+                                self.g.reshape(b_a, d)[:, i])
+        col -= mu
+        return col.transpose(0, 2, 1)
+
+
 def _an_ldiv(m, y, x, out, scratch, rho):
     """y⁻¹x = (P, t_x − t_y) with P = n_y⁻¹n_x in T = N × ℝ^{m−1}, and
     (ρ(−t_y)P, t_x − t_y) in S when rho, written into out when given.
@@ -245,7 +356,13 @@ def _an_ldiv(m, y, x, out, scratch, rho):
     N part's shape) and P into scratch[1]; ρ's exponentials are taken at
     the A part's shape, and each N slot of out gets one broadcast product
     (on T, one copy) of P's.  The values are the one-array form's on the
-    broadcast concatenation, bit for bit."""
+    broadcast concatenation, bit for bit.
+
+    On S, a pair with out None, or a _ProductQuotient it made for the same
+    x, which it refills, gives the quotient in product form: G, the scales
+    ρ(−t_y) applies, in place of their products with P, and t_y and t_x
+    in place of their difference.  Its blocks must then be an N-block
+    (b_N, 1, 1, ·) and an A-block (1, b_A, 1, ·)."""
     d = len(_n_terms(m))
     x = np.asarray(x, dtype=float)
     pair = isinstance(y, tuple)
@@ -255,6 +372,15 @@ def _an_ldiv(m, y, x, out, scratch, rho):
     else:
         y = np.asarray(y, dtype=float)
         yn, ya, yinv = y[..., :d], y[..., d:], scratch
+    if rho and pair and not isinstance(out, np.ndarray):
+        p = _n_ldiv(m, yn, x[..., :d], p, yinv)
+        if out is None or out.x is not x:
+            out = _ProductQuotient(empty_columns(ya.shape[:-1] + (d,)), p,
+                                   ya, x[..., d:])
+            out.x = x
+        out.p, out.t, out.stale = p, ya, True
+        _rho_into(m, ya, np.ones(d), out.g, sign=-1.0)
+        return out
     if out is None:
         out = empty_columns(np.broadcast_shapes(
             yn.shape[:-1], ya.shape[:-1], x.shape[:-1]) + x.shape[-1:])
@@ -309,7 +435,9 @@ class Law:
     not factor so.  Where it is set, ldiv and rdiv also take y as an
     (N part, A part) pair of broadcastable blocks, ldiv with scratch a
     pair of buffers (_an_ldiv): the direct engines walk such a group's
-    node blocks as an N-block times an A-block.
+    node blocks as an N-block times an A-block.  On S such an ldiv gives
+    the quotient in product form (_ProductQuotient), unless out is a
+    dense array.
 
     K1 (base N) and H (base S) have the coordinates (base, shift) and the
     componentwise law.  compose(u, b) = ι(u)∘b, where ι puts the shift u
@@ -426,7 +554,10 @@ def _product(base, k):
 
 def _h_compose(m, u, b):
     """ι(u)∘(n, t) = (ρ(u)n, u + t) on H: no S product and no zero-padded
-    ι(u) are formed."""
+    ι(u) are formed.  A _ProductQuotient b keeps its form
+    (_ProductQuotient.composed)."""
+    if isinstance(b, _ProductQuotient):
+        return b.composed(m, u)
     d = law("N", m).dim
     out = empty_columns(np.broadcast_shapes(u.shape[:-1], b.shape[:-1])
                         + b.shape[-1:])

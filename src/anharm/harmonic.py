@@ -275,21 +275,28 @@ def _quadrature(axes, npoints, integrand, weight=None, split=None):
 
 def _group_convolution(L, g, f, x, axes):
     """Σ over the nodes y of the axes of g(y)·cell·f(y⁻¹x).  x is
-    (1, npoints, L.dim); the quotient y⁻¹x is L's ldiv into a kept buffer,
-    y⁻¹ into kept scratch.  On a law that splits (Law.split), each block
-    is an N-block (b_N, 1, 1, ·) and an A-block (1, b_A, 1, ·), and ldiv
-    takes the pair: the N law runs on the N-block, into a kept partial
-    quotient, and ρ's exponentials on the A-block."""
+    (1, npoints, L.dim); the quotient y⁻¹x is L's ldiv, made at the first
+    block and refilled at the others, y⁻¹ into kept scratch.  On a law that
+    splits (Law.split), each block is an N-block (b_N, 1, 1, ·) and an
+    A-block (1, b_A, 1, ·), and ldiv takes the pair: the N law runs on the
+    N-block, into a kept partial quotient, and ρ's exponentials on the
+    A-block.  On S, f gets the quotient in product form (groups)."""
     split = L.split
 
     def integrand(lead):
-        q = empty_columns(lead + x.shape[1:])
         if split is None:
             scratch = empty_columns(lead + (1, L.dim))
         else:
             scratch = (empty_columns((lead[0], 1, 1, split)),
                        empty_columns((lead[0], 1) + x.shape[1:-1] + (split,)))
-        return lambda y: f(L.ldiv(y, x, out=q, scratch=scratch))
+        q = None
+
+        def F(y):
+            nonlocal q
+            q = L.ldiv(y, x, out=q, scratch=scratch)
+            return f(q)
+
+        return F
 
     return _quadrature(axes, x.shape[1], integrand, weight=g, split=split)
 
@@ -325,8 +332,10 @@ def _rows(points):
 def convolve_group(g, f, group, m, points, axes):
     """(g∗f)(X) = ∫ f(Y^{-1}X) g(Y) dY by Haar quadrature over the axes.
     On "M" with m its dimension, Y^{-1}X = X − Y: the abelian convolution
-    g ∗_c f."""
-    return _group_convolution(law(group, m), g, f, _rows(points), axes)
+    g ∗_c f.  A TestFunction f takes S's quotients in product form; any
+    other f gets their dense values."""
+    take = f if isinstance(f, TestFunction) else lambda q: f(np.asarray(q))
+    return _group_convolution(law(group, m), g, take, _rows(points), axes)
 
 
 def _c_picture(F_ext, case, m, base_points, shift_points):
@@ -388,7 +397,9 @@ def convolve_extended_group(phi, F_ext, case, m, base_points, shift_points,
     places the nodes on F's mass: ∫ φ(base∘Z^{-1}) F(Z, u) dZ, the axes
     parameterizing Z.  On S the axes parameterize Y, so the nodes sit on
     φ's mass: there the substitution's Jacobian would shear the integrand
-    exponentially.  F_ext must broadcast the leading axes of its two
+    exponentially, and F_ext gets Y^{-1}∘base in product form (groups),
+    which np.asarray makes dense and tilde_eval_coords passes on to a
+    TestFunction.  F_ext must broadcast the leading axes of its two
     arguments, as tilde extensions do.
     """
     B = law(case, m).base

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import empty_columns
+from .groups import _ProductQuotient, empty_columns
 
 __all__ = [
     "TestFunction", "Axis", "GridFunction", "gaussian", "derivative",
@@ -50,7 +50,10 @@ class TestFunction:
     def __call__(self, x):
         """Evaluate at points, shape (..., dim) → (...): on_blocks with the
         one block x.  It takes exactly one array, whose leading axes give
-        the number of points."""
+        the number of points, or an S quotient in product form (groups),
+        whose Gaussian exponents it takes from the block (_terms_at)."""
+        if isinstance(x, _ProductQuotient):
+            return self._terms_at(x.shape[:-1], x.exponent, x.centered)
         return self.on_blocks(x)
 
     def on_blocks(self, *blocks):
@@ -79,12 +82,8 @@ class TestFunction:
                 sums[shape] = np.empty(shape)
             d, sq = np.empty(lead), np.empty(lead)
             cols += [(b[..., j], d, sq, sums[shape]) for j in range(b.shape[-1])]
-        shape = () if shape is None else shape
-        real = self.is_real
-        out = (np.empty if self.terms else np.zeros)(
-            shape, dtype=float if real else complex)
-        for n, (c, alpha, mu, w) in enumerate(self.terms):
-            hw = -0.5 * w  # a power-of-two scale is exact: -½ Σ w_i d_i²
+
+        def exponent(hw, mu):
             val = cols[0][3]
             for i, (x, d, sq, total) in enumerate(cols):
                 np.subtract(x, mu[i], out=d)
@@ -92,16 +91,35 @@ class TestFunction:
                 acc *= d
                 if i:
                     val = np.add(val, sq, out=total)
+            return val
+
+        def centered(i, mu):
+            x, d = cols[i][:2]
+            return np.subtract(x, mu, out=d)
+
+        return self._terms_at(() if shape is None else shape, exponent,
+                              centered)
+
+    def _terms_at(self, shape, exponent, centered):
+        """Σ over the terms of c·Π (x_i-μ_i)^{α_i}·exp(exponent(hw, μ)),
+        hw = -½w: exponent gives Σ hw_i (x_i-μ_i)² in a buffer the term's
+        value is formed in, and centered(i, μ_i) gives x_i-μ_i, read only
+        where α_i > 0."""
+        real = self.is_real
+        dtype = float if real else complex
+        if not self.terms:
+            return np.zeros(shape, dtype)
+        for n, (c, alpha, mu, w) in enumerate(self.terms):
+            val = exponent(-0.5 * w, mu)  # a power-of-two scale is exact
             np.exp(val, out=val)
             for i in np.flatnonzero(alpha):
-                x, d = cols[i][:2]
-                val *= np.subtract(x, mu[i], out=d) ** alpha[i]
+                val *= centered(i, mu[i]) ** alpha[i]
             if real:
                 c = c.real
             if n:
                 out += c * val
             else:
-                np.multiply(val, c, out=out)
+                out = np.multiply(val, c, out=np.empty_like(val, dtype))
         return out
 
     @property

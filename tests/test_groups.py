@@ -404,6 +404,76 @@ def test_quotients_apply_the_law_through_n_mul(monkeypatch, name):
     assert calls == [(6, 5, 3)] * (2 if name == "N" else 1)
 
 
+def _node_pair(rng, m, b_n, b_a):
+    """An N-block (b_n, 1, 1, d) and an A-block (1, b_a, 1, m − 1), laid
+    out as the direct engines' node blocks are."""
+    L = law("S", m)
+    yn = empty_columns((b_n, 1, 1, L.split))
+    ya = empty_columns((1, b_a, 1, L.dim - L.split))
+    yn[...] = rng.uniform(-2, 2, yn.shape)
+    ya[...] = rng.uniform(-1, 1, ya.shape)
+    return yn, ya
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_product_quotient_materializes_the_dense_quotient(m):
+    # S's ldiv of a node pair gives y⁻¹x in product form; np.asarray makes
+    # it dense with the arithmetic of a dense out, bit for bit, when fresh
+    # and when the kept block is refilled by the next pair
+    rng = np.random.default_rng(90 + m)
+    L = law("S", m)
+    x = rng.uniform(-1, 1, (1, 5, L.dim))
+    scratch = (empty_columns((6, 1, 1, L.split)),
+               empty_columns((6, 1, 5, L.split)))
+    block = None
+    for _ in range(2):
+        y = _node_pair(rng, m, 6, 4)
+        want = L.ldiv(y, x, out=empty_columns((6, 4, 5, L.dim)))
+        kept = L.ldiv(y, x, out=block, scratch=scratch)
+        assert block is None or kept is block
+        block = kept
+        assert isinstance(block, groups._ProductQuotient)
+        assert block.shape == want.shape
+        assert np.asarray(block).tobytes() == want.tobytes()
+        assert L.ldiv(y, x).shape == want.shape
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_product_quotient_exponent_and_columns(m):
+    # what a TestFunction reads from the block, and from H's ι-composition
+    # of it, against the same sums on the dense values; the exponent is
+    # bounded below at _EXP_FLOOR
+    rng = np.random.default_rng(95 + m)
+    L = law("S", m)
+    x = rng.uniform(-1, 1, (1, 3, L.dim))
+    u = rng.uniform(-0.5, 0.5, (1, 3, m - 1))
+    block = L.ldiv(_node_pair(rng, m, 4, 8), x)
+    for q, dense in ((block, np.asarray(block).copy()),
+                     (groups._h_compose(m, u, block),
+                      groups._h_compose(m, u, np.asarray(block)))):
+        mu = rng.uniform(-0.5, 0.5, L.dim)
+        hw = -0.5 * rng.uniform(0.5, 2.0, L.dim)
+        sq = np.sum(hw * (dense - mu) ** 2, axis=-1)
+        # the second scale floors about half the values
+        for hw in (hw, hw * (groups._EXP_FLOOR / np.median(sq))):
+            want = np.sum(hw * (dense - mu) ** 2, axis=-1)
+            got = q.exponent(hw, mu)
+            assert got.shape == want.shape
+            assert np.all(got >= groups._EXP_FLOOR)
+            above = want > groups._EXP_FLOOR + 1.0
+            assert above.any()
+            assert np.all(got[~above] <= groups._EXP_FLOOR + 1.0)
+            scale = np.max(np.abs(hw)) * np.max((np.abs(dense) + 1.0) ** 2)
+            assert np.max(np.abs(got - want)[above]) <= 1e-14 * scale
+            first = got.copy()  # the next call refills the same buffer
+            again = q.exponent(hw, mu)
+            assert np.shares_memory(again, got)
+            assert np.array_equal(again, first)
+        for i in range(L.dim):
+            col = np.broadcast_to(q.centered(i, mu[i]), want.shape)
+            assert _max_rel(col, dense[..., i] - mu[i]) <= 1e-15
+
+
 def _inv_formula(m, x):
     """n_inv as the polynomial inverse is written: (x⁻¹)_ij = −x_ij −
     Σ_{i<l<j} x_il (x⁻¹)_lj, each column's rows from j−1 down to 0."""

@@ -8,7 +8,7 @@ import pytest
 
 from anharm.groups import law, n_inv, n_mul, rho_scale, s_mul
 from anharm.testfuncs import (
-    Axis, GridFunction, TestFunction, dual_axis, gaussian, grid_mesh,
+    Axis, GridFunction, TestFunction, derivative, gaussian, grid_mesh,
     grid_nodes, quadrature, sample,
 )
 from anharm import groups, harmonic, ideals, testfuncs
@@ -371,6 +371,92 @@ def test_theorem31_h_m2_margin_over_seeds():
         r, s = theorem31_residual(phi, f, "H", 2, pts, axes, axes)
         margins[seed] = 1e-3 * s / r
     assert min(margins.values()) >= 3.0, margins
+
+
+# ── the S group side in product form ────────────────────────────────────────
+
+def _two_terms(rng, dim, widths, coef):
+    """A sum of two Gaussians, the second with coefficient coef."""
+    a, b = (gaussian(rng.uniform(-0.3, 0.3, dim), widths, c)
+            for c in (1.0, coef))
+    return TestFunction(dim, a.terms + b.terms)
+
+
+# (m, npoints, _CHUNK): m = 5 has 14 axes, so at least 2¹⁴ nodes, which
+# one-node blocks would walk in about 10 s per call
+@pytest.mark.parametrize("m, npoints, chunk", [
+    (m, n, c) for m in (2, 3, 4, 5) for n in (1, 5)
+    for c in (1, harmonic._CHUNK) if (m, c) != (5, 1)])
+def test_product_path_equals_the_materialized_quotient(monkeypatch, m,
+                                                       npoints, chunk):
+    # a TestFunction takes S's quotient in product form; a callable that
+    # materializes the block takes the dense quotient.  f has α ≠ 0
+    # (derivative) and a complex coefficient, f and φ two terms each
+    monkeypatch.setattr(harmonic, "_CHUNK", chunk)
+    rng = np.random.default_rng(40 + m)
+    S = law("S", m)
+    widths = [1.0] * S.split + [3.0] * (m - 1)
+    phi = _two_terms(rng, S.dim, widths, -0.5)
+    f = derivative(_two_terms(rng, S.dim, widths, 0.7 + 0.4j), S.dim - 1)
+    f = derivative(f, 0)
+    axes = ([Axis(0.0, 3.2, 4 if m == 2 else 2)] * S.split
+            + [Axis(0.0, 1.6, 4 if m < 4 else 2)] * (m - 1))
+    base = rng.uniform(-0.4, 0.4, (npoints, S.dim))
+    shift = rng.uniform(-0.4, 0.4, (npoints, m - 1))
+
+    def dense(b, s):
+        return tilde_eval_coords(f, "H", m, np.asarray(b), s)
+
+    def F(b, s):
+        return tilde_eval_coords(f, "H", m, b, s)
+
+    for got, want in [
+            (convolve_extended_group(phi, F, "H", m, base, shift, axes),
+             convolve_extended_group(phi, dense, "H", m, base, shift, axes)),
+            (convolve_group(phi, f, "S", m, base, axes),
+             convolve_group(phi, lambda q: f(np.asarray(q)), "S", m, base,
+                            axes))]:
+        scale = np.max(np.abs(want))
+        assert scale > 0 and got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_theorem31_h_group_side_forms_no_dense_quotient(monkeypatch):
+    # the H group side of theorem31_residual stays in product form: no
+    # block is materialized, and no (b_N, b_A, points, ·) array is made
+    shapes, real = [], groups.empty_columns
+    engine, active = harmonic.convolve_extended_group, []
+
+    def spy(shape):
+        if active:
+            shapes.append(tuple(shape))
+        return real(shape)
+
+    def group_side(*args):
+        active.append(True)
+        try:
+            return engine(*args)
+        finally:
+            active.clear()
+
+    def materialize(*args, **kwargs):
+        raise AssertionError("the H group side formed a dense quotient")
+
+    for module in (groups, harmonic, testfuncs):
+        monkeypatch.setattr(module, "empty_columns", spy)
+    monkeypatch.setattr(harmonic, "convolve_extended_group", group_side)
+    monkeypatch.setattr(groups._ProductQuotient, "__array__", materialize)
+    rng = np.random.default_rng(9)
+    phi, f, pts = _pair(rng, 5, [1.0] * 3 + [5.0] * 2, 2, 0.3)
+    axes = [Axis(0.0, 4.0, 8)] * 3 + [Axis(0.0, 1.6, 4)] * 2
+    r, s = theorem31_residual(phi, f, "H", 3, pts[:5], axes, axes)
+    assert s > 0 and shapes
+    # a block of 2048 nodes (128 N × 16 A) at 5 points: the dense quotient
+    # would be (128, 16, 5, 5); every column buffer is below one of its
+    # columns in size
+    pairs = harmonic._block_size(axes, 5) * 5
+    assert pairs == 2048 * 5
+    assert max(int(np.prod(sh)) for sh in shapes) < pairs, shapes
 
 
 # ── block size ───────────────────────────────────────────────────────────────
