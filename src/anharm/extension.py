@@ -18,7 +18,7 @@ maps are those of ``groups.law(case, m)``.
 
 import numpy as np
 
-from .groups import _ProductQuotient, law
+from .groups import _Bilinear, law
 from .testfuncs import TestFunction
 
 __all__ = ["tilde_eval_coords", "gamma", "gamma_inv"]
@@ -26,12 +26,13 @@ __all__ = ["tilde_eval_coords", "gamma", "gamma_inv"]
 
 def tilde_eval_coords(f, case, m, base, shift):
     """Batched f̃(base, shift) = f(ι(shift) ∘ base) on coordinate arrays.
-    An S quotient in product form (groups) stays in that form for a
-    TestFunction f; any other f gets ι(shift) ∘ its dense values."""
-    if not (isinstance(f, TestFunction)
-            and isinstance(base, _ProductQuotient)):
+    A bilinear block base (groups), and a block shift with it, stay blocks
+    for a TestFunction f; any other f gets ι(shift) ∘ their dense
+    values."""
+    if not (isinstance(f, TestFunction) and isinstance(base, _Bilinear)):
         base = np.asarray(base, dtype=float)
-    shift = np.asarray(shift, dtype=float)
+    if not isinstance(base, _Bilinear) or not isinstance(shift, _Bilinear):
+        shift = np.asarray(shift, dtype=float)
     return f(law(case, m).compose(shift, base))
 
 

@@ -126,9 +126,11 @@ def _n_inverse(m, y, scratch):
 
 
 def _n_ldiv(m, y, x, out=None, scratch=None):
-    """y⁻¹x in N, written into out when given: y⁻¹ into scratch
-    (_n_inverse), then the law through n_mul.  Every value is
-    n_mul(n_inv(y), x)'s, bit for bit."""
+    """y⁻¹x in N, written into out when given (a fresh array for a
+    _Bilinear out): y⁻¹ into scratch (_n_inverse), then the law through
+    n_mul.  Every value is n_mul(n_inv(y), x)'s, bit for bit."""
+    if isinstance(out, _Bilinear):
+        out = None
     y, x, out = _operands(out, y, x)
     return n_mul(m, _n_inverse(m, y, scratch), x, out)
 
@@ -136,7 +138,22 @@ def _n_ldiv(m, y, x, out=None, scratch=None):
 def _n_rdiv(m, x, y, out=None, scratch=None):
     """x·y⁻¹ in N, written into out when given: y⁻¹ into scratch
     (_n_inverse), then the law through n_mul.  Every value is
-    n_mul(x, n_inv(y))'s, bit for bit."""
+    n_mul(x, n_inv(y))'s, bit for bit.  Into a _Bilinear out, the law's
+    terms x_k, y⁻¹_k and x_a·y⁻¹_b are kept apart instead, x on its side
+    and y⁻¹ on y's, so that np.asarray has n_mul's values bit for bit."""
+    if isinstance(out, _Bilinear):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        yinv = _n_inverse(m, y, scratch)
+        key = x, yinv if scratch is None else scratch
+        if not out._made_of(*key):  # n_mul's terms, in its order
+            right = _sides(y, x)
+            out._build(key, right, [
+                (_term(right, x[..., k]), _term(right, yinv[..., k]))
+                + tuple(_times((_term(right, x[..., a]),),
+                               (_term(right, yinv[..., b]),))[0]
+                        for a, b in pairs)
+                for k, pairs in enumerate(_n_terms(m))])
+        return out
     x, y, out = _operands(out, x, y)
     return n_mul(m, x, _n_inverse(m, y, scratch), out)
 
@@ -233,115 +250,316 @@ def s_inv(m, p):
     return out
 
 
-# The least Gaussian exponent a product-form quotient gives (exponent):
-# exp(-300) ≈ 5e-131, so neither np.exp nor the products that follow it
-# (polynomials, coefficients, node weights down to 1e-177) meet an
-# underflowing or subnormal value, on which each runs many times slower.
+# ── bilinear blocks ──────────────────────────────────────────────────────────
+#
+# The direct engines pair a block of nodes with a row of points, and every
+# quotient they form is bilinear in (node features, point features): on N
+# (y⁻¹x)_k = y⁻¹_k + x_k + Σ y⁻¹_a·x_b, on M x − y, on S and T the N slots
+# are products of an N-block-and-points factor with an A-block factor.  A
+# _Bilinear block keeps each coordinate as such a short sum of rank-one
+# terms, so a Gaussian exponent Σ hw_i (x_i − μ_i)² over the block is one
+# matrix product of left features with right weights.
+
+# The least Gaussian exponent a block gives (exponent): exp(-300) ≈ 5e-131,
+# so neither np.exp nor the products that follow it (polynomials,
+# coefficients, node weights down to 1e-177) meet an underflowing or
+# subnormal value, on which each runs many times slower.
 _EXP_FLOOR = -300.0
 
 
-class _ProductQuotient:
-    """y⁻¹x on S for y an N-block times an A-block, in product form: N slot
-    k is G_k·P_k, with G = ρ(−t_y)'s scale on the A-block and P = n_y⁻¹n_x
-    on the N-block, and A slot l is v_l − t_l, with v = t_x at the points
-    and t = t_y on the A-block.  The leading axes are (N-block, A-block,
-    points): P's are (b_N, 1, points), G's and t's (1, b_A, 1), and v's
-    (1, points).  H's ι-composition keeps the form (composed).
+def _on_right(right, shape):
+    """Whether an array of leading shape `shape`, aligned with the last
+    axes of a block whose right factor spans the axes where `right` is
+    True, is a right factor: it varies along right axes only.  An array
+    that varies along no axis is a left one."""
+    own = right[len(right) - len(shape):]
+    spans = [r for r, n in zip(own, shape) if n > 1]
+    if spans and all(spans):
+        return True
+    if any(spans):
+        raise ValueError("an array varies along both factors of a block")
+    return False
 
-    np.asarray gives the dense quotient in one buffer the block keeps, with
-    _an_ldiv's dense arithmetic, bit for bit.  A TestFunction reads the
-    block through exponent and centered instead, at no (b_N, b_A, points,
-    dim) size."""
 
-    def __init__(self, g, p, t, v):
-        self.g, self.p, self.t, self.v = g, p, t, v
-        self.shape = np.broadcast_shapes(
-            g.shape[:-1], p.shape[:-1], t.shape[:-1], v.shape[:-1]) + (
-            g.shape[-1] + t.shape[-1],)
-        self.features = self.gs = self.weights = self.values = None
-        self.dense = self.x = self.child = None
-        self.stale = True  # whether the features predate the last fill
+def _term(right, col, sign=1.0):
+    """The one-factor term sign·col, on the side col varies along."""
+    if _on_right(right, col.shape):
+        return sign, (), (col,)
+    return sign, (col,), ()
+
+
+def _times(a, b):
+    """The terms of the product of two coordinates given as terms."""
+    return tuple((s * t, ls + ms, rs + qs)
+                 for s, ls, rs in a for t, ms, qs in b)
+
+
+def _product_into(factors, out):
+    """out = the product of the factors, in their order (1 for none)."""
+    if not factors:
+        out.fill(1.0)
+    elif len(factors) == 1:
+        np.copyto(out, factors[0])
+    else:
+        np.multiply(factors[0], factors[1], out=out)
+        for f in factors[2:]:
+            out *= f
+    return out
+
+
+def _sides(y, x):
+    """Per leading axis of a quotient of x by y, whether the right factor
+    spans it: the A-block's axis for a node pair (N-block, A-block), whose
+    quotients have the leading axes (N-block, A-block, points), and
+    otherwise every axis along which y does not vary."""
+    if isinstance(y, tuple):
+        return (False, True, False)
+    lead = np.broadcast_shapes(y.shape[:-1], x.shape[:-1])
+    own = (1,) * (len(lead) - y.ndim + 1) + y.shape[:-1]
+    return tuple(n == 1 for n in own)
+
+
+class _Bilinear:
+    """Coordinates on a block of (node, point) pairs, each a short sum of
+    rank-one terms ±L·R: L a product of arrays along the left factor's
+    leading axes, R one along the right factor's.
+
+    right says per leading axis whether the right factor spans it; coords
+    holds per coordinate its terms (sign, left factors, right factors).
+    The right factor is the smaller one: the points on a dense walk, the
+    A-block on a factored one.  shape is the dense block's.
+
+    np.asarray gives the dense coordinates term by term, in one buffer the
+    block keeps: for a quotient the law's dense arithmetic, bit for bit.
+    A TestFunction reads the block through prepare, exponent and centered
+    instead, at no (block, dim) size.  A quotient kernel refills the block
+    it made while its operands are the same arrays (refilled in place, as
+    the engines' buffers are), and what is derived from it (columns,
+    compose) is kept on it as long."""
+
+    def __init__(self, right=(), coords=()):
+        self.right = tuple(right)
+        self.coords = [tuple(c) for c in coords]
+        shapes = [f.shape for c in self.coords for _, ls, rs in c
+                  for f in ls + rs]
+        lead = np.broadcast_shapes(*shapes)
+        self.shape = ((1,) * (len(self.right) - len(lead)) + lead
+                      + (len(self.coords),))
+        self.key = self.plan = self.dense = self.tmp = self.seen = None
+        self.kept, self.arrays = {}, ()
+
+    def _made_of(self, *operands):
+        """Whether the block was built from these very arrays."""
+        return (self.key is not None and len(self.key) == len(operands)
+                and all(a is b for a, b in zip(self.key, operands)))
+
+    def _build(self, operands, right, coords):
+        self.__init__(right, coords)
+        self.key = operands
+        return self
+
+    def _kept(self, name, operand, make):
+        """make()'s block, kept on this one while operand is the same."""
+        hit = self.kept.get(name)
+        if hit is None or hit[0] is not operand:
+            hit = self.kept[name] = (operand, make())
+        return hit[1]
 
     def __array__(self, dtype=None, copy=None):
+        lead = self.shape[:-1]
         if self.dense is None:
             self.dense = empty_columns(self.shape)
-        d = self.p.shape[-1]
-        for k in range(d):
-            np.multiply(self.g[..., k], self.p[..., k], out=self.dense[..., k])
-        for k in range(self.t.shape[-1]):
-            np.subtract(self.v[..., k], self.t[..., k],
-                        out=self.dense[..., d + k])
-        return self.dense.astype(dtype or float, copy=False)
+        for k, terms in enumerate(self.coords):
+            col = self.dense[..., k]
+            for n, (s, ls, rs) in enumerate(terms):
+                fs = ls + rs
+                if n == 0:
+                    _product_into(fs, col)
+                    if s < 0:
+                        np.multiply(col, -1.0, out=col)
+                    continue
+                if len(fs) != 1:
+                    if self.tmp is None:
+                        self.tmp = np.empty(lead)
+                    fs = (_product_into(fs, self.tmp),)
+                (np.add if s > 0 else np.subtract)(col, fs[0], out=col)
+        out = self.dense.astype(dtype or float, copy=False)
+        return out.copy() if copy else out
+
+    def _make_plan(self):
+        """The exponent's layout: Σ_k hw_k (Σ_r s_r L_r R_r − μ_k)², with
+        every product L_r·L_s a left feature and R_r·R_s a right row, as
+        the cells (feature, row) of one matrix whose entries are hw_k·(a +
+        b·μ_k + c·μ_k²).  Each term's own L_r (R_r) is a feature (row),
+        the products of its factors, and each product of two is one
+        multiplication of theirs."""
+        lead = self.shape[:-1]
+        lo = tuple(1 if r else n for n, r in zip(lead, self.right))
+        hi = tuple(n if r else 1 for n, r in zip(lead, self.right))
+        sides = [({}, []), ({}, [])]  # (index by factor ids, pairs of rows)
+
+        def index(side, factors, pair=None):
+            table, pairs = sides[side]
+            key = tuple(sorted(map(id, factors)))
+            if key not in table:
+                table[key] = (len(table), factors)
+                if pair is not None:
+                    pairs.append(pair)
+            return table[key][0]
+
+        own = []
+        for terms in self.coords:
+            own.append([(index(0, ls), index(1, rs), s)
+                        for s, ls, rs in terms])
+        one = index(0, ()), index(1, ())
+        entries = []
+        for k, (terms, mine) in enumerate(zip(self.coords, own)):
+            for i, (s, ls, rs) in enumerate(terms):
+                entries.append((k, *mine[i][:2], 0.0, -2.0 * s, 0.0))
+                for j in range(i, len(terms)):
+                    t, ms, qs = terms[j]
+                    entries.append((
+                        k, index(0, ls + ms, (mine[i][0], mine[j][0])),
+                        index(1, rs + qs, (mine[i][1], mine[j][1])),
+                        s * t * (1.0 if i == j else 2.0), 0.0, 0.0))
+            entries.append((k, *one, 0.0, 0.0, 1.0))
+        own = [tuple(np.array(v) for v in zip(*mine)) if mine else None
+               for mine in own]
+        k, f, r, a, b, c = (np.array(v) for v in zip(*entries))
+        (feats, f_pairs), (rows, r_pairs) = sides
+        n_l, n_r = int(np.prod(lo)), int(np.prod(hi))
+        right_factors = list({id(g): g for _, qs in rows.values()
+                              for g in qs}.values())
+        vals = np.empty((n_l, n_r))
+        nd = len(lead)
+        perm = [i for pair in zip(range(nd), range(nd, 2 * nd)) for i in pair]
+
+        def recipes(table, pairs):
+            singles = [fs for _, fs in sorted(table.values(),
+                                              key=lambda e: e[0])]
+            return (singles[:len(table) - len(pairs)],
+                    tuple(np.array(v, dtype=int).reshape(-1)
+                          for v in zip(*pairs)) if pairs else None)
+
+        self.plan = dict(
+            k=k, a=a, b=b, c=c, cell=f * len(rows) + r,
+            n_f=len(feats), n_r=len(rows), lo=lo, hi=hi, own=own,
+            lefts=recipes(feats, f_pairs), rights=recipes(rows, r_pairs),
+            factors=right_factors, phi=np.empty((len(feats), n_l)),
+            R=np.empty((len(rows), n_r)), vals=vals,
+            seen=np.empty((len(right_factors), n_r)),
+            now=np.empty((len(right_factors), n_r)), rows_ready=False,
+            weights={}, view=self._lead_view(vals, lo, hi, perm), perm=perm)
+
+    def _lead_view(self, vals, lo, hi, perm):
+        """vals, (left, right) laid out, viewed in the block's axis order."""
+        return vals.reshape(lo + hi).transpose(perm).reshape(self.shape[:-1])
+
+    @staticmethod
+    def _fill(out, lead, recipe):
+        """out's rows from a recipe: the products of the single rows'
+        factors, then the products of pairs of rows."""
+        singles, pairs = recipe
+        for row, fs in zip(out, singles):
+            _product_into(fs, row.reshape(lead))
+        if pairs is not None:
+            np.multiply(out[pairs[0]], out[pairs[1]], out=out[len(singles):])
+
+    def prepare(self):
+        """Take the left features at the block's current values, and the
+        right rows when the right factors changed since they were taken:
+        on a walk whose every block covers the right factor's axes whole,
+        once per engine call."""
+        if self.plan is None:
+            self._make_plan()
+        p = self.plan
+        self._fill(p["phi"], p["lo"], p["lefts"])
+        for out, g in zip(p["now"], p["factors"]):
+            np.copyto(out.reshape(p["hi"]), g)
+        if p["rows_ready"] and _equal(p["now"], p["seen"]):
+            return
+        p["seen"], p["now"] = p["now"], p["seen"]
+        self._fill(p["R"], p["hi"], p["rights"])
+        p["rows_ready"], p["weights"] = True, {}
 
     def exponent(self, hw, mu):
         """Σ_i hw_i (x_i − μ_i)² over the block's coordinates x, bounded
-        below at _EXP_FLOOR, in one buffer the block keeps, its memory laid
-        out (N-block, points, A-block).
-
-        With s = t + μ_A, it is one matrix product of the features (P², P,
-        v², v, 1) at the N-block and the points, P's formed once per fill
-        and v's once per block, with the A-block's (hw_N·G², −2·hw_N·μ_N·G,
-        hw_A, −2·hw_A·s, Σ hw_A·s² + Σ hw_N·μ_N²)."""
-        b_n, b_a, n = self.shape[:-1]
-        d, a = self.p.shape[-1], self.t.shape[-1]
-        if self.features is None:
-            f = self.features = empty_columns((b_n * n, 2 * (d + a) + 1))
-            v, fv = self.v.reshape(n, a), f[:, 2 * d:-1].reshape(b_n, n, 2 * a)
-            np.multiply(v, v, out=fv[..., :a])
-            np.copyto(fv[..., a:], v)
-            f[:, -1] = 1.0
-            self.gs = np.empty((2 * d, b_a))
-            self.weights = np.empty((2 * (d + a) + 1, b_a))
-            self.values = np.empty((b_n, n, b_a))
-        if self.stale:
-            f, gs = self.features, self.gs
-            p = self.p.reshape(b_n * n, d)
-            np.multiply(p, p, out=f[:, :d])
-            np.copyto(f[:, d:2 * d], p)
-            g = self.g.reshape(b_a, d).T
-            np.multiply(g, g, out=gs[:d])
-            np.copyto(gs[d:], g)
-            self.stale = False
-        w, hn, ha = self.weights, hw[:d, None], hw[d:, None]
-        np.multiply(self.gs, np.vstack([hn, -2.0 * hn * mu[:d, None]]),
-                    out=w[:2 * d])
-        s = self.t.reshape(b_a, a).T + mu[d:, None]
-        w[2 * d:2 * d + a] = ha
-        np.multiply(s, -2.0 * ha, out=w[2 * d + a:-1])
-        np.dot(hw[d:], s * s, out=w[-1])
-        w[-1] += np.dot(hw[:d], mu[:d] * mu[:d])
-        np.matmul(self.features, w, out=self.values.reshape(b_n * n, b_a))
-        np.maximum(self.values, _EXP_FLOOR, out=self.values)
-        return self.values.transpose(0, 2, 1)
-
-    def composed(self, m, u):
-        """ι(u)∘ the block on H, in product form: ρ(u) scales P and u is
-        added to v.  The composition is kept with ρ(u)'s scales, and
-        refilled from the block while u is the same array."""
-        c = self.child
-        if c is None or c.u is not u:
-            scale = rho_apply(m, u, np.ones(self.p.shape[-1]))
-            c = self.child = _ProductQuotient(
-                self.g, np.multiply(scale, self.p), self.t, _m_add(u, self.v))
-            c.u, c.scale = u, scale
-        else:
-            np.multiply(c.scale, self.p, out=c.p)
-            c.g, c.t, c.stale = self.g, self.t, True
-        return c
+        below at _EXP_FLOOR, in one buffer the block keeps: one matrix
+        product of the left features with the right rows' weights for hw
+        and μ, which are kept until the rows are taken again.  A block
+        never prepared is prepared first."""
+        if self.plan is None:
+            self.prepare()
+        p = self.plan
+        key = hw.tobytes() + mu.tobytes()
+        weights = p["weights"].get(key)
+        if weights is None:
+            mk = mu[p["k"]]
+            coef = hw[p["k"]] * (p["a"] + mk * (p["b"] + p["c"] * mk))
+            cells = np.bincount(p["cell"], coef, p["n_f"] * p["n_r"])
+            weights = p["weights"][key] = (
+                cells.reshape(p["n_f"], p["n_r"]) @ p["R"])
+        np.matmul(p["phi"].T, weights, out=p["vals"])
+        np.maximum(p["vals"], _EXP_FLOOR, out=p["vals"])
+        return p["view"]
 
     def centered(self, i, mu):
         """x_i − μ for coordinate i, fresh, in exponent's layout."""
-        b_n, b_a, n = self.shape[:-1]
-        d = self.p.shape[-1]
-        if i >= d:
-            col = np.subtract.outer(self.v.reshape(n, -1)[:, i - d],
-                                    self.t.reshape(b_a, -1)[:, i - d])
-            col -= mu
-            return col.T
-        col = np.multiply.outer(self.p.reshape(b_n, n, d)[..., i],
-                                self.g.reshape(b_a, d)[:, i])
+        if self.plan is None:
+            self.prepare()
+        p = self.plan
+        f, r, s = p["own"][i]
+        col = p["phi"][f].T @ (s[:, None] * p["R"][r])
         col -= mu
-        return col.transpose(0, 2, 1)
+        return self._lead_view(col, p["lo"], p["hi"], p["perm"])
+
+    def columns(self, w):
+        """The node block w (an array, or a pair of factor blocks side by
+        side) as a block with this one's sides, one term per coordinate;
+        kept while w is the same."""
+        def make():
+            arrays = w if isinstance(w, tuple) else (w,)
+            block = _Bilinear(self.right, [(_term(self.right, a[..., i]),)
+                                           for a in arrays
+                                           for i in range(a.shape[-1])])
+            block.arrays = arrays
+            return block
+
+        return self._kept("columns", w, make)
+
+    def replaced(self, slots, values):
+        """This block with the coordinates in slots (a slice) replaced by
+        the columns of the array values."""
+        coords = list(self.coords)
+        coords[slots] = [(_term(self.right, values[..., i]),)
+                         for i in range(values.shape[-1])]
+        return _Bilinear(self.right, coords)
+
+    def take(self, slots):
+        """The coordinates in slots (a slice) as a block, or, when they are
+        the columns of one of the arrays the block was made of (columns),
+        as that array's slice."""
+        want = range(len(self.coords))[slots]
+        start = 0
+        for a in self.arrays:
+            if start <= want.start and want.stop <= start + a.shape[-1]:
+                return a[..., want.start - start:want.stop - start]
+            start += a.shape[-1]
+        return _Bilinear(self.right, self.coords[slots])
+
+
+def _equal(a, b):
+    """Whether two arrays hold the same values, bit for bit."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _rho_kept(m, t, scale, block, sign=1.0):
+    """scale = ρ(sign·t)'s scales, taken again only when t differs from the
+    t they were last taken at, which block keeps (bit for bit the same)."""
+    seen = block.seen
+    if seen is None or not _equal(seen, t):
+        _rho_into(m, t, np.ones(scale.shape[-1]), scale, sign)
+        block.seen = t.copy()
 
 
 def _an_ldiv(m, y, x, out, scratch, rho):
@@ -358,11 +576,13 @@ def _an_ldiv(m, y, x, out, scratch, rho):
     (on T, one copy) of P's.  The values are the one-array form's on the
     broadcast concatenation, bit for bit.
 
-    On S, a pair with out None, or a _ProductQuotient it made for the same
-    x, which it refills, gives the quotient in product form: G, the scales
-    ρ(−t_y) applies, in place of their products with P, and t_y and t_x
-    in place of their difference.  Its blocks must then be an N-block
-    (b_N, 1, 1, ·) and an A-block (1, b_A, 1, ·)."""
+    On S, a pair with out None or a _Bilinear gives the quotient as a
+    bilinear block, refilled into out when it made it from the same
+    arrays: N slot k is P_k·G_k, with G = ρ(−t_y)'s scales on the A-block
+    (taken again only when the A-block's values change), and A slot l is
+    t_x − t_y, t_x on the points and t_y on the A-block.  Its blocks must
+    then be an N-block (b_N, 1, 1, ·) and an A-block (1, b_A, 1, ·).  T
+    gives a dense quotient for a _Bilinear out."""
     d = len(_n_terms(m))
     x = np.asarray(x, dtype=float)
     pair = isinstance(y, tuple)
@@ -374,13 +594,18 @@ def _an_ldiv(m, y, x, out, scratch, rho):
         yn, ya, yinv = y[..., :d], y[..., d:], scratch
     if rho and pair and not isinstance(out, np.ndarray):
         p = _n_ldiv(m, yn, x[..., :d], p, yinv)
-        if out is None or out.x is not x:
-            out = _ProductQuotient(empty_columns(ya.shape[:-1] + (d,)), p,
-                                   ya, x[..., d:])
-            out.x = x
-        out.p, out.t, out.stale = p, ya, True
-        _rho_into(m, ya, np.ones(d), out.g, sign=-1.0)
+        out = out if isinstance(out, _Bilinear) else _Bilinear()
+        if not out._made_of(p, ya, x):
+            g, v = empty_columns(ya.shape[:-1] + (d,)), x[..., d:]
+            out._build((p, ya, x), _sides(y, x), [
+                ((1.0, (p[..., k],), (g[..., k],)),) for k in range(d)] + [
+                ((1.0, (v[..., l],), ()), (-1.0, (), (ya[..., l],)))
+                for l in range(m - 1)])
+            out.g = g
+        _rho_kept(m, ya, out.g, out, sign=-1.0)
         return out
+    if isinstance(out, _Bilinear):
+        out = None
     if out is None:
         out = empty_columns(np.broadcast_shapes(
             yn.shape[:-1], ya.shape[:-1], x.shape[:-1]) + x.shape[-1:])
@@ -398,13 +623,29 @@ def _t_rdiv(m, x, y, out=None, scratch=None):
     """x·y⁻¹ = (n_x·n_y⁻¹, t_x − t_y) on T = N × ℝ^{m−1}, as its (N part,
     A part) pair, into out (a pair of buffers) when given.  y is such a
     pair, or one array split where its N part ends; n_y⁻¹ goes into
-    scratch (_n_inverse)."""
+    scratch (_n_inverse).
+
+    Into a _Bilinear out, y an (N-block, A-block) pair, it is a bilinear
+    block: N slot k is the N part's column, formed on the N-block and the
+    points into a buffer the block keeps, and A slot l is t_x − t_y, t_x
+    on the points and t_y on the A-block."""
     d = len(_n_terms(m))
     x = np.asarray(x, dtype=float)
+    if isinstance(out, _Bilinear) and isinstance(y, tuple):
+        kept = out._made_of(x, *y)
+        p = _n_rdiv(m, x[..., :d], y[0], out.p if kept else None, scratch)
+        if not kept:
+            v, right = x[..., d:], _sides(y, x)
+            out._build((x, *y), right, [
+                ((1.0, (p[..., k],), ()),) for k in range(d)] + [
+                (_term(right, v[..., l]), _term(right, y[1][..., l], -1.0))
+                for l in range(m - 1)])
+            out.p = p
+        return out
     if not isinstance(y, tuple):
         y = np.asarray(y, dtype=float)
         y = y[..., :d], y[..., d:]
-    out = out or (None, None)
+    out = out if isinstance(out, tuple) else (None, None)
     return (_n_rdiv(m, x[..., :d], y[0], out[0], scratch),
             _m_sub(x[..., d:], y[1], out[1]))
 
@@ -435,9 +676,16 @@ class Law:
     not factor so.  Where it is set, ldiv and rdiv also take y as an
     (N part, A part) pair of broadcastable blocks, ldiv with scratch a
     pair of buffers (_an_ldiv): the direct engines walk such a group's
-    node blocks as an N-block times an A-block.  On S such an ldiv gives
-    the quotient in product form (_ProductQuotient), unless out is a
-    dense array.
+    node blocks as an N-block times an A-block.
+
+    Into a _Bilinear out (an empty one, or one an earlier call made), M's
+    quotients, the rdiv of N and T and S's ldiv of a node pair come as a
+    bilinear block, which the next call with it refills: each coordinate
+    a short sum of rank-one terms in (y's side, x's side), whose
+    np.asarray is the dense quotient bit for bit.  On S a pair with out
+    None gives the block too.  The ldiv of N and T give a dense array:
+    N's through n_mul, whose wrapper counts one call per node·point pair
+    of convolve_group on N.
 
     K1 (base N) and H (base S) have the coordinates (base, shift) and the
     componentwise law.  compose(u, b) = ι(u)∘b, where ι puts the shift u
@@ -531,6 +779,20 @@ def _m_sub(x, y, out=None):
     return out
 
 
+def _m_quotient(x, y, out=None):
+    """x − y, both quotients of M; into a _Bilinear out the block whose
+    coordinate i is the terms x_i and −y_i, each on its own side."""
+    if not isinstance(out, _Bilinear):
+        return _m_sub(x, y, out)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not out._made_of(x, y):
+        right = _sides(y, x)
+        out._build((x, y), right, [
+            (_term(right, x[..., i]), _term(right, y[..., i], -1.0))
+            for i in range(x.shape[-1])])
+    return out
+
+
 def _m_neg(x):
     return np.multiply(np.asarray(x, dtype=float), -1.0)
 
@@ -552,13 +814,54 @@ def _product(base, k):
     return mul, inv
 
 
+def _k1_compose(m, u, b):
+    """ι(u)∘b = n_mul(ι(u), b) on K1.  On a bilinear b it is the block of
+    the law's terms, u an array or a block with b's sides: ι(u)_k (u's
+    slot k where it acts), b_k and each product u_p·b_q, u_p acting; it is
+    kept on b while u is the same."""
+    if not isinstance(b, _Bilinear):
+        return n_mul(m, law("K1", m).iota(u), b)
+
+    def make():
+        k = law("K1", m).shift_dim
+        us = [u.coords[i] if isinstance(u, _Bilinear)
+              else (_term(b.right, u[..., i]),) for i in range(k)]
+        coords = []
+        for c, pairs in enumerate(_n_terms(m)):
+            terms = (us[c] if c < k else ()) + b.coords[c]
+            for p, q in pairs:
+                if p < k:
+                    terms += _times(us[p], b.coords[q])
+            coords.append(terms)
+        return _Bilinear(b.right, coords)
+
+    return b._kept("compose", u, make)
+
+
 def _h_compose(m, u, b):
     """ι(u)∘(n, t) = (ρ(u)n, u + t) on H: no S product and no zero-padded
-    ι(u) are formed.  A _ProductQuotient b keeps its form
-    (_ProductQuotient.composed)."""
-    if isinstance(b, _ProductQuotient):
-        return b.composed(m, u)
+    ι(u) are formed.  On a bilinear b and an array u it is a block: ρ(u)'s
+    scales join each N slot's terms as a factor on u's side, and u's
+    column comes before t's terms.  It is kept on b while u is the same,
+    and ρ(u) taken again when u's values change."""
     d = law("N", m).dim
+    if isinstance(b, _Bilinear) and not isinstance(u, _Bilinear):
+        def make():
+            scale = empty_columns(u.shape[:-1] + (d,))
+            right = _on_right(b.right, u.shape[:-1])
+            c = _Bilinear(b.right, [
+                tuple((s, ls, rs + (scale[..., k],)) if right else
+                      (s, ls + (scale[..., k],), rs) for s, ls, rs in terms)
+                for k, terms in enumerate(b.coords[:d])] + [
+                (_term(b.right, u[..., i]),) + b.coords[d + i]
+                for i in range(m - 1)])
+            c.scale = scale
+            return c
+
+        c = b._kept("compose", u, make)
+        _rho_kept(m, u, c.scale, c)
+        return c
+    u, b = np.asarray(u, dtype=float), np.asarray(b, dtype=float)
     out = empty_columns(np.broadcast_shapes(u.shape[:-1], b.shape[:-1])
                         + b.shape[-1:])
     rho_apply(m, u, b[..., :d], out=out[..., :d])
@@ -575,8 +878,10 @@ def law(name, m):
         if m is not None and m < 1:
             raise ValueError(f"dimension must be >= 1, got {m}")
         return Law("M", m, m, _m_add, _m_neg,
-                   ldiv=lambda y, x, out=None, scratch=None: _m_sub(x, y, out),
-                   rdiv=lambda x, y, out=None, scratch=None: _m_sub(x, y, out))
+                   ldiv=lambda y, x, out=None, scratch=None:
+                   _m_quotient(x, y, out),
+                   rdiv=lambda x, y, out=None, scratch=None:
+                   _m_quotient(x, y, out))
     if m < 2:
         raise ValueError(f"matrix size must be >= 2, got {m}")
     d_n = m * (m - 1) // 2
@@ -597,7 +902,7 @@ def law(name, m):
         base, k = law("N", m), d_n - (m - 1)
         return Law("K1", m, d_n + k, *_product(base, k), base=base,
                    acting=slice(0, k), top=slice(k, d_n), c_law=law("M", d_n),
-                   compose=lambda u, b: n_mul(m, law("K1", m).iota(u), b))
+                   compose=lambda u, b: _k1_compose(m, u, b))
     if name == "H":  # shift: A
         base = law("S", m)
         c_law = Law("T", m, base.dim, *_product(law("N", m), m - 1),

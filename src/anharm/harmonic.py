@@ -27,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from .extension import gamma_inv, tilde_eval_coords
-from .groups import empty_columns, law
+from .groups import _Bilinear, empty_columns, law
 from .testfuncs import (
     Axis, GridFunction, TestFunction, dual_axis, grid_mesh, grid_nodes,
     node_mesh, sample,
@@ -228,12 +228,13 @@ def _node_blocks(axes, npoints, split=None):
 
 
 def _at(f, y):
-    """f at the node block y: a dense block, or a pair of factor blocks
-    taken at their broadcast concatenation.  A TestFunction evaluates a
-    pair factored (TestFunction.on_blocks); any other callable gets the
-    dense concatenation, as testfuncs.sample dispatches."""
+    """f at y: a dense block, a pair of factor blocks taken at their
+    broadcast concatenation, or a bilinear block (groups._Bilinear).  A
+    TestFunction evaluates a pair factored (TestFunction.on_blocks) and a
+    bilinear block as one; any other callable gets the dense values, as
+    testfuncs.sample dispatches."""
     if not isinstance(y, tuple):
-        return f(y)
+        return f(y) if isinstance(f, TestFunction) else f(np.asarray(y))
     if isinstance(f, TestFunction):
         return f.on_blocks(*y)
     lead = np.broadcast_shapes(*(b.shape[:-1] for b in y))
@@ -243,32 +244,32 @@ def _at(f, y):
 
 def _quadrature(axes, npoints, integrand, weight=None, split=None):
     """Σ over the nodes y of the axes' product grid, block by block, of
-    F(y)·cell, or with a weight w, of w(y)·cell·F(y), one tensordot of each
-    block's node weights with F: npoints sums.  F(y) holds a row of
-    npoints values per node, in the block's C order.  The sums are float
-    when w and F are.
+    F(y)·cell, or with a weight w, of w(y)·cell·F(y), one matrix product
+    of each block's node weights with F: npoints sums.  F(y) holds a row
+    of npoints values per node, in the block's C order.  The sums are
+    float when w and F are.
 
     F and w get each block with an axis for the points inserted before the
     coordinates, (b, 1, k), or given split as its factor blocks
     (_node_blocks), (b_1, 1, 1, split) and (1, b_2, 1, k − split), w taken
     at them by _at.  Every block has the same leading shape, lead, (b,) or
-    (b_1, b_2), so integrand(lead) is called once, at the first block: it
-    allocates the buffers every block refills and returns F."""
+    (b_1, b_2), and is the same array (or pair) refilled, so integrand(lead)
+    is called once, at the first block: it allocates the buffers every
+    block refills and returns F."""
     block_integrand = total = None
     for nodes, cell in _node_blocks(axes, npoints, split):
-        if split is None:
-            lead, y = nodes.shape[:-1], nodes[:, None, :]
-        else:
-            lead = (nodes[0].shape[0], nodes[1].shape[1])
-            y = tuple(b[..., None, :] for b in nodes)
         if block_integrand is None:
+            if split is None:
+                lead, y = nodes.shape[:-1], nodes[:, None, :]
+            else:
+                lead = (nodes[0].shape[0], nodes[1].shape[1])
+                y = tuple(b[..., None, :] for b in nodes)
             block_integrand = integrand(lead)
         vals = np.asarray(block_integrand(y)).reshape(-1, npoints)
         if weight is None:
             part = vals.sum(axis=0) * cell
         else:
-            part = np.tensordot((np.asarray(_at(weight, y)) * cell).ravel(),
-                                vals, axes=(0, 0))
+            part = (np.asarray(_at(weight, y)) * cell).ravel() @ vals
         total = part if total is None else total + part
     return total
 
@@ -280,7 +281,8 @@ def _group_convolution(L, g, f, x, axes):
     splits (Law.split), each block is an N-block (b_N, 1, 1, ·) and an
     A-block (1, b_A, 1, ·), and ldiv takes the pair: the N law runs on the
     N-block, into a kept partial quotient, and ρ's exponentials on the
-    A-block.  On S, f gets the quotient in product form (groups)."""
+    A-block.  f gets the quotient as a bilinear block (groups._Bilinear)
+    on M and S, and dense on N and T."""
     split = L.split
 
     def integrand(lead):
@@ -289,7 +291,7 @@ def _group_convolution(L, g, f, x, axes):
         else:
             scratch = (empty_columns((lead[0], 1, 1, split)),
                        empty_columns((lead[0], 1) + x.shape[1:-1] + (split,)))
-        q = None
+        q = _Bilinear()
 
         def F(y):
             nonlocal q
@@ -304,21 +306,22 @@ def _group_convolution(L, g, f, x, axes):
 def _substituted_convolution(L, F, phi, x, axes):
     """Σ over the nodes w of the axes of F(w)·cell·φ(x·w⁻¹), the mirror of
     _group_convolution with the nodes on F: the quotient x·w⁻¹ is L's rdiv
-    into kept buffers, w⁻¹ into kept scratch, and φ is taken by _at at
-    whatever rdiv returns.  On a law that splits, F and rdiv get w as its
-    N-block (b_N, 1, 1, ·) and A-block (1, b_A, 1, ·)."""
+    as a bilinear block (groups._Bilinear), refilled block by block, w⁻¹
+    into kept scratch, φ is taken by _at at it, and F gets w as a block
+    with the quotient's sides (_Bilinear.columns).  On a law that splits,
+    rdiv gets w as its N-block (b_N, 1, 1, ·) and A-block (1, b_A, 1, ·)."""
     split = L.split
 
     def integrand(lead):
-        if split is None:
-            q = empty_columns(lead + x.shape[1:])
-            winv = empty_columns(lead + (1, L.dim))
-        else:
-            q = (empty_columns((lead[0], 1) + x.shape[1:-1] + (split,)),
-                 empty_columns((1, lead[1]) + x.shape[1:-1]
-                               + (L.dim - split,)))
-            winv = empty_columns((lead[0], 1, 1, split))
-        return lambda w: F(w) * _at(phi, L.rdiv(x, w, out=q, scratch=winv))
+        shape = (lead[0], 1, 1, split) if split else lead + (1, L.dim)
+        winv, q = empty_columns(shape), _Bilinear()
+
+        def integrand_at(w):
+            nonlocal q
+            q = L.rdiv(x, w, out=q, scratch=winv)
+            return F(q.columns(w)) * _at(phi, q)
+
+        return integrand_at
 
     return _quadrature(axes, x.shape[1], integrand, split=split)
 
@@ -332,8 +335,8 @@ def _rows(points):
 def convolve_group(g, f, group, m, points, axes):
     """(g∗f)(X) = ∫ f(Y^{-1}X) g(Y) dY by Haar quadrature over the axes.
     On "M" with m its dimension, Y^{-1}X = X − Y: the abelian convolution
-    g ∗_c f.  A TestFunction f takes S's quotients in product form; any
-    other f gets their dense values."""
+    g ∗_c f.  A TestFunction f takes the quotients of M and S as bilinear
+    blocks (groups._Bilinear); any other f gets their dense values."""
     take = f if isinstance(f, TestFunction) else lambda q: f(np.asarray(q))
     return _group_convolution(law(group, m), g, take, _rows(points), axes)
 
@@ -341,24 +344,29 @@ def convolve_group(g, f, group, m, points, axes):
 def _c_picture(F_ext, case, m, base_points, shift_points):
     """What both ∗_c engines integrate on: c_law; X, the base points with
     the shifts in their acting slots, as (1, npoints, dim) rows; and F̃ at
-    w in c_law (one array, or on T its (N part, A part) pair): F_ext at
-    w's top slots and the base points' acting slots, with w's acting slots
-    as the shift, in one base buffer allocated at F̃'s first call."""
+    w in c_law: F_ext at w's top slots and the base points' acting slots,
+    with w's acting slots as the shift.  For a bilinear block w these are
+    blocks with w's sides, made at the first call with w and kept while w
+    is the same; for a dense w, in one base buffer allocated at the first
+    call."""
     L = law(case, m)
     x, a, t = _rows(base_points), L.acting, L.top
     X = x.copy()
     X[..., a] = _rows(shift_points)
-    base = None
+    base = kept = None
 
     def F(w):
-        nonlocal base
-        top, shift = w if isinstance(w, tuple) else (w[..., t], w[..., a])
+        nonlocal base, kept
+        if isinstance(w, _Bilinear):
+            if kept is None or kept[0] is not w:
+                kept = w, w.replaced(a, x[..., a]), w.take(a)
+            return F_ext(*kept[1:])
         if base is None:
             base = empty_columns(np.broadcast_shapes(
-                top.shape[:-1], x.shape[:-1]) + x.shape[-1:])
+                w.shape[:-1], x.shape[:-1]) + x.shape[-1:])
             base[..., a] = x[..., a]
-        base[..., t] = top
-        return F_ext(base, shift)
+        base[..., t] = w[..., t]
+        return F_ext(base, w[..., a])
 
     return L.c_law, X, F
 
@@ -383,7 +391,8 @@ def convolve_extended_c_substituted(phi, F_ext, case, m, base_points,
     φ's: Σ_W F̃(W)·φ(X·W⁻¹)·cell.  The substitution has Jacobian 1; `axes`
     parameterize W in the base's coordinates, as convolve_extended_c's
     parameterize Y.  On H the walk is factored, as T splits; on K1, whose
-    c_law M does not, it is dense.
+    c_law M does not, it is dense.  F̃ and φ get bilinear blocks
+    (_substituted_convolution).
     """
     C, X, F = _c_picture(F_ext, case, m, base_points, shift_points)
     return _substituted_convolution(C, F, phi, X, axes)
@@ -397,10 +406,10 @@ def convolve_extended_group(phi, F_ext, case, m, base_points, shift_points,
     places the nodes on F's mass: ∫ φ(base∘Z^{-1}) F(Z, u) dZ, the axes
     parameterizing Z.  On S the axes parameterize Y, so the nodes sit on
     φ's mass: there the substitution's Jacobian would shear the integrand
-    exponentially, and F_ext gets Y^{-1}∘base in product form (groups),
-    which np.asarray makes dense and tilde_eval_coords passes on to a
-    TestFunction.  F_ext must broadcast the leading axes of its two
-    arguments, as tilde extensions do.
+    exponentially.  F_ext gets Z, or Y^{-1}∘base, as a bilinear block
+    (groups._Bilinear), which np.asarray makes dense and
+    tilde_eval_coords passes on to a TestFunction.  F_ext must broadcast
+    the leading axes of its two arguments, as tilde extensions do.
     """
     B = law(case, m).base
     x, s = _rows(base_points), _rows(shift_points)

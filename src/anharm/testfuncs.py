@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import _ProductQuotient, empty_columns
+from .groups import _Bilinear, empty_columns
 
 __all__ = [
     "TestFunction", "Axis", "GridFunction", "gaussian", "derivative",
@@ -50,9 +50,11 @@ class TestFunction:
     def __call__(self, x):
         """Evaluate at points, shape (..., dim) → (...): on_blocks with the
         one block x.  It takes exactly one array, whose leading axes give
-        the number of points, or an S quotient in product form (groups),
-        whose Gaussian exponents it takes from the block (_terms_at)."""
-        if isinstance(x, _ProductQuotient):
+        the number of points, or a bilinear block (groups._Bilinear),
+        prepared once, whose Gaussian exponents it takes term by term as
+        one matrix product each (_terms_at)."""
+        if isinstance(x, _Bilinear):
+            x.prepare()
             return self._terms_at(x.shape[:-1], x.exponent, x.centered)
         return self.on_blocks(x)
 

@@ -12,7 +12,9 @@ product is taken of an inverse.  A fourth fails on any name in a module's
 reads outside the name's own definition, unless it is listed, with its
 reason, among the names kept unread.  A fifth keeps the direct engines on
 two integrand builders: ``harmonic._quadrature``, the one quadrature loop,
-is called only by the group-convolution core and the substituted core.
+is called only by the group-convolution core and the substituted core.  A
+sixth keeps one product-form class: ``groups._Bilinear`` is the only class
+whose values a test function reads through an ``exponent``.
 """
 
 import ast
@@ -254,3 +256,21 @@ def test_quadrature_has_two_callers():
               if p.name != QUADRATURE[0]
               for name, line in quadrature_callers(p)]
     assert not others, "\n".join(others)
+
+
+PRODUCT_FORM = ("groups.py", "_Bilinear")  # the one product-form class
+
+
+def product_form_classes(path):
+    """(file, class) for each class of path with an exponent method."""
+    return [(path.name, node.name) for node in ast.walk(ast.parse(
+        path.read_text())) if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "exponent"
+                for f in node.body)]
+
+
+def test_one_product_form_class():
+    assert product_form_classes(SRC / PRODUCT_FORM[0]) == [PRODUCT_FORM]
+    found = [c for p in sorted(SRC.glob("*.py"))
+             for c in product_form_classes(p)]
+    assert found == [PRODUCT_FORM], found

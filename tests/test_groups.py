@@ -432,7 +432,7 @@ def test_product_quotient_materializes_the_dense_quotient(m):
         kept = L.ldiv(y, x, out=block, scratch=scratch)
         assert block is None or kept is block
         block = kept
-        assert isinstance(block, groups._ProductQuotient)
+        assert isinstance(block, groups._Bilinear)
         assert block.shape == want.shape
         assert np.asarray(block).tobytes() == want.tobytes()
         assert L.ldiv(y, x).shape == want.shape
@@ -472,6 +472,108 @@ def test_product_quotient_exponent_and_columns(m):
         for i in range(L.dim):
             col = np.broadcast_to(q.centered(i, mu[i]), want.shape)
             assert _max_rel(col, dense[..., i] - mu[i]) <= 1e-15
+
+
+def _filled(rng, shape):
+    """A buffer laid out by empty_columns, filled with uniform values."""
+    out = empty_columns(shape)
+    out[...] = rng.uniform(-1, 1, shape)
+    return out
+
+
+def _refill(rng, arrays):
+    """New values written into the arrays, which stay the same objects."""
+    for a in arrays:
+        a[...] = rng.uniform(-1, 1, a.shape)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("name", ["N.rdiv", "M.ldiv", "M.rdiv", "T.rdiv"])
+def test_bilinear_quotients_materialize_the_dense_quotient(name, m):
+    # into a _Bilinear out the quotients of N (rdiv), M (K1's c_law) and T
+    # (H's c_law, rdiv of a node pair) come as a block whose np.asarray is
+    # the dense quotient's bytes, fresh and when the engines' kept buffers
+    # are refilled and the block with them
+    rng = np.random.default_rng(100 + m)
+    case, div = name.split(".")
+    L = {"N": law("N", m), "M": law("K1", m).c_law,
+         "T": law("H", m).c_law}[case]
+    if L.split is None:
+        x, y = _filled(rng, (1, 5, L.dim)), _filled(rng, (6, 1, L.dim))
+        nodes = (y,)
+    else:
+        x = _filled(rng, (1, 1, 5, L.dim))
+        nodes = y = (_filled(rng, (6, 1, 1, L.split)),
+                     _filled(rng, (1, 4, 1, L.dim - L.split)))
+    scratch = empty_columns(nodes[0].shape)
+    block = groups._Bilinear()
+    for _ in range(2):
+        dense = (L.ldiv(y, x) if div == "ldiv" else L.rdiv(x, y))
+        if isinstance(dense, tuple):  # T's (N part, A part)
+            lead = np.broadcast_shapes(*(p.shape[:-1] for p in dense))
+            dense = np.concatenate([np.broadcast_to(p, lead + p.shape[-1:])
+                                    for p in dense], axis=-1)
+        got = (L.ldiv(y, x, out=block, scratch=scratch) if div == "ldiv"
+               else L.rdiv(x, y, out=block, scratch=scratch))
+        assert got is block and block.shape == dense.shape
+        assert np.asarray(block).tobytes() == np.ascontiguousarray(
+            dense).tobytes()
+        _refill(rng, nodes)
+    # N divides on the left densely, through n_mul
+    if case == "N":
+        q = L.ldiv(y, x, out=groups._Bilinear(), scratch=scratch)
+        assert isinstance(q, np.ndarray)
+        assert np.array_equal(q, L.ldiv(y, x))
+
+
+def _assert_exponent_and_columns(rng, q, dense):
+    """q.exponent against Σ hw (x − μ)² on the dense values x, at a scale
+    that floors about half of them at _EXP_FLOOR, and q.centered against
+    x_i − μ_i."""
+    mu = rng.uniform(-0.5, 0.5, dense.shape[-1])
+    hw = -0.5 * rng.uniform(0.5, 2.0, dense.shape[-1])
+    sq = np.sum(hw * (dense - mu) ** 2, axis=-1)
+    for hw in (hw, hw * (groups._EXP_FLOOR / np.median(sq))):
+        want = np.sum(hw * (dense - mu) ** 2, axis=-1)
+        got = q.exponent(hw, mu)
+        assert got.shape == want.shape
+        assert np.all(got >= groups._EXP_FLOOR)
+        above = want > groups._EXP_FLOOR + 1.0
+        assert above.any()
+        assert np.all(got[~above] <= groups._EXP_FLOOR + 1.0)
+        scale = np.max(np.abs(hw)) * np.max((np.abs(dense) + 1.0) ** 2)
+        assert np.max(np.abs(got - want)[above]) <= 1e-14 * scale
+    for i in range(dense.shape[-1]):
+        col = np.broadcast_to(q.centered(i, mu[i]), want.shape)
+        assert _max_rel(col, dense[..., i] - mu[i]) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_bilinear_blocks_exponent_and_columns(m):
+    # the blocks the ∗_c and K1 group sides read, and their compositions
+    # on K1 and H (an array shift, and a shift taken from the block), against
+    # the same sums on the dense values
+    rng = np.random.default_rng(110 + m)
+    K1, H = law("K1", m), law("H", m)
+    x, y = _filled(rng, (1, 5, K1.base.dim)), _filled(rng, (6, 1, K1.base.dim))
+    s = rng.uniform(-0.5, 0.5, (1, 5, K1.shift_dim))
+    n = K1.base.rdiv(x, y, out=groups._Bilinear())
+    c = K1.c_law.ldiv(y, x, out=groups._Bilinear())
+    u = c.take(K1.acting)
+    xt = _filled(rng, (1, 1, 5, H.base.dim))
+    w = (_filled(rng, (6, 1, 1, H.base.split)),
+         _filled(rng, (1, 4, 1, m - 1)))
+    t = H.c_law.rdiv(xt, w, out=groups._Bilinear())
+    cols = t.columns(w)
+    shift = cols.take(H.acting)
+    cases = [(n, np.asarray(n).copy()), (c, np.asarray(c).copy()),
+             (t, np.asarray(t).copy()),
+             (K1.compose(s, n), K1.compose(s, np.asarray(n))),
+             (K1.compose(u, c), K1.compose(np.asarray(u), np.asarray(c))),
+             (H.compose(shift, cols),
+              H.compose(np.asarray(shift), np.asarray(cols)))]
+    for q, dense in cases:
+        _assert_exponent_and_columns(rng, q, dense)
 
 
 def _inv_formula(m, x):

@@ -332,22 +332,41 @@ def _perfbench_tracing():
     return module
 
 
-def test_traced_h_m3_residual_equals_untraced_with_additive_spans():
-    # the tracer wraps TestFunction.__call__ and the engines and counts each
-    # call's points from its one array: a tuple of factor blocks reaching a
-    # wrapped function would fail there
+def _traced_residual(monkeypatch, case, phi, f, pts, axes):
+    """theorem31_residual traced by perfbench's tracer, which wraps
+    TestFunction.__call__ and the engines and counts each call's points
+    from its arguments' shapes (a tuple of factor blocks reaching a wrapped
+    function would fail there), against the untraced value; the counts of
+    TestFunction and tilde evaluations must be those of the dense shapes,
+    which materialize every block (recorded untraced)."""
     tracing = _perfbench_tracing()
     for _, module, *_ in tracing.TARGETS:  # install() looks each one up
         importlib.import_module(module)
-    rng = np.random.default_rng(9)
-    phi, f, pts = _pair(rng, 5, [1.0] * 3 + [5.0] * 2, 2, 0.3)
-    axes = [Axis(0.0, 4.0, 8)] * 3 + [Axis(0.0, 1.6, 4)] * 2
-    want = theorem31_residual(phi, f, "H", 3, pts[:2], axes, axes)
+    want = theorem31_residual(phi, f, case, 3, pts, axes, axes)
+    counts = {"testfuncs.eval_points": 0, "extension.tilde_eval_points": 0}
+    call, tilde = TestFunction.__call__, harmonic.tilde_eval_coords
+
+    def dense_points(*arrays):
+        return int(np.prod(np.broadcast_shapes(
+            *(np.asarray(a).shape[:-1] for a in arrays))))
+
+    def counted_call(self, x):
+        counts["testfuncs.eval_points"] += dense_points(x)
+        return call(self, x)
+
+    def counted_tilde(f, case, m, base, shift):
+        counts["extension.tilde_eval_points"] += dense_points(base, shift)
+        return tilde(f, case, m, base, shift)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(TestFunction, "__call__", counted_call)
+        patch.setattr(harmonic, "tilde_eval_coords", counted_tilde)
+        assert theorem31_residual(phi, f, case, 3, pts, axes, axes) == want
     tracer = tracing.Tracer()
     tracer.install()
     t0 = time.perf_counter_ns()
     try:
-        got = harmonic.theorem31_residual(phi, f, "H", 3, pts[:2], axes, axes)
+        got = harmonic.theorem31_residual(phi, f, case, 3, pts, axes, axes)
     finally:
         wall = time.perf_counter_ns() - t0
         tracer.uninstall()
@@ -357,7 +376,24 @@ def test_traced_h_m3_residual_equals_untraced_with_additive_spans():
     metrics, additive = tracing.summarize(tracer.spans, tracer.counts, rounds)
     assert additive
     assert metrics["harmonic.convolve_extended_group_pairs"]["value"] > 0
-    assert metrics["testfuncs.eval_points"]["value"] > 0
+    for name, count in counts.items():
+        assert count > 0 and metrics[name]["value"] == count, name
+
+
+def test_traced_h_m3_residual_equals_untraced_with_additive_spans(
+        monkeypatch):
+    rng = np.random.default_rng(9)
+    phi, f, pts = _pair(rng, 5, [1.0] * 3 + [5.0] * 2, 2, 0.3)
+    axes = [Axis(0.0, 4.0, 8)] * 3 + [Axis(0.0, 1.6, 4)] * 2
+    _traced_residual(monkeypatch, "H", phi, f, pts[:2], axes)
+
+
+def test_traced_k1_m3_residual_equals_untraced_with_additive_spans(
+        monkeypatch):
+    rng = np.random.default_rng(9)
+    phi, f, pts = _pair(rng, 3, [1.0] * 3, 1, 0.3)
+    _traced_residual(monkeypatch, "K1", phi, f, pts[:5],
+                     [Axis(0.0, 4.0, 8)] * 3)
 
 
 def test_theorem31_h_m2_margin_over_seeds():
@@ -373,7 +409,7 @@ def test_theorem31_h_m2_margin_over_seeds():
     assert min(margins.values()) >= 3.0, margins
 
 
-# ── the S group side in product form ────────────────────────────────────────
+# ── bilinear blocks in the direct engines ───────────────────────────────────
 
 def _two_terms(rng, dim, widths, coef):
     """A sum of two Gaussians, the second with coefficient coef."""
@@ -382,81 +418,124 @@ def _two_terms(rng, dim, widths, coef):
     return TestFunction(dim, a.terms + b.terms)
 
 
-# (m, npoints, _CHUNK): m = 5 has 14 axes, so at least 2¹⁴ nodes, which
-# one-node blocks would walk in about 10 s per call
+def _block_engine_runs(rng, case, m, npoints):
+    """(TestFunction run, materialized run) of each engine call on case's
+    base at m: the blocks a TestFunction takes, and the same calls with
+    callables that make every block dense.  f has α ≠ 0 on its first and
+    last slot (derivative) and a complex coefficient, f and φ two terms
+    each."""
+    L = law(case, m)
+    B = L.base
+    split = B.split or B.dim
+    widths = [1.0] * split + [3.0] * (B.dim - split)
+    phi = _two_terms(rng, B.dim, widths, -0.5)
+    f = derivative(_two_terms(rng, B.dim, widths, 0.7 + 0.4j), B.dim - 1)
+    f = derivative(f, 0)
+    axes = ([Axis(0.0, 3.2, 4 if B.dim <= 3 else 2)] * split
+            + [Axis(0.0, 1.6, 4 if m < 4 else 2)] * (B.dim - split))
+    base = rng.uniform(-0.4, 0.4, (npoints, B.dim))
+    shift = rng.uniform(-0.4, 0.4, (npoints, L.shift_dim))
+
+    def F(b, s):
+        return tilde_eval_coords(f, case, m, b, s)
+
+    def dense_F(b, s):
+        return tilde_eval_coords(f, case, m, np.asarray(b), np.asarray(s))
+
+    def dense_phi(q):
+        return phi(np.asarray(q))
+
+    def dense_f(q):
+        return f(np.asarray(q))
+
+    engines = [convolve_extended_group, convolve_extended_c_substituted]
+    if B.unimodular:  # on H the ∗_c side with nodes on φ is T's dense ldiv
+        engines.append(convolve_extended_c)
+    runs = {e.__name__: (
+        lambda e=e: e(phi, F, case, m, base, shift, axes),
+        lambda e=e: e(dense_phi, dense_F, case, m, base, shift, axes))
+        for e in engines}
+    runs["convolve_group"] = (
+        lambda: convolve_group(phi, f, B.name, m, base, axes),
+        lambda: convolve_group(phi, dense_f, B.name, m, base, axes))
+    return runs
+
+
+# (m, npoints, _CHUNK): at m = 5 H has 14 axes, so at least 2¹⁴ nodes,
+# which one-node blocks would walk in about 10 s per call
 @pytest.mark.parametrize("m, npoints, chunk", [
     (m, n, c) for m in (2, 3, 4, 5) for n in (1, 5)
     for c in (1, harmonic._CHUNK) if (m, c) != (5, 1)])
 def test_product_path_equals_the_materialized_quotient(monkeypatch, m,
                                                        npoints, chunk):
-    # a TestFunction takes S's quotient in product form; a callable that
-    # materializes the block takes the dense quotient.  f has α ≠ 0
-    # (derivative) and a complex coefficient, f and φ two terms each
+    # every engine call a TestFunction takes blocks in (the group sides,
+    # the ∗_c sides of K1 and H's substituted one, convolve_group on the
+    # base) against the same call on the dense path, to 1e-12 of max|value|
     monkeypatch.setattr(harmonic, "_CHUNK", chunk)
     rng = np.random.default_rng(40 + m)
-    S = law("S", m)
-    widths = [1.0] * S.split + [3.0] * (m - 1)
-    phi = _two_terms(rng, S.dim, widths, -0.5)
-    f = derivative(_two_terms(rng, S.dim, widths, 0.7 + 0.4j), S.dim - 1)
-    f = derivative(f, 0)
-    axes = ([Axis(0.0, 3.2, 4 if m == 2 else 2)] * S.split
-            + [Axis(0.0, 1.6, 4 if m < 4 else 2)] * (m - 1))
-    base = rng.uniform(-0.4, 0.4, (npoints, S.dim))
-    shift = rng.uniform(-0.4, 0.4, (npoints, m - 1))
-
-    def dense(b, s):
-        return tilde_eval_coords(f, "H", m, np.asarray(b), s)
-
-    def F(b, s):
-        return tilde_eval_coords(f, "H", m, b, s)
-
-    for got, want in [
-            (convolve_extended_group(phi, F, "H", m, base, shift, axes),
-             convolve_extended_group(phi, dense, "H", m, base, shift, axes)),
-            (convolve_group(phi, f, "S", m, base, axes),
-             convolve_group(phi, lambda q: f(np.asarray(q)), "S", m, base,
-                            axes))]:
-        scale = np.max(np.abs(want))
-        assert scale > 0 and got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    for case in ("K1", "H"):
+        for name, (run, dense) in _block_engine_runs(rng, case, m,
+                                                     npoints).items():
+            got, want = run(), dense()
+            scale = np.max(np.abs(want))
+            assert scale > 0 and got.shape == want.shape, (case, name)
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale, (case, name)
 
 
-def test_theorem31_h_group_side_forms_no_dense_quotient(monkeypatch):
-    # the H group side of theorem31_residual stays in product form: no
-    # block is materialized, and no (b_N, b_A, points, ·) array is made
+def _assert_no_dense_quotient(monkeypatch, case, engine):
+    """theorem31_residual at m = 3 and 5 points with engine's call on case
+    watched: no block is materialized, and no (nodes, points) array is
+    made through empty_columns."""
     shapes, real = [], groups.empty_columns
-    engine, active = harmonic.convolve_extended_group, []
+    call, active = getattr(harmonic, engine), []
 
     def spy(shape):
         if active:
             shapes.append(tuple(shape))
         return real(shape)
 
-    def group_side(*args):
+    def side(*args):
         active.append(True)
         try:
-            return engine(*args)
+            return call(*args)
         finally:
             active.clear()
 
     def materialize(*args, **kwargs):
-        raise AssertionError("the H group side formed a dense quotient")
+        raise AssertionError(f"{engine} on {case} formed a dense quotient")
 
     for module in (groups, harmonic, testfuncs):
         monkeypatch.setattr(module, "empty_columns", spy)
-    monkeypatch.setattr(harmonic, "convolve_extended_group", group_side)
-    monkeypatch.setattr(groups._ProductQuotient, "__array__", materialize)
+    monkeypatch.setattr(harmonic, engine, side)
+    monkeypatch.setattr(groups._Bilinear, "__array__", materialize)
     rng = np.random.default_rng(9)
-    phi, f, pts = _pair(rng, 5, [1.0] * 3 + [5.0] * 2, 2, 0.3)
-    axes = [Axis(0.0, 4.0, 8)] * 3 + [Axis(0.0, 1.6, 4)] * 2
-    r, s = theorem31_residual(phi, f, "H", 3, pts[:5], axes, axes)
+    if case == "K1":
+        phi, f, pts = _pair(rng, 3, [1.0] * 3, 1, 0.3)
+        axes = [Axis(0.0, 4.0, 8)] * 3
+        pairs = 512 * 5  # one block of every node
+    else:
+        phi, f, pts = _pair(rng, 5, [1.0] * 3 + [5.0] * 2, 2, 0.3)
+        axes = [Axis(0.0, 4.0, 8)] * 3 + [Axis(0.0, 1.6, 4)] * 2
+        pairs = 2048 * 5  # 128 N × 16 A nodes
+    r, s = theorem31_residual(phi, f, case, 3, pts[:5], axes, axes)
     assert s > 0 and shapes
-    # a block of 2048 nodes (128 N × 16 A) at 5 points: the dense quotient
-    # would be (128, 16, 5, 5); every column buffer is below one of its
-    # columns in size
-    pairs = harmonic._block_size(axes, 5) * 5
-    assert pairs == 2048 * 5
+    assert harmonic._block_size(axes, 5) * 5 == pairs
+    # the dense quotient would be (nodes, 5, dim): every column buffer is
+    # below one of its columns in size
     assert max(int(np.prod(sh)) for sh in shapes) < pairs, shapes
+
+
+def test_theorem31_h_group_side_forms_no_dense_quotient(monkeypatch):
+    _assert_no_dense_quotient(monkeypatch, "H", "convolve_extended_group")
+
+
+# the other direct engine calls theorem31_residual makes: each takes its
+# quotients and F̃ as bilinear blocks
+@pytest.mark.parametrize("case, engine", [
+    ("K1", "convolve_extended_group"), ("K1", "convolve_extended_c"),
+    ("H", "convolve_extended_c_substituted")])
+def test_theorem31_sides_form_no_dense_quotient(monkeypatch, case, engine):
+    _assert_no_dense_quotient(monkeypatch, case, engine)
 
 
 # ── block size ───────────────────────────────────────────────────────────────
@@ -680,18 +759,24 @@ def test_filled_engines_equal_concatenated_formulas(monkeypatch, chunk,
                                                     case, m, k, f, axes):
     # the engines fill one (nodes, points, dim) buffer per argument; the
     # values must be those of the broadcast_to + concatenate formulas, bit
-    # for bit, with single-node blocks and with full ones
+    # for bit, with single-node blocks and with full ones.  φ and F_ext
+    # materialize every block they get, so the engines run their dense
+    # path (test_product_path_equals_the_materialized_quotient compares
+    # the blocks a TestFunction reads with it)
     monkeypatch.setattr(harmonic, "_CHUNK", chunk)
     rng = np.random.default_rng(25 + m)
     d_b = len(axes)
     (_, _, mu, w), = f.terms
-    phi = gaussian(mu + rng.uniform(-0.2, 0.2, d_b), w)
+    g = gaussian(mu + rng.uniform(-0.2, 0.2, d_b), w)
     base = rng.uniform(-0.4, 0.4, (3, d_b))
     shift = rng.uniform(-0.4, 0.4, (3, k))
     y = rng.uniform(-0.4, 0.4, (5, 1, d_b))
 
+    def phi(q):
+        return g(np.asarray(q))
+
     def F_ext(b, s):
-        return tilde_eval_coords(f, case, m, b, s)
+        return tilde_eval_coords(f, case, m, np.asarray(b), np.asarray(s))
 
     for engine, formula in [(convolve_extended_c, _concatenated_c),
                             (convolve_extended_c_substituted,
@@ -717,12 +802,17 @@ def _subtracted_abelian(g, f, points, axes):
 @pytest.mark.parametrize("d", [1, 3])
 def test_group_convolution_on_m_equals_subtracted_formula(monkeypatch, chunk,
                                                           d):
+    # f materializes the quotient block, so the engine runs its dense path
     monkeypatch.setattr(harmonic, "_CHUNK", chunk)
     rng = np.random.default_rng(26 + d)
     g = gaussian(rng.uniform(-0.3, 0.3, d), [1.0, 1.4, 0.8][:d])
-    f = gaussian(rng.uniform(-0.3, 0.3, d), [0.9, 1.2, 1.1][:d])
+    h = gaussian(rng.uniform(-0.3, 0.3, d), [0.9, 1.2, 1.1][:d])
     pts = rng.uniform(-1.0, 1.0, (5, d))
     axes = [Axis(0.0, 5.0, 8), Axis(0.2, 6.0, 4), Axis(0.0, 5.0, 16)][:d]
+
+    def f(q):
+        return h(np.asarray(q))
+
     got = convolve_group(g, f, "M", d, pts, axes)
     assert np.max(np.abs(got)) > 0
     assert np.array_equal(got, _subtracted_abelian(g, f, pts, axes))
