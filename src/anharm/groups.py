@@ -458,12 +458,14 @@ class _Bilinear:
     @staticmethod
     def _fill(out, lead, recipe):
         """out's rows from a recipe: the products of the single rows'
-        factors, then the products of pairs of rows."""
+        factors, then the products of pairs of rows, one row at a time
+        (gathering the pairs' rows would copy them)."""
         singles, pairs = recipe
         for row, fs in zip(out, singles):
             _product_into(fs, row.reshape(lead))
         if pairs is not None:
-            np.multiply(out[pairs[0]], out[pairs[1]], out=out[len(singles):])
+            for row, i, j in zip(out[len(singles):], *pairs):
+                np.multiply(out[i], out[j], out=row)
 
     def prepare(self):
         """Take the left features at the block's current values, and the
@@ -685,7 +687,8 @@ class Law:
     np.asarray is the dense quotient bit for bit.  On S a pair with out
     None gives the block too.  The ldiv of N and T give a dense array:
     N's through n_mul, whose wrapper counts one call per node·point pair
-    of convolve_group on N.
+    of convolve_group on N.  bilinear_ldiv says whether ldiv gives the
+    direct engines a block (on S, of a node pair): True on M and S.
 
     K1 (base N) and H (base S) have the coordinates (base, shift) and the
     componentwise law.  compose(u, b) = ι(u)∘b, where ι puts the shift u
@@ -707,6 +710,7 @@ class Law:
     rdiv: Callable = None
     unimodular: bool = True
     split: int = None
+    bilinear_ldiv: bool = False
     base: "Law" = None
     acting: slice = None
     top: slice = None
@@ -881,7 +885,7 @@ def law(name, m):
                    ldiv=lambda y, x, out=None, scratch=None:
                    _m_quotient(x, y, out),
                    rdiv=lambda x, y, out=None, scratch=None:
-                   _m_quotient(x, y, out))
+                   _m_quotient(x, y, out), bilinear_ldiv=True)
     if m < 2:
         raise ValueError(f"matrix size must be >= 2, got {m}")
     d_n = m * (m - 1) // 2
@@ -897,7 +901,7 @@ def law(name, m):
                    lambda x: s_inv(m, x),
                    ldiv=lambda y, x, out=None, scratch=None:
                    _an_ldiv(m, y, x, out, scratch, rho=True),
-                   unimodular=False, split=d_n)
+                   unimodular=False, split=d_n, bilinear_ldiv=True)
     if name == "K1":  # shift: the acting layers 1..m-2 of N
         base, k = law("N", m), d_n - (m - 1)
         return Law("K1", m, d_n + k, *_product(base, k), base=base,

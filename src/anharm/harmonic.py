@@ -177,21 +177,34 @@ def _real_norms(f, axes):
 
 # ── convolution engines ──────────────────────────────────────────────────────
 
-_CHUNK = 1 << 14  # node·point pairs per block; BENCH_3.json has the sweep
+# node·point pairs per block of a walk whose quotients are dense, and a
+# quarter of the floats a bilinear walk's block holds: BENCH_26.json
+_CHUNK = 1 << 14
 
 
-def _block_size(axes, npoints):
-    """Nodes per block: the largest power of two within _CHUNK // npoints
-    (at least one), or every node of the grid when it has fewer."""
+def _block_size(axes, npoints, scalars=None):
+    """Nodes per block: the largest power of two within the walk's budget
+    (at least one), or every node of the grid when it has fewer.  The budget
+    follows what a block builds.  A walk whose quotients are dense holds
+    them as (block, points, dim) columns and gets _CHUNK node·point pairs,
+    the size BENCH_3's sweep of such blocks chose.  A bilinear walk
+    (groups._Bilinear) holds only scalar buffers, `scalars` floats per node
+    (its values at the points and its node weight), and gets 4·_CHUNK floats
+    in all: the bytes of a dense block's quotient of dim 4."""
     total = int(np.prod([a.points for a in axes]))
-    return min(total, 1 << (max(1, _CHUNK // max(npoints, 1)).bit_length() - 1))
+    if scalars is None:
+        nodes = _CHUNK // max(npoints, 1)
+    else:
+        nodes = (_CHUNK << 2) // scalars
+    return min(total, 1 << (max(1, nodes).bit_length() - 1))
 
 
-def _node_blocks(axes, npoints, split=None):
+def _node_blocks(axes, npoints, split=None, scalars=None):
     """Yield (nodes, cell volume): the product grid's nodes in C order, in
-    blocks of _block_size nodes.  Axis sizes are powers of two too, so a
-    block is a product of index ranges, one per axis, of the same lengths
-    in every block; the full mesh is never built.  Every block is written
+    blocks of _block_size nodes: for a bilinear walk of `scalars` floats
+    per node, or else one whose quotients are dense.  Axis sizes are powers
+    of two too, so a block is a product of index ranges, one per axis, of
+    the same lengths in every block; the full mesh is never built.  Every block is written
     into one buffer allocated here, each coordinate column contiguous, as
     the group laws lay out theirs, and the columns of axes that every block
     covers whole are written once: the consumer must not change it.
@@ -204,7 +217,7 @@ def _node_blocks(axes, npoints, split=None):
     grids = [grid_nodes(a) for a in axes]
     cell = float(np.prod([a.step for a in axes]))
     total = int(np.prod(shape))
-    size, stride, lengths = _block_size(axes, npoints), 1, []
+    size, stride, lengths = _block_size(axes, npoints, scalars), 1, []
     for p in reversed(shape):
         lengths.insert(0, min(p, max(1, size // stride)))
         stride *= p
@@ -228,36 +241,44 @@ def _node_blocks(axes, npoints, split=None):
 
 
 def _at(f, y):
-    """f at y: a dense block, a pair of factor blocks taken at their
-    broadcast concatenation, or a bilinear block (groups._Bilinear).  A
-    TestFunction evaluates a pair factored (TestFunction.on_blocks) and a
-    bilinear block as one; any other callable gets the dense values, as
-    testfuncs.sample dispatches."""
-    if not isinstance(y, tuple):
-        return f(y) if isinstance(f, TestFunction) else f(np.asarray(y))
+    """f at y, in an array the caller may overwrite: y a dense block, a pair
+    of factor blocks taken at their broadcast concatenation, or a bilinear
+    block (groups._Bilinear).  A TestFunction evaluates a pair factored
+    (TestFunction.on_blocks) and a bilinear block as one, and its values
+    are its own (TestFunction._terms_at); any other callable gets the dense
+    values, as testfuncs.sample dispatches, and its values are copied."""
     if isinstance(f, TestFunction):
-        return f.on_blocks(*y)
-    lead = np.broadcast_shapes(*(b.shape[:-1] for b in y))
-    return f(np.concatenate([np.broadcast_to(b, lead + b.shape[-1:])
-                             for b in y], axis=-1))
+        return f.on_blocks(*y) if isinstance(y, tuple) else f(y)
+    if isinstance(y, tuple):
+        lead = np.broadcast_shapes(*(b.shape[:-1] for b in y))
+        y = np.concatenate([np.broadcast_to(b, lead + b.shape[-1:])
+                            for b in y], axis=-1)
+    vals = np.asarray(f(np.asarray(y)))
+    return vals.astype(np.result_type(vals, 1.0))
 
 
-def _quadrature(axes, npoints, integrand, weight=None, split=None):
+def _quadrature(axes, npoints, integrand, weight=None, split=None,
+                values=None):
     """Σ over the nodes y of the axes' product grid, block by block, of
     F(y)·cell, or with a weight w, of w(y)·cell·F(y), one matrix product
     of each block's node weights with F: npoints sums.  F(y) holds a row
     of npoints values per node, in the block's C order.  The sums are
-    float when w and F are.
+    float when w and F are.  values is the number of (block, points) value
+    buffers F holds per block when its quotients are bilinear blocks, and
+    None when they are dense: _block_size sizes the blocks from it and the
+    weight.
 
     F and w get each block with an axis for the points inserted before the
     coordinates, (b, 1, k), or given split as its factor blocks
     (_node_blocks), (b_1, 1, 1, split) and (1, b_2, 1, k − split), w taken
-    at them by _at.  Every block has the same leading shape, lead, (b,) or
-    (b_1, b_2), and is the same array (or pair) refilled, so integrand(lead)
-    is called once, at the first block: it allocates the buffers every
-    block refills and returns F."""
+    at them by _at and scaled by the cell in place.  Every block has the
+    same leading shape, lead, (b,) or (b_1, b_2), and is the same array (or
+    pair) refilled, so integrand(lead) is called once, at the first block:
+    it allocates the buffers every block refills and returns F."""
     block_integrand = total = None
-    for nodes, cell in _node_blocks(axes, npoints, split):
+    scalars = (None if values is None
+               else values * npoints + (weight is not None))
+    for nodes, cell in _node_blocks(axes, npoints, split, scalars):
         if block_integrand is None:
             if split is None:
                 lead, y = nodes.shape[:-1], nodes[:, None, :]
@@ -269,7 +290,10 @@ def _quadrature(axes, npoints, integrand, weight=None, split=None):
         if weight is None:
             part = vals.sum(axis=0) * cell
         else:
-            part = (np.asarray(_at(weight, y)) * cell).ravel() @ vals
+            w = _at(weight, y)
+            part = np.multiply(w, cell, out=w).ravel() @ vals
+            del w
+        del vals  # so the next block's buffers are not formed beside them
         total = part if total is None else total + part
     return total
 
@@ -300,7 +324,8 @@ def _group_convolution(L, g, f, x, axes):
 
         return F
 
-    return _quadrature(axes, x.shape[1], integrand, weight=g, split=split)
+    return _quadrature(axes, x.shape[1], integrand, weight=g, split=split,
+                       values=1 if L.bilinear_ldiv else None)
 
 
 def _substituted_convolution(L, F, phi, x, axes):
@@ -319,11 +344,14 @@ def _substituted_convolution(L, F, phi, x, axes):
         def integrand_at(w):
             nonlocal q
             q = L.rdiv(x, w, out=q, scratch=winv)
-            return F(q.columns(w)) * _at(phi, q)
+            f, vals = np.asarray(F(q.columns(w))), _at(phi, q)
+            if np.result_type(f, vals) != vals.dtype:
+                return f * vals
+            return np.multiply(vals, f, out=vals)  # φ's values, in place
 
         return integrand_at
 
-    return _quadrature(axes, x.shape[1], integrand, split=split)
+    return _quadrature(axes, x.shape[1], integrand, split=split, values=2)
 
 
 def _rows(points):

@@ -52,7 +52,9 @@ class TestFunction:
         one block x.  It takes exactly one array, whose leading axes give
         the number of points, or a bilinear block (groups._Bilinear),
         prepared once, whose Gaussian exponents it takes term by term as
-        one matrix product each (_terms_at)."""
+        one matrix product each (_terms_at).  On a block, a function of one
+        real term returns its values in the exponent's buffer, which the
+        block keeps and its next evaluation overwrites."""
         if isinstance(x, _Bilinear):
             x.prepare()
             return self._terms_at(x.shape[:-1], x.exponent, x.centered)
@@ -106,22 +108,31 @@ class TestFunction:
         """Σ over the terms of c·Π (x_i-μ_i)^{α_i}·exp(exponent(hw, μ)),
         hw = -½w: exponent gives Σ hw_i (x_i-μ_i)² in a buffer the term's
         value is formed in, and centered(i, μ_i) gives x_i-μ_i, read only
-        where α_i > 0."""
+        where α_i > 0.  With real coefficients each term is scaled in that
+        buffer, so a one-term function's values are returned in it; the sum
+        of more terms is a copy of the first, and a complex one a complex
+        array.  Either way the caller may overwrite what it gets."""
         real = self.is_real
-        dtype = float if real else complex
         if not self.terms:
-            return np.zeros(shape, dtype)
-        for n, (c, alpha, mu, w) in enumerate(self.terms):
+            return np.zeros(shape, float if real else complex)
+        out = None
+        for c, alpha, mu, w in self.terms:
             val = exponent(-0.5 * w, mu)  # a power-of-two scale is exact
             np.exp(val, out=val)
             for i in np.flatnonzero(alpha):
                 val *= centered(i, mu[i]) ** alpha[i]
             if real:
-                c = c.real
-            if n:
-                out += c * val
+                if c.real != 1.0:  # x·1 = x: no pass needed
+                    val *= c.real
+                term = val
             else:
-                out = np.multiply(val, c, out=np.empty_like(val, dtype))
+                term = np.multiply(val, c, out=np.empty_like(val, complex))
+            if out is not None:
+                out += term
+            elif term is val and len(self.terms) > 1:
+                out = val.copy()  # the next term's exponent reuses val
+            else:
+                out = term
         return out
 
     @property

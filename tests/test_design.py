@@ -14,7 +14,10 @@ reason, among the names kept unread.  A fifth keeps the direct engines on
 two integrand builders: ``harmonic._quadrature``, the one quadrature loop,
 is called only by the group-convolution core and the substituted core.  A
 sixth keeps one product-form class: ``groups._Bilinear`` is the only class
-whose values a test function reads through an ``exponent``.
+whose values a test function reads through an ``exponent``.  A seventh keeps
+one block-size rule: ``harmonic._CHUNK`` is read only by the rule
+``_block_size``, and the rule only by the node walk ``_node_blocks`` and
+the pullback lattice engine, so no engine sizes its own blocks.
 """
 
 import ast
@@ -274,3 +277,52 @@ def test_one_product_form_class():
     found = [c for p in sorted(SRC.glob("*.py"))
              for c in product_form_classes(p)]
     assert found == [PRODUCT_FORM], found
+
+
+# the block-size budget and rule, each with the top-level functions that
+# may read it
+BLOCK_RULE = ("harmonic.py", {
+    "_CHUNK": {"_block_size"},
+    "_block_size": {"_node_blocks", "convolve_group_pullback_lattice"}})
+
+
+def block_rule_reads(path, names):
+    """(line, reader, name) for each read of one of names (a bare Name or
+    an attribute of that name) in path, reader the top-level function or
+    statement it is in."""
+    found = []
+    for top in ast.parse(path.read_text()).body:
+        reader = getattr(top, "name", None)
+        found += [(node.lineno, reader, _subject(node))
+                  for node in ast.walk(top)
+                  if isinstance(node, (ast.Name, ast.Attribute))
+                  and isinstance(node.ctx, ast.Load)
+                  and _subject(node) in names]
+    return sorted(found, key=lambda read: read[0])
+
+
+def block_rule_violations(path, rule):
+    """'file:line: reader reads name' for each read that rule does not
+    allow."""
+    return [f"{path.name}:{line}: {reader} reads {name}"
+            for line, reader, name in block_rule_reads(path, rule)
+            if reader not in rule[name]]
+
+
+def test_block_rule_lint_sees_an_engine_sizing_its_blocks(tmp_path):
+    mod = tmp_path / "harmonic.py"
+    mod.write_text("_CHUNK = 8\n"
+                   "def _block_size(n): return _CHUNK // n\n"
+                   "def _node_blocks(n): return _block_size(n)\n"
+                   "def engine(n): return range(0, n, _CHUNK * 2)\n")
+    assert block_rule_violations(mod, BLOCK_RULE[1]) == [
+        "harmonic.py:4: engine reads _CHUNK"]
+
+
+def test_one_block_size_rule():
+    rule = BLOCK_RULE[1]
+    home = SRC / BLOCK_RULE[0]
+    assert {name for _, _, name in block_rule_reads(home, rule)} == set(rule)
+    found = [v for p in sorted(SRC.glob("*.py"))
+             for v in block_rule_violations(p, rule)]
+    assert not found, "\n".join(found)

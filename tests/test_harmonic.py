@@ -2,6 +2,8 @@ import importlib
 import importlib.util
 import pathlib
 import time
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -482,17 +484,31 @@ def test_product_path_equals_the_materialized_quotient(monkeypatch, m,
             assert np.max(np.abs(got - want)) <= 1e-12 * scale, (case, name)
 
 
-def _assert_no_dense_quotient(monkeypatch, case, engine):
+# the rule's floats per node (harmonic._block_size) of each engine's walk at
+# 5 points: a group core holds one value per pair and a weight per node, a
+# substituted core F̃'s and φ's values per pair
+_GROUP_CORE, _SUBSTITUTED_CORE = 5 + 1, 2 * 5
+
+
+def _assert_no_dense_quotient(monkeypatch, case, engine, scalars):
     """theorem31_residual at m = 3 and 5 points with engine's call on case
     watched: no block is materialized, and no (nodes, points) array is
-    made through empty_columns."""
+    made through empty_columns.  The engine's walk must use the rule's
+    block at its inputs, `scalars` floats per node."""
     shapes, real = [], groups.empty_columns
+    sizes, block_size = [], harmonic._block_size
     call, active = getattr(harmonic, engine), []
 
     def spy(shape):
         if active:
             shapes.append(tuple(shape))
         return real(shape)
+
+    def sized(*args):
+        n = block_size(*args)
+        if active:
+            sizes.append(n)
+        return n
 
     def side(*args):
         active.append(True)
@@ -506,27 +522,29 @@ def _assert_no_dense_quotient(monkeypatch, case, engine):
 
     for module in (groups, harmonic, testfuncs):
         monkeypatch.setattr(module, "empty_columns", spy)
+    monkeypatch.setattr(harmonic, "_CHUNK", 1 << 14)
+    monkeypatch.setattr(harmonic, "_block_size", sized)
     monkeypatch.setattr(harmonic, engine, side)
     monkeypatch.setattr(groups._Bilinear, "__array__", materialize)
     rng = np.random.default_rng(9)
     if case == "K1":
         phi, f, pts = _pair(rng, 3, [1.0] * 3, 1, 0.3)
-        axes = [Axis(0.0, 4.0, 8)] * 3
-        pairs = 512 * 5  # one block of every node
+        axes = [Axis(0.0, 4.0, 8)] * 3  # 512 nodes: one block of them all
     else:
         phi, f, pts = _pair(rng, 5, [1.0] * 3 + [5.0] * 2, 2, 0.3)
         axes = [Axis(0.0, 4.0, 8)] * 3 + [Axis(0.0, 1.6, 4)] * 2
-        pairs = 2048 * 5  # 128 N × 16 A nodes
     r, s = theorem31_residual(phi, f, case, 3, pts[:5], axes, axes)
     assert s > 0 and shapes
-    assert harmonic._block_size(axes, 5) * 5 == pairs
+    pairs = block_size(axes, 5, scalars) * 5
+    assert set(sizes) == {pairs // 5}, sizes
     # the dense quotient would be (nodes, 5, dim): every column buffer is
     # below one of its columns in size
     assert max(int(np.prod(sh)) for sh in shapes) < pairs, shapes
 
 
 def test_theorem31_h_group_side_forms_no_dense_quotient(monkeypatch):
-    _assert_no_dense_quotient(monkeypatch, "H", "convolve_extended_group")
+    _assert_no_dense_quotient(monkeypatch, "H", "convolve_extended_group",
+                              _GROUP_CORE)
 
 
 # the other direct engine calls theorem31_residual makes: each takes its
@@ -535,7 +553,9 @@ def test_theorem31_h_group_side_forms_no_dense_quotient(monkeypatch):
     ("K1", "convolve_extended_group"), ("K1", "convolve_extended_c"),
     ("H", "convolve_extended_c_substituted")])
 def test_theorem31_sides_form_no_dense_quotient(monkeypatch, case, engine):
-    _assert_no_dense_quotient(monkeypatch, case, engine)
+    scalars = {"convolve_extended_c": _GROUP_CORE}.get(engine,
+                                                        _SUBSTITUTED_CORE)
+    _assert_no_dense_quotient(monkeypatch, case, engine, scalars)
 
 
 # ── block size ───────────────────────────────────────────────────────────────
@@ -586,10 +606,14 @@ def _engine_runs(extend=None, refine=1, cast=None):
     }
 
 
-@pytest.mark.parametrize("chunk", [1, 40, 200])
+# at 5 points a dense walk's blocks are 1, 1, 8 and 32 nodes, a group
+# core's (6 floats per node) 1, 4, 16 and 128, a substituted core's (10)
+# 1, 2, 16 and 64: at _CHUNK = 8 the split walks of H m=2 cover its 8 A
+# nodes only in part (test_block_size_rule_gives_bilinear_walks_more_pairs)
+@pytest.mark.parametrize("chunk", [1, 8, 40, 200])
 @pytest.mark.parametrize("engine", sorted(_engine_runs()))
 def test_engines_do_not_depend_on_block_size(monkeypatch, engine, chunk):
-    # 5 points: blocks of 1, 8 and 32 nodes, against one block of all nodes
+    # each block size against one block of all nodes
     run = _engine_runs()[engine]
     monkeypatch.setattr(harmonic, "_CHUNK", 1 << 40)
     whole = run()
@@ -611,6 +635,99 @@ def test_real_engines_equal_complex_casts(engine):
     cplx = _engine_runs(cast=complex_cast)[engine]()
     assert real.dtype == float and cplx.dtype == complex
     assert np.max(np.abs(real - cplx)) <= 1e-12 * np.max(np.abs(cplx))
+
+
+@pytest.mark.parametrize("scalars", [None, 1, 2, 6, 10, 21, 40, 1 << 17])
+@pytest.mark.parametrize("npoints", [1, 3, 5, 20, 1 << 15])
+@pytest.mark.parametrize("sizes", [(2,), (8, 4, 16), (32,) * 3 + (8,) * 2,
+                                   (2,) * 24])
+def test_block_size_rule(sizes, npoints, scalars):
+    # a power of two, at least one node and at most all of them; a walk
+    # whose quotients are dense gets no more pairs than the 2¹⁴ BENCH_3
+    # chose, a bilinear one no more than 4·_CHUNK floats of scalars (one
+    # node aside); either gets the largest such block
+    axes = [Axis(0.0, 1.0, p) for p in sizes]
+    total = int(np.prod(sizes))
+    n = harmonic._block_size(axes, npoints, scalars)
+    assert 1 <= n <= total and n & (n - 1) == 0
+    if scalars is None:
+        assert n * npoints <= (1 << 14) or n == 1
+        fits = 2 * n * npoints <= harmonic._CHUNK
+    else:
+        assert n * scalars <= 4 * harmonic._CHUNK or n == 1
+        fits = 2 * n * scalars <= 4 * harmonic._CHUNK
+    assert n == total or not fits
+
+
+def test_block_size_rule_gives_bilinear_walks_more_pairs(monkeypatch):
+    # at the same points a bilinear walk's block is at least the dense one;
+    # at 20 points the group core gets 4× the pairs and the substituted core
+    # 2×; at _CHUNK = 8 and 5 points H m=2's split walks (its axes in
+    # _engine_runs) cover its 8 A nodes in part, in blocks of more than one
+    big = [Axis(0.0, 1.0, 64)] * 3
+    for npoints in (1, 5, 20):
+        dense = harmonic._block_size(big, npoints)
+        for scalars in (npoints + 1, 2 * npoints):
+            assert harmonic._block_size(big, npoints, scalars) >= dense
+    dense = harmonic._block_size(big, 20)
+    assert [harmonic._block_size(big, 20, s) for s in (21, 40)] == [
+        4 * dense, 2 * dense]
+    monkeypatch.setattr(harmonic, "_CHUNK", 8)
+    axes2 = [Axis(0.0, 6.4, 16), Axis(0.0, 3.2, 8)]
+    assert [harmonic._block_size(axes2, 5, s) for s in (6, 10)] == [4, 2]
+
+
+def _peak_bytes(run):
+    """tracemalloc's peak over a second call of run, the first having made
+    what a process keeps across calls (the law table, lru caches)."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _guard_runs():
+    """(name, run, dense block bytes) for one call of each direct engine at
+    pinned_H_m3's axes (32³×8² nodes, 1 point) and at the intertwine's 16³
+    N walk (20 points).  The bytes are those of a dense quotient block at
+    the rule's size for a dense walk: 8·dim·npoints·_block_size."""
+    rng = np.random.default_rng(7)
+    runs = []
+    for case, m, widths, k, axes, npts in [
+            ("H", 3, [1.0] * 3 + [5.0] * 2, 2,
+             [Axis(0.0, 4.0, 32)] * 3 + [Axis(0.0, 1.6, 8)] * 2, 1),
+            ("K1", 3, [1.3, 0.5, 1.1], 1,
+             [Axis(0.0, 8.0, 16), Axis(0.0, 9.6, 16), Axis(0.0, 8.0, 16)],
+             20)]:
+        B = law(case, m).base
+        phi, f = (gaussian(rng.uniform(-0.3, 0.3, B.dim), widths)
+                  for _ in range(2))
+        base = rng.uniform(-0.3, 0.3, (npts, B.dim))
+        shift = rng.uniform(-0.3, 0.3, (npts, k))
+        F = partial(tilde_eval_coords, f, case, m)
+        dense = 8 * B.dim * npts * harmonic._block_size(axes, npts)
+        args = (phi, F, case, m, base, shift, axes)
+        runs += [(f"{case} {e.__name__}", partial(e, *args), dense)
+                 for e in (convolve_extended_group, convolve_extended_c,
+                           convolve_extended_c_substituted)]
+        runs.append((f"{B.name} convolve_group",
+                     partial(convolve_group, phi, f, B.name, m, base, axes),
+                     dense))
+    return runs
+
+
+@pytest.mark.parametrize("name, run, dense", [
+    pytest.param(*r, id=r[0]) for r in _guard_runs()])
+def test_engine_memory_stays_within_the_block_budget(name, run, dense):
+    # one engine call peaks below five dense quotient blocks at the rule's
+    # dense size: 3.7 on H's dense T walk (the quotient, its composition
+    # and the test function's scratch), 3 or less on the others; a dense
+    # walk sized as a bilinear one peaks at 7.3 (T) and 8.4 (N) of them
+    peak = _peak_bytes(run)
+    assert peak < 5 * dense, (name, peak / dense)
 
 
 def _count_empty_columns(monkeypatch):
