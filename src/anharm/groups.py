@@ -309,11 +309,7 @@ def _product_into(factors, out):
 
 def _sides(y, x):
     """Per leading axis of a quotient of x by y, whether the right factor
-    spans it: the A-block's axis for a node pair (N-block, A-block), whose
-    quotients have the leading axes (N-block, A-block, points), and
-    otherwise every axis along which y does not vary."""
-    if isinstance(y, tuple):
-        return (False, True, False)
+    spans it: every axis along which y does not vary."""
     lead = np.broadcast_shapes(y.shape[:-1], x.shape[:-1])
     own = (1,) * (len(lead) - y.ndim + 1) + y.shape[:-1]
     return tuple(n == 1 for n in own)
@@ -515,19 +511,20 @@ class _Bilinear:
         col -= mu
         return self._lead_view(col, p["lo"], p["hi"], p["perm"])
 
-    def columns(self, w):
-        """The node block w (an array, or a pair of factor blocks side by
-        side) as a block with this one's sides, one term per coordinate;
-        kept while w is the same."""
-        def make():
-            arrays = w if isinstance(w, tuple) else (w,)
-            block = _Bilinear(self.right, [(_term(self.right, a[..., i]),)
-                                           for a in arrays
-                                           for i in range(a.shape[-1])])
-            block.arrays = arrays
-            return block
+    @classmethod
+    def of_columns(cls, right, *arrays):
+        """The arrays side by side as a block with the sides right, one
+        term per column; take gives their slices back."""
+        block = cls(right, [(_term(right, a[..., i]),) for a in arrays
+                            for i in range(a.shape[-1])])
+        block.arrays = arrays
+        return block
 
-        return self._kept("columns", w, make)
+    def columns(self, w):
+        """The node block w, an array, as a block with this one's sides;
+        kept while w is the same."""
+        return self._kept("columns", w,
+                          lambda: _Bilinear.of_columns(self.right, w))
 
     def replaced(self, slots, values):
         """This block with the coordinates in slots (a slice) replaced by
@@ -555,101 +552,78 @@ def _equal(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _rho_kept(m, t, scale, block, sign=1.0):
-    """scale = ρ(sign·t)'s scales, taken again only when t differs from the
-    t they were last taken at, which block keeps (bit for bit the same)."""
-    seen = block.seen
-    if seen is None or not _equal(seen, t):
-        _rho_into(m, t, np.ones(scale.shape[-1]), scale, sign)
-        block.seen = t.copy()
+def _rho_kept(m, t, scale, seen, sign=1.0):
+    """scale = ρ(sign·t)'s scales, taken again only when t differs from
+    seen, the t they were last taken at (bit for bit); returns the t they
+    are now taken at."""
+    if seen is not None and _equal(seen, t):
+        return seen
+    _rho_into(m, t, np.ones(scale.shape[-1]), scale, sign)
+    return t.copy()
+
+
+def _an_block(m, y, x, out, n_part, rho=False):
+    """The quotient of x by a node block y of S or T (a _Bilinear of the
+    N-block's columns on the left and the A-block's on the right) as a
+    bilinear block, refilled into out when it made it from y and x: N slot
+    k is column k of n_part(y's N part, x's, into), formed on the N-block
+    and the points into a buffer the block keeps, times ρ(−t_y)'s scales
+    on the A-block when rho (taken again only when the A-block's values
+    change); A slot l is t_x − t_y, t_x on the points and t_y on the
+    A-block."""
+    d = len(_n_terms(m))
+    out = _Bilinear() if out is None else out
+    yn, ya = y.take(slice(0, d)), y.take(slice(d, None))
+    kept = out._made_of(y, x)
+    p = n_part(yn, x[..., :d], out.p if kept else None)
+    if not kept:
+        g, v = empty_columns(ya.shape[:-1] + (d,)), x[..., d:]
+        out._build((y, x), y.right, [
+            ((1.0, (p[..., k],), (g[..., k],) if rho else ()),)
+            for k in range(d)] + [
+            ((1.0, (v[..., l],), ()), (-1.0, (), (ya[..., l],)))
+            for l in range(m - 1)])
+        out.p, out.g = p, g
+    if rho:
+        out.seen = _rho_kept(m, ya, out.g, out.seen, sign=-1.0)
+    return out
 
 
 def _an_ldiv(m, y, x, out, scratch, rho):
     """y⁻¹x = (P, t_x − t_y) with P = n_y⁻¹n_x in T = N × ℝ^{m−1}, and
-    (ρ(−t_y)P, t_x − t_y) in S when rho, written into out when given.
-
-    y is one array, or an (N part, A part) pair whose leading axes
-    broadcast against each other and x's: a node block's N-block and
-    A-block.  Given one array, P is formed in out's N slots, n_y⁻¹ in
-    scratch (y's shape), and ρ taken in place.  Given a pair, the N law
-    runs at the N part's broadcast with x only, n_y⁻¹ into scratch[0] (the
-    N part's shape) and P into scratch[1]; ρ's exponentials are taken at
-    the A part's shape, and each N slot of out gets one broadcast product
-    (on T, one copy) of P's.  The values are the one-array form's on the
-    broadcast concatenation, bit for bit.
-
-    On S, a pair with out None or a _Bilinear gives the quotient as a
-    bilinear block, refilled into out when it made it from the same
-    arrays: N slot k is P_k·G_k, with G = ρ(−t_y)'s scales on the A-block
-    (taken again only when the A-block's values change), and A slot l is
-    t_x − t_y, t_x on the points and t_y on the A-block.  Its blocks must
-    then be an N-block (b_N, 1, 1, ·) and an A-block (1, b_A, 1, ·).  T
-    gives a dense quotient for a _Bilinear out."""
+    (ρ(−t_y)P, t_x − t_y) in S when rho: P formed in out's N slots (a
+    fresh array when out is None), n_y⁻¹ in scratch (_n_inverse), and ρ
+    taken in place.  A node block y gives a bilinear block (_an_block),
+    its N slots on the N-block with n_y⁻¹ in scratch (the N-block's
+    shape)."""
     d = len(_n_terms(m))
     x = np.asarray(x, dtype=float)
-    pair = isinstance(y, tuple)
-    if pair:
-        yn, ya = (np.asarray(b, dtype=float) for b in y)
-        yinv, p = (None, None) if scratch is None else scratch
-    else:
-        y = np.asarray(y, dtype=float)
-        yn, ya, yinv = y[..., :d], y[..., d:], scratch
-    if rho and pair and not isinstance(out, np.ndarray):
-        p = _n_ldiv(m, yn, x[..., :d], p, yinv)
-        out = out if isinstance(out, _Bilinear) else _Bilinear()
-        if not out._made_of(p, ya, x):
-            g, v = empty_columns(ya.shape[:-1] + (d,)), x[..., d:]
-            out._build((p, ya, x), _sides(y, x), [
-                ((1.0, (p[..., k],), (g[..., k],)),) for k in range(d)] + [
-                ((1.0, (v[..., l],), ()), (-1.0, (), (ya[..., l],)))
-                for l in range(m - 1)])
-            out.g = g
-        _rho_kept(m, ya, out.g, out, sign=-1.0)
-        return out
-    if isinstance(out, _Bilinear):
-        out = None
+    if isinstance(y, _Bilinear):
+        return _an_block(m, y, x, out, lambda yn, xn, into:
+                         _n_ldiv(m, yn, xn, into, scratch), rho)
+    y = np.asarray(y, dtype=float)
     if out is None:
-        out = empty_columns(np.broadcast_shapes(
-            yn.shape[:-1], ya.shape[:-1], x.shape[:-1]) + x.shape[-1:])
-    _m_sub(x[..., d:], ya, out[..., d:])
-    p = _n_ldiv(m, yn, x[..., :d], p if pair else out[..., :d], yinv)
+        out = empty_columns(np.broadcast_shapes(y.shape, x.shape))
+    _m_sub(x[..., d:], y[..., d:], out[..., d:])
+    p = _n_ldiv(m, y[..., :d], x[..., :d], out[..., :d], scratch)
     if rho:
-        _rho_into(m, ya, p, out[..., :d], sign=-1.0)
-    elif pair:
-        for k in range(d):
-            np.copyto(out[..., k], p[..., k])
+        _rho_into(m, y[..., d:], p, p, sign=-1.0)
     return out
 
 
 def _t_rdiv(m, x, y, out=None, scratch=None):
-    """x·y⁻¹ = (n_x·n_y⁻¹, t_x − t_y) on T = N × ℝ^{m−1}, as its (N part,
-    A part) pair, into out (a pair of buffers) when given.  y is such a
-    pair, or one array split where its N part ends; n_y⁻¹ goes into
-    scratch (_n_inverse).
-
-    Into a _Bilinear out, y an (N-block, A-block) pair, it is a bilinear
-    block: N slot k is the N part's column, formed on the N-block and the
-    points into a buffer the block keeps, and A slot l is t_x − t_y, t_x
-    on the points and t_y on the A-block."""
+    """x·y⁻¹ = (n_x·n_y⁻¹, t_x − t_y) on T = N × ℝ^{m−1}, into out when
+    given, n_y⁻¹ into scratch (_n_inverse).  A node block y gives a
+    bilinear block (_an_block)."""
     d = len(_n_terms(m))
     x = np.asarray(x, dtype=float)
-    if isinstance(out, _Bilinear) and isinstance(y, tuple):
-        kept = out._made_of(x, *y)
-        p = _n_rdiv(m, x[..., :d], y[0], out.p if kept else None, scratch)
-        if not kept:
-            v, right = x[..., d:], _sides(y, x)
-            out._build((x, *y), right, [
-                ((1.0, (p[..., k],), ()),) for k in range(d)] + [
-                (_term(right, v[..., l]), _term(right, y[1][..., l], -1.0))
-                for l in range(m - 1)])
-            out.p = p
-        return out
-    if not isinstance(y, tuple):
-        y = np.asarray(y, dtype=float)
-        y = y[..., :d], y[..., d:]
-    out = out if isinstance(out, tuple) else (None, None)
-    return (_n_rdiv(m, x[..., :d], y[0], out[0], scratch),
-            _m_sub(x[..., d:], y[1], out[1]))
+    if isinstance(y, _Bilinear):
+        return _an_block(m, y, x, out, lambda yn, xn, into:
+                         _n_rdiv(m, xn, yn, into, scratch))
+    x, y, out = _operands(out, x, y)
+    _n_rdiv(m, x[..., :d], y[..., :d], out[..., :d], scratch)
+    _m_sub(x[..., d:], y[..., d:], out[..., d:])
+    return out
 
 
 # ── the law table ────────────────────────────────────────────────────────────
@@ -665,30 +639,28 @@ class Law:
 
     On N, S, M and T = N × ℝ^{m−1}, the groups the engines divide by,
     ldiv(y, x, out, scratch) = y⁻¹x forms a quotient into out when given;
-    on N, M and T so does rdiv(x, y, out, scratch) = x·y⁻¹, which T, a
-    direct product, returns as its (N part, A part) pair.  On N, S and T
-    y⁻¹'s N part goes into scratch, a buffer of y's shape the caller keeps
-    (a fresh one when None), the N law is applied through n_mul, so a
-    wrapper on n_mul sees it, and on S ρ is taken once.  They call no
+    on N, M and T so does rdiv(x, y, out, scratch) = x·y⁻¹.  On N, S and T
+    y⁻¹'s N part goes into scratch, a buffer of its shape the caller
+    keeps (a fresh one when None), the N law is applied through n_mul, so
+    a wrapper on n_mul sees it, and on S ρ is taken once.  They call no
     n_inv, s_mul or s_inv, so wrappers on those no longer see the
     quotients' work.
 
     split is the slot where the N part ends on S and T, whose elements
     factor as n·a (on T as (n, 0)·(0, t)), and None on the groups that do
-    not factor so.  Where it is set, ldiv and rdiv also take y as an
-    (N part, A part) pair of broadcastable blocks, ldiv with scratch a
-    pair of buffers (_an_ldiv): the direct engines walk such a group's
-    node blocks as an N-block times an A-block.
+    not factor so.  Where it is set, the direct engines walk the nodes as
+    one node block: a _Bilinear whose columns are the N-block's on the
+    left and the A-block's on the right (_Bilinear.of_columns), and ldiv
+    and rdiv of such a y give a bilinear block (_an_block).
 
     Into a _Bilinear out (an empty one, or one an earlier call made), M's
-    quotients, the rdiv of N and T and S's ldiv of a node pair come as a
-    bilinear block, which the next call with it refills: each coordinate
-    a short sum of rank-one terms in (y's side, x's side), whose
-    np.asarray is the dense quotient bit for bit.  On S a pair with out
-    None gives the block too.  The ldiv of N and T give a dense array:
-    N's through n_mul, whose wrapper counts one call per node·point pair
-    of convolve_group on N.  bilinear_ldiv says whether ldiv gives the
-    direct engines a block (on S, of a node pair): True on M and S.
+    quotients, N's rdiv and the quotients of S and T by a node block come
+    as a bilinear block, which the next call with it refills: each
+    coordinate a short sum of rank-one terms in (y's side, x's side),
+    whose np.asarray is the dense quotient bit for bit.  N's ldiv gives a
+    dense array, through n_mul, whose wrapper counts one call per
+    node·point pair of convolve_group on N.  bilinear_ldiv says whether
+    ldiv gives the direct engines a block: True on M, S and T.
 
     K1 (base N) and H (base S) have the coordinates (base, shift) and the
     componentwise law.  compose(u, b) = ι(u)∘b, where ι puts the shift u
@@ -818,6 +790,14 @@ def _product(base, k):
     return mul, inv
 
 
+def _coords_of(u, right):
+    """u's coordinates as terms on a block with the sides right: a block's
+    own, or one term per column of an array."""
+    if isinstance(u, _Bilinear):
+        return u.coords
+    return [(_term(right, u[..., i]),) for i in range(u.shape[-1])]
+
+
 def _k1_compose(m, u, b):
     """ι(u)∘b = n_mul(ι(u), b) on K1.  On a bilinear b it is the block of
     the law's terms, u an array or a block with b's sides: ι(u)_k (u's
@@ -828,8 +808,7 @@ def _k1_compose(m, u, b):
 
     def make():
         k = law("K1", m).shift_dim
-        us = [u.coords[i] if isinstance(u, _Bilinear)
-              else (_term(b.right, u[..., i]),) for i in range(k)]
+        us = _coords_of(u, b.right)
         coords = []
         for c, pairs in enumerate(_n_terms(m)):
             terms = (us[c] if c < k else ()) + b.coords[c]
@@ -844,34 +823,59 @@ def _k1_compose(m, u, b):
 
 def _h_compose(m, u, b):
     """ι(u)∘(n, t) = (ρ(u)n, u + t) on H: no S product and no zero-padded
-    ι(u) are formed.  On a bilinear b and an array u it is a block: ρ(u)'s
-    scales join each N slot's terms as a factor on u's side, and u's
-    column comes before t's terms.  It is kept on b while u is the same,
-    and ρ(u) taken again when u's values change."""
+    ι(u) are formed.  On a bilinear b it is a block, u an array or a block
+    with b's sides whose terms are each one factor.  ρ(u)'s scales are the
+    exponential of a linear form in u, so they are a product of one factor
+    per side of the block, the scales at the sum of u's terms on that side
+    (on T's quotient t_x − t_y, ρ(t_x) on the points and ρ(−t_y) on the
+    A-block); each joins the N slots' terms on its side, and u's terms
+    come before t's.  It is kept on b while u is the same, and each side's
+    ρ taken again when its sum's values change."""
     d = law("N", m).dim
-    if isinstance(b, _Bilinear) and not isinstance(u, _Bilinear):
-        def make():
-            scale = empty_columns(u.shape[:-1] + (d,))
-            right = _on_right(b.right, u.shape[:-1])
-            c = _Bilinear(b.right, [
-                tuple((s, ls, rs + (scale[..., k],)) if right else
-                      (s, ls + (scale[..., k],), rs) for s, ls, rs in terms)
-                for k, terms in enumerate(b.coords[:d])] + [
-                (_term(b.right, u[..., i]),) + b.coords[d + i]
-                for i in range(m - 1)])
-            c.scale = scale
-            return c
+    if not isinstance(b, _Bilinear):
+        u, b = np.asarray(u, dtype=float), np.asarray(b, dtype=float)
+        out = empty_columns(np.broadcast_shapes(u.shape[:-1], b.shape[:-1])
+                            + b.shape[-1:])
+        rho_apply(m, u, b[..., :d], out=out[..., :d])
+        for i in range(m - 1):
+            np.add(u[..., i], b[..., d + i], out=out[..., d + i])
+        return out
 
-        c = b._kept("compose", u, make)
-        _rho_kept(m, u, c.scale, c)
+    def make():
+        us, parts = _coords_of(u, b.right), {}
+        for i, terms in enumerate(us):
+            for s, ls, rs in terms:
+                (f,) = ls + rs
+                parts.setdefault(bool(rs), []).append((i, s, f))
+        sides = []
+        for right, fs in sorted(parts.items()):
+            lead = np.broadcast_shapes(*(f.shape for _, _, f in fs))
+            sides.append((right, fs, empty_columns(lead + (m - 1,)),
+                          empty_columns(lead + (d,))))
+
+        def scaled(k, s, ls, rs):
+            for right, _, _, scale in sides:
+                if right:
+                    rs += (scale[..., k],)
+                else:
+                    ls += (scale[..., k],)
+            return s, ls, rs
+
+        c = _Bilinear(b.right, [
+            tuple(scaled(k, *term) for term in terms)
+            for k, terms in enumerate(b.coords[:d])] + [
+            us[i] + b.coords[d + i] for i in range(m - 1)])
+        c.sides, c.seen = sides, [None] * len(sides)
         return c
-    u, b = np.asarray(u, dtype=float), np.asarray(b, dtype=float)
-    out = empty_columns(np.broadcast_shapes(u.shape[:-1], b.shape[:-1])
-                        + b.shape[-1:])
-    rho_apply(m, u, b[..., :d], out=out[..., :d])
-    for i in range(m - 1):
-        np.add(u[..., i], b[..., d + i], out=out[..., d + i])
-    return out
+
+    c = b._kept("compose", u, make)
+    for j, (_, fs, t, scale) in enumerate(c.sides):
+        t.fill(0.0)
+        for i, s, f in fs:
+            col = t[..., i]
+            np.add(col, s * f, out=col)
+        c.seen[j] = _rho_kept(m, t, scale, c.seen[j])
+    return c
 
 
 @lru_cache(maxsize=None)
@@ -913,7 +917,8 @@ def law(name, m):
                     ldiv=lambda y, x, out=None, scratch=None:
                     _an_ldiv(m, y, x, out, scratch, rho=False),
                     rdiv=lambda x, y, out=None, scratch=None:
-                    _t_rdiv(m, x, y, out, scratch), split=d_n)
+                    _t_rdiv(m, x, y, out, scratch), split=d_n,
+                    bilinear_ldiv=True)
         return Law("H", m, base.dim + m - 1, *_product(base, m - 1),
                    unimodular=False, base=base, acting=slice(d_n, base.dim),
                    top=slice(0, d_n), c_law=c_law,

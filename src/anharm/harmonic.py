@@ -209,10 +209,11 @@ def _node_blocks(axes, npoints, split=None, scalars=None):
     the group laws lay out theirs, and the columns of axes that every block
     covers whole are written once: the consumer must not change it.
 
-    Given split, each block is yielded as its two factor blocks, each in a
-    buffer of its own: the nodes of the first split axes, shaped
-    (b_1, 1, split), and those of the rest, shaped (1, b_2, k − split),
-    whose broadcast concatenation is the block in the same C order."""
+    Given split, each block is yielded as its two factor buffers: the
+    nodes of the first split axes, shaped (b_1, 1, split), and those of
+    the rest, shaped (1, b_2, k − split), whose broadcast concatenation is
+    the block in the same C order; _quadrature keeps them as one node
+    block."""
     shape = [a.points for a in axes]
     grids = [grid_nodes(a) for a in axes]
     cell = float(np.prod([a.step for a in axes]))
@@ -241,18 +242,13 @@ def _node_blocks(axes, npoints, split=None, scalars=None):
 
 
 def _at(f, y):
-    """f at y, in an array the caller may overwrite: y a dense block, a pair
-    of factor blocks taken at their broadcast concatenation, or a bilinear
-    block (groups._Bilinear).  A TestFunction evaluates a pair factored
-    (TestFunction.on_blocks) and a bilinear block as one, and its values
-    are its own (TestFunction._terms_at); any other callable gets the dense
-    values, as testfuncs.sample dispatches, and its values are copied."""
+    """f at y, a dense block or a bilinear block (groups._Bilinear), in an
+    array the caller may overwrite: a TestFunction takes either as it is,
+    and its values are its own (TestFunction._terms_at); any other callable
+    gets the dense values, as testfuncs.sample dispatches, and its values
+    are copied."""
     if isinstance(f, TestFunction):
-        return f.on_blocks(*y) if isinstance(y, tuple) else f(y)
-    if isinstance(y, tuple):
-        lead = np.broadcast_shapes(*(b.shape[:-1] for b in y))
-        y = np.concatenate([np.broadcast_to(b, lead + b.shape[-1:])
-                            for b in y], axis=-1)
+        return f(y)
     vals = np.asarray(f(np.asarray(y)))
     return vals.astype(np.result_type(vals, 1.0))
 
@@ -269,23 +265,26 @@ def _quadrature(axes, npoints, integrand, weight=None, split=None,
     weight.
 
     F and w get each block with an axis for the points inserted before the
-    coordinates, (b, 1, k), or given split as its factor blocks
-    (_node_blocks), (b_1, 1, 1, split) and (1, b_2, 1, k − split), w taken
-    at them by _at and scaled by the cell in place.  Every block has the
-    same leading shape, lead, (b,) or (b_1, b_2), and is the same array (or
-    pair) refilled, so integrand(lead) is called once, at the first block:
-    it allocates the buffers every block refills and returns F."""
+    coordinates: (b, 1, k), or given split one node block, a bilinear
+    block (groups._Bilinear) of leading shape (b_1, b_2, 1) whose columns
+    are those of _node_blocks' factor buffers, the N-block (b_1, 1, 1,
+    split) on the left and the A-block (1, b_2, 1, k − split) on the
+    right.  w is taken at it by _at and scaled by the cell in place.
+    Every block is the same array, or the same block of the same buffers,
+    refilled, so integrand(lead), lead the block's leading shape, is
+    called once, at the first block: it allocates the buffers every block
+    refills and returns F."""
     block_integrand = total = None
     scalars = (None if values is None
                else values * npoints + (weight is not None))
     for nodes, cell in _node_blocks(axes, npoints, split, scalars):
         if block_integrand is None:
             if split is None:
-                lead, y = nodes.shape[:-1], nodes[:, None, :]
+                y = nodes[:, None, :]
             else:
-                lead = (nodes[0].shape[0], nodes[1].shape[1])
-                y = tuple(b[..., None, :] for b in nodes)
-            block_integrand = integrand(lead)
+                y = _Bilinear.of_columns((False, True, False),
+                                         *(b[..., None, :] for b in nodes))
+            block_integrand = integrand(y.shape[:-1])
         vals = np.asarray(block_integrand(y)).reshape(-1, npoints)
         if weight is None:
             part = vals.sum(axis=0) * cell
@@ -298,24 +297,25 @@ def _quadrature(axes, npoints, integrand, weight=None, split=None,
     return total
 
 
+def _scratch(L, lead):
+    """A kept buffer for y⁻¹'s N part, at the shape of a node block's N
+    part of leading shape lead: the whole node on a law that does not
+    split."""
+    return empty_columns((lead[0],) + (1,) * (len(lead) - 1)
+                         + (L.split or L.dim,))
+
+
 def _group_convolution(L, g, f, x, axes):
     """Σ over the nodes y of the axes of g(y)·cell·f(y⁻¹x).  x is
     (1, npoints, L.dim); the quotient y⁻¹x is L's ldiv, made at the first
-    block and refilled at the others, y⁻¹ into kept scratch.  On a law that
-    splits (Law.split), each block is an N-block (b_N, 1, 1, ·) and an
-    A-block (1, b_A, 1, ·), and ldiv takes the pair: the N law runs on the
-    N-block, into a kept partial quotient, and ρ's exponentials on the
+    block and refilled at the others, y⁻¹'s N part into kept scratch.  On
+    a law that splits (Law.split), y is one node block (_quadrature), and
+    ldiv forms the N law on its N-block and ρ's exponentials on its
     A-block.  f gets the quotient as a bilinear block (groups._Bilinear)
-    on M and S, and dense on N and T."""
-    split = L.split
+    on M, S and T, and dense on N."""
 
     def integrand(lead):
-        if split is None:
-            scratch = empty_columns(lead + (1, L.dim))
-        else:
-            scratch = (empty_columns((lead[0], 1, 1, split)),
-                       empty_columns((lead[0], 1) + x.shape[1:-1] + (split,)))
-        q = _Bilinear()
+        scratch, q = _scratch(L, lead), _Bilinear()
 
         def F(y):
             nonlocal q
@@ -324,27 +324,27 @@ def _group_convolution(L, g, f, x, axes):
 
         return F
 
-    return _quadrature(axes, x.shape[1], integrand, weight=g, split=split,
+    return _quadrature(axes, x.shape[1], integrand, weight=g, split=L.split,
                        values=1 if L.bilinear_ldiv else None)
 
 
 def _substituted_convolution(L, F, phi, x, axes):
     """Σ over the nodes w of the axes of F(w)·cell·φ(x·w⁻¹), the mirror of
     _group_convolution with the nodes on F: the quotient x·w⁻¹ is L's rdiv
-    as a bilinear block (groups._Bilinear), refilled block by block, w⁻¹
-    into kept scratch, φ is taken by _at at it, and F gets w as a block
-    with the quotient's sides (_Bilinear.columns).  On a law that splits,
-    rdiv gets w as its N-block (b_N, 1, 1, ·) and A-block (1, b_A, 1, ·)."""
+    as a bilinear block (groups._Bilinear), refilled block by block, w⁻¹'s
+    N part into kept scratch, and φ is taken by _at at it.  F gets w as a
+    block with the quotient's sides: on a law that splits the node block
+    itself, and otherwise its columns (_Bilinear.columns)."""
     split = L.split
 
     def integrand(lead):
-        shape = (lead[0], 1, 1, split) if split else lead + (1, L.dim)
-        winv, q = empty_columns(shape), _Bilinear()
+        winv, q = _scratch(L, lead), _Bilinear()
 
         def integrand_at(w):
             nonlocal q
             q = L.rdiv(x, w, out=q, scratch=winv)
-            f, vals = np.asarray(F(q.columns(w))), _at(phi, q)
+            f = np.asarray(F(w if split else q.columns(w)))
+            vals = _at(phi, q)
             if np.result_type(f, vals) != vals.dtype:
                 return f * vals
             return np.multiply(vals, f, out=vals)  # φ's values, in place
@@ -372,29 +372,21 @@ def convolve_group(g, f, group, m, points, axes):
 def _c_picture(F_ext, case, m, base_points, shift_points):
     """What both ∗_c engines integrate on: c_law; X, the base points with
     the shifts in their acting slots, as (1, npoints, dim) rows; and F̃ at
-    w in c_law: F_ext at w's top slots and the base points' acting slots,
-    with w's acting slots as the shift.  For a bilinear block w these are
-    blocks with w's sides, made at the first call with w and kept while w
-    is the same; for a dense w, in one base buffer allocated at the first
-    call."""
+    a bilinear block w of c_law (the engines give no other): F_ext at w's
+    top slots and the base points' acting slots, with w's acting slots as
+    the shift, as blocks with w's sides, made at the first call with w and
+    kept while w is the same."""
     L = law(case, m)
-    x, a, t = _rows(base_points), L.acting, L.top
+    x, a = _rows(base_points), L.acting
     X = x.copy()
     X[..., a] = _rows(shift_points)
-    base = kept = None
+    kept = None
 
     def F(w):
-        nonlocal base, kept
-        if isinstance(w, _Bilinear):
-            if kept is None or kept[0] is not w:
-                kept = w, w.replaced(a, x[..., a]), w.take(a)
-            return F_ext(*kept[1:])
-        if base is None:
-            base = empty_columns(np.broadcast_shapes(
-                w.shape[:-1], x.shape[:-1]) + x.shape[-1:])
-            base[..., a] = x[..., a]
-        base[..., t] = w[..., t]
-        return F_ext(base, w[..., a])
+        nonlocal kept
+        if kept is None or kept[0] is not w:
+            kept = w, w.replaced(a, x[..., a]), w.take(a)
+        return F_ext(*kept[1:])
 
     return L.c_law, X, F
 

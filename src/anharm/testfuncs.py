@@ -48,61 +48,38 @@ class TestFunction:
         object.__setattr__(self, "terms", tuple(norm))
 
     def __call__(self, x):
-        """Evaluate at points, shape (..., dim) → (...): on_blocks with the
-        one block x.  It takes exactly one array, whose leading axes give
-        the number of points, or a bilinear block (groups._Bilinear),
-        prepared once, whose Gaussian exponents it takes term by term as
-        one matrix product each (_terms_at).  On a block, a function of one
-        real term returns its values in the exponent's buffer, which the
-        block keeps and its next evaluation overwrites."""
+        """Evaluate at points, shape (..., dim) → (...), float when is_real,
+        as on_grid, and complex otherwise.  x is one array, whose leading
+        axes give the number of points, taken one coordinate column at a
+        time with no (..., dim) temporaries, or a bilinear block
+        (groups._Bilinear), prepared once, whose Gaussian exponents it
+        takes term by term as one matrix product each (_terms_at).  On a
+        block, a function of one real term returns its values in the
+        exponent's buffer, which the block keeps and its next evaluation
+        overwrites."""
         if isinstance(x, _Bilinear):
             x.prepare()
             return self._terms_at(x.shape[:-1], x.exponent, x.centered)
-        return self.on_blocks(x)
-
-    def on_blocks(self, *blocks):
-        """Evaluate at the concatenation of coordinate blocks, shapes
-        (..., d_1), (..., d_2), ... with Σ d_k = dim, whose leading axes
-        broadcast: (...) of their broadcast shape.  Float when is_real, as
-        on_grid, and complex otherwise.
-
-        One coordinate column at a time, with no (..., dim) temporaries,
-        and each column's own work at its block's shape: only the running
-        sum of -½ w_i d_i² grows to the broadcast shape, at the first
-        column whose block widens it.  The arithmetic and its order are
-        those of one block, so the values equal __call__ on the broadcast
-        concatenation bit for bit."""
-        blocks = [np.asarray(b, dtype=float) for b in blocks]
-        dim = sum(b.shape[-1] for b in blocks)
-        if dim != self.dim:
-            raise ValueError(f"expected last axis {self.dim}, got {dim}")
-        # per column: its values, its block's scratch d and sq, and the
-        # running sum's buffer from that column on, each allocated once
-        cols, sums, shape = [], {}, None
-        for b in blocks:
-            lead = b.shape[:-1]
-            shape = lead if shape is None else np.broadcast_shapes(shape, lead)
-            if shape not in sums:
-                sums[shape] = np.empty(shape)
-            d, sq = np.empty(lead), np.empty(lead)
-            cols += [(b[..., j], d, sq, sums[shape]) for j in range(b.shape[-1])]
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1] != self.dim:
+            raise ValueError(f"expected last axis {self.dim}, "
+                             f"got {x.shape[-1]}")
+        lead = x.shape[:-1]
+        val, d, sq = np.empty(lead), np.empty(lead), np.empty(lead)
 
         def exponent(hw, mu):
-            val = cols[0][3]
-            for i, (x, d, sq, total) in enumerate(cols):
-                np.subtract(x, mu[i], out=d)
+            for i in range(self.dim):
+                np.subtract(x[..., i], mu[i], out=d)
                 acc = np.multiply(d, hw[i], out=sq if i else val)
                 acc *= d
                 if i:
-                    val = np.add(val, sq, out=total)
+                    np.add(val, sq, out=val)
             return val
 
         def centered(i, mu):
-            x, d = cols[i][:2]
-            return np.subtract(x, mu, out=d)
+            return np.subtract(x[..., i], mu, out=d)
 
-        return self._terms_at(() if shape is None else shape, exponent,
-                              centered)
+        return self._terms_at(lead, exponent, centered)
 
     def _terms_at(self, shape, exponent, centered):
         """Σ over the terms of c·Π (x_i-μ_i)^{α_i}·exp(exponent(hw, μ)),

@@ -17,7 +17,11 @@ sixth keeps one product-form class: ``groups._Bilinear`` is the only class
 whose values a test function reads through an ``exponent``.  A seventh keeps
 one block-size rule: ``harmonic._CHUNK`` is read only by the rule
 ``_block_size``, and the rule only by the node walk ``_node_blocks`` and
-the pullback lattice engine, so no engine sizes its own blocks.
+the pullback lattice engine, so no engine sizes its own blocks.  An eighth
+keeps one node block through the direct engines: ``groups.py``,
+``harmonic.py``, ``testfuncs.py`` and ``extension.py`` make no
+``isinstance(…, tuple)`` test, so no pair of blocks is dispatched on, and
+no method of ``TestFunction`` takes blocks as ``*args``.
 """
 
 import ast
@@ -325,4 +329,58 @@ def test_one_block_size_rule():
     assert {name for _, _, name in block_rule_reads(home, rule)} == set(rule)
     found = [v for p in sorted(SRC.glob("*.py"))
              for v in block_rule_violations(p, rule)]
+    assert not found, "\n".join(found)
+
+
+# the modules the direct engines' blocks pass through, and the class whose
+# methods take one array or one block each
+ENGINE_MODULES = ("groups.py", "harmonic.py", "testfuncs.py", "extension.py")
+EVALUATOR = "TestFunction"
+
+
+def tuple_dispatches(path):
+    """'file:line: isinstance(…, tuple)' for each isinstance call of path
+    whose types name tuple."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Call) and _subject(node.func) == "isinstance"
+                and len(node.args) == 2):
+            types = node.args[1]
+            elts = types.elts if isinstance(types, ast.Tuple) else [types]
+            if any(_subject(e) == "tuple" for e in elts):
+                found.append(node.lineno)
+    return [f"{path.name}:{line}: isinstance(…, tuple)"
+            for line in sorted(found)]
+
+
+def many_block_signatures(path):
+    """'file:line: TestFunction.name(*args)' for each method of the
+    evaluator class in path that takes *args."""
+    return [f"{path.name}:{f.lineno}: {EVALUATOR}.{f.name}(*{f.args.vararg.arg})"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef) and node.name == EVALUATOR
+            for f in node.body
+            if isinstance(f, ast.FunctionDef) and f.args.vararg is not None]
+
+
+def test_node_block_lint_sees_a_planted_pair(tmp_path):
+    mod = tmp_path / "harmonic.py"
+    mod.write_text("class TestFunction:\n"
+                   "    def on_blocks(self, *blocks): pass\n"
+                   "    def __call__(self, x): pass\n"
+                   "def _at(f, y):\n"
+                   "    if isinstance(y, tuple): return f.on_blocks(*y)\n"
+                   "    if isinstance(y, (list, tuple)): return None\n"
+                   "    return isinstance(y, list)\n")
+    assert tuple_dispatches(mod) == ["harmonic.py:5: isinstance(…, tuple)",
+                                     "harmonic.py:6: isinstance(…, tuple)"]
+    assert many_block_signatures(mod) == [
+        "harmonic.py:2: TestFunction.on_blocks(*blocks)"]
+
+
+def test_one_node_block_through_the_engines():
+    paths = [SRC / name for name in ENGINE_MODULES]
+    assert any(f"class {EVALUATOR}" in p.read_text() for p in paths)
+    found = [v for p in paths
+             for v in tuple_dispatches(p) + many_block_signatures(p)]
     assert not found, "\n".join(found)

@@ -320,8 +320,8 @@ def test_quotients_equal_products_with_inverses(name, m, width):
     for y, x in pairs:
         quotients = [
             (L.ldiv(y, x), L.mul(L.inv(y), x), lambda o: L.ldiv(y, x, o))]
-        if L.rdiv is not None and L.split is None:  # S has no x·y⁻¹, and
-            quotients.append(  # T's is a pair, tested below
+        if L.rdiv is not None:  # S has no x·y⁻¹
+            quotients.append(
                 (L.rdiv(x, y), L.mul(x, L.inv(y)), lambda o: L.rdiv(x, y, o)))
         for got, want, div in quotients:
             assert got.shape == want.shape
@@ -335,54 +335,39 @@ def test_quotients_equal_products_with_inverses(name, m, width):
         # scratch: a kept buffer of y's shape that takes y⁻¹
         scratch = empty_columns(y.shape)
         assert np.array_equal(L.ldiv(y, x, scratch=scratch), L.ldiv(y, x))
-        if L.rdiv is not None and L.split is None:
+        if L.rdiv is not None:
             assert np.array_equal(L.rdiv(x, y, scratch=scratch), L.rdiv(x, y))
     if L.split is None:
         return
-    # S and T also divide by y as an (N-block, A-block) pair: the dense
-    # quotient on the broadcast block, bit for bit, with an A-block of one
-    # node and of many, fresh and into out with kept scratch
+    # S and T also divide by a node block, the N-block's columns on the
+    # left and the A-block's on the right: np.asarray of the quotient is
+    # the dense quotient by the block's dense values, bit for bit, with an
+    # A-block of one node and of many, fresh and refilled into the kept
+    # block with kept scratch; T's x·y⁻¹ is also (n_x·n_y⁻¹, t_x − t_y) of
+    # the N law and M's subtraction, bit for bit
     k = L.split
     x = rng.uniform(-1, 1, (1, 1, 5, L.dim))
     yn = rng.uniform(-1, 1, (6, 1, 1, k))
+    divs = {"ldiv": L.ldiv}
+    if L.rdiv is not None:
+        divs["rdiv"] = lambda y, x, **kw: L.rdiv(x, y, **kw)
     for b_a in (1, 4):
         ya = rng.uniform(-1, 1, (1, b_a, 1, L.dim - k))
-        lead = (6, b_a, 1)
-        want = L.ldiv(np.concatenate([np.broadcast_to(yn, lead + (k,)),
-                                      np.broadcast_to(ya, lead + ya.shape[-1:])],
-                                     axis=-1), x)
-        out = empty_columns(want.shape)
-        scratch = (empty_columns(yn.shape), empty_columns((6, 1, 5, k)))
-        for got in (L.ldiv((yn, ya), x),
-                    L.ldiv((yn, ya), x, out=out, scratch=scratch)):
-            assert got.shape == want.shape
-            assert (np.ascontiguousarray(got).tobytes()
-                    == np.ascontiguousarray(want).tobytes())
-        assert L.ldiv((yn, ya), x, out=out, scratch=scratch) is out
-    if L.rdiv is None:
-        return
-    # T's x·y⁻¹ is the pair (n_x·n_y⁻¹, t_x − t_y) of the N law and M's
-    # subtraction, bit for bit, for y as an (N-block, A-block) pair and as
-    # one array, fresh and into out with kept scratch
-    for b_a in (1, 4):
-        ya = rng.uniform(-1, 1, (1, b_a, 1, L.dim - k))
-        dense = np.concatenate([np.broadcast_to(yn, (6, b_a, 1, k)),
-                                np.broadcast_to(ya, (6, b_a, 1, L.dim - k))],
-                               axis=-1)
-        for y, (y_n, y_a) in (((yn, ya), (yn, ya)),
-                              (dense, (dense[..., :k], dense[..., k:]))):
-            want = (n_mul(m, x[..., :k], n_inv(m, y_n)), x[..., k:] - y_a)
-            out = tuple(empty_columns(w.shape) for w in want)
-            scratch = empty_columns(y_n.shape)
-            for got in (L.rdiv(x, y),
-                        L.rdiv(x, y, out=out, scratch=scratch)):
-                assert len(got) == 2
-                for g, w in zip(got, want):
-                    assert g.shape == w.shape
-                    assert (np.ascontiguousarray(g).tobytes()
-                            == np.ascontiguousarray(w).tobytes())
-            assert all(g is o for g, o in zip(
-                L.rdiv(x, y, out=out, scratch=scratch), out))
+        y = _node_block(yn, ya)
+        dense = np.asarray(y).copy()
+        for name, div in divs.items():
+            want = div(dense, x)
+            if name == "rdiv":
+                formula = np.concatenate(
+                    [n_mul(m, x[..., :k], n_inv(m, dense[..., :k])),
+                     x[..., k:] - dense[..., k:]], axis=-1)
+                assert want.tobytes() == formula.tobytes()
+            block = div(y, x)
+            assert isinstance(block, groups._Bilinear)
+            for got in (block, div(y, x, out=block,
+                                   scratch=empty_columns(yn.shape))):
+                assert got is block and got.shape == want.shape
+                assert np.asarray(got).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", ["N", "S"])
@@ -404,38 +389,45 @@ def test_quotients_apply_the_law_through_n_mul(monkeypatch, name):
     assert calls == [(6, 5, 3)] * (2 if name == "N" else 1)
 
 
-def _node_pair(rng, m, b_n, b_a):
-    """An N-block (b_n, 1, 1, d) and an A-block (1, b_a, 1, m − 1), laid
-    out as the direct engines' node blocks are."""
+def _node_block(yn, ya):
+    """The node block of an N-block (b_N, 1, 1, d) and an A-block
+    (1, b_A, 1, m − 1), as the direct engines walk S and T."""
+    return groups._Bilinear.of_columns((False, True, False), yn, ya)
+
+
+def _random_node_block(rng, m, b_n, b_a):
+    """A node block of uniform values, its buffers laid out as the direct
+    engines' are."""
     L = law("S", m)
     yn = empty_columns((b_n, 1, 1, L.split))
     ya = empty_columns((1, b_a, 1, L.dim - L.split))
     yn[...] = rng.uniform(-2, 2, yn.shape)
     ya[...] = rng.uniform(-1, 1, ya.shape)
-    return yn, ya
+    return _node_block(yn, ya)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_product_quotient_materializes_the_dense_quotient(m):
-    # S's ldiv of a node pair gives y⁻¹x in product form; np.asarray makes
-    # it dense with the arithmetic of a dense out, bit for bit, when fresh
-    # and when the kept block is refilled by the next pair
+    # the ldiv of S and of T (H's c_law) by a node block gives y⁻¹x in
+    # product form; np.asarray makes it dense with the arithmetic of a
+    # dense out, bit for bit, when fresh and when the node block's buffers
+    # are refilled and the kept block with them
     rng = np.random.default_rng(90 + m)
-    L = law("S", m)
-    x = rng.uniform(-1, 1, (1, 5, L.dim))
-    scratch = (empty_columns((6, 1, 1, L.split)),
-               empty_columns((6, 1, 5, L.split)))
-    block = None
-    for _ in range(2):
-        y = _node_pair(rng, m, 6, 4)
-        want = L.ldiv(y, x, out=empty_columns((6, 4, 5, L.dim)))
-        kept = L.ldiv(y, x, out=block, scratch=scratch)
-        assert block is None or kept is block
-        block = kept
-        assert isinstance(block, groups._Bilinear)
-        assert block.shape == want.shape
-        assert np.asarray(block).tobytes() == want.tobytes()
-        assert L.ldiv(y, x).shape == want.shape
+    for L in (law("S", m), law("H", m).c_law):
+        x = rng.uniform(-1, 1, (1, 5, L.dim))
+        scratch = empty_columns((6, 1, 1, L.split))
+        y, block = _random_node_block(rng, m, 6, 4), None
+        for _ in range(2):
+            want = L.ldiv(np.asarray(y).copy(), x,
+                          out=empty_columns((6, 4, 5, L.dim)))
+            kept = L.ldiv(y, x, out=block, scratch=scratch)
+            assert block is None or kept is block
+            block = kept
+            assert isinstance(block, groups._Bilinear)
+            assert block.shape == want.shape
+            assert np.asarray(block).tobytes() == want.tobytes()
+            assert L.ldiv(y, x).shape == want.shape
+            _refill(rng, y.arrays)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -447,7 +439,7 @@ def test_product_quotient_exponent_and_columns(m):
     L = law("S", m)
     x = rng.uniform(-1, 1, (1, 3, L.dim))
     u = rng.uniform(-0.5, 0.5, (1, 3, m - 1))
-    block = L.ldiv(_node_pair(rng, m, 4, 8), x)
+    block = L.ldiv(_random_node_block(rng, m, 4, 8), x)
     for q, dense in ((block, np.asarray(block).copy()),
                      (groups._h_compose(m, u, block),
                       groups._h_compose(m, u, np.asarray(block)))):
@@ -488,12 +480,13 @@ def _refill(rng, arrays):
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
-@pytest.mark.parametrize("name", ["N.rdiv", "M.ldiv", "M.rdiv", "T.rdiv"])
+@pytest.mark.parametrize("name", ["N.rdiv", "M.ldiv", "M.rdiv", "T.ldiv",
+                                  "T.rdiv"])
 def test_bilinear_quotients_materialize_the_dense_quotient(name, m):
     # into a _Bilinear out the quotients of N (rdiv), M (K1's c_law) and T
-    # (H's c_law, rdiv of a node pair) come as a block whose np.asarray is
-    # the dense quotient's bytes, fresh and when the engines' kept buffers
-    # are refilled and the block with them
+    # (H's c_law, by a node block) come as a block whose np.asarray is the
+    # dense quotient's bytes, fresh and when the engines' kept buffers are
+    # refilled and the block with them
     rng = np.random.default_rng(100 + m)
     case, div = name.split(".")
     L = {"N": law("N", m), "M": law("K1", m).c_law,
@@ -503,16 +496,14 @@ def test_bilinear_quotients_materialize_the_dense_quotient(name, m):
         nodes = (y,)
     else:
         x = _filled(rng, (1, 1, 5, L.dim))
-        nodes = y = (_filled(rng, (6, 1, 1, L.split)),
-                     _filled(rng, (1, 4, 1, L.dim - L.split)))
+        nodes = (_filled(rng, (6, 1, 1, L.split)),
+                 _filled(rng, (1, 4, 1, L.dim - L.split)))
+        y = _node_block(*nodes)
     scratch = empty_columns(nodes[0].shape)
     block = groups._Bilinear()
     for _ in range(2):
-        dense = (L.ldiv(y, x) if div == "ldiv" else L.rdiv(x, y))
-        if isinstance(dense, tuple):  # T's (N part, A part)
-            lead = np.broadcast_shapes(*(p.shape[:-1] for p in dense))
-            dense = np.concatenate([np.broadcast_to(p, lead + p.shape[-1:])
-                                    for p in dense], axis=-1)
+        dense_y = np.asarray(y).copy()
+        dense = (L.ldiv(dense_y, x) if div == "ldiv" else L.rdiv(x, dense_y))
         got = (L.ldiv(y, x, out=block, scratch=scratch) if div == "ldiv"
                else L.rdiv(x, y, out=block, scratch=scratch))
         assert got is block and block.shape == dense.shape
@@ -561,17 +552,21 @@ def test_bilinear_blocks_exponent_and_columns(m):
     c = K1.c_law.ldiv(y, x, out=groups._Bilinear())
     u = c.take(K1.acting)
     xt = _filled(rng, (1, 1, 5, H.base.dim))
-    w = (_filled(rng, (6, 1, 1, H.base.split)),
-         _filled(rng, (1, 4, 1, m - 1)))
+    w = _node_block(_filled(rng, (6, 1, 1, H.base.split)),
+                    _filled(rng, (1, 4, 1, m - 1)))
     t = H.c_law.rdiv(xt, w, out=groups._Bilinear())
-    cols = t.columns(w)
-    shift = cols.take(H.acting)
+    shift = w.take(H.acting)
+    # H's ∗_c side with the nodes on φ: T's ldiv, whose acting slots are
+    # the shift, a block of one term on each side
+    tl = H.c_law.ldiv(w, xt)
+    tu, tb = tl.take(H.acting), tl.replaced(H.acting, xt[..., H.acting])
     cases = [(n, np.asarray(n).copy()), (c, np.asarray(c).copy()),
-             (t, np.asarray(t).copy()),
+             (t, np.asarray(t).copy()), (tl, np.asarray(tl).copy()),
              (K1.compose(s, n), K1.compose(s, np.asarray(n))),
              (K1.compose(u, c), K1.compose(np.asarray(u), np.asarray(c))),
-             (H.compose(shift, cols),
-              H.compose(np.asarray(shift), np.asarray(cols)))]
+             (H.compose(shift, w),
+              H.compose(np.asarray(shift), np.asarray(w))),
+             (H.compose(tu, tb), H.compose(np.asarray(tu), np.asarray(tb)))]
     for q, dense in cases:
         _assert_exponent_and_columns(rng, q, dense)
 

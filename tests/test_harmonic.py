@@ -337,10 +337,11 @@ def _perfbench_tracing():
 def _traced_residual(monkeypatch, case, phi, f, pts, axes):
     """theorem31_residual traced by perfbench's tracer, which wraps
     TestFunction.__call__ and the engines and counts each call's points
-    from its arguments' shapes (a tuple of factor blocks reaching a wrapped
-    function would fail there), against the untraced value; the counts of
-    TestFunction and tilde evaluations must be those of the dense shapes,
-    which materialize every block (recorded untraced)."""
+    from its arguments' shapes, against the untraced value.  Every
+    evaluation, the node weights' included, reaches __call__ with one
+    array or one block, so the counts of TestFunction and tilde
+    evaluations must be those of the dense shapes, which materialize every
+    block (recorded untraced)."""
     tracing = _perfbench_tracing()
     for _, module, *_ in tracing.TARGETS:  # install() looks each one up
         importlib.import_module(module)
@@ -450,9 +451,8 @@ def _block_engine_runs(rng, case, m, npoints):
     def dense_f(q):
         return f(np.asarray(q))
 
-    engines = [convolve_extended_group, convolve_extended_c_substituted]
-    if B.unimodular:  # on H the ∗_c side with nodes on φ is T's dense ldiv
-        engines.append(convolve_extended_c)
+    engines = [convolve_extended_group, convolve_extended_c_substituted,
+               convolve_extended_c]
     runs = {e.__name__: (
         lambda e=e: e(phi, F, case, m, base, shift, axes),
         lambda e=e: e(dense_phi, dense_F, case, m, base, shift, axes))
@@ -723,9 +723,9 @@ def _guard_runs():
     pytest.param(*r, id=r[0]) for r in _guard_runs()])
 def test_engine_memory_stays_within_the_block_budget(name, run, dense):
     # one engine call peaks below five dense quotient blocks at the rule's
-    # dense size: 3.7 on H's dense T walk (the quotient, its composition
-    # and the test function's scratch), 3 or less on the others; a dense
-    # walk sized as a bilinear one peaks at 7.3 (T) and 8.4 (N) of them
+    # dense size: 1.1 on every walk of S and T, whose quotients, node
+    # blocks and F̃ are bilinear, and 2.1 to 3.0 on the walks of N and M;
+    # a dense walk sized as a bilinear one peaked at 8.4 (N) of them
     peak = _peak_bytes(run)
     assert peak < 5 * dense, (name, peak / dense)
 
@@ -772,6 +772,33 @@ def test_engines_allocate_once_per_call(monkeypatch, engine):
         monkeypatch.undo()
     assert blocks[1] >= 2 * blocks[0], blocks
     assert counts[0] == counts[1], counts
+
+
+def test_no_tuple_crosses_an_engine_boundary(monkeypatch):
+    # every engine hands the quotient kernels and the test functions one
+    # array or one block, and gets one back: no (N-block, A-block) pair,
+    # no pair of scratch buffers and no pair return
+    calls = {}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            pairs = [a for a in (*args, *kwargs.values(), out)
+                     if isinstance(a, tuple)]
+            assert not pairs, (name, pairs)
+            calls[name] = calls.get(name, 0) + 1
+            return out
+
+        return wrapped
+
+    kernels = ("_an_ldiv", "_t_rdiv", "_n_rdiv", "_m_quotient")
+    for name in kernels:
+        monkeypatch.setattr(groups, name, spy(name, getattr(groups, name)))
+    monkeypatch.setattr(TestFunction, "__call__",
+                        spy("__call__", TestFunction.__call__))
+    for engine, run in _engine_runs().items():
+        assert np.max(np.abs(run())) > 0, engine
+    assert set(calls) == {*kernels, "__call__"}, calls
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 40, 200, 1 << 40])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from anharm import testfuncs
+from anharm.groups import _Bilinear
 from anharm.testfuncs import (
     TestFunction, Axis, GridFunction, gaussian, derivative, grid_nodes,
     grid_mesh, sample, quadrature, dual_axis, export_csv,
@@ -100,8 +101,10 @@ def test_real_function_evaluates_to_float(dim):
     [(3,), (2,)],
 ], ids=["one-block", "N-by-A", "three-blocks", "size-1-axes", "one-point"])
 def test_on_blocks_equals_call_on_the_concatenation(shapes):
-    # each column at its own block's shape, in __call__'s order: every
-    # value is __call__'s on the broadcast concatenation, bit for bit
+    # coordinate blocks whose leading axes broadcast, side by side as one
+    # node block (the last block's axes on the right, as the A-block of a
+    # direct engine's walk): a TestFunction reads the block through its
+    # exponent, and its values are those at np.asarray of the block
     rng = np.random.default_rng(90)
     g = gaussian(rng.uniform(-0.5, 0.5, 5), rng.uniform(0.5, 2.0, 5))
     fs = [g, derivative(derivative(derivative(g, 1), 1), 3),
@@ -110,12 +113,13 @@ def test_on_blocks_equals_call_on_the_concatenation(shapes):
     assert not fs[2].is_real
     blocks = [rng.uniform(-2.5, 2.5, s) for s in shapes]
     lead = np.broadcast_shapes(*(b.shape[:-1] for b in blocks))
-    dense = np.concatenate([np.broadcast_to(b, lead + b.shape[-1:])
-                            for b in blocks], axis=-1)
+    last = (1,) * len(lead) + blocks[-1].shape[:-1]
+    right = tuple(n > 1 for n in last[len(last) - len(lead):])
     for f in fs:
-        got, want = f.on_blocks(*blocks), f(dense)
+        block = _Bilinear.of_columns(right, *blocks)
+        got, want = f(block), f(np.asarray(block))
         assert got.dtype == want.dtype and got.shape == want.shape == lead
-        assert got.tobytes() == want.tobytes()
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_evaluate_single_point_gives_zero_dim_array():
