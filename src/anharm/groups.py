@@ -872,8 +872,7 @@ def _h_compose(m, u, b):
     for j, (_, fs, t, scale) in enumerate(c.sides):
         t.fill(0.0)
         for i, s, f in fs:
-            col = t[..., i]
-            np.add(col, s * f, out=col)
+            t[..., i] += s * f
         c.seen[j] = _rho_kept(m, t, scale, c.seen[j])
     return c
 
