@@ -36,7 +36,8 @@ from .ideals import (
     ideal_model, transport_gram_deviation,
 )
 from .operators import (
-    EnvelopingElement, fundamental_solution_group, operator_identity_residual,
+    EnvelopingElement, check_supported, fundamental_solution_group,
+    operator_identity_residual,
 )
 from .scalars import (
     NegReal, iso_Phi, iso_Psi, iso_Psi_inv, iso_psi, neg_identity, neg_inv,
@@ -287,8 +288,13 @@ def _check_cap(command, shape, nbytes, peak):
 
 
 def _gib(nbytes):
-    gib = nbytes / 2**30
-    return f"{gib:.0f} GiB" if gib >= 10 else f"{gib:.3f} GiB"
+    """nbytes in GiB, whole from 10 GiB up and to three decimals below,
+    ties to even as float formatting rounds.  The arithmetic is exact on
+    integers, as an estimate may exceed any float."""
+    digits = 0 if nbytes >= 10 << 30 else 3
+    q, r = divmod(nbytes * 10 ** digits, 1 << 30)
+    q += r > 1 << 29 or (r == 1 << 29 and q % 2)
+    return (f"{q // 1000}.{q % 1000:03d}" if digits else str(q)) + " GiB"
 
 
 def _plancherel_axes(cfg):
@@ -598,6 +604,7 @@ def _solve_config(args):
     if not args.output:
         raise ValueError("solve requires --output")
     group, m = args.group or "N", args.m or 3
+    check_supported(group, m)  # before the axes, whose number grows as m²
     dim = law(group, m).dim
     u = parse_operator(args.operator, dim)
     axes = [Axis(0.0, args.halfwidth or 8.0, args.grid or 32)] * dim

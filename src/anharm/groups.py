@@ -126,11 +126,16 @@ def _n_inverse(m, y, scratch):
 
 
 def _n_ldiv(m, y, x, out=None, scratch=None):
-    """y⁻¹x in N, written into out when given (a fresh array for a
-    _Bilinear out): y⁻¹ into scratch (_n_inverse), then the law through
-    n_mul.  Every value is n_mul(n_inv(y), x)'s, bit for bit."""
-    if isinstance(out, _Bilinear):
-        out = None
+    """y⁻¹x in N, written into out when given: y⁻¹ into scratch
+    (_n_inverse), then the law through n_mul.  Every value is
+    n_mul(n_inv(y), x)'s, bit for bit.  A node block y gives the dense
+    quotient too, into an output and a y⁻¹ buffer kept on it for x."""
+    if isinstance(y, _Bilinear):
+        nodes, x = y.take(slice(None)), np.asarray(x, dtype=float)
+        out, scratch = y._kept("N.ldiv", x, lambda: (
+            empty_columns(np.broadcast_shapes(nodes.shape, x.shape)),
+            empty_columns(nodes.shape)))
+        y = nodes
     y, x, out = _operands(out, y, x)
     return n_mul(m, _n_inverse(m, y, scratch), x, out)
 
@@ -138,24 +143,29 @@ def _n_ldiv(m, y, x, out=None, scratch=None):
 def _n_rdiv(m, x, y, out=None, scratch=None):
     """x·y⁻¹ in N, written into out when given: y⁻¹ into scratch
     (_n_inverse), then the law through n_mul.  Every value is
-    n_mul(x, n_inv(y))'s, bit for bit.  Into a _Bilinear out, the law's
-    terms x_k, y⁻¹_k and x_a·y⁻¹_b are kept apart instead, x on its side
-    and y⁻¹ on y's, so that np.asarray has n_mul's values bit for bit."""
-    if isinstance(out, _Bilinear):
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        yinv = _n_inverse(m, y, scratch)
-        key = x, yinv if scratch is None else scratch
-        if not out._made_of(*key):  # n_mul's terms, in its order
-            right = _sides(y, x)
-            out._build(key, right, [
-                (_term(right, x[..., k]), _term(right, yinv[..., k]))
-                + tuple(_times((_term(right, x[..., a]),),
-                               (_term(right, yinv[..., b]),))[0]
-                        for a, b in pairs)
-                for k, pairs in enumerate(_n_terms(m))])
-        return out
-    x, y, out = _operands(out, x, y)
-    return n_mul(m, x, _n_inverse(m, y, scratch), out)
+    n_mul(x, n_inv(y))'s, bit for bit.  A node block y gives a bilinear
+    block kept on it for x, the law's terms x_k, y⁻¹_k and x_a·y⁻¹_b kept
+    apart, x on the points' side and y⁻¹, in a buffer the block keeps, on
+    the nodes', so that np.asarray has n_mul's values bit for bit."""
+    if not isinstance(y, _Bilinear):
+        x, y, out = _operands(out, x, y)
+        return n_mul(m, x, _n_inverse(m, y, scratch), out)
+    nodes, x, right = y.take(slice(None)), np.asarray(x, dtype=float), y.right
+
+    def make():  # n_mul's terms, in its order
+        yinv = empty_columns(nodes.shape)
+        q = _Bilinear(right, [
+            (_term(right, x[..., k]), _term(right, yinv[..., k]))
+            + tuple(_times((_term(right, x[..., a]),),
+                           (_term(right, yinv[..., b]),))[0]
+                    for a, b in pairs)
+            for k, pairs in enumerate(_n_terms(m))])
+        q.yinv = yinv
+        return q
+
+    q = y._kept("N.rdiv", x, make)
+    _n_inv_into(m, nodes, q.yinv)
+    return q
 
 
 @lru_cache(maxsize=None)
@@ -307,14 +317,6 @@ def _product_into(factors, out):
     return out
 
 
-def _sides(y, x):
-    """Per leading axis of a quotient of x by y, whether the right factor
-    spans it: every axis along which y does not vary."""
-    lead = np.broadcast_shapes(y.shape[:-1], x.shape[:-1])
-    own = (1,) * (len(lead) - y.ndim + 1) + y.shape[:-1]
-    return tuple(n == 1 for n in own)
-
-
 class _Bilinear:
     """Coordinates on a block of (node, point) pairs, each a short sum of
     rank-one terms ±L·R: L a product of arrays along the left factor's
@@ -328,12 +330,13 @@ class _Bilinear:
     np.asarray gives the dense coordinates term by term, in one buffer the
     block keeps: for a quotient the law's dense arithmetic, bit for bit.
     A TestFunction reads the block through prepare, exponent and centered
-    instead, at no (block, dim) size.  A quotient kernel refills the block
-    it made while its operands are the same arrays (refilled in place, as
-    the engines' buffers are), and what is derived from it (columns,
-    compose) is kept on it as long."""
+    instead, at no (block, dim) size.  A node block (of_columns, whose
+    buffers the engines refill in place) keeps what is made of it: each
+    quotient kernel's result for the x it was last given, refilled at every
+    call, and what is derived from a block (compose) is kept on it too
+    (_kept)."""
 
-    def __init__(self, right=(), coords=()):
+    def __init__(self, right, coords):
         self.right = tuple(right)
         self.coords = [tuple(c) for c in coords]
         shapes = [f.shape for c in self.coords for _, ls, rs in c
@@ -341,21 +344,12 @@ class _Bilinear:
         lead = np.broadcast_shapes(*shapes)
         self.shape = ((1,) * (len(self.right) - len(lead)) + lead
                       + (len(self.coords),))
-        self.key = self.plan = self.dense = self.tmp = self.seen = None
+        self.plan = self.dense = self.tmp = None
         self.kept, self.arrays = {}, ()
 
-    def _made_of(self, *operands):
-        """Whether the block was built from these very arrays."""
-        return (self.key is not None and len(self.key) == len(operands)
-                and all(a is b for a, b in zip(self.key, operands)))
-
-    def _build(self, operands, right, coords):
-        self.__init__(right, coords)
-        self.key = operands
-        return self
-
     def _kept(self, name, operand, make):
-        """make()'s block, kept on this one while operand is the same."""
+        """make()'s value, kept on this block under name while operand is
+        the same object."""
         hit = self.kept.get(name)
         if hit is None or hit[0] is not operand:
             hit = self.kept[name] = (operand, make())
@@ -520,12 +514,6 @@ class _Bilinear:
         block.arrays = arrays
         return block
 
-    def columns(self, w):
-        """The node block w, an array, as a block with this one's sides;
-        kept while w is the same."""
-        return self._kept("columns", w,
-                          lambda: _Bilinear.of_columns(self.right, w))
-
     def replaced(self, slots, values):
         """This block with the coordinates in slots (a slice) replaced by
         the columns of the array values."""
@@ -536,7 +524,7 @@ class _Bilinear:
 
     def take(self, slots):
         """The coordinates in slots (a slice) as a block, or, when they are
-        the columns of one of the arrays the block was made of (columns),
+        the columns of one of the arrays the block was made of (of_columns),
         as that array's slice."""
         want = range(len(self.coords))[slots]
         start = 0
@@ -562,45 +550,48 @@ def _rho_kept(m, t, scale, seen, sign=1.0):
     return t.copy()
 
 
-def _an_block(m, y, x, out, n_part, rho=False):
-    """The quotient of x by a node block y of S or T (a _Bilinear of the
-    N-block's columns on the left and the A-block's on the right) as a
-    bilinear block, refilled into out when it made it from y and x: N slot
-    k is column k of n_part(y's N part, x's, into), formed on the N-block
-    and the points into a buffer the block keeps, times ρ(−t_y)'s scales
-    on the A-block when rho (taken again only when the A-block's values
-    change); A slot l is t_x − t_y, t_x on the points and t_y on the
-    A-block."""
+def _an_block(m, y, x, left, rho=False):
+    """The quotient of x by a node block y of S or T (the N-block's columns
+    on the left and the A-block's on the right) as a bilinear block kept
+    on y for x: N slot k is column k of the N law's y⁻¹x when left, else
+    x·y⁻¹, formed on the N-block and the points with y⁻¹ in a second
+    buffer, both kept on the block and refilled at every call, times
+    ρ(−t_y)'s scales on the A-block when rho (taken again only when the
+    A-block's values change); A slot l is t_x − t_y, t_x on the points
+    and t_y on the A-block."""
     d = len(_n_terms(m))
-    out = _Bilinear() if out is None else out
-    yn, ya = y.take(slice(0, d)), y.take(slice(d, None))
-    kept = out._made_of(y, x)
-    p = n_part(yn, x[..., :d], out.p if kept else None)
-    if not kept:
+    yn, ya, xn = y.take(slice(0, d)), y.take(slice(d, None)), x[..., :d]
+
+    def make():
+        p = empty_columns(np.broadcast_shapes(yn.shape, xn.shape))
         g, v = empty_columns(ya.shape[:-1] + (d,)), x[..., d:]
-        out._build((y, x), y.right, [
+        q = _Bilinear(y.right, [
             ((1.0, (p[..., k],), (g[..., k],) if rho else ()),)
             for k in range(d)] + [
             ((1.0, (v[..., l],), ()), (-1.0, (), (ya[..., l],)))
             for l in range(m - 1)])
-        out.p, out.g = p, g
+        q.p, q.g, q.yinv, q.seen = p, g, empty_columns(yn.shape), None
+        return q
+
+    q = y._kept(("AN", left, rho), x, make)
+    if left:
+        _n_ldiv(m, yn, xn, q.p, q.yinv)
+    else:
+        _n_rdiv(m, xn, yn, q.p, q.yinv)
     if rho:
-        out.seen = _rho_kept(m, ya, out.g, out.seen, sign=-1.0)
-    return out
+        q.seen = _rho_kept(m, ya, q.g, q.seen, sign=-1.0)
+    return q
 
 
 def _an_ldiv(m, y, x, out, scratch, rho):
     """y⁻¹x = (P, t_x − t_y) with P = n_y⁻¹n_x in T = N × ℝ^{m−1}, and
     (ρ(−t_y)P, t_x − t_y) in S when rho: P formed in out's N slots (a
     fresh array when out is None), n_y⁻¹ in scratch (_n_inverse), and ρ
-    taken in place.  A node block y gives a bilinear block (_an_block),
-    its N slots on the N-block with n_y⁻¹ in scratch (the N-block's
-    shape)."""
+    taken in place.  A node block y gives a bilinear block (_an_block)."""
     d = len(_n_terms(m))
     x = np.asarray(x, dtype=float)
     if isinstance(y, _Bilinear):
-        return _an_block(m, y, x, out, lambda yn, xn, into:
-                         _n_ldiv(m, yn, xn, into, scratch), rho)
+        return _an_block(m, y, x, True, rho)
     y = np.asarray(y, dtype=float)
     if out is None:
         out = empty_columns(np.broadcast_shapes(y.shape, x.shape))
@@ -615,11 +606,9 @@ def _t_rdiv(m, x, y, out=None, scratch=None):
     """x·y⁻¹ = (n_x·n_y⁻¹, t_x − t_y) on T = N × ℝ^{m−1}, into out when
     given, n_y⁻¹ into scratch (_n_inverse).  A node block y gives a
     bilinear block (_an_block)."""
-    d = len(_n_terms(m))
-    x = np.asarray(x, dtype=float)
     if isinstance(y, _Bilinear):
-        return _an_block(m, y, x, out, lambda yn, xn, into:
-                         _n_rdiv(m, xn, yn, into, scratch))
+        return _an_block(m, y, np.asarray(x, dtype=float), False)
+    d = len(_n_terms(m))
     x, y, out = _operands(out, x, y)
     _n_rdiv(m, x[..., :d], y[..., :d], out[..., :d], scratch)
     _m_sub(x[..., d:], y[..., d:], out[..., d:])
@@ -638,29 +627,31 @@ class Law:
     module functions sees every call made through a Law.
 
     On N, S, M and T = N × ℝ^{m−1}, the groups the engines divide by,
-    ldiv(y, x, out, scratch) = y⁻¹x forms a quotient into out when given;
-    on N, M and T so does rdiv(x, y, out, scratch) = x·y⁻¹.  On N, S and T
-    y⁻¹'s N part goes into scratch, a buffer of its shape the caller
-    keeps (a fresh one when None), the N law is applied through n_mul, so
-    a wrapper on n_mul sees it, and on S ρ is taken once.  They call no
-    n_inv, s_mul or s_inv, so wrappers on those no longer see the
-    quotients' work.
+    ldiv(y, x, out, scratch) = y⁻¹x, and on N, M and T rdiv(x, y, out,
+    scratch) = x·y⁻¹.  A quotient's form follows its divisor y: arrays
+    in, an array out; a node block in, a block kept on it out.
+      - Arrays: the quotient is formed into out when given, and on N, S
+        and T y⁻¹'s N part into scratch, a buffer of its shape the caller
+        keeps (a fresh one when None).
+      - A node block y (_Bilinear.of_columns, the nodes a direct engine
+        walks, whose buffers it refills in place): the quotient is kept on
+        y for x (_Bilinear._kept) and refilled at every call; out and
+        scratch are not read.  M's quotients, N's rdiv and the quotients
+        of S and T are bilinear blocks, each coordinate a short sum of
+        rank-one terms in (y's side, x's side), whose np.asarray is the
+        dense quotient bit for bit.  N's ldiv is a dense array, through
+        n_mul, whose wrapper counts one call per node·point pair of
+        convolve_group on N.  bilinear_ldiv says whether ldiv of a node
+        block is a bilinear block: True on M, S and T.
+    The N law is applied through n_mul, so a wrapper on n_mul sees it, and
+    on S ρ is taken once.  The quotients call no n_inv, s_mul or s_inv, so
+    wrappers on those do not see their work.
 
     split is the slot where the N part ends on S and T, whose elements
     factor as n·a (on T as (n, 0)·(0, t)), and None on the groups that do
-    not factor so.  Where it is set, the direct engines walk the nodes as
-    one node block: a _Bilinear whose columns are the N-block's on the
-    left and the A-block's on the right (_Bilinear.of_columns), and ldiv
-    and rdiv of such a y give a bilinear block (_an_block).
-
-    Into a _Bilinear out (an empty one, or one an earlier call made), M's
-    quotients, N's rdiv and the quotients of S and T by a node block come
-    as a bilinear block, which the next call with it refills: each
-    coordinate a short sum of rank-one terms in (y's side, x's side),
-    whose np.asarray is the dense quotient bit for bit.  N's ldiv gives a
-    dense array, through n_mul, whose wrapper counts one call per
-    node·point pair of convolve_group on N.  bilinear_ldiv says whether
-    ldiv gives the direct engines a block: True on M, S and T.
+    not factor so.  Where it is set, a node block's columns are the
+    N-block's on the left and the A-block's on the right; where it is not,
+    the nodes are on the left and the points on the right.
 
     K1 (base N) and H (base S) have the coordinates (base, shift) and the
     componentwise law.  compose(u, b) = ι(u)∘b, where ι puts the shift u
@@ -756,17 +747,15 @@ def _m_sub(x, y, out=None):
 
 
 def _m_quotient(x, y, out=None):
-    """x − y, both quotients of M; into a _Bilinear out the block whose
-    coordinate i is the terms x_i and −y_i, each on its own side."""
-    if not isinstance(out, _Bilinear):
+    """x − y, both quotients of M; by a node block y the block whose
+    coordinate i is the terms x_i and −y_i, each on its own side, kept on
+    y for x."""
+    if not isinstance(y, _Bilinear):
         return _m_sub(x, y, out)
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if not out._made_of(x, y):
-        right = _sides(y, x)
-        out._build((x, y), right, [
-            (_term(right, x[..., i]), _term(right, y[..., i], -1.0))
-            for i in range(x.shape[-1])])
-    return out
+    nodes, x, right = y.take(slice(None)), np.asarray(x, dtype=float), y.right
+    return y._kept("M", x, lambda: _Bilinear(right, [
+        (_term(right, x[..., i]), _term(right, nodes[..., i], -1.0))
+        for i in range(x.shape[-1])]))
 
 
 def _m_neg(x):

@@ -200,20 +200,20 @@ def _block_size(axes, npoints, scalars=None):
 
 
 def _node_blocks(axes, npoints, split=None, scalars=None):
-    """Yield (nodes, cell volume): the product grid's nodes in C order, in
+    """Yield (buffers, cell volume): the product grid's nodes in C order, in
     blocks of _block_size nodes: for a bilinear walk of `scalars` floats
     per node, or else one whose quotients are dense.  Axis sizes are powers
     of two too, so a block is a product of index ranges, one per axis, of
-    the same lengths in every block; the full mesh is never built.  Every block is written
-    into one buffer allocated here, each coordinate column contiguous, as
-    the group laws lay out theirs, and the columns of axes that every block
-    covers whole are written once: the consumer must not change it.
+    the same lengths in every block; the full mesh is never built.  Every
+    block is written into the same buffers, allocated here, each coordinate
+    column contiguous, as the group laws lay out theirs, and the columns of
+    axes that every block covers whole are written once: the consumer must
+    not change them.
 
-    Given split, each block is yielded as its two factor buffers: the
-    nodes of the first split axes, shaped (b_1, 1, split), and those of
-    the rest, shaped (1, b_2, k − split), whose broadcast concatenation is
-    the block in the same C order; _quadrature keeps them as one node
-    block."""
+    The buffers have an axis for the points before the coordinates: one,
+    the block (b, 1, k), or given split two, the nodes of the first split
+    axes (b_1, 1, 1, split) and those of the rest (1, b_2, 1, k − split),
+    whose broadcast concatenation is the block in the same C order."""
     shape = [a.points for a in axes]
     grids = [grid_nodes(a) for a in axes]
     cell = float(np.prod([a.step for a in axes]))
@@ -224,12 +224,12 @@ def _node_blocks(axes, npoints, split=None, scalars=None):
         stride *= p
     k = len(axes)
     if split is None:
-        spans, leads = [(0, k)], [(-1,)]
+        spans, leads = [(0, k)], [(-1, 1)]
     else:
-        spans, leads = [(0, split), (split, k)], [(-1, 1), (1, -1)]
+        spans, leads = [(0, split), (split, k)], [(-1, 1, 1), (1, -1, 1)]
     meshes = [empty_columns(tuple(lengths[i:j]) + (j - i,)) for i, j in spans]
-    blocks = [b.reshape(lead + b.shape[-1:], copy=False)
-              for lead, b in zip(leads, meshes)]
+    buffers = tuple(b.reshape(lead + b.shape[-1:], copy=False)
+                    for lead, b in zip(leads, meshes))
     for lo in range(0, total, size):
         ranges, stride = [], total
         for p, g, n in zip(shape, grids, lengths):
@@ -238,7 +238,7 @@ def _node_blocks(axes, npoints, split=None, scalars=None):
             ranges.append(None if lo > 0 and n == p else g[start:start + n])
         for (i, j), mesh in zip(spans, meshes):
             node_mesh(ranges[i:j], mesh)
-        yield (blocks[0] if split is None else tuple(blocks)), cell
+        yield buffers, cell
 
 
 def _at(f, y):
@@ -257,39 +257,34 @@ def _quadrature(axes, npoints, integrand, weight=None, split=None,
                 values=None):
     """Σ over the nodes y of the axes' product grid, block by block, of
     F(y)·cell, or with a weight w, of w(y)·cell·F(y), one matrix product
-    of each block's node weights with F: npoints sums.  F(y) holds a row
-    of npoints values per node, in the block's C order.  The sums are
-    float when w and F are.  values is the number of (block, points) value
-    buffers F holds per block when its quotients are bilinear blocks, and
-    None when they are dense: _block_size sizes the blocks from it and the
-    weight.
+    of each block's node weights with F: npoints sums.  F is integrand,
+    which gets y and returns a row of npoints values per node, in the
+    block's C order.  The sums are float when w and F are.  values is the
+    number of (block, points) value buffers F holds per block when its
+    quotients are bilinear blocks, and None when they are dense:
+    _block_size sizes the blocks from it and the weight.
 
-    F and w get each block with an axis for the points inserted before the
-    coordinates: (b, 1, k), or given split one node block, a bilinear
-    block (groups._Bilinear) of leading shape (b_1, b_2, 1) whose columns
-    are those of _node_blocks' factor buffers, the N-block (b_1, 1, 1,
-    split) on the left and the A-block (1, b_2, 1, k − split) on the
-    right.  w is taken at it by _at and scaled by the cell in place.
-    Every block is the same array, or the same block of the same buffers,
-    refilled, so integrand(lead), lead the block's leading shape, is
-    called once, at the first block: it allocates the buffers every block
-    refills and returns F."""
-    block_integrand = total = None
+    y is one node block (groups._Bilinear.of_columns) of _node_blocks'
+    buffers, made at the first block: every block refills the same
+    buffers, so y, and what the laws keep on it, is the same object at
+    every block.  Its leading shape has an axis for the points: (b, 1),
+    the nodes on the left and the points on the right, or given split
+    (b_1, b_2, 1), the N-block (b_1, 1, 1, split) on the left with the
+    points and the A-block (1, b_2, 1, k − split) on the right.  w is
+    taken by _at at y on a walk that splits and at the dense node buffer
+    otherwise, and is scaled by the cell in place."""
+    right = (False, True) if split is None else (False, True, False)
+    y = total = None
     scalars = (None if values is None
                else values * npoints + (weight is not None))
     for nodes, cell in _node_blocks(axes, npoints, split, scalars):
-        if block_integrand is None:
-            if split is None:
-                y = nodes[:, None, :]
-            else:
-                y = _Bilinear.of_columns((False, True, False),
-                                         *(b[..., None, :] for b in nodes))
-            block_integrand = integrand(y.shape[:-1])
-        vals = np.asarray(block_integrand(y)).reshape(-1, npoints)
+        if y is None:
+            y = _Bilinear.of_columns(right, *nodes)
+        vals = np.asarray(integrand(y)).reshape(-1, npoints)
         if weight is None:
             part = vals.sum(axis=0) * cell
         else:
-            w = _at(weight, y)
+            w = _at(weight, y if split else nodes[0])
             part = np.multiply(w, cell, out=w).ravel() @ vals
             del w
         del vals  # so the next block's buffers are not formed beside them
@@ -297,61 +292,34 @@ def _quadrature(axes, npoints, integrand, weight=None, split=None,
     return total
 
 
-def _scratch(L, lead):
-    """A kept buffer for y⁻¹'s N part, at the shape of a node block's N
-    part of leading shape lead: the whole node on a law that does not
-    split."""
-    return empty_columns((lead[0],) + (1,) * (len(lead) - 1)
-                         + (L.split or L.dim,))
-
-
 def _group_convolution(L, g, f, x, axes):
     """Σ over the nodes y of the axes of g(y)·cell·f(y⁻¹x).  x is
-    (1, npoints, L.dim); the quotient y⁻¹x is L's ldiv, made at the first
-    block and refilled at the others, y⁻¹'s N part into kept scratch.  On
-    a law that splits (Law.split), y is one node block (_quadrature), and
-    ldiv forms the N law on its N-block and ρ's exponentials on its
-    A-block.  f gets the quotient as a bilinear block (groups._Bilinear)
-    on M, S and T, and dense on N."""
-
-    def integrand(lead):
-        scratch, q = _scratch(L, lead), _Bilinear()
-
-        def F(y):
-            nonlocal q
-            q = L.ldiv(y, x, out=q, scratch=scratch)
-            return f(q)
-
-        return F
-
-    return _quadrature(axes, x.shape[1], integrand, weight=g, split=L.split,
+    (1, npoints, L.dim); y is the walk's node block (_quadrature), and
+    y⁻¹x is L's ldiv of it, kept on y and refilled at every block.  On a
+    law that splits (Law.split) ldiv forms the N law on the N-block and
+    ρ's exponentials on the A-block.  f gets the quotient as a bilinear
+    block (groups._Bilinear) on M, S and T, and dense on N."""
+    return _quadrature(axes, x.shape[1], lambda y: f(L.ldiv(y, x)),
+                       weight=g, split=L.split,
                        values=1 if L.bilinear_ldiv else None)
 
 
 def _substituted_convolution(L, F, phi, x, axes):
     """Σ over the nodes w of the axes of F(w)·cell·φ(x·w⁻¹), the mirror of
-    _group_convolution with the nodes on F: the quotient x·w⁻¹ is L's rdiv
-    as a bilinear block (groups._Bilinear), refilled block by block, w⁻¹'s
-    N part into kept scratch, and φ is taken by _at at it.  F gets w as a
-    block with the quotient's sides: on a law that splits the node block
-    itself, and otherwise its columns (_Bilinear.columns)."""
-    split = L.split
+    _group_convolution with the nodes on F: w is the walk's node block, the
+    quotient x·w⁻¹ is L's rdiv of it, a bilinear block (groups._Bilinear)
+    kept on w and refilled block by block, and φ is taken by _at at it.
+    F gets w."""
 
-    def integrand(lead):
-        winv, q = _scratch(L, lead), _Bilinear()
+    def integrand(w):
+        q = L.rdiv(x, w)
+        f = np.asarray(F(w))
+        vals = _at(phi, q)
+        if np.result_type(f, vals) != vals.dtype:
+            return f * vals
+        return np.multiply(vals, f, out=vals)  # φ's values, in place
 
-        def integrand_at(w):
-            nonlocal q
-            q = L.rdiv(x, w, out=q, scratch=winv)
-            f = np.asarray(F(w if split else q.columns(w)))
-            vals = _at(phi, q)
-            if np.result_type(f, vals) != vals.dtype:
-                return f * vals
-            return np.multiply(vals, f, out=vals)  # φ's values, in place
-
-        return integrand_at
-
-    return _quadrature(axes, x.shape[1], integrand, split=split, values=2)
+    return _quadrature(axes, x.shape[1], integrand, split=L.split, values=2)
 
 
 def _rows(points):
@@ -374,21 +342,13 @@ def _c_picture(F_ext, case, m, base_points, shift_points):
     the shifts in their acting slots, as (1, npoints, dim) rows; and F̃ at
     a bilinear block w of c_law (the engines give no other): F_ext at w's
     top slots and the base points' acting slots, with w's acting slots as
-    the shift, as blocks with w's sides, made at the first call with w and
-    kept while w is the same."""
+    the shift, as blocks with w's sides, kept on w (_Bilinear._kept)."""
     L = law(case, m)
     x, a = _rows(base_points), L.acting
     X = x.copy()
     X[..., a] = _rows(shift_points)
-    kept = None
-
-    def F(w):
-        nonlocal kept
-        if kept is None or kept[0] is not w:
-            kept = w, w.replaced(a, x[..., a]), w.take(a)
-        return F_ext(*kept[1:])
-
-    return L.c_law, X, F
+    return L.c_law, X, lambda w: F_ext(*w._kept(
+        "c_picture", x, lambda: (w.replaced(a, x[..., a]), w.take(a))))
 
 
 def convolve_extended_c(phi, F_ext, case, m, base_points, shift_points, axes):

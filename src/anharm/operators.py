@@ -31,7 +31,7 @@ __all__ = [
     "apply_P", "apply_Q", "symbol",
     "transpose", "operator_identity_residual", "FundamentalSolution",
     "fundamental_solution_abelian", "fundamental_solution_group",
-    "weak_residuals", "apply_P_grid",
+    "check_supported", "weak_residuals", "apply_P_grid",
 ]
 
 MAX_WORD = 4
@@ -254,6 +254,15 @@ _TWISTS = {
 }
 
 
+def check_supported(group, m):
+    """Refuses, with a ValueError, a (group, m) fundamental_solution_group
+    does not solve on: one whose extension has a shift, other than (N, 3)
+    and (S, 2), the pairs _TWISTS knows.  It builds no axis, so a caller
+    can check before it sizes any grid."""
+    if law(group, m).extension().shift_dim and (group, m) not in _TWISTS:
+        raise ValueError(f"group solution not supported for {group!r}, m={m}")
+
+
 def fundamental_solution_group(u, group, m, axes, epsilon=1e-8):
     """Γ-pullback of the abelian fundamental solution onto group coordinates.
 
@@ -263,9 +272,8 @@ def fundamental_solution_group(u, group, m, axes, epsilon=1e-8):
     is evaluated by the semidiscrete inverse transform along its frequency
     axis.
     """
+    check_supported(group, m)  # before any mesh
     ext = law(group, m).extension()
-    if ext.shift_dim and (group, m) not in _TWISTS:  # before any mesh
-        raise ValueError(f"group solution not supported for {group!r}, m={m}")
     axes = tuple(axes)
     uq = q_remap(u, ext.name, m)
     if not ext.shift_dim:  # abelian N: Γ is the identity

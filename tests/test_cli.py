@@ -168,6 +168,7 @@ _SEED = "seed must be >= 0"
 _CAP = "at peak, above the 2.000 GiB cap"
 _GRID = "grid must be a power of two >= 2"
 _NESTING = "nesting deeper than 200 levels"
+_UNSUPPORTED = "group solution not supported for 'N', m="
 
 
 def _argv_id(argv):
@@ -226,6 +227,17 @@ def _argv_id(argv):
                   "--group", "N", "--m", "3", "--grid", "512"], 2,
                  "512×512×512 sample array needs 2.000 GiB and about "
                  "9.000 GiB at peak", id="solve --group N --m 3 --grid 512-2"),
+    # each ended in an OverflowError traceback with exit 1: the estimate,
+    # an integer, was formatted through a float
+    pytest.param(["verify", "plancherel", "--grid", str(2**400)], 2, _CAP,
+                 id="plancherel --grid 2**400-2"),
+    pytest.param(["solve", "fundamental-solution", "--operator", "E1",
+                  "--grid", str(2**400)], 2, _CAP,
+                 id="solve --operator E1 --grid 2**400-2"),
+    (_SOLVE + ["--m", "21"], 2, _UNSUPPORTED),
+    # refused before the 190 axes are built and sized: the message listed
+    # 190 factors of 32×, and at m = 2**16 the axes alone would need 17 GB
+    (_SOLVE + ["--m", "20"], 2, _UNSUPPORTED),
 ], ids=lambda v: _argv_id(v) if isinstance(v, list) else None)
 def test_float_flags_must_be_finite(tmp_path, monkeypatch, capsys, argv,
                                     code, message):

@@ -21,7 +21,11 @@ the pullback lattice engine, so no engine sizes its own blocks.  An eighth
 keeps one node block through the direct engines: ``groups.py``,
 ``harmonic.py``, ``testfuncs.py`` and ``extension.py`` make no
 ``isinstance(…, tuple)`` test, so no pair of blocks is dispatched on, and
-no method of ``TestFunction`` takes blocks as ``*args``.
+no method of ``TestFunction`` takes blocks as ``*args``.  A ninth keeps a
+quotient's form on its divisor: the direct cores construct no empty
+``_Bilinear()`` to ask for a block and hand ``ldiv``/``rdiv`` no ``out`` or
+``scratch``, and ``_Bilinear`` has no ``_made_of``, ``_build`` or
+``columns``, which rebuilt a quotient by its operands' identity.
 """
 
 import ast
@@ -383,4 +387,71 @@ def test_one_node_block_through_the_engines():
     assert any(f"class {EVALUATOR}" in p.read_text() for p in paths)
     found = [v for p in paths
              for v in tuple_dispatches(p) + many_block_signatures(p)]
+    assert not found, "\n".join(found)
+
+
+# the direct cores, which divide by the node block they walk, and the
+# names of the block protocol that a node block's kept quotients replaced
+DIRECT_CORES = ("harmonic.py", {"_group_convolution",
+                                "_substituted_convolution", "_quadrature"})
+GONE = {"_made_of", "_build", "columns"}
+
+
+def quotient_requests(path, names):
+    """'file:line: call' for each _Bilinear() construction, and each ldiv
+    or rdiv call given an out or scratch (by keyword or as a third
+    argument), inside the top-level functions of path named in names."""
+    found = []
+    for top in ast.parse(path.read_text()).body:
+        if getattr(top, "name", None) not in names:
+            continue
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = _subject(node.func)
+            if isinstance(node.func, ast.Name) and callee == "_Bilinear":
+                found.append((node.lineno, "_Bilinear()"))
+            elif callee in ("ldiv", "rdiv") and (
+                    len(node.args) > 2 or any(k.arg in ("out", "scratch")
+                                              for k in node.keywords)):
+                found.append((node.lineno, f"{callee} with out or scratch"))
+    return [f"{path.name}:{line}: {call}" for line, call in sorted(found)]
+
+
+def gone_protocol(path):
+    """'file:line: name' for each definition or attribute read of a name
+    in GONE."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.FunctionDef) and node.name in GONE:
+            found.append((node.lineno, node.name))
+        elif isinstance(node, ast.Attribute) and node.attr in GONE:
+            found.append((node.lineno, node.attr))
+    return [f"{path.name}:{line}: {name}" for line, name in sorted(found)]
+
+
+def test_quotient_form_lint_sees_a_planted_request(tmp_path):
+    mod = tmp_path / "harmonic.py"
+    mod.write_text("class _Bilinear:\n"
+                   "    def columns(self, w): pass\n"
+                   "def _group_convolution(L, x, y, s):\n"
+                   "    q = L.ldiv(y, x, out=_Bilinear())\n"
+                   "    return L.rdiv(x, y, q, s), q._made_of(x, y)\n"
+                   "def _quadrature(L, x, y):\n"
+                   "    return L.ldiv(y, x), _Bilinear.of_columns((), y)\n"
+                   "def elsewhere(L, x, y):\n"
+                   "    return L.ldiv(y, x, scratch=_Bilinear())\n")
+    assert quotient_requests(mod, DIRECT_CORES[1]) == [
+        "harmonic.py:4: _Bilinear()", "harmonic.py:4: ldiv with out or scratch",
+        "harmonic.py:5: rdiv with out or scratch"]
+    assert gone_protocol(mod) == ["harmonic.py:2: columns",
+                                  "harmonic.py:5: _made_of"]
+
+
+def test_quotient_form_follows_the_divisor():
+    home = SRC / DIRECT_CORES[0]
+    tops = {getattr(t, "name", None) for t in ast.parse(home.read_text()).body}
+    assert DIRECT_CORES[1] <= tops
+    found = quotient_requests(home, DIRECT_CORES[1]) + [
+        v for p in sorted(SRC.glob("*.py")) for v in gone_protocol(p)]
     assert not found, "\n".join(found)

@@ -342,15 +342,15 @@ def test_quotients_equal_products_with_inverses(name, m, width):
     # S and T also divide by a node block, the N-block's columns on the
     # left and the A-block's on the right: np.asarray of the quotient is
     # the dense quotient by the block's dense values, bit for bit, with an
-    # A-block of one node and of many, fresh and refilled into the kept
-    # block with kept scratch; T's x·y⁻¹ is also (n_x·n_y⁻¹, t_x − t_y) of
-    # the N law and M's subtraction, bit for bit
+    # A-block of one node and of many, fresh and again from the block kept
+    # on the node block; T's x·y⁻¹ is also (n_x·n_y⁻¹, t_x − t_y) of the N
+    # law and M's subtraction, bit for bit
     k = L.split
     x = rng.uniform(-1, 1, (1, 1, 5, L.dim))
     yn = rng.uniform(-1, 1, (6, 1, 1, k))
     divs = {"ldiv": L.ldiv}
     if L.rdiv is not None:
-        divs["rdiv"] = lambda y, x, **kw: L.rdiv(x, y, **kw)
+        divs["rdiv"] = lambda y, x: L.rdiv(x, y)
     for b_a in (1, 4):
         ya = rng.uniform(-1, 1, (1, b_a, 1, L.dim - k))
         y = _node_block(yn, ya)
@@ -364,8 +364,7 @@ def test_quotients_equal_products_with_inverses(name, m, width):
                 assert want.tobytes() == formula.tobytes()
             block = div(y, x)
             assert isinstance(block, groups._Bilinear)
-            for got in (block, div(y, x, out=block,
-                                   scratch=empty_columns(yn.shape))):
+            for got in (block, div(y, x)):
                 assert got is block and got.shape == want.shape
                 assert np.asarray(got).tobytes() == want.tobytes()
 
@@ -395,6 +394,12 @@ def _node_block(yn, ya):
     return groups._Bilinear.of_columns((False, True, False), yn, ya)
 
 
+def _dense_node_block(nodes):
+    """The node block of nodes (b, 1, dim), as the direct engines walk N
+    and M: the nodes on the left, the points on the right."""
+    return groups._Bilinear.of_columns((False, True), nodes)
+
+
 def _random_node_block(rng, m, b_n, b_a):
     """A node block of uniform values, its buffers laid out as the direct
     engines' are."""
@@ -411,16 +416,15 @@ def test_product_quotient_materializes_the_dense_quotient(m):
     # the ldiv of S and of T (H's c_law) by a node block gives y⁻¹x in
     # product form; np.asarray makes it dense with the arithmetic of a
     # dense out, bit for bit, when fresh and when the node block's buffers
-    # are refilled and the kept block with them
+    # are refilled and the block kept on it with them
     rng = np.random.default_rng(90 + m)
     for L in (law("S", m), law("H", m).c_law):
         x = rng.uniform(-1, 1, (1, 5, L.dim))
-        scratch = empty_columns((6, 1, 1, L.split))
         y, block = _random_node_block(rng, m, 6, 4), None
         for _ in range(2):
             want = L.ldiv(np.asarray(y).copy(), x,
                           out=empty_columns((6, 4, 5, L.dim)))
-            kept = L.ldiv(y, x, out=block, scratch=scratch)
+            kept = L.ldiv(y, x)
             assert block is None or kept is block
             block = kept
             assert isinstance(block, groups._Bilinear)
@@ -483,38 +487,75 @@ def _refill(rng, arrays):
 @pytest.mark.parametrize("name", ["N.rdiv", "M.ldiv", "M.rdiv", "T.ldiv",
                                   "T.rdiv"])
 def test_bilinear_quotients_materialize_the_dense_quotient(name, m):
-    # into a _Bilinear out the quotients of N (rdiv), M (K1's c_law) and T
-    # (H's c_law, by a node block) come as a block whose np.asarray is the
-    # dense quotient's bytes, fresh and when the engines' kept buffers are
-    # refilled and the block with them
+    # by a node block the quotients of N (rdiv), M (K1's c_law) and T (H's
+    # c_law) come as a block kept on it, whose np.asarray is the dense
+    # quotient's bytes, fresh and when the engines' node buffers are
+    # refilled and the kept block with them
     rng = np.random.default_rng(100 + m)
     case, div = name.split(".")
     L = {"N": law("N", m), "M": law("K1", m).c_law,
          "T": law("H", m).c_law}[case]
     if L.split is None:
-        x, y = _filled(rng, (1, 5, L.dim)), _filled(rng, (6, 1, L.dim))
-        nodes = (y,)
+        x, nodes = _filled(rng, (1, 5, L.dim)), (_filled(rng, (6, 1, L.dim)),)
+        y = _dense_node_block(*nodes)
     else:
         x = _filled(rng, (1, 1, 5, L.dim))
         nodes = (_filled(rng, (6, 1, 1, L.split)),
                  _filled(rng, (1, 4, 1, L.dim - L.split)))
         y = _node_block(*nodes)
-    scratch = empty_columns(nodes[0].shape)
-    block = groups._Bilinear()
+    block = None
     for _ in range(2):
         dense_y = np.asarray(y).copy()
         dense = (L.ldiv(dense_y, x) if div == "ldiv" else L.rdiv(x, dense_y))
-        got = (L.ldiv(y, x, out=block, scratch=scratch) if div == "ldiv"
-               else L.rdiv(x, y, out=block, scratch=scratch))
-        assert got is block and block.shape == dense.shape
+        got = L.ldiv(y, x) if div == "ldiv" else L.rdiv(x, y)
+        assert block is None or got is block
+        block = got
+        assert isinstance(block, groups._Bilinear)
+        assert block.shape == dense.shape
         assert np.asarray(block).tobytes() == np.ascontiguousarray(
             dense).tobytes()
         _refill(rng, nodes)
-    # N divides on the left densely, through n_mul
+    # N divides on the left densely, through n_mul, into one kept buffer
     if case == "N":
-        q = L.ldiv(y, x, out=groups._Bilinear(), scratch=scratch)
-        assert isinstance(q, np.ndarray)
-        assert np.array_equal(q, L.ldiv(y, x))
+        q = L.ldiv(y, x)
+        assert isinstance(q, np.ndarray) and L.ldiv(y, x) is q
+        assert np.array_equal(q, L.ldiv(nodes[0], x))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("name", ["N.ldiv", "N.rdiv", "M.ldiv", "M.rdiv",
+                                  "S.ldiv", "T.ldiv", "T.rdiv"])
+def test_node_block_quotients_are_kept_on_the_block(name, m):
+    # a node block in, a block kept on it out: a second quotient by the
+    # same node block is the kept object (on N's ldiv the same dense
+    # buffer), and once the node buffers are refilled np.asarray of it is
+    # the dense quotient of the new values, bit for bit; arrays in, a new
+    # array out
+    rng = np.random.default_rng(120 + m)
+    case, div = name.split(".")
+    L = {"N": law("N", m), "M": law("K1", m).c_law, "S": law("S", m),
+         "T": law("H", m).c_law}[case]
+    if L.split is None:
+        x, nodes = _filled(rng, (1, 5, L.dim)), (_filled(rng, (6, 1, L.dim)),)
+        y = _dense_node_block(*nodes)
+    else:
+        x = _filled(rng, (1, 1, 5, L.dim))
+        nodes = (_filled(rng, (6, 1, 1, L.split)),
+                 _filled(rng, (1, 4, 1, L.dim - L.split)))
+        y = _node_block(*nodes)
+
+    def quotient(y):
+        return L.ldiv(y, x) if div == "ldiv" else L.rdiv(x, y)
+
+    q = quotient(y)
+    assert isinstance(q, np.ndarray) == (name == "N.ldiv")
+    for _ in range(2):
+        _refill(rng, nodes)
+        dense = quotient(np.asarray(y).copy())
+        assert isinstance(dense, np.ndarray) and dense is not q
+        assert quotient(y) is q
+        assert np.asarray(q).tobytes() == np.ascontiguousarray(
+            dense).tobytes()
 
 
 def _assert_exponent_and_columns(rng, q, dense):
@@ -546,15 +587,16 @@ def test_bilinear_blocks_exponent_and_columns(m):
     # the same sums on the dense values
     rng = np.random.default_rng(110 + m)
     K1, H = law("K1", m), law("H", m)
-    x, y = _filled(rng, (1, 5, K1.base.dim)), _filled(rng, (6, 1, K1.base.dim))
+    x = _filled(rng, (1, 5, K1.base.dim))
+    y = _dense_node_block(_filled(rng, (6, 1, K1.base.dim)))
     s = rng.uniform(-0.5, 0.5, (1, 5, K1.shift_dim))
-    n = K1.base.rdiv(x, y, out=groups._Bilinear())
-    c = K1.c_law.ldiv(y, x, out=groups._Bilinear())
+    n = K1.base.rdiv(x, y)
+    c = K1.c_law.ldiv(y, x)
     u = c.take(K1.acting)
     xt = _filled(rng, (1, 1, 5, H.base.dim))
     w = _node_block(_filled(rng, (6, 1, 1, H.base.split)),
                     _filled(rng, (1, 4, 1, m - 1)))
-    t = H.c_law.rdiv(xt, w, out=groups._Bilinear())
+    t = H.c_law.rdiv(xt, w)
     shift = w.take(H.acting)
     # H's ∗_c side with the nodes on φ: T's ldiv, whose acting slots are
     # the shift, a block of one term on each side

@@ -806,8 +806,8 @@ def test_node_blocks_tile_the_mesh_in_order(monkeypatch, chunk):
     axes = [Axis(0.3, 5.0, 8), Axis(0.0, 6.0, 4), Axis(-1.0, 5.0, 16)]
     monkeypatch.setattr(harmonic, "_CHUNK", chunk)
     copies, cells = zip(*((b.copy(), cell)
-                          for b, cell in harmonic._node_blocks(axes, 5)))
-    want = grid_mesh(axes).reshape(-1, 3)
+                          for (b,), cell in harmonic._node_blocks(axes, 5)))
+    want = grid_mesh(axes).reshape(-1, 1, 3)
     assert np.array_equal(np.concatenate(copies), want)
     assert max(len(b) for b in copies) * 5 <= max(chunk, 5)
     assert set(cells) == {1.25 * 3.0 * 0.625}
@@ -817,14 +817,15 @@ def test_node_blocks_tile_the_mesh_in_order(monkeypatch, chunk):
 def test_kept_node_blocks_equal_fresh_ones(monkeypatch, chunk):
     # one buffer refilled block by block, the columns of whole axes once;
     # each block, read when it is yielded, is the fresh slice of the mesh
+    # with an axis for the points
     axes = [Axis(0.3, 5.0, 8), Axis(0.0, 6.0, 4), Axis(-1.0, 5.0, 16)]
     monkeypatch.setattr(harmonic, "_CHUNK", chunk)
     fresh = grid_mesh(axes).reshape(-1, 3)
     first, start = None, 0
-    for b, cell in harmonic._node_blocks(axes, 5):
+    for (b,), cell in harmonic._node_blocks(axes, 5):
         first = b if first is None else first
-        assert b is first
-        assert np.array_equal(b, fresh[start:start + len(b)])
+        assert b is first and b.shape[1:] == (1, 3)
+        assert np.array_equal(b[:, 0], fresh[start:start + len(b)])
         assert cell == 1.25 * 3.0 * 0.625
         start += len(b)
     assert start == len(fresh)
@@ -847,7 +848,8 @@ def _concatenated_c_translate(case, m, base, shift, y):
 
 def _concatenated_c(phi, F_ext, case, m, base_points, shift_points, axes):
     out = np.zeros(len(base_points))
-    for y, cell in harmonic._node_blocks(axes, len(base_points)):
+    for (block,), cell in harmonic._node_blocks(axes, len(base_points)):
+        y = block[:, 0]
         weights = np.asarray(phi(y)) * cell
         nb, ns = _concatenated_c_translate(case, m, base_points[None],
                                            shift_points[None], y[:, None])
@@ -860,8 +862,8 @@ def _concatenated_c_substituted(phi, F_ext, case, m, base_points,
     d_n = m * (m - 1) // 2
     x, s = base_points[None], shift_points[None]
     out = np.zeros(len(base_points), dtype=complex)
-    for block, cell in harmonic._node_blocks(axes, len(base_points)):
-        w = block[:, None, :]
+    for (block,), cell in harmonic._node_blocks(axes, len(base_points)):
+        w = block
         lead = (len(block), len(base_points))
         if case == "K1":  # W in base order: the shift slots, then the top
             k = d_n - (m - 1)
@@ -935,9 +937,9 @@ def _subtracted_abelian(g, f, points, axes):
     """g ∗_c f with X − Y formed by np.subtract over the same node blocks."""
     x = np.atleast_2d(np.asarray(points, dtype=float))[None, :, :]
     out = np.zeros(x.shape[1])
-    for y, cell in harmonic._node_blocks(axes, x.shape[1]):
-        w = np.asarray(g(y)) * cell
-        vals = np.asarray(f(np.subtract(x, y[:, None, :])))
+    for (y,), cell in harmonic._node_blocks(axes, x.shape[1]):
+        w = np.asarray(g(y[:, 0])) * cell
+        vals = np.asarray(f(np.subtract(x, y)))
         out += np.tensordot(w, vals, axes=(0, 0))
     return out
 
