@@ -48,8 +48,8 @@ from .testfuncs import Axis, GridFunction, export_csv, gaussian
 __all__ = ["main", "parse_operator", "OperatorSyntaxError"]
 
 # The cap on a command's estimated peak memory (plancherel_peak_bytes,
-# solve_peak_bytes, group_axioms_peak_bytes); the 32⁵ plancherel grid is
-# estimated at 0.516 GiB.
+# solve_peak_bytes, identity_peak_bytes, group_axioms_peak_bytes); the 32⁵
+# plancherel grid is estimated at 0.516 GiB.
 MAX_GRID_BYTES = 2 << 30
 
 # The random points x, y and z that check_group_axioms draws on each law.
@@ -266,6 +266,17 @@ def solve_peak_bytes(axes):
             + (5 << 16))
 
 
+def identity_peak_bytes(axes):
+    """Estimated peak bytes of check_convolution_identity's engines on the
+    axes (an upper bound): each axis's nodes, two arrays of the longest's
+    while they are built, and 1.5 MiB for one node block's buffers
+    (harmonic._block_size) and the small objects.  tracemalloc measures
+    about 0.96 MiB from P = 16 to 128; tests/test_cli.py checks the
+    estimate."""
+    n = [a.points for a in axes]
+    return 8 * (sum(n) + 2 * max(n)) + (3 << 19)
+
+
 def group_axioms_peak_bytes(dim):
     """Estimated peak bytes of check_group_axioms on a law of dimension dim
     (an upper bound): 9 arrays of AXIOM_POINTS × dim floats, the points
@@ -334,18 +345,23 @@ def _gauss_pair(rng, dim, widths, k, pt_scale):
     return phi, f, pts
 
 
+def _identity_axes(cfg):
+    """The node axes of check_convolution_identity, by case: K1's 3 × P and
+    H's 8P × 4P (at 4P × 2P seeds 11, 16 and 19 fail the gate)."""
+    p = cfg.grid or 16
+    return {"K1": [Axis(0.0, 6.4, p)] * 3,
+            "H": [Axis(0.0, 6.4, 8 * p), Axis(0.0, 3.2, 4 * p)]}
+
+
 def check_convolution_identity(cfg):
     rng = np.random.default_rng(cfg.seed)
+    axes = _identity_axes(cfg)
     phi, f, pts = _gauss_pair(rng, 3, [1.0] * 3, 1, 0.4)
-    axes = [Axis(0.0, 6.4, cfg.grid or 16)] * 3
-    r, s = theorem31_residual(phi, f, "K1", 3, pts, axes, axes)
+    r, s = theorem31_residual(phi, f, "K1", 3, pts, axes["K1"], axes["K1"])
     yield ({"case": "K1", "m": 3}, "rel_residual", r / max(s, 1e-300),
            cfg.tol(1e-3))
     phi, f, pts = _gauss_pair(rng, 2, [1.0, 3.0], 1, 0.4)
-    # 8·grid × 4·grid: at 4·grid × 2·grid seeds 11, 16 and 19 fail the gate
-    axes = [Axis(0.0, 6.4, 8 * (cfg.grid or 16)),
-            Axis(0.0, 3.2, 4 * (cfg.grid or 16))]
-    r, s = theorem31_residual(phi, f, "H", 2, pts, axes, axes)
+    r, s = theorem31_residual(phi, f, "H", 2, pts, axes["H"], axes["H"])
     yield ({"case": "H", "m": 2}, "rel_residual", r / max(s, 1e-300),
            cfg.tol(1e-3))
 
@@ -541,6 +557,11 @@ def _check_configs(args):
     for axes in grids.values():
         _check_cap("plancherel", [a.points for a in axes], grid_bytes(axes),
                    plancherel_peak_bytes(axes))
+    for case, axes in (_identity_axes(cfgs["convolution-identity"]).items()
+                       if "convolution-identity" in cfgs else ()):
+        top = max(a.points for a in axes)
+        _check_cap(f"convolution-identity on {case}", (top,), 8 * top,
+                   identity_peak_bytes(axes))
     laws = _axiom_laws(cfgs["group-axioms"]) if "group-axioms" in cfgs else []
     for group, m in laws:
         dim = law(group, m).dim

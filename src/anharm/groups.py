@@ -117,39 +117,27 @@ def n_inv(m, x):
     return _n_inv_into(m, x, empty_columns(x.shape))
 
 
-def _n_inverse(m, y, scratch):
-    """y⁻¹ in scratch's first columns, which have y's shape (a buffer the
-    caller keeps across calls), or in a fresh one when scratch is None."""
-    if scratch is None:
-        return _n_inv_into(m, y, empty_columns(y.shape))
-    return _n_inv_into(m, y, scratch[..., :y.shape[-1]])
-
-
-def _n_ldiv(m, y, x, out=None, scratch=None):
-    """y⁻¹x in N, written into out when given: y⁻¹ into scratch
-    (_n_inverse), then the law through n_mul.  Every value is
-    n_mul(n_inv(y), x)'s, bit for bit.  A node block y gives the dense
+def _n_ldiv(m, y, x):
+    """y⁻¹x in N: y⁻¹ (n_inv), then the law through n_mul, so every value
+    is n_mul(n_inv(y), x)'s, bit for bit.  A node block y gives the dense
     quotient too, into an output and a y⁻¹ buffer kept on it for x."""
-    if isinstance(y, _Bilinear):
-        nodes, x = y.take(slice(None)), np.asarray(x, dtype=float)
-        out, scratch = y._kept("N.ldiv", x, lambda: (
-            empty_columns(np.broadcast_shapes(nodes.shape, x.shape)),
-            empty_columns(nodes.shape)))
-        y = nodes
-    y, x, out = _operands(out, y, x)
-    return n_mul(m, _n_inverse(m, y, scratch), x, out)
+    if not isinstance(y, _Bilinear):
+        return n_mul(m, n_inv(m, y), x)
+    nodes, x = y.take(slice(None)), np.asarray(x, dtype=float)
+    out, yinv = y._kept("N.ldiv", x, lambda: (
+        empty_columns(np.broadcast_shapes(nodes.shape, x.shape)),
+        empty_columns(nodes.shape)))
+    return n_mul(m, _n_inv_into(m, nodes, yinv), x, out)
 
 
-def _n_rdiv(m, x, y, out=None, scratch=None):
-    """x·y⁻¹ in N, written into out when given: y⁻¹ into scratch
-    (_n_inverse), then the law through n_mul.  Every value is
-    n_mul(x, n_inv(y))'s, bit for bit.  A node block y gives a bilinear
+def _n_rdiv(m, x, y):
+    """x·y⁻¹ in N: y⁻¹ (n_inv), then the law through n_mul, so every value
+    is n_mul(x, n_inv(y))'s, bit for bit.  A node block y gives a bilinear
     block kept on it for x, the law's terms x_k, y⁻¹_k and x_a·y⁻¹_b kept
     apart, x on the points' side and y⁻¹, in a buffer the block keeps, on
     the nodes', so that np.asarray has n_mul's values bit for bit."""
     if not isinstance(y, _Bilinear):
-        x, y, out = _operands(out, x, y)
-        return n_mul(m, x, _n_inverse(m, y, scratch), out)
+        return n_mul(m, x, n_inv(m, y))
     nodes, x, right = y.take(slice(None)), np.asarray(x, dtype=float), y.right
 
     def make():  # n_mul's terms, in its order
@@ -223,15 +211,13 @@ def rho_scale(m, t):
     return rho_apply(m, t, np.ones(len(_rho_terms(m))))
 
 
-def rho_apply(m, t, x, out=None):
+def rho_apply(m, t, x):
     """ρ(a) x: conjugation of N-coordinates by the diagonal with log coords
-    t, written into out when given."""
+    t; broadcasts over leading axes."""
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
-    if out is None:
-        out = empty_columns(np.broadcast_shapes(t.shape[:-1], x.shape[:-1])
-                            + x.shape[-1:])
-    return _rho_into(m, t, x, out)
+    return _rho_into(m, t, x, empty_columns(
+        np.broadcast_shapes(t.shape[:-1], x.shape[:-1]) + x.shape[-1:]))
 
 
 def s_mul(m, p, q):
@@ -574,43 +560,42 @@ def _an_block(m, y, x, left, rho=False):
         return q
 
     q = y._kept(("AN", left, rho), x, make)
+    yinv = _n_inv_into(m, yn, q.yinv)
     if left:
-        _n_ldiv(m, yn, xn, q.p, q.yinv)
+        n_mul(m, yinv, xn, q.p)
     else:
-        _n_rdiv(m, xn, yn, q.p, q.yinv)
+        n_mul(m, xn, yinv, q.p)
     if rho:
         q.seen = _rho_kept(m, ya, q.g, q.seen, sign=-1.0)
     return q
 
 
-def _an_ldiv(m, y, x, out, scratch, rho):
+def _an_ldiv(m, y, x, rho):
     """y⁻¹x = (P, t_x − t_y) with P = n_y⁻¹n_x in T = N × ℝ^{m−1}, and
-    (ρ(−t_y)P, t_x − t_y) in S when rho: P formed in out's N slots (a
-    fresh array when out is None), n_y⁻¹ in scratch (_n_inverse), and ρ
-    taken in place.  A node block y gives a bilinear block (_an_block)."""
+    (ρ(−t_y)P, t_x − t_y) in S when rho: P formed through n_mul in the N
+    slots of a fresh array, and ρ taken in place.  A node block y gives a
+    bilinear block (_an_block)."""
     d = len(_n_terms(m))
     x = np.asarray(x, dtype=float)
     if isinstance(y, _Bilinear):
         return _an_block(m, y, x, True, rho)
     y = np.asarray(y, dtype=float)
-    if out is None:
-        out = empty_columns(np.broadcast_shapes(y.shape, x.shape))
+    out = empty_columns(np.broadcast_shapes(y.shape, x.shape))
     _m_sub(x[..., d:], y[..., d:], out[..., d:])
-    p = _n_ldiv(m, y[..., :d], x[..., :d], out[..., :d], scratch)
+    p = n_mul(m, n_inv(m, y[..., :d]), x[..., :d], out[..., :d])
     if rho:
         _rho_into(m, y[..., d:], p, p, sign=-1.0)
     return out
 
 
-def _t_rdiv(m, x, y, out=None, scratch=None):
-    """x·y⁻¹ = (n_x·n_y⁻¹, t_x − t_y) on T = N × ℝ^{m−1}, into out when
-    given, n_y⁻¹ into scratch (_n_inverse).  A node block y gives a
-    bilinear block (_an_block)."""
+def _t_rdiv(m, x, y):
+    """x·y⁻¹ = (n_x·n_y⁻¹, t_x − t_y) on T = N × ℝ^{m−1}.  A node block y
+    gives a bilinear block (_an_block)."""
     if isinstance(y, _Bilinear):
         return _an_block(m, y, np.asarray(x, dtype=float), False)
     d = len(_n_terms(m))
-    x, y, out = _operands(out, x, y)
-    _n_rdiv(m, x[..., :d], y[..., :d], out[..., :d], scratch)
+    x, y, out = _operands(None, x, y)
+    n_mul(m, x[..., :d], n_inv(m, y[..., :d]), out[..., :d])
     _m_sub(x[..., d:], y[..., d:], out[..., d:])
     return out
 
@@ -622,30 +607,25 @@ class Law:
     """One group law in coordinates; law(name, m) builds and caches it.
 
     mul(x, y) and inv(x) act on coordinate arrays (..., dim) and broadcast
-    over leading axes; on N and M, mul(x, y, out) writes into out.  They
-    look n_mul, s_mul, ... up when called, so a wrapper installed on those
-    module functions sees every call made through a Law.
+    over leading axes.  They look n_mul, s_mul, ... up when called, so a
+    wrapper installed on those module functions sees every call made
+    through a Law.
 
     On N, S, M and T = N × ℝ^{m−1}, the groups the engines divide by,
-    ldiv(y, x, out, scratch) = y⁻¹x, and on N, M and T rdiv(x, y, out,
-    scratch) = x·y⁻¹.  A quotient's form follows its divisor y: arrays
-    in, an array out; a node block in, a block kept on it out.
-      - Arrays: the quotient is formed into out when given, and on N, S
-        and T y⁻¹'s N part into scratch, a buffer of its shape the caller
-        keeps (a fresh one when None).
-      - A node block y (_Bilinear.of_columns, the nodes a direct engine
-        walks, whose buffers it refills in place): the quotient is kept on
-        y for x (_Bilinear._kept) and refilled at every call; out and
-        scratch are not read.  M's quotients, N's rdiv and the quotients
-        of S and T are bilinear blocks, each coordinate a short sum of
-        rank-one terms in (y's side, x's side), whose np.asarray is the
-        dense quotient bit for bit.  N's ldiv is a dense array, through
-        n_mul, whose wrapper counts one call per node·point pair of
-        convolve_group on N.  bilinear_ldiv says whether ldiv of a node
-        block is a bilinear block: True on M, S and T.
-    The N law is applied through n_mul, so a wrapper on n_mul sees it, and
-    on S ρ is taken once.  The quotients call no n_inv, s_mul or s_inv, so
-    wrappers on those do not see their work.
+    ldiv(y, x) = y⁻¹x, and on N, M and T rdiv(x, y) = x·y⁻¹.  A quotient's
+    form follows its divisor y: arrays in, a fresh array out; a node block
+    in, a block kept on it out.  A node block y (_Bilinear.of_columns, the
+    nodes a direct engine walks, whose buffers it refills in place) keeps
+    the quotient for x (_Bilinear._kept), refilled at every call.  M's
+    quotients, N's rdiv and the quotients of S and T by a node block are
+    bilinear blocks, each coordinate a short sum of rank-one terms in (y's
+    side, x's side), whose np.asarray is the dense quotient bit for bit.
+    N's ldiv of a node block is a dense array, through n_mul, whose wrapper
+    counts one call per node·point pair of convolve_group on N.
+    bilinear_ldiv says whether ldiv of a node block is a bilinear block:
+    True on M, S and T.  The N law is applied through n_mul, so a wrapper
+    on n_mul sees it, and on S ρ is taken once.  The quotients call no
+    s_mul or s_inv, so wrappers on those do not see their work.
 
     split is the slot where the N part ends on S and T, whose elements
     factor as n·a (on T as (n, 0)·(0, t)), and None on the groups that do
@@ -730,9 +710,9 @@ class Law:
         return self.compose(u, base)
 
 
-def _m_add(x, y, out=None):
+def _m_add(x, y):
     """x + y on ℝ^d, one coordinate column at a time."""
-    x, y, out = _operands(out, x, y)
+    x, y, out = _operands(None, x, y)
     for i in range(out.shape[-1]):
         np.add(x[..., i], y[..., i], out=out[..., i])
     return out
@@ -746,12 +726,12 @@ def _m_sub(x, y, out=None):
     return out
 
 
-def _m_quotient(x, y, out=None):
+def _m_quotient(x, y):
     """x − y, both quotients of M; by a node block y the block whose
     coordinate i is the terms x_i and −y_i, each on its own side, kept on
     y for x."""
     if not isinstance(y, _Bilinear):
-        return _m_sub(x, y, out)
+        return _m_sub(x, y)
     nodes, x, right = y.take(slice(None)), np.asarray(x, dtype=float), y.right
     return y._kept("M", x, lambda: _Bilinear(right, [
         (_term(right, x[..., i]), _term(right, nodes[..., i], -1.0))
@@ -825,7 +805,7 @@ def _h_compose(m, u, b):
         u, b = np.asarray(u, dtype=float), np.asarray(b, dtype=float)
         out = empty_columns(np.broadcast_shapes(u.shape[:-1], b.shape[:-1])
                             + b.shape[-1:])
-        rho_apply(m, u, b[..., :d], out=out[..., :d])
+        _rho_into(m, u, b[..., :d], out[..., :d])
         for i in range(m - 1):
             np.add(u[..., i], b[..., d + i], out=out[..., d + i])
         return out
@@ -874,25 +854,20 @@ def law(name, m):
         if m is not None and m < 1:
             raise ValueError(f"dimension must be >= 1, got {m}")
         return Law("M", m, m, _m_add, _m_neg,
-                   ldiv=lambda y, x, out=None, scratch=None:
-                   _m_quotient(x, y, out),
-                   rdiv=lambda x, y, out=None, scratch=None:
-                   _m_quotient(x, y, out), bilinear_ldiv=True)
+                   ldiv=lambda y, x: _m_quotient(x, y), rdiv=_m_quotient,
+                   bilinear_ldiv=True)
     if m < 2:
         raise ValueError(f"matrix size must be >= 2, got {m}")
     d_n = m * (m - 1) // 2
     if name == "N":
-        return Law("N", m, d_n, lambda x, y, out=None: n_mul(m, x, y, out),
+        return Law("N", m, d_n, lambda x, y: n_mul(m, x, y),
                    lambda x: n_inv(m, x),
-                   ldiv=lambda y, x, out=None, scratch=None:
-                   _n_ldiv(m, y, x, out, scratch),
-                   rdiv=lambda x, y, out=None, scratch=None:
-                   _n_rdiv(m, x, y, out, scratch))
+                   ldiv=lambda y, x: _n_ldiv(m, y, x),
+                   rdiv=lambda x, y: _n_rdiv(m, x, y))
     if name == "S":
         return Law("S", m, d_n + m - 1, lambda x, y: s_mul(m, x, y),
                    lambda x: s_inv(m, x),
-                   ldiv=lambda y, x, out=None, scratch=None:
-                   _an_ldiv(m, y, x, out, scratch, rho=True),
+                   ldiv=lambda y, x: _an_ldiv(m, y, x, rho=True),
                    unimodular=False, split=d_n, bilinear_ldiv=True)
     if name == "K1":  # shift: the acting layers 1..m-2 of N
         base, k = law("N", m), d_n - (m - 1)
@@ -902,10 +877,8 @@ def law(name, m):
     if name == "H":  # shift: A
         base = law("S", m)
         c_law = Law("T", m, base.dim, *_product(law("N", m), m - 1),
-                    ldiv=lambda y, x, out=None, scratch=None:
-                    _an_ldiv(m, y, x, out, scratch, rho=False),
-                    rdiv=lambda x, y, out=None, scratch=None:
-                    _t_rdiv(m, x, y, out, scratch), split=d_n,
+                    ldiv=lambda y, x: _an_ldiv(m, y, x, rho=False),
+                    rdiv=lambda x, y: _t_rdiv(m, x, y), split=d_n,
                     bilinear_ldiv=True)
         return Law("H", m, base.dim + m - 1, *_product(base, m - 1),
                    unimodular=False, base=base, acting=slice(d_n, base.dim),

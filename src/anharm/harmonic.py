@@ -494,8 +494,6 @@ def convolve_group_pullback_lattice(probes, g, out_axes, axes):
     ab = node_mesh([grid_nodes(axes[0]), [0.0], grid_nodes(axes[2])])
     ab = ab.reshape(-1, 1, 1, 3)
     n = _block_size((axes[0], axes[2]), planes[0, ..., 0].size)
-    q = empty_columns((n,) + planes.shape[1:])
-    abinv = empty_columns((n, 1, 1, 3))
     p_c = axes[1].points
     weights = _probe_samples(probes, axes).transpose(0, 1, 3, 2).reshape(
         len(probes), -1, 1, p_c)
@@ -503,8 +501,7 @@ def convolve_group_pullback_lattice(probes, g, out_axes, axes):
     for plane in planes:
         row = 0.0
         for lo in range(0, len(ab), n):
-            diffs = g(law("N", 3).ldiv(ab[lo:lo + n], plane, out=q,
-                                       scratch=abinv))
+            diffs = g(law("N", 3).ldiv(ab[lo:lo + n], plane))
             row = row + _lattice_convolve(weights[:, lo:lo + n], diffs, [p_c],
                                           [out_axes[0].points], sum_axis=1)
         rows.append(row)

@@ -234,6 +234,12 @@ def _argv_id(argv):
     pytest.param(["solve", "fundamental-solution", "--operator", "E1",
                   "--grid", str(2**400)], 2, _CAP,
                  id="solve --operator E1 --grid 2**400-2"),
+    # each ended in a traceback with exit 1, a numpy memory error at 2**40
+    # and a ValueError at 2**400: the check's node axes were never sized
+    pytest.param(["verify", "convolution-identity", "--grid", str(2**40)], 2,
+                 _CAP, id="convolution-identity --grid 2**40-2"),
+    pytest.param(["verify", "convolution-identity", "--grid", str(2**400)], 2,
+                 _CAP, id="convolution-identity --grid 2**400-2"),
     (_SOLVE + ["--m", "21"], 2, _UNSUPPORTED),
     # refused before the 190 axes are built and sized: the message listed
     # 190 factors of 32×, and at m = 2**16 the axes alone would need 17 GB
@@ -569,6 +575,18 @@ def test_plancherel_peak_estimate_bounds_the_traced_peak(axes):
     f = gaussian([0.1] * len(axes), [1.0] * len(axes))
     peak = _traced_peak(lambda: harmonic.plancherel_check(f, axes))
     assert peak <= cli.plancherel_peak_bytes(axes) <= 2 * peak
+
+
+@pytest.mark.parametrize("grid", [16, 64])
+def test_identity_peak_estimate_bounds_the_traced_peak(grid):
+    # a first run imports numpy.random, which is not the grid's memory
+    run = cli.check_convolution_identity
+    list(run(cli.RunConfig(seed=0, grid=2, tolerance=None)))
+    cfg = cli.RunConfig(seed=0, grid=grid, tolerance=None)
+    peak = _traced_peak(lambda: list(run(cfg)))
+    estimate = max(map(cli.identity_peak_bytes,
+                       cli._identity_axes(cfg).values()))
+    assert peak <= estimate <= 2 * peak
 
 
 @pytest.mark.parametrize("group, m", [("N", 8), ("S", 5)])

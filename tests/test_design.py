@@ -23,15 +23,19 @@ keeps one node block through the direct engines: ``groups.py``,
 ``isinstance(…, tuple)`` test, so no pair of blocks is dispatched on, and
 no method of ``TestFunction`` takes blocks as ``*args``.  A ninth keeps a
 quotient's form on its divisor: the direct cores construct no empty
-``_Bilinear()`` to ask for a block and hand ``ldiv``/``rdiv`` no ``out`` or
-``scratch``, and ``_Bilinear`` has no ``_made_of``, ``_build`` or
+``_Bilinear()`` to ask for a block, no module hands ``ldiv``/``rdiv`` an
+``out`` or ``scratch``, every Law's ``mul``, ``ldiv`` and ``rdiv`` take their
+two operands only, and ``_Bilinear`` has no ``_made_of``, ``_build`` or
 ``columns``, which rebuilt a quotient by its operands' identity.
 """
 
 import ast
+import inspect
 import pathlib
 import re
 from collections import Counter
+
+from anharm import groups
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "anharm"
 GROUP_NAMES = {"N", "S", "K1", "H", "M"}
@@ -398,24 +402,40 @@ GONE = {"_made_of", "_build", "columns"}
 
 
 def quotient_requests(path, names):
-    """'file:line: call' for each _Bilinear() construction, and each ldiv
-    or rdiv call given an out or scratch (by keyword or as a third
-    argument), inside the top-level functions of path named in names."""
+    """'file:line: call' for each _Bilinear() construction inside the
+    top-level functions of path named in names, and each ldiv or rdiv call
+    anywhere in path given an out or scratch (by keyword or as a third
+    argument)."""
     found = []
     for top in ast.parse(path.read_text()).body:
-        if getattr(top, "name", None) not in names:
-            continue
+        core = getattr(top, "name", None) in names
         for node in ast.walk(top):
             if not isinstance(node, ast.Call):
                 continue
             callee = _subject(node.func)
-            if isinstance(node.func, ast.Name) and callee == "_Bilinear":
+            named = isinstance(node.func, ast.Name)
+            if core and named and callee == "_Bilinear":
                 found.append((node.lineno, "_Bilinear()"))
             elif callee in ("ldiv", "rdiv") and (
                     len(node.args) > 2 or any(k.arg in ("out", "scratch")
                                               for k in node.keywords)):
                 found.append((node.lineno, f"{callee} with out or scratch"))
     return [f"{path.name}:{line}: {call}" for line, call in sorted(found)]
+
+
+def buffered_operations(laws):
+    """'name(m).op' for each mul, ldiv or rdiv of the laws that takes other
+    than its two operands."""
+    return [f"{L.name}({L.m}).{op}" for L in laws
+            for op in ("mul", "ldiv", "rdiv") if getattr(L, op) is not None
+            and len(inspect.signature(getattr(L, op)).parameters) != 2]
+
+
+def _every_law():
+    """N, S, M, K1 and H at m = 2..4, and the c_laws of K1 and H."""
+    laws = [groups.law(name, m) for name in ("N", "S", "M", "K1", "H")
+            for m in (2, 3, 4)]
+    return laws + [L.c_law for L in laws if L.c_law is not None]
 
 
 def gone_protocol(path):
@@ -439,19 +459,25 @@ def test_quotient_form_lint_sees_a_planted_request(tmp_path):
                    "    return L.rdiv(x, y, q, s), q._made_of(x, y)\n"
                    "def _quadrature(L, x, y):\n"
                    "    return L.ldiv(y, x), _Bilinear.of_columns((), y)\n"
-                   "def elsewhere(L, x, y):\n"
-                   "    return L.ldiv(y, x, scratch=_Bilinear())\n")
+                   "def elsewhere(L, x, y, q):\n"
+                   "    return L.ldiv(y, x, out=q), _Bilinear()\n")
     assert quotient_requests(mod, DIRECT_CORES[1]) == [
         "harmonic.py:4: _Bilinear()", "harmonic.py:4: ldiv with out or scratch",
-        "harmonic.py:5: rdiv with out or scratch"]
+        "harmonic.py:5: rdiv with out or scratch",
+        "harmonic.py:9: ldiv with out or scratch"]
     assert gone_protocol(mod) == ["harmonic.py:2: columns",
                                   "harmonic.py:5: _made_of"]
+    planted = groups.Law("X", 2, 1, lambda x, y, out=None: x, lambda x: x,
+                         ldiv=lambda y, x: x, rdiv=lambda x, y, scratch: x)
+    assert buffered_operations([groups.law("N", 2), planted]) == [
+        "X(2).mul", "X(2).rdiv"]
 
 
 def test_quotient_form_follows_the_divisor():
     home = SRC / DIRECT_CORES[0]
     tops = {getattr(t, "name", None) for t in ast.parse(home.read_text()).body}
     assert DIRECT_CORES[1] <= tops
-    found = quotient_requests(home, DIRECT_CORES[1]) + [
-        v for p in sorted(SRC.glob("*.py")) for v in gone_protocol(p)]
+    found = [v for p in sorted(SRC.glob("*.py"))
+             for v in quotient_requests(p, DIRECT_CORES[1] if p == home else ())
+             + gone_protocol(p)] + buffered_operations(_every_law())
     assert not found, "\n".join(found)
