@@ -29,7 +29,8 @@ import numpy as np
 
 from .groups import law
 from .harmonic import (
-    plancherel_check, projected_convolution_check, theorem31_residual,
+    _slab_rows, plancherel_check, projected_convolution_check,
+    theorem31_residual,
 )
 from .ideals import (
     TransportGramError, correspondence_check, gamma_intertwine_residual,
@@ -49,7 +50,7 @@ __all__ = ["main", "parse_operator", "OperatorSyntaxError"]
 
 # The cap on a command's estimated peak memory (plancherel_peak_bytes,
 # solve_peak_bytes, identity_peak_bytes, group_axioms_peak_bytes); the 32⁵
-# plancherel grid is estimated at 0.516 GiB.
+# plancherel grid is estimated at 0.281 GiB.
 MAX_GRID_BYTES = 2 << 30
 
 # The random points x, y and z that check_group_axioms draws on each law.
@@ -239,18 +240,23 @@ def grid_bytes(axes):
 
 
 def plancherel_peak_bytes(axes):
-    """Estimated peak bytes of plancherel_check of a real TestFunction on
-    the axes' grid (an upper bound): the float samples and the half
-    spectrum of the real-input FFT, the two arrays alive at its peak, plus
-    four floats per node of each axis, which sampling keeps while it builds
-    the per-axis factors (in 1-D these weigh as much as the samples), and
+    """Estimated peak bytes of plancherel_check of a one-term real
+    TestFunction, as check_plancherel samples, on the axes' grid (an upper
+    bound): the half spectrum of the real-input FFT, its one grid-sized
+    array, plus two float slab buffers (harmonic._slab_rows; the whole
+    grid when it walks as one slab), the samples and the one a second term
+    is written into, which for one term covers numpy's ufunc buffers and
+    the FFT's scratch; plus four floats per node of each axis, which
+    sampling keeps while it builds the per-axis factors (in 1-D these
+    weigh as much as the samples; each further term keeps one more), and
     64 KiB for the small objects.
 
     tests/test_cli.py checks the estimate against tracemalloc peaks."""
-    n = math.prod(a.points for a in axes)
-    last = axes[-1].points
-    half = n // last * (last // 2 + 1)
-    return 8 * n + 16 * half + 32 * sum(a.points for a in axes) + (1 << 16)
+    shape = [a.points for a in axes]
+    n = math.prod(shape)
+    half = n // shape[-1] * (shape[-1] // 2 + 1)
+    slab = n // shape[0] * _slab_rows(shape)
+    return 16 * half + 16 * slab + 32 * sum(shape) + (1 << 16)
 
 
 def solve_peak_bytes(axes):

@@ -207,7 +207,9 @@ def _rho_into(m, t, x, out, sign=1.0):
 
 def rho_scale(m, t):
     """Per-coordinate scale a_i/a_j of conjugation by diag(exp-coords t):
-    ρ applied to ones."""
+    ρ applied to ones.  Nothing in the package calls it, but it stays:
+    perfbench's Tracer.install looks it up by name in TARGETS, so deleting
+    it breaks every traced run until that tracer moves into the package."""
     return rho_apply(m, t, np.ones(len(_rho_terms(m))))
 
 

@@ -21,6 +21,7 @@ abelian side substituted: two independent discretizations whose difference
 is a genuine quadrature residual.
 """
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -133,10 +134,10 @@ def _norm_sq(samples):
 def plancherel_check(f, axes):
     """Compare ∫|f|² dx with ∫|𝓕f|² Πdλ/(2π).
 
-    A TestFunction with real coefficients is sampled by on_grid into real
-    samples, which go through a real-input FFT (_real_norms); any other f
-    is sampled as a complex GridFunction and goes through fourier_forward,
-    the reference transform."""
+    A TestFunction with real coefficients is sampled slab by slab into
+    real samples, which go through a real-input FFT (_real_norms); any
+    other f is sampled as a complex GridFunction and goes through
+    fourier_forward, the reference transform."""
     if isinstance(f, TestFunction) and f.is_real:
         time_sq, freq_sq = _real_norms(f, tuple(axes))
     else:
@@ -149,30 +150,65 @@ def plancherel_check(f, axes):
 
 
 def _real_norms(f, axes):
-    """(∫|f|² dx, ∫|𝓕f|² Πdλ/(2π)) of a real-valued TestFunction.  At the
-    peak the float samples and one half-spectrum buffer are alive, about
-    one complex grid; the samples go before the spectrum is squared.
+    """(∫|f|² dx, ∫|𝓕f|² Πdλ/(2π)) of a real-valued TestFunction, in one
+    walk over slabs of the first axis (TestFunction.on_slabs): each slab
+    adds its Σ|f|² and is rfft'd along the last axis straight into its
+    rows of the one half-spectrum buffer, the only grid-sized array; fft
+    then finishes the leading axes in place, in the reverse order rfftn
+    takes them, and Σ|𝓕f|² is summed slab by slab.
 
     The phase factors and the (−1)ⁿ modulation of fourier_forward have
     modulus 1, so Σ|𝓕f|² is Πh² times Σ|fftn(f)|².  For real samples
     fftn is Hermitian, so that sum is rfftn's half spectrum counted twice,
     except the planes 0 and P/2 of the last axis, which are their own
-    conjugates and count once."""
-    vals = f.on_grid(axes)
-    cell = float(np.prod([a.step for a in axes]))
-    time_sq = _norm_sq(vals) * cell
-    half = np.empty(vals.shape[:-1] + (vals.shape[-1] // 2 + 1,),
-                    dtype=complex)
-    np.fft.rfftn(vals, out=half)
+    conjugates and count once.
+
+    Both sums are bit for bit np.sum over the whole grid: numpy sums a
+    contiguous array pairwise, halving it at a multiple of 8 down to
+    blocks of at most 128, so when a slab holds a multiple of 8 and more
+    than 64 values, on both sides, the slab sums combined in adjacent
+    pairs, level by level, are that tree (_pairwise).  Any other grid,
+    and every 1-D one, walks as a single slab (_slab_rows)."""
+    shape = tuple(a.points for a in axes)
+    half = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
+    rows = _slab_rows(shape)
+    time_parts = []
+    for i, vals in zip(range(0, shape[0], rows), f.on_slabs(axes, rows)):
+        np.fft.rfft(vals, out=half[i:i + rows])
+        # v·v is |v|² exactly for real v, as _norm_sq squares it
+        time_parts.append(np.sum(np.square(vals, out=vals)))
     del vals
-    sq = np.abs(half)
-    del half
-    np.square(sq, out=sq)
-    sq[..., 1:-1] *= 2.0
+    for ax in range(len(axes) - 2, -1, -1):
+        np.fft.fft(half, axis=ax, out=half)
+    sq = np.empty(half[:rows].shape)
+    freq_parts = []
+    for i in range(0, shape[0], rows):
+        np.abs(half[i:i + rows], out=sq)
+        np.square(sq, out=sq)
+        sq[..., 1:-1] *= 2.0
+        freq_parts.append(np.sum(sq))
+    cell = float(np.prod([a.step for a in axes]))
     dual = float(np.prod([dual_axis(a).step for a in axes]))
-    freq_sq = float(np.sum(sq)) * (cell * cell * dual
-                                   / (2.0 * np.pi) ** len(axes))
-    return time_sq, freq_sq
+    return (float(_pairwise(time_parts)) * cell,
+            float(_pairwise(freq_parts)) * (cell * cell * dual
+                                             / (2.0 * np.pi) ** len(axes)))
+
+
+def _slab_rows(shape):
+    """First-axis indices per slab of _real_norms' walk on a grid of this
+    shape: 1 when a slab of one index holds a multiple of 8 and more than
+    64 values, both of the samples and of the half spectrum, so that
+    numpy's pairwise sums halve at slab boundaries; else all of them."""
+    inner = math.prod(shape[1:])
+    freq = inner // shape[-1] * (shape[-1] // 2 + 1)
+    return 1 if all(n % 8 == 0 and n > 64 for n in (inner, freq)) else shape[0]
+
+
+def _pairwise(parts):
+    """Σ parts in adjacent pairs, level by level; len(parts) a power of 2."""
+    while len(parts) > 1:
+        parts = [a + b for a, b in zip(parts[::2], parts[1::2])]
+    return parts[0]
 
 
 # ── convolution engines ──────────────────────────────────────────────────────

@@ -19,9 +19,9 @@ import numpy as np
 from .groups import _Bilinear, empty_columns
 
 __all__ = [
-    "TestFunction", "Axis", "GridFunction", "gaussian", "derivative",
-    "grid_nodes", "node_mesh", "grid_mesh", "sample",
-    "quadrature", "dual_axis", "export_csv",
+    "TestFunction", "Axis", "GridFunction", "gaussian", "grid_nodes",
+    "node_mesh", "grid_mesh", "sample", "quadrature", "dual_axis",
+    "export_csv",
 ]
 
 
@@ -124,25 +124,38 @@ class TestFunction:
         first carrying c, written straight into one output array.  Float
         when is_real, complex otherwise.  Equal to __call__ on
         grid_mesh(axes) to rounding, not bit for bit: a product of exps is
-        not the exp of the sum."""
+        not the exp of the sum.  The one slab of on_slabs."""
+        return next(self.on_slabs(axes))
+
+    def on_slabs(self, axes, rows=None):
+        """on_grid(axes) rows indices of its first axis at a time (all P1
+        by default), in order: each slab, shape (rows, P2, ..., Pk), is
+        on_grid's rows bit for bit.  The per-axis factors are built once,
+        and every slab is written whole into one buffer, which the next
+        slab overwrites (with no terms it stays zero).  rows must divide
+        P1."""
         axes = tuple(axes)
         if len(axes) != self.dim:
             raise ValueError(f"expected {self.dim} axes, got {len(axes)}")
+        rows = rows or axes[0].points
         real = self.is_real
-        shape = tuple(a.points for a in axes)
-        out = np.zeros(shape, float if real else complex)
-        term = None  # the buffer of the second and later terms
-        for n, (c, alpha, mu, w) in enumerate(self.terms):
+        factors = []
+        for c, alpha, mu, w in self.terms:
             vecs = [_axis_factor(grid_nodes(a), alpha[i], mu[i], w[i])
                     for i, a in enumerate(axes)]
             vecs[0] = vecs[0] * (c.real if real else c)
-            if n == 0:
-                _outer(vecs, out)
-            else:
-                if term is None:
-                    term = np.empty_like(out)
-                out += _outer(vecs, term)
-        return out
+            factors.append(vecs)
+        out = np.zeros((rows,) + tuple(a.points for a in axes[1:]),
+                       float if real else complex)
+        term = np.empty_like(out) if len(factors) > 1 else None
+        for start in range(0, axes[0].points, rows):
+            for n, (head, *rest) in enumerate(factors):
+                vecs = [head[start:start + rows], *rest]
+                if n == 0:
+                    _outer(vecs, out)
+                else:
+                    out += _outer(vecs, term)
+            yield out
 
 
 def _axis_factor(x, alpha, mu, w):
@@ -175,20 +188,6 @@ def gaussian(center, widths, coef=1.0):
     widths = np.broadcast_to(np.asarray(widths, dtype=float), center.shape)
     dim = center.shape[0]
     return TestFunction(dim, ((coef, np.zeros(dim, dtype=int), center, widths),))
-
-
-def derivative(f, axis):
-    """∂f/∂x_axis, term by term (exact); used as a symbolic oracle."""
-    terms = []
-    for c, a, mu, w in f.terms:
-        if a[axis] > 0:
-            a1 = a.copy()
-            a1[axis] -= 1
-            terms.append((c * a[axis], a1, mu, w))
-        a2 = a.copy()
-        a2[axis] += 1
-        terms.append((-c * w[axis], a2, mu, w))
-    return TestFunction(f.dim, tuple(terms))
 
 
 # ── grids ────────────────────────────────────────────────────────────────────

@@ -27,9 +27,10 @@ from anharm.scalars import (
     neg_mul, pair_mul,
 )
 from anharm.testfuncs import (
-    Axis, GridFunction, derivative, gaussian, grid_nodes, quadrature,
+    Axis, GridFunction, gaussian, grid_nodes, quadrature,
 )
 from anharm.groups import law, n_mul, s_mul
+from symbolic_oracle import derivative
 
 
 def E(dim, *words, coefs=None):

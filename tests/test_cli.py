@@ -219,10 +219,10 @@ def _argv_id(argv):
     (["verify", "plancherel", "--grid", "0"], 2, _GRID),
     (["verify", "plancherel", "--grid", "-4"], 2, _GRID),
     (["verify", "plancherel", "--grid", "128"], 2, "512 GiB"),
-    # 512³ is exactly 2 GiB of samples, which a cap on one sample array let
-    # through; its float samples and half spectrum come to 2.004 GiB
-    (["verify", "plancherel", "--group", "N", "--grid", "512"], 2,
-     "2.004 GiB at peak"),
+    # 1024³ is the first N grid refused: its half spectrum and slab buffers
+    # come to 8.031 GiB, where 512³ comes to 1.008 GiB and runs
+    (["verify", "plancherel", "--group", "N", "--grid", "1024"], 2,
+     "8.031 GiB at peak"),
     pytest.param(["solve", "fundamental-solution", "--operator", "E1*E1-1",
                   "--group", "N", "--m", "3", "--grid", "512"], 2,
                  "512×512×512 sample array needs 2.000 GiB and about "
@@ -261,13 +261,14 @@ def test_float_flags_must_be_finite(tmp_path, monkeypatch, capsys, argv,
     def no_mesh(axes):
         raise AssertionError("a mesh was built before the flags were checked")
 
-    def no_sample(f, axes):
+    def no_sample(f, axes, rows=None):
         raise AssertionError("a grid was sampled before its size was checked")
 
     for name, check in cli.CHECKS.items():
         monkeypatch.setitem(cli.CHECKS, name, check._replace(run=recorder(name)))
     monkeypatch.setattr(operators, "grid_mesh", no_mesh)
-    monkeypatch.setattr(testfuncs.TestFunction, "on_grid", no_sample)
+    # on_grid and the Plancherel slab walk both sample through on_slabs
+    monkeypatch.setattr(testfuncs.TestFunction, "on_slabs", no_sample)
     out = tmp_path / "x.csv"
     if argv[0] == "solve":
         argv = argv + ["--output", str(out)]
@@ -568,10 +569,13 @@ def test_solve_peak_estimate_bounds_the_traced_peak(group, m, axes):
 
 @pytest.mark.parametrize("axes", [
     [Axis(0.0, 6.0, 1 << 16)],
+    [Axis(0.0, 10.0, 256), Axis(0.0, 3.0, 64)],
     [Axis(0.0, 10.0, 32)] * 3,
     [Axis(0.0, 6.0, 8)] * 5,
-], ids=["1d", "3d", "5d"])
+    [Axis(0.0, 6.0, 16)] * 5,
+], ids=["1d", "2d", "3d", "5d", "16^5"])
 def test_plancherel_peak_estimate_bounds_the_traced_peak(axes):
+    # the 1-D and 2-D grids walk as one slab, the others slab by slab
     f = gaussian([0.1] * len(axes), [1.0] * len(axes))
     peak = _traced_peak(lambda: harmonic.plancherel_check(f, axes))
     assert peak <= cli.plancherel_peak_bytes(axes) <= 2 * peak

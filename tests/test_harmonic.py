@@ -10,8 +10,8 @@ import pytest
 
 from anharm.groups import law, n_inv, n_mul, rho_scale, s_mul
 from anharm.testfuncs import (
-    Axis, GridFunction, TestFunction, derivative, gaussian, grid_mesh,
-    grid_nodes, quadrature, sample,
+    Axis, GridFunction, TestFunction, gaussian, grid_mesh, grid_nodes,
+    quadrature, sample,
 )
 from anharm import groups, harmonic, ideals, testfuncs
 from anharm.harmonic import (
@@ -22,6 +22,7 @@ from anharm.harmonic import (
     theorem31_residual,
 )
 from anharm.extension import gamma_inv, tilde_eval_coords
+from symbolic_oracle import derivative
 
 
 # ── Fourier transform ────────────────────────────────────────────────────────
@@ -146,7 +147,7 @@ def test_plancherel_gaussian_1d():
     [Axis(0.0, 6.0, 8)] * 4 + [Axis(0.2, 6.0, 16)],
 ], ids=["1d", "3d-last-P2", "2d-last-P2", "5d"])
 def test_real_plancherel_equals_the_complex_path(axes):
-    # the real path (on_grid, rfftn, half spectrum) against fourier_forward
+    # the real path (slab walk, half spectrum) against fourier_forward
     # on the same samples; with P = 2 on the last axis, planes 0 and P/2
     # are the whole half spectrum
     rng = np.random.default_rng(len(axes))
@@ -159,6 +160,54 @@ def test_real_plancherel_equals_the_complex_path(axes):
     assert abs(rep.time_norm_sq - ref.time_norm_sq) <= 1e-14 * ref.time_norm_sq
     assert abs(rep.freq_norm_sq - ref.freq_norm_sq) <= 1e-14 * ref.freq_norm_sq
     assert rep.rel_err <= 1e-14
+
+
+def _whole_grid_norms(f, axes):
+    """_real_norms' two norms from the whole grid at once: on_grid's
+    samples summed by _norm_sq, and rfftn's half spectrum squared, its
+    planes 0 and P/2 of the last axis once and the rest twice."""
+    vals = f.on_grid(axes)
+    sq = np.abs(np.fft.rfftn(vals))
+    np.square(sq, out=sq)
+    sq[..., 1:-1] *= 2.0
+    cell = float(np.prod([a.step for a in axes]))
+    dual = float(np.prod([testfuncs.dual_axis(a).step for a in axes]))
+    return (harmonic._norm_sq(vals) * cell,
+            float(np.sum(sq)) * (cell * cell * dual
+                                 / (2.0 * np.pi) ** len(axes)))
+
+
+@pytest.mark.parametrize("terms", [1, 3])
+@pytest.mark.parametrize("shape, slabbed", [
+    ((1 << 16,), False), ((16, 2), False), ((8, 16), False),
+    ((2, 64), False), ((4,) * 4, False), ((64,) * 3, True),
+    ((8,) * 4 + (16,), True), ((16,) * 5, True),
+], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else None)
+def test_slab_walk_is_bit_identical_to_the_whole_grid(shape, slabbed, terms):
+    # a slab of one first-axis index keeps numpy's pairwise tree only when
+    # it holds a multiple of 8 and more than 64 values; walked slab by
+    # slab, (8, 16), (2, 64) and 4⁴ move in their last bits, so they walk
+    # as one slab
+    assert harmonic._slab_rows(shape) == (1 if slabbed else shape[0])
+    rng = np.random.default_rng(len(shape) * terms)
+    dim = len(shape)
+    axes = tuple(Axis(rng.uniform(-0.3, 0.3), rng.uniform(3.0, 7.0), p)
+                 for p in shape)
+    f = TestFunction(dim, tuple(
+        (c, rng.integers(1, 3, dim) if terms > 1 else np.zeros(dim, int),
+         rng.uniform(-0.3, 0.3, dim), rng.uniform(0.5, 1.5, dim))
+        for c in (1.0, -0.4, 0.25)[:terms]))
+    assert harmonic._real_norms(f, axes) == _whole_grid_norms(f, axes)
+
+
+def test_real_plancherel_peaks_at_the_half_spectrum():
+    # on the 16⁵ S grid the half spectrum is the one grid-sized array; the
+    # whole float samples beside it, as a whole-grid rfftn keeps them, come
+    # to 17.8 MB of peak
+    axes = [Axis(0.0, 6.0, 16)] * 5
+    f = gaussian([0.1, 0.0, -0.1, 0.05, 0.0], [1.0, 1.1, 0.9, 1.2, 1.0])
+    half, slab = 16 * 16 ** 4 * 9, 8 * 16 ** 4
+    assert _peak_bytes(lambda: plancherel_check(f, axes)) < half + 4 * slab
 
 
 def test_plancherel_heisenberg_grid():

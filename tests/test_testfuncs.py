@@ -7,9 +7,10 @@ import pytest
 from anharm import testfuncs
 from anharm.groups import _Bilinear
 from anharm.testfuncs import (
-    TestFunction, Axis, GridFunction, gaussian, derivative, grid_nodes,
-    grid_mesh, sample, quadrature, dual_axis, export_csv,
+    TestFunction, Axis, GridFunction, gaussian, grid_nodes, grid_mesh,
+    sample, quadrature, dual_axis, export_csv,
 )
+from symbolic_oracle import derivative
 
 
 def test_evaluate_unit_gaussian():
