@@ -30,8 +30,8 @@ import numpy as np
 from .extension import gamma_inv, tilde_eval_coords
 from .groups import _Bilinear, empty_columns, law
 from .testfuncs import (
-    Axis, GridFunction, TestFunction, dual_axis, grid_mesh, grid_nodes,
-    node_mesh, sample,
+    GridFunction, TestFunction, dual_axis, grid_mesh, grid_nodes, node_mesh,
+    sample,
 )
 
 __all__ = [
@@ -79,7 +79,7 @@ def fourier_forward(gf):
     """(𝓕f)(λ_j) = Σ_k f(x_k) e^{-i λ_j x_k} Πh on the dual grid.
 
     One copy of the samples is transformed in place; gf is not changed."""
-    vals = np.array(gf.samples, dtype=complex)
+    vals = np.array(gf.samples, dtype=complex, order="C")
     dims = range(vals.ndim)
     _alternate_signs(vals, dims)
     np.fft.fftn(vals, out=vals)
@@ -113,7 +113,7 @@ def fourier_inverse(F, axes):
     axes = tuple(axes)
     if tuple(a.points for a in axes) != tuple(a.points for a in F.axes):
         raise ValueError("axis point counts do not match")
-    vals = np.array(F.samples, dtype=complex)
+    vals = np.array(F.samples, dtype=complex, order="C")
     return GridFunction(axes, inverse_in_place(vals, F.axes, axes,
                                                range(vals.ndim)))
 
@@ -451,125 +451,119 @@ def _difference_nodes(out_axis, node_axis):
     return lo + h * np.arange(node_axis.points + out_axis.points - 1)
 
 
-def _lattice_convolve(nodes, diffs, p_node, p_out, sum_axis=None):
-    """Linear convolution over the trailing len(p_node) axes, keeping only
-    the wanted outputs: out[j] = Σ_l nodes[l] · diffs[j − l + P_node − 1].
-
-    diffs are samples on _difference_nodes, leading axes broadcast, and
-    sum_axis (of the broadcast product) is summed in frequency space.  Each
-    axis is zero-padded to the next power of two ≥ P_node + P_out − 1, so the
-    circular wraparound lands only on outputs that are thrown away.  When
-    both operands are float the transforms are real-input ones and the
-    output is float.
-    """
-    ax = tuple(range(-len(p_node), 0))
-    shape = [1 << (pn + po - 2).bit_length() for pn, po in zip(p_node, p_out)]
-    real = np.isrealobj(nodes) and np.isrealobj(diffs)
-    fft, ifft = ((np.fft.rfftn, np.fft.irfftn) if real
-                 else (np.fft.fftn, np.fft.ifftn))
-    spec = fft(nodes, shape, axes=ax) * fft(diffs, shape, axes=ax)
-    if sum_axis is not None:
-        spec = spec.sum(axis=sum_axis)
-    full = ifft(spec, shape, axes=ax)
-    return full[(Ellipsis,) + tuple(slice(pn - 1, pn - 1 + po)
-                                    for pn, po in zip(p_node, p_out))]
-
-
-def _probe_samples(probes, axes):
-    """The probes' samples on the mesh of axes, stacked: (k, *points)."""
+def _lattice_sum(probes, axes, slots, out_axes, outer, samples):
+    """Σ over the probes' nodes (y, l) of p(y, l)·cell·D_y[o, j − l] for
+    each probe p, outer index o and output node j: (k, *outer, *out points).
+    slots orders the node axes: first those walked, which do not commute,
+    in _node_blocks' blocks of y, then one paired with each of out_axes.
+    samples gets a block's (b, 1, walked) node buffer (None, one block,
+    when none is walked) and returns D on it, (b, *outer, *difference
+    lattice of each pair, _difference_nodes).  Each paired axis is
+    zero-padded to the next power of two ≥ P_node + P_out − 1, so the
+    circular wraparound lands only on outputs thrown away.  The probes'
+    spectrum is taken once; the products with D's spectrum are summed in
+    frequency space node by node, in the walk's order, and transformed back
+    once, by real-input transforms when the probes and D are float."""
+    n = len(slots) - len(out_axes)
+    p_node = [axes[i].points for i in slots[n:]]
+    p_out = [a.points for a in out_axes]
+    lattice = [pn + po - 1 for pn, po in zip(p_node, p_out)]
+    shape = [1 << (d - 1).bit_length() for d in lattice]
+    ax = range(-len(shape), 0)
     mesh = grid_mesh(axes)
-    return np.stack([np.asarray(p(mesh)) for p in probes])
+    weights = np.stack([np.asarray(p(mesh)) for p in probes]).transpose(
+        (0,) + tuple(1 + i for i in slots)).reshape(
+        (len(probes), -1) + (1,) * len(outer) + tuple(p_node))
+    del mesh
+    walked = [axes[i] for i in slots[:n]]
+    blocks = (_node_blocks(walked, math.prod(outer) * math.prod(lattice))
+              if walked else [((None,), 1.0)])
+    spec = w_hat = None
+    lo = 0
+    for nodes, _ in blocks:
+        vals = samples(nodes[0])
+        if w_hat is None:
+            fft, ifft = ((np.fft.rfftn, np.fft.irfftn)
+                         if np.isrealobj(weights) and np.isrealobj(vals)
+                         else (np.fft.fftn, np.fft.ifftn))
+            w_hat = fft(weights, shape, axes=ax)
+        part = w_hat[:, lo:lo + len(vals)] * fft(vals, shape, axes=ax)
+        lo += len(vals)
+        del vals  # so the next block's samples are not formed beside them
+        if spec is not None:
+            part[:, 0] += spec
+        spec = part.sum(axis=1)
+    crop = tuple(slice(pn - 1, pn - 1 + po) for pn, po in zip(p_node, p_out))
+    return (ifft(spec, shape, axes=ax)[(Ellipsis,) + crop]
+            * float(np.prod([a.step for a in axes])))
+
+
+def _iota_quotients(x, out_axes, axes):
+    """ι(a)⁻¹(x, σ, s) = (x − a, σ − a·s, s) on N with m = 3, by the N law's
+    ldiv, for a block of a nodes (b, 1, 1): (b, P_x, P_σ, P_s, 3), (σ, s)
+    the difference lattices of out_axes' z and y against axes'."""
+    mesh = node_mesh([x, _difference_nodes(out_axes[1], axes[1]),
+                      _difference_nodes(out_axes[2], axes[2])])
+    K1 = law("K1", 3)
+    return lambda a: K1.base.ldiv(K1.iota(a)[:, :, None, None], mesh)
 
 
 def convolve_group_lattice(probes, f, out_axes, axes):
     """(p∗f)(X) on N with m = 3 for each of the probes p, at every node of
-    out_axes.
-
-    The same Riemann sum as convolve_group over the nodes of axes, exact up
-    to rounding in O(P⁴ log P).  For X = (x, z, y) and Y = (a, c, b),
-    Y^{-1}X = (x−a, z−c−a(y−b), y−b): for each pair (x, a) the (z, y) sum is
-    a 2-D linear convolution of p(a, ·, ·) with f(ι(a)⁻¹(x, σ, s)) =
-    f(x−a, σ−a·s, s) on the difference lattice (σ, s), the quotient taken by
-    the N law's ldiv.  f is any callable on N coordinates.  The z and y
-    axes of out_axes must share their steps with those of axes.
-    """
+    out_axes: the same Riemann sum as convolve_group over the nodes of
+    axes, exact up to rounding in O(P⁴ log P).  For X = (x, z, y) and
+    Y = (a, c, b), Y⁻¹X = (x−a, z−c−a(y−b), y−b): for each a the (z, y)
+    sum is a 2-D linear convolution of p(a, ·, ·) with f(ι(a)⁻¹(x, σ, s))
+    on the difference lattice (σ, s), x the outer axis, a the walked one.
+    f is any callable on N coordinates.  The z and y axes of out_axes must
+    share their steps with those of axes."""
     out_axes, axes = tuple(out_axes), tuple(axes)
-    sigma = _difference_nodes(out_axes[1], axes[1])
-    s = _difference_nodes(out_axes[2], axes[2])
-    iota_a = law("K1", 3).iota(grid_nodes(axes[0])[:, None])
-    x = node_mesh([grid_nodes(out_axes[0]), sigma, s])
-    diffs = f(law("N", 3).ldiv(iota_a[:, None, None, :], x[:, None]))
-    weights = _probe_samples(probes, axes)[:, None]
-    out = _lattice_convolve(weights, diffs, [ax.points for ax in axes[1:]],
-                            [ax.points for ax in out_axes[1:]], sum_axis=2)
-    cell = float(np.prod([ax.step for ax in axes]))
-    return out.reshape(len(probes), -1) * cell
+    quotients = _iota_quotients(grid_nodes(out_axes[0]), out_axes, axes)
+    return _lattice_sum(probes, axes, (0, 1, 2), out_axes[1:],
+                        (out_axes[0].points,),
+                        lambda a: f(quotients(a))).reshape(len(probes), -1)
 
 
 def convolve_group_pullback_lattice(probes, g, out_axes, axes):
     """(p∗g)∘Γ⁻¹ on K1 with m = 3 for each of the probes p, at every node of
-    the M lattice out_axes.
-
-    The same Riemann sum over the nodes of axes as convolve_group at Γ⁻¹ of
-    the M mesh, exact up to rounding in O(P⁴ log P).  For Y = (a, c, b) and
-    X = Γ⁻¹(v_z, v_y, u), c is central, so Y⁻¹X = (a, 0, b)⁻¹Γ⁻¹(σ, v_y, u)
-    with σ = v_z − c: for each (u, v_y) the c sum is a 1-D linear
-    convolution along z of p(a, ·, b) with g on the difference lattice σ,
-    and the (a, b) sum is taken in frequency space.  The arguments are the
-    N law's ldiv on K1's gamma_inv.  One u plane at a time, in blocks of
-    (a, b) nodes sized as the direct engines' (_block_size), g is evaluated
-    on P_u·P_a·P_b·P_vy·(P_z,out + P_z,node − 1) points in all.  out_axes
-    are in M order (z, y, x); their z axis must share its step with that of
-    axes.
-    """
+    the M lattice out_axes, in M order (z, y, x): the same Riemann sum over
+    the nodes of axes as convolve_group at Γ⁻¹ of the M mesh, exact up to
+    rounding in O(P⁴ log P).  For Y = (a, c, b) and X = Γ⁻¹(v_z, v_y, u), c
+    is central, so Y⁻¹X = (a, 0, b)⁻¹Γ⁻¹(σ, v_y, u) with σ = v_z − c: the c
+    sum is a 1-D linear convolution along z of p(a, ·, b) with g on the
+    difference lattice σ, (u, v_y) the outer axes, (a, b) the walked ones.
+    g is evaluated on P_u·P_a·P_b·P_vy·(P_z,out + P_z,node − 1) points.  M's
+    z axis must share its step with that of axes."""
     out_axes, axes = tuple(out_axes), tuple(axes)
-    sigma = _difference_nodes(out_axes[0], axes[1])
+    K1 = law("K1", 3)
     # the M points (σ, v_y, u) laid out (u, v_y, σ), each column contiguous
-    planes = law("K1", 3).gamma_inv(node_mesh(
-        [grid_nodes(out_axes[2]), grid_nodes(out_axes[1]), sigma])[..., ::-1])
-    ab = node_mesh([grid_nodes(axes[0]), [0.0], grid_nodes(axes[2])])
-    ab = ab.reshape(-1, 1, 1, 3)
-    n = _block_size((axes[0], axes[2]), planes[0, ..., 0].size)
-    p_c = axes[1].points
-    weights = _probe_samples(probes, axes).transpose(0, 1, 3, 2).reshape(
-        len(probes), -1, 1, p_c)
-    rows = []
-    for plane in planes:
-        row = 0.0
-        for lo in range(0, len(ab), n):
-            diffs = g(law("N", 3).ldiv(ab[lo:lo + n], plane))
-            row = row + _lattice_convolve(weights[:, lo:lo + n], diffs, [p_c],
-                                          [out_axes[0].points], sum_axis=1)
-        rows.append(row)
-    out = np.stack(rows, axis=-1).transpose(0, 2, 1, 3)  # (k, v_z, v_y, u)
-    cell = float(np.prod([ax.step for ax in axes]))
-    return out.reshape(len(probes), -1) * cell
+    planes = K1.gamma_inv(node_mesh(
+        [grid_nodes(out_axes[2]), grid_nodes(out_axes[1]),
+         _difference_nodes(out_axes[0], axes[1])])[..., ::-1])
+
+    def at(ab):  # g at (a, 0, b)⁻¹ of the planes, for a block of (a, b)
+        y = np.insert(ab, 1, 0.0, axis=-1)[:, :, None, None]
+        return g(K1.base.ldiv(y, planes))
+
+    rows = _lattice_sum(probes, axes, (0, 2, 1), out_axes[:1],
+                        (out_axes[2].points, out_axes[1].points), at)
+    return rows.transpose(0, 3, 2, 1).reshape(len(probes), -1)
 
 
 def convolve_extended_c_lattice(probes, F_ext, m, out_axes, axes):
     """(p ∗_c F) on K1 at base acting slots 0 for each of the probes p, at
-    every node of the M lattice out_axes.
-
-    out_axes are M axes in (top, shift) order, axes the probes' node axes
-    on N in (acting, top) order.  With the acting slots 0 the ∗_c translate
-    of (v, u) by Y is F((0, v − y_top), u − y_act), so the sum is one linear
-    convolution of p's node samples, taken in M order, with F sampled on
-    the difference lattice: the same Riemann sum as convolve_extended_c,
-    exact up to rounding.  Each M axis must share its step with its node
-    axis.
-    """
+    every node of the M lattice out_axes, in (top, shift) order, axes the
+    probes' node axes on N in (acting, top) order.  With the acting slots 0
+    the ∗_c translate of (v, u) by Y is F((0, v − y_top), u − y_act), so
+    convolve_extended_c's Riemann sum is one linear convolution of p's node
+    samples in M order with F on the difference lattice, no axis walked.
+    Each M axis must share its step with its node axis."""
     out_axes, axes = tuple(out_axes), tuple(axes)
     L = law("K1", m)
-    order = L.m_order
-    nodes_m = [axes[i] for i in order]
-    diff = [_difference_nodes(o, n) for o, n in zip(out_axes, nodes_m)]
-    diffs = F_ext(*L.m_split(node_mesh(diff)))
-    weights = _probe_samples(probes, axes).transpose(
-        (0,) + tuple(1 + i for i in order))
-    out = _lattice_convolve(weights, diffs, [ax.points for ax in nodes_m],
-                            [ax.points for ax in out_axes])
-    cell = float(np.prod([ax.step for ax in axes]))
-    return out.reshape(len(probes), -1) * cell
+    diff = [_difference_nodes(o, axes[i]) for o, i in zip(out_axes, L.m_order)]
+    vals = F_ext(*L.m_split(node_mesh(diff)))[None]
+    return _lattice_sum(probes, axes, L.m_order, out_axes, (),
+                        lambda _: vals).reshape(len(probes), -1)
 
 
 # ── reduction identities ─────────────────────────────────────────────────────
@@ -612,7 +606,7 @@ def projected_convolution_check(phi, f, case, m, axes_ext, freq_indices):
     with measure ΠΔλ/(2π).  On acting axes centred at 0 with even P that
     integral is the inverse transform at the node 0, so the LHS is the M
     transform of φ∗f̃ at acting = 0 (group-law quadrature; for K1 with
-    m = 3 the lattice engine).  RHS: the transform of Γ⁻¹f times that of φ,
+    m = 3 one lattice walk).  RHS: the transform of Γ⁻¹f times that of φ,
     whose acting frequencies are paired with the shift's.  freq_indices
     index the M dual axes, (top slots, shift).  Returns (residual, scale).
     """
@@ -630,13 +624,13 @@ def projected_convolution_check(phi, f, case, m, axes_ext, freq_indices):
 
     # LHS: φ∗f̃ on the M grid ------------------------------------------------
     if L.base is law("N", 3):
-        # the Heisenberg group has an exact lattice engine: one group
-        # convolution per shift value u, on the x nodes (−h, 0)
-        out_axes = (Axis(0.0, base_axes[0].step, 2),) + base_axes[1:]
-        conv = np.stack(
-            [convolve_group_lattice([phi], lambda b: F_ext(b, np.array([u])),
-                                    out_axes, base_axes).reshape(2, -1)[1]
-             for u in grid_nodes(axes_ext[d_base])], axis=-1)
+        # the Heisenberg group has an exact lattice walk: one for every
+        # shift u, its outer axis, at the one x node 0
+        quotients = _iota_quotients([0.0], base_axes, base_axes)
+        u = grid_nodes(axes_ext[d_base])[:, None, None, None]
+        conv = _lattice_sum([phi], base_axes, (0, 1, 2), base_axes[1:],
+                            (len(u),), lambda a: F_ext(quotients(a), u))
+        conv = conv[0].transpose(1, 2, 0)  # (u, z, y) → M order (z, y, u)
     else:
         base, shift = L.m_split(grid_mesh(m_axes).reshape(-1, d_base))
         conv = convolve_extended_group(phi, F_ext, case, m, base, shift,

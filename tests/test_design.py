@@ -16,17 +16,19 @@ is called only by the group-convolution core and the substituted core.  A
 sixth keeps one product-form class: ``groups._Bilinear`` is the only class
 whose values a test function reads through an ``exponent``.  A seventh keeps
 one block-size rule: ``harmonic._CHUNK`` is read only by the rule
-``_block_size``, and the rule only by the node walk ``_node_blocks`` and
-the pullback lattice engine, so no engine sizes its own blocks.  An eighth
-keeps one node block through the direct engines: ``groups.py``,
-``harmonic.py``, ``testfuncs.py`` and ``extension.py`` make no
-``isinstance(…, tuple)`` test, so no pair of blocks is dispatched on, and
-no method of ``TestFunction`` takes blocks as ``*args``.  A ninth keeps a
+``_block_size``, and the rule only by the node walk ``_node_blocks``, so no
+engine sizes its own blocks.  An eighth keeps one node block through the
+direct engines: ``groups.py``, ``harmonic.py``, ``testfuncs.py`` and
+``extension.py`` make no ``isinstance(…, tuple)`` test, so no pair of
+blocks is dispatched on, and no method of ``TestFunction`` takes blocks as
+``*args``.  A ninth keeps a
 quotient's form on its divisor: the direct cores construct no empty
 ``_Bilinear()`` to ask for a block, no module hands ``ldiv``/``rdiv`` an
 ``out`` or ``scratch``, every Law's ``mul``, ``ldiv`` and ``rdiv`` take their
 two operands only, and ``_Bilinear`` has no ``_made_of``, ``_build`` or
-``columns``, which rebuilt a quotient by its operands' identity.
+``columns``, which rebuilt a quotient by its operands' identity.  A tenth
+keeps one lattice walk: ``harmonic._lattice_sum`` is called only by the
+three ``*_lattice`` engines and ``projected_convolution_check``.
 """
 
 import ast
@@ -250,27 +252,36 @@ def test_every_public_name_is_reached():
 
 QUADRATURE = ("harmonic.py", "_quadrature")  # the one quadrature loop
 BUILDERS = {"_group_convolution", "_substituted_convolution"}
+LATTICE_SUM = ("harmonic.py", "_lattice_sum")  # the one lattice walk
+LATTICE_CALLERS = {"convolve_group_lattice", "convolve_group_pullback_lattice",
+                   "convolve_extended_c_lattice", "projected_convolution_check"}
 
 
-def quadrature_callers(path):
-    """The names of the top-level functions of path whose bodies call the
-    quadrature loop, each with the line of the call."""
+def callers_of(path, callee):
+    """The names of the top-level functions of path whose bodies call
+    callee, each with the line of the call."""
     found = []
     for top in ast.parse(path.read_text()).body:
         for node in ast.walk(top):
-            if (isinstance(node, ast.Call)
-                    and _subject(node.func) == QUADRATURE[1]):
+            if isinstance(node, ast.Call) and _subject(node.func) == callee:
                 found.append((getattr(top, "name", None), node.lineno))
     return found
 
 
-def test_quadrature_has_two_callers():
-    callers = quadrature_callers(SRC / QUADRATURE[0])
-    assert {name for name, _ in callers} == BUILDERS, callers
+def assert_only_callers(home, callee, allowed):
+    callers = callers_of(SRC / home, callee)
+    assert {name for name, _ in callers} == allowed, callers
     others = [f"{p.name}:{line}: {name}" for p in sorted(SRC.glob("*.py"))
-              if p.name != QUADRATURE[0]
-              for name, line in quadrature_callers(p)]
+              if p.name != home for name, line in callers_of(p, callee)]
     assert not others, "\n".join(others)
+
+
+def test_quadrature_has_two_callers():
+    assert_only_callers(*QUADRATURE, BUILDERS)
+
+
+def test_lattice_walk_has_the_lattice_callers_only():
+    assert_only_callers(*LATTICE_SUM, LATTICE_CALLERS)
 
 
 PRODUCT_FORM = ("groups.py", "_Bilinear")  # the one product-form class
@@ -295,7 +306,7 @@ def test_one_product_form_class():
 # may read it
 BLOCK_RULE = ("harmonic.py", {
     "_CHUNK": {"_block_size"},
-    "_block_size": {"_node_blocks", "convolve_group_pullback_lattice"}})
+    "_block_size": {"_node_blocks"}})
 
 
 def block_rule_reads(path, names):

@@ -118,6 +118,24 @@ def test_in_place_transforms_equal_shifted_formula(axes):
         assert F.samples.tobytes() == _shifted_formula_forward(gf).tobytes()
 
 
+def test_transforms_take_samples_in_any_memory_order():
+    # a transposed GridFunction, as a lattice walk's reordered rows make,
+    # transforms bit for bit as its C-ordered copy
+    rng = np.random.default_rng(4)
+    axes = (Axis(0.2, 3.0, 8), Axis(-0.5, 4.0, 16))
+    vals = rng.normal(size=(16, 8)) + 1j * rng.normal(size=(16, 8))
+    for data in (vals.T, vals.real.T):
+        gf, gf_c = (GridFunction(axes, d) for d in (data, data.copy()))
+        assert not gf.samples.flags.c_contiguous
+        assert plancherel_check(gf, axes) == plancherel_check(gf_c, axes)
+        F, F_c = fourier_forward(gf), fourier_forward(gf_c)
+        assert F.samples.tobytes() == F_c.samples.tobytes()
+        F_t = GridFunction(F.axes, F.samples.T.copy().T)
+        assert not F_t.samples.flags.c_contiguous
+        assert (fourier_inverse(F_t, axes).samples.tobytes()
+                == fourier_inverse(F_c, axes).samples.tobytes())
+
+
 def test_inverse_in_place_refuses_a_strided_array():
     vals = np.zeros((8, 8), dtype=complex)[:, ::2]
     with pytest.raises(ValueError):
@@ -1015,20 +1033,23 @@ def test_group_convolution_on_m_equals_subtracted_formula(monkeypatch, chunk,
 
 def _inline_group_lattice(g, f, out_axes, axes):
     """convolve_group_lattice's samples with f's arguments
-    (x−a, σ−a·s, s) written out by hand."""
+    (x−a, σ−a·s, s) written out by hand, summed by the lattice core as
+    one block of every a node."""
     sigma = harmonic._difference_nodes(out_axes[1], axes[1])
     s = harmonic._difference_nodes(out_axes[2], axes[2])
-    a = grid_nodes(axes[0])[None, :, None, None]
-    pts = np.empty((out_axes[0].points, axes[0].points, sigma.size, s.size, 3))
-    pts[..., 0] = grid_nodes(out_axes[0])[:, None, None, None] - a
+    a = grid_nodes(axes[0])[:, None, None, None]
+    pts = np.empty((axes[0].points, out_axes[0].points, sigma.size, s.size, 3))
+    pts[..., 0] = grid_nodes(out_axes[0])[:, None, None] - a
     pts[..., 1] = sigma[:, None] - a * s
     pts[..., 2] = s
-    diffs = f(pts)
-    weights = g(grid_mesh(axes))
-    out = harmonic._lattice_convolve(
-        weights, diffs, [ax.points for ax in axes[1:]],
-        [ax.points for ax in out_axes[1:]], sum_axis=1)
-    return out.ravel() * float(np.prod([ax.step for ax in axes]))
+
+    def samples(block):
+        assert np.array_equal(block.ravel(), grid_nodes(axes[0]))
+        return f(pts)
+
+    out = harmonic._lattice_sum([g], axes, (0, 1, 2), out_axes[1:],
+                                (out_axes[0].points,), samples)
+    return out.ravel()
 
 
 @pytest.mark.parametrize("out_axes, axes", [
@@ -1201,6 +1222,20 @@ def test_lattice_engines_return_one_row_per_probe(name, coef):
             assert _rel_dev(row, one[0]) <= 1e-13
 
 
+def test_group_lattice_peak_grows_slower_than_its_lattice():
+    # the a nodes are walked in blocks, so no (x, a, σ, s) lattice is
+    # formed: from 16³ to 32³ the peak grew 8.1× (1.5 → 12.1 MiB), where
+    # the whole lattice at once grew 16.3× (11.6 → 189 MiB)
+    f = gaussian([0.2, 0.0, -0.1], [1.0, 0.4, 0.9])
+    p = gaussian([0.1, -0.2, 0.0], [4.0] * 3)
+    peaks = []
+    for n in (16, 32):
+        axes = [Axis(0.0, 8.0, n), Axis(0.0, 9.6, n), Axis(0.0, 8.0, n)]
+        peaks.append(_peak_bytes(partial(convolve_group_lattice, [p], f,
+                                         axes, axes)))
+    assert peaks[1] <= 10 * peaks[0], [b / 2 ** 20 for b in peaks]
+
+
 def test_lattice_engines_reject_mismatched_steps():
     f = gaussian([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
     axes = [Axis(0.0, 8.0, 8), Axis(0.0, 9.6, 16), Axis(0.0, 8.0, 8)]
@@ -1230,6 +1265,7 @@ def test_off_lattice_checks_never_call_a_lattice_engine(monkeypatch):
         monkeypatch.setattr(module, "convolve_group_lattice", spy)
         monkeypatch.setattr(module, "convolve_extended_c_lattice", spy)
         monkeypatch.setattr(module, "convolve_group_pullback_lattice", spy)
+    monkeypatch.setattr(harmonic, "_lattice_sum", spy)
     rng = np.random.default_rng(23)
     phi, f, pts = _pair(rng, 3, [1.0] * 3, 1, 0.4)
     axes = [Axis(0.0, 6.4, 8)] * 3
